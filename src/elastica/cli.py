@@ -186,11 +186,11 @@ def cmd_sample(args) -> int:
 def cmd_energy(args) -> int:
     rep = normalized_energy(load_curve_csv(args.input))
     _echo(args)
-    payload = {"L": rep.L, "B": rep.B, "Bbar": rep.Bbar, "TC": rep.TC}
     if args.format == "text":
+        payload = {"L": rep.L, "B": rep.B, "Bbar": rep.Bbar, "TC": rep.TC}
         text = "".join(f"{k} = {v:.17g}\n" for k, v in payload.items())
     else:
-        text = json.dumps(payload) + "\n"
+        text = rep.to_json_line() + "\n"
     _emit(text, args.out)
     return 0
 
@@ -198,15 +198,7 @@ def cmd_energy(args) -> int:
 def cmd_liyau(args) -> int:
     rep = liyau_check(load_curve_csv(args.input), eps=args.eps)
     _echo(args)
-    payload = {
-        "r": rep.r,
-        "Bbar": rep.Bbar,
-        "bound": rep.bound,
-        "satisfied": rep.satisfied,
-        "slack": rep.slack,
-        "bound_kind": rep.bound_kind,
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(rep.to_json_line() + "\n", args.out)
     return 0 if rep.satisfied else 1
 
 

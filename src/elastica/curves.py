@@ -29,11 +29,12 @@ from functools import lru_cache
 import numpy as np
 
 from .discrete import DiscreteCurve, curvature_data, length
-from .elliptic import am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn
+from .elliptic import _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn
 from .errors import DomainError, InfeasibleError
 from .profiles import (
     FAMILY_TAGS,
     CurvatureProfile,
+    _canon_k,
     kappa_sq,
     profile_c,
 )
@@ -61,10 +62,6 @@ __all__ = [
     "classify_closed",
     "reconstruct_spatial",
 ]
-
-_eps_vec = np.vectorize(jacobi_epsilon, otypes=[float])
-_am_vec = np.vectorize(am, otypes=[float])
-
 
 # ---------------------------------------------------------------------------
 # figure-eight constants
@@ -213,11 +210,11 @@ def _canon_point(tag: str, m, s):
     if tag == "linear":
         return s, np.zeros_like(s)
     if tag == "wavelike":
-        return 2.0 * _eps_vec(s, m) - s, -2.0 * math.sqrt(m) * cn(s, m)
+        return 2.0 * jacobi_epsilon(s, m) - s, -2.0 * math.sqrt(m) * cn(s, m)
     if tag == "borderline":
         return 2.0 * np.tanh(s) - s, -2.0 / np.cosh(s)
     if tag == "orbitlike":
-        return (2.0 * _eps_vec(s, m) + (m - 2.0) * s) / m, -2.0 * dn(s, m) / m
+        return (2.0 * jacobi_epsilon(s, m) + (m - 2.0) * s) / m, -2.0 * dn(s, m) / m
     return np.sin(s), -np.cos(s)  # circular
 
 
@@ -230,21 +227,8 @@ def _canon_theta(tag: str, m, s):
     if tag == "borderline":
         return 2.0 * np.arcsin(np.tanh(s))
     if tag == "orbitlike":
-        return 2.0 * _am_vec(s, m)
+        return 2.0 * am(s, m)
     return s + np.zeros_like(s)
-
-
-def _canon_k(tag: str, m, s):
-    s = np.asarray(s, dtype=float)
-    if tag == "linear":
-        return np.zeros_like(s)
-    if tag == "wavelike":
-        return 2.0 * math.sqrt(m) * cn(s, m)
-    if tag == "borderline":
-        return 2.0 / np.cosh(s)
-    if tag == "orbitlike":
-        return 2.0 * dn(s, m)
-    return 1.0 + np.zeros_like(s)
 
 
 def _canon_k_prime(tag: str, m, s):
@@ -256,12 +240,6 @@ def _canon_k_prime(tag: str, m, s):
     if tag == "orbitlike":
         return -2.0 * m * sn(s, m) * cn(s, m)
     return np.zeros_like(s)  # linear, circular
-
-
-def _shape_like(s, *out):
-    if np.ndim(s) == 0:
-        return tuple(float(o) for o in out) if len(out) > 1 else float(out[0])
-    return out if len(out) > 1 else out[0]
 
 
 def eval_planar(e: PlanarElastica, s):
@@ -322,18 +300,15 @@ class Leaf:
 
     def point(self, s):
         u = np.asarray(s, dtype=float) - self.K
-        return np.stack(
-            [2.0 * _eps_vec(u, self.m) - u, -2.0 * math.sqrt(self.m) * cn(u, self.m)],
-            axis=-1,
-        )
+        return np.stack(_canon_point("wavelike", self.m, u), axis=-1)
 
     def tangent_angle(self, s):
         u = np.asarray(s, dtype=float) - self.K
-        return _shape_like(s, 2.0 * np.arcsin(math.sqrt(self.m) * sn(u, self.m)))
+        return _shape_like(s, _canon_theta("wavelike", self.m, u))
 
     def curvature(self, s):
         u = np.asarray(s, dtype=float) - self.K
-        return _shape_like(s, 2.0 * math.sqrt(self.m) * cn(u, self.m))
+        return _shape_like(s, _canon_k("wavelike", self.m, u))
 
 
 @lru_cache(maxsize=1)

@@ -10,10 +10,12 @@ modulus k).  Definitions:
     dn = sqrt(1 - m sn^2)
 
 Algorithms: complete integrals by the arithmetic-geometric mean, incomplete
-ones by Carlson symmetric-form duplication (R_F, R_D), sn/cn/dn by a
-descending Landen/AGM chain with a trigonometric base case, and am by a
-safeguarded Newton iteration on F.  All are quadratically convergent and
-well-conditioned as m -> 1.
+ones by Carlson symmetric-form duplication (R_F, R_D), and sn/cn/dn by a
+descending Landen/AGM chain with a trigonometric base case.  The amplitude
+comes from the same chain: am = atan2(sn, cn) on the branch nearest
+pi x / (2K), and the Jacobi epsilon function is Carlson's E(am, m) written
+in sn/cn/dn after reducing x by the period 2K.  All are quadratically
+convergent and well-conditioned as m -> 1.
 
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
 Operations built on K (F, K, am, and sn/cn/dn away from m = 1) refuse
@@ -21,8 +23,10 @@ parameters beyond that cutoff instead of silently degrading; comp_E accepts
 all of [0, 1], and sn/cn/dn additionally accept m = 1 exactly (hyperbolic
 closed forms).
 
-All functions are pure; scalar in, scalar out.  `sncndn` (and the three
-single-value wrappers) also broadcast over numpy arrays in x for fixed m.
+All functions are pure and take a scalar parameter m.  `sncndn`, `sn`,
+`cn`, `dn`, `am` and `jacobi_epsilon` broadcast over x: a scalar x gives
+a float, an array x an ndarray of the same shape.  The remaining functions
+are scalar in, scalar out.
 """
 
 from __future__ import annotations
@@ -82,11 +86,21 @@ class EllipticValue:
     est_abs_error: float
 
 
-def _require_finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+def _require_finite(x) -> np.ndarray:
+    u = np.asarray(x, dtype=float)
+    if not np.isfinite(u).all():
         raise DomainError(f"argument must be finite, got {x!r}")
-    return x
+    return u
+
+
+def _shape_like(x, *out):
+    """Return-type rule of every function that broadcasts over x: a scalar x
+    gives float(s), an array-like x gives ndarray(s)."""
+    if np.ndim(x):
+        vals = tuple(np.asarray(o) for o in out)
+    else:
+        vals = tuple(map(float, out))
+    return vals if len(vals) > 1 else vals[0]
 
 
 def _require_m_complete(m: float) -> float:
@@ -109,13 +123,18 @@ def _require_m_for_K(m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Carlson symmetric forms (duplication method)
+# Carlson symmetric forms (duplication method), elementwise over arrays;
+# duplication continues until the worst element meets the threshold
 
-def _rf(x: float, y: float, z: float) -> float:
+def _max_dev(*devs) -> float:
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in devs)
+
+
+def _rf(x, y, z):
     """Carlson R_F(x, y, z); args >= 0, at most one of them zero."""
     xt, yt, zt = x, y, z
     while True:
-        sx, sy, sz = math.sqrt(xt), math.sqrt(yt), math.sqrt(zt)
+        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
         lam = sx * (sy + sz) + sy * sz
         xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
         ave = (xt + yt + zt) / 3.0
@@ -123,20 +142,20 @@ def _rf(x: float, y: float, z: float) -> float:
         dy = (ave - yt) / ave
         dz = (ave - zt) / ave
         # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-        if max(abs(dx), abs(dy), abs(dz)) <= 0.0025:
+        if _max_dev(dx, dy, dz) <= 0.0025:
             break
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
-    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(ave)
+    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
 
 
-def _rd(x: float, y: float, z: float) -> float:
+def _rd(x, y, z):
     """Carlson R_D(x, y, z); x, y >= 0 (at most one zero), z > 0."""
     xt, yt, zt = x, y, z
     total = 0.0
     fac = 1.0
     while True:
-        sx, sy, sz = math.sqrt(xt), math.sqrt(yt), math.sqrt(zt)
+        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
         lam = sx * (sy + sz) + sy * sz
         total += fac / (sz * (zt + lam))
         fac *= 0.25
@@ -145,7 +164,7 @@ def _rd(x: float, y: float, z: float) -> float:
         dx = (ave - xt) / ave
         dy = (ave - yt) / ave
         dz = (ave - zt) / ave
-        if max(abs(dx), abs(dy), abs(dz)) <= 0.0015:
+        if _max_dev(dx, dy, dz) <= 0.0015:
             break
     ea = dx * dy
     eb = dz * dz
@@ -155,7 +174,7 @@ def _rd(x: float, y: float, z: float) -> float:
     c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
     s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
         + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-    return 3.0 * total + fac * s / (ave * math.sqrt(ave))
+    return 3.0 * total + fac * s / (ave * np.sqrt(ave))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +231,26 @@ def _F_principal(phi: float, m: float) -> float:
     s, c = math.sin(phi), math.cos(phi)
     if s == 0.0:
         return 0.0
-    return s * _rf(c * c, 1.0 - m * s * s, 1.0)
+    return float(s * _rf(c * c, 1.0 - m * s * s, 1.0))
+
+
+def _E_sc(s, c, q, m: float):
+    # E(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
+    # q = 1 - m s^2; elementwise over arrays
+    cc = c * c
+    return s * (_rf(cc, q, 1.0) - (m / 3.0) * s * s * _rd(cc, q, 1.0))
 
 
 def _E_principal(phi: float, m: float) -> float:
     s, c = math.sin(phi), math.cos(phi)
     if s == 0.0:
         return 0.0
-    cc, q = c * c, 1.0 - m * s * s
-    return s * (_rf(cc, q, 1.0) - (m / 3.0) * s * s * _rd(cc, q, 1.0))
+    return float(_E_sc(s, c, 1.0 - m * s * s, m))
 
 
 def ellint_F(x: float, m: float) -> float:
     """Incomplete elliptic integral of the first kind F(x, m)."""
-    x = _require_finite(x)
+    x = float(_require_finite(x))
     m = _require_m_for_K(m)
     x0, n = _reduce_pi(x)
     f0 = _F_principal(x0, m)
@@ -236,7 +261,7 @@ def ellint_F(x: float, m: float) -> float:
 
 def ellint_E_inc(x: float, m: float) -> float:
     """Incomplete elliptic integral of the second kind E(x, m)."""
-    x = _require_finite(x)
+    x = float(_require_finite(x))
     m = _require_m_for_K(m)
     x0, n = _reduce_pi(x)
     e0 = _E_principal(x0, m)
@@ -246,55 +271,7 @@ def ellint_E_inc(x: float, m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Amplitude (Newton on F with bisection safeguard)
-
-def am(x: float, m: float) -> float:
-    """Jacobi amplitude: the inverse of F(., m), so F(am(x, m), m) = x."""
-    x = _require_finite(x)
-    m = _require_m_for_K(m)
-    if m == 0.0:
-        return x
-    K = comp_K(m)
-    n = math.floor(x / (2.0 * K) + 0.5)
-    x0 = x - 2.0 * K * n
-    half_pi = 0.5 * math.pi
-    lo, hi = -half_pi, half_pi
-    phi = half_pi * x0 / K
-    tol = 4.0 * _EPS * max(1.0, abs(x0))
-    for _ in range(60):
-        f = _F_principal(phi, m) - x0
-        if abs(f) <= tol:
-            break
-        if f < 0.0:
-            lo = phi
-        else:
-            hi = phi
-        s = math.sin(phi)
-        step = -f * math.sqrt(max(1.0 - m * s * s, 0.0))
-        nxt = phi + step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)  # bisection fallback
-        if nxt == phi:
-            break
-        phi = nxt
-    return phi + n * math.pi
-
-
-def jacobi_epsilon(x: float, m: float) -> float:
-    """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse)."""
-    x = _require_finite(x)
-    m = _require_m_for_K(m)
-    K = comp_K(m)
-    n = math.floor(x / (2.0 * K) + 0.5)
-    x0 = x - 2.0 * K * n
-    out = _E_principal(am(x0, m), m)
-    if n:
-        out += 2.0 * n * comp_E(m)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sn / cn / dn (descending Landen / AGM chain)
+# sn / cn / dn (descending Landen / AGM chain), and am and epsilon from them
 
 def _landen_chain(m: float) -> tuple[list[float], list[float], float]:
     # arithmetic (a_i) and geometric (b_i) legs of the AGM for 1, sqrt(1-m),
@@ -319,7 +296,7 @@ def _landen_chain(m: float) -> tuple[list[float], list[float], float]:
 def sncndn(x, m: float):
     """All three Jacobi elliptic functions at once: (sn, cn, dn).
 
-    x may be a float or a numpy array; m is a scalar parameter in
+    x may be a scalar or an array; m is a scalar parameter in
     [0, 1 - 1e-9] or exactly 1.
     """
     m = float(m)
@@ -327,10 +304,7 @@ def sncndn(x, m: float):
         pass  # hyperbolic closed forms below
     else:
         _require_m_for_K(m)
-    arr = isinstance(x, np.ndarray)
-    u = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("argument must be finite")
+    u = _require_finite(x)
     if m == 1.0:
         sech = 1.0 / np.cosh(u)
         s, c, d = np.tanh(u), sech, sech.copy()
@@ -355,9 +329,32 @@ def sncndn(x, m: float):
         s = np.where(zero, 0.0, s_out)
         c = np.where(zero, 1.0, c_out)
         d = np.where(zero, 1.0, d)
-    if arr:
-        return s, c, d
-    return float(s), float(c), float(d)
+    return _shape_like(u, s, c, d)
+
+
+def am(x, m: float):
+    """Jacobi amplitude: the inverse of F(., m), so F(am(x, m), m) = x."""
+    u = _require_finite(x)
+    m = _require_m_for_K(m)
+    if m == 0.0:
+        return _shape_like(u, u.copy())
+    s, c, _ = sncndn(u, m)
+    phi = np.arctan2(s, c)
+    # am(x) and pi x / (2K) agree at every multiple of K and both increase
+    # in between, so they differ by less than pi/2: that fixes the branch
+    n = np.round((0.5 * math.pi / comp_K(m) * u - phi) / (2.0 * math.pi))
+    return _shape_like(u, phi + 2.0 * math.pi * n)
+
+
+def jacobi_epsilon(x, m: float):
+    """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse)."""
+    u = _require_finite(x)
+    m = _require_m_for_K(m)
+    twoK = 2.0 * comp_K(m)
+    n = np.floor(u / twoK + 0.5)
+    # |x0| <= K puts am(x0) in [-pi/2, pi/2], where cos(am) = cn >= 0
+    s, c, d = sncndn(u - twoK * n, m)
+    return _shape_like(u, _E_sc(s, c, d * d, m) + 2.0 * comp_E(m) * n)
 
 
 def sn(x, m: float):

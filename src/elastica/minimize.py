@@ -12,8 +12,9 @@ re-establishes the edge-length constraints by Gauss-Newton (with
 renormalization sweeps as a far-from-feasible fallback).  Accepted steps
 decrease the energy, with one exception at its floating-point floor: once
 a step changes B by no more than the rounding bound n eps |B| of the
-n-term energy sum, the sign of that change is noise, and a planar Newton
-step within the bound is accepted only when it lowers the projected
+n-term energy sum, the sign of that change is noise, and a Newton step
+(angle-space Newton in the plane, the constrained quasi-Newton step in
+3-D) within the bound is accepted only when it lowers the projected
 gradient by a fixed factor (the stationarity residual is the merit
 function there).  Such a step may raise B by at most that bound.
 
@@ -586,8 +587,9 @@ def _descend(X0, chain, fixed, tol, max_iters, problem_dim, L0):
             B_mark, it_mark = B, it
         stagnant = it - it_mark > 100  # descent drowned in projection noise
         # direction candidates, best first: planar angle-space Newton (full
-        # steps), Sobolev-preconditioned gradient, raw gradient; each is
-        # accepted on Armijo decrease of B, and the Newton step also when
+        # steps) or, in 3-D, the constrained quasi-Newton step; then the
+        # Sobolev-preconditioned gradient and the raw gradient.  Each is
+        # accepted on Armijo decrease of B, and the slot-0 step also when
         # it stays within B's rounding bound and cuts the projected gradient
         candidates = []
         if not stagnant:
@@ -597,6 +599,18 @@ def _descend(X0, chain, fixed, tol, max_iters, problem_dim, L0):
                     # Newton is all-or-nothing: a couple of backtracks only,
                     # then defer to the safeguarded gradient directions
                     candidates.append((0, dn, 1.0, 4))
+            else:
+                try:
+                    dq = _kkt_direction(X, Gt, chain, fac, row, free_idx)
+                except np.linalg.LinAlgError:
+                    dq = None
+                if dq is not None:
+                    # capped at half an edge, as in _polish, then tried like
+                    # the planar Newton step
+                    m = np.max(np.abs(dq))
+                    if m > 0.5 * chain.h:
+                        dq *= 0.5 * chain.h / m
+                    candidates.append((0, dq, 1.0, 4))
             dirn = np.zeros_like(Gt)
             dirn[free_idx] = cho_solve_banded((fac, False), Gt[free_idx])
             dirn = chain.project_tangent(X, dirn)

@@ -19,6 +19,10 @@ planar cases).  The five planar families carry signed curvature
     linear 0;  wavelike +-A cn(alpha s + beta, m), A^2 = 4 alpha^2 m;
     borderline +-A sech(alpha s + beta), A^2 = 4 alpha^2;
     orbitlike +-A dn(alpha s + beta, m), A^2 = 4 alpha^2;  circular +-A.
+
+Each is +-alpha times the curvature of its unit-frequency canonical curve
+(`_canon_k`; alpha = A for the circle) at alpha s + beta; the point-level
+curves in `curves` use the same table.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic as el
+from .elliptic import _shape_like
 from .errors import DomainError
 
 __all__ = [
@@ -53,11 +58,6 @@ __all__ = [
 ]
 
 FAMILY_TAGS = ("linear", "wavelike", "borderline", "orbitlike", "circular")
-
-
-def _match_shape(s, out):
-    # scalar in -> float out; sequence/array in -> ndarray out
-    return np.asarray(out) if np.ndim(s) else float(out)
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,15 @@ class PlanarCurvatureFamily:
 
     @property
     def frequency(self) -> float:
-        """alpha in k = +-A cn/sech/dn(alpha s + beta)."""
+        """alpha in k = +-A cn/sech/dn(alpha s + beta); A for the circle,
+        whose canonical curvature is 1, and 1 for the line."""
         if self.tag == "wavelike":
             return self.A / (2.0 * math.sqrt(self.m))
         if self.tag in ("borderline", "orbitlike"):
             return self.A / 2.0
-        raise DomainError(f"{self.tag} family has no frequency")
+        if self.tag == "circular":
+            return self.A
+        return 1.0
 
 
 def profile_lambda(p: CurvatureProfile) -> float:
@@ -163,9 +166,9 @@ def kappa_sq(p: CurvatureProfile, s):
     if p.m == 0.0:
         out = np.full_like(z, p.A**2)
     else:
-        sn_z = np.asarray(el.sn(z, p.m))
+        sn_z = el.sn(z, p.m)
         out = p.A**2 * (1.0 - (p.m / p.w) * sn_z**2)
-    return _match_shape(s, out)
+    return _shape_like(s, out)
 
 
 def solve_cubic_ode(a1: float, a2: float, a3: float, s0: float = 0.0) -> Callable:
@@ -187,8 +190,8 @@ def solve_cubic_ode(a1: float, a2: float, a3: float, s0: float = 0.0) -> Callabl
 
     def u(s):
         z = rate * np.asarray(s, dtype=float) + s0
-        sn_z = np.asarray(el.sn(z, mod))
-        return _match_shape(s, a3 - (a3 - a2) * sn_z**2)
+        sn_z = el.sn(z, mod)
+        return _shape_like(s, a3 - (a3 - a2) * sn_z**2)
 
     return u
 
@@ -200,29 +203,31 @@ def cubic_constant_solutions(a1: float, a2: float, a3: float) -> tuple[Callable,
 
     def make(val):
         def u(s):
-            return _match_shape(s, np.full_like(np.asarray(s, dtype=float), val))
+            return _shape_like(s, np.full_like(np.asarray(s, dtype=float), val))
         return u
 
     return make(a2), make(a3)
 
 
+def _canon_k(tag: str, m, s):
+    """Curvature of the unit-frequency canonical curve of a planar family."""
+    s = np.asarray(s, dtype=float)
+    if tag == "linear":
+        return np.zeros_like(s)
+    if tag == "wavelike":
+        return 2.0 * math.sqrt(m) * el.cn(s, m)
+    if tag == "borderline":
+        return 2.0 / np.cosh(s)
+    if tag == "orbitlike":
+        return 2.0 * el.dn(s, m)
+    return 1.0 + np.zeros_like(s)  # circular
+
+
 def planar_k(f: PlanarCurvatureFamily, s):
     """Signed curvature of a planar family at arclength s."""
-    z = np.asarray(s, dtype=float)
-    if f.tag == "linear":
-        out = np.zeros_like(z)
-    elif f.tag == "circular":
-        out = np.full_like(z, f.sign * f.A)
-    else:
-        arg = f.frequency * z + f.beta
-        if f.tag == "wavelike":
-            val = el.cn(arg, f.m)
-        elif f.tag == "orbitlike":
-            val = el.dn(arg, f.m)
-        else:  # borderline
-            val = 1.0 / np.cosh(arg)
-        out = f.sign * f.A * np.asarray(val)
-    return _match_shape(s, out)
+    alpha = f.frequency
+    z = alpha * np.asarray(s, dtype=float) + f.beta
+    return _shape_like(s, f.sign * alpha * _canon_k(f.tag, f.m, z))
 
 
 def torsion(p: CurvatureProfile, s):
@@ -271,7 +276,7 @@ def residual_first_integral(p: CurvatureProfile, s, h: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# plain-text records (CLI `sample --profile`)
+# plain-text key = value records (library only; no CLI subcommand reads them)
 
 def profile_to_record(p: CurvatureProfile, sign: int = 1) -> str:
     """Serialize to the key = value record format."""

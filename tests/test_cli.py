@@ -14,7 +14,9 @@ from elastica.discrete import (
     FOUR_PI_SQ,
     DiscreteCurve,
     LiYauReport,
+    liyau_check,
     load_curve_csv,
+    normalized_energy,
     save_curve_csv,
 )
 
@@ -167,6 +169,13 @@ class TestEnergy:
         assert rep["Bbar"] == pytest.approx(FOUR_PI_SQ, rel=1e-12)
         assert rep["TC"] == pytest.approx(TWO_PI, rel=1e-12)
 
+    def test_json_is_the_library_report(self, run, tmp_path):
+        path = tmp_path / "c.csv"
+        write_polygon(path, folds=2, axes=(1.0, 0.6))
+        code, out, _ = run("energy", str(path), "--quiet")
+        assert code == 0
+        assert out == normalized_energy(load_curve_csv(path)).to_json_line() + "\n"
+
     def test_text_format(self, run, tmp_path):
         path = tmp_path / "c.csv"
         write_polygon(path)
@@ -191,6 +200,15 @@ class TestLiyau:
         assert rep["bound_kind"] == "fenchel"
         assert rep["bound"] == pytest.approx(FOUR_PI_SQ, rel=1e-12)
         assert rep["satisfied"] is True
+
+    def test_json_is_the_library_report(self, run, tmp_path):
+        path = tmp_path / "eight.csv"
+        code, _, _ = run("leafed", "--r", "2", "--dim", "2", "--N", "256",
+                         "--quiet", "--out", str(path))
+        assert code == 0
+        code, out, _ = run("liyau", str(path), "--quiet")
+        assert code == 0
+        assert out == liyau_check(load_curve_csv(path)).to_json_line() + "\n"
 
     def test_figure_eight_pipeline(self, run, tmp_path):
         eight = tmp_path / "eight.csv"

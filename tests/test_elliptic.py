@@ -2,8 +2,9 @@
 
 Oracle routes: adaptive quadrature of the defining integrands
 (scipy.integrate.quad), a plain AGM loop written here, truncated power
-series, central finite differences, and scipy.special as a third-party
-cross-check.  Frozen constants in this file were produced by those oracles.
+series, central finite differences, scipy.special as a third-party
+cross-check, and mpmath at 40 digits for the array amplitude/epsilon.
+Frozen constants in this file were produced by those oracles.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy import integrate, special
 
 from elastica import DomainError
 from elastica import elliptic as el
+from elastica.curves import figure_eight_modulus
 
 # frozen oracle values (quadrature / AGM, see module docstring)
 K_HALF = 1.8540746773013719
@@ -340,6 +342,72 @@ class TestEpsilonFunction:
         assert el.jacobi_epsilon(x + twoK, m) == pytest.approx(
             el.jacobi_epsilon(x, m) + twoE, abs=1e-13
         )
+
+
+class TestArrayOracle:
+    """Array am / jacobi_epsilon against mpmath at 40 digits.
+
+    mpmath has no amplitude function: the reference phi solves
+    ellipf(phi, m) = x by findroot (F is strictly increasing, so the root
+    is unique), and the reference epsilon is ellipe(phi, m).
+    """
+
+    M_VALUES = (1e-8, 0.3, figure_eight_modulus(), 0.99, 1.0 - 1e-6, el.M_MAX)
+
+    @staticmethod
+    def grid(m: float) -> np.ndarray:
+        K = el.comp_K(m)
+        rng = np.random.default_rng(2024)
+        return np.concatenate([rng.uniform(-100.0, 100.0, 24), [K, -K, 3.0 * K, 0.0]])
+
+    @staticmethod
+    def reference(x: float, m: float, guess: float) -> tuple[float, float]:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mm = mpmath.mpf(m)
+            phi = mpmath.findroot(lambda p: mpmath.ellipf(p, mm) - x, mpmath.mpf(guess))
+            return float(phi), float(mpmath.ellipe(phi, mm))
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_against_mpmath(self, m):
+        xs = self.grid(m)
+        a = el.am(xs, m)
+        e = el.jacobi_epsilon(xs, m)
+        for x, a_i, e_i in zip(xs, a, e):
+            # Newton starts from the value under test: near m = 1 am is
+            # step-like and pi x / (2K) is outside the basin; findroot still
+            # verifies its own residual at 40 digits
+            phi, eps = self.reference(float(x), m, float(a_i))
+            assert abs(a_i - phi) <= 1e-12, (x, m)
+            assert abs(e_i - eps) <= 1e-12, (x, m)
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_array_equals_scalar(self, m):
+        # elementwise up to rounding: Carlson duplication on an array runs
+        # until its slowest element converges, and extra steps only move the
+        # last bits
+        xs = self.grid(m)
+        for fn in (el.am, el.jacobi_epsilon):
+            scalar = [fn(float(x), m) for x in xs]
+            np.testing.assert_allclose(fn(xs, m), scalar, rtol=0.0, atol=1e-14)
+
+    def test_return_types(self):
+        m = 0.7
+        for fn in (el.am, el.jacobi_epsilon):
+            assert type(fn(1.3, m)) is float
+            assert type(fn(np.float64(1.3), m)) is float
+            out = fn(np.linspace(-3.0, 3.0, 12).reshape(3, 4), m)
+            assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+            assert fn(np.array([]), m).shape == (0,)
+        assert type(el.am(1.3, 0.0)) is float
+        assert isinstance(el.am(np.array([1.3, 2.0]), 0.0), np.ndarray)
+
+    def test_domain(self):
+        for fn in (el.am, el.jacobi_epsilon):
+            with pytest.raises(DomainError):
+                fn(np.array([0.0, math.nan]), 0.5)
+            with pytest.raises(DomainError):
+                fn(np.array([0.0, 1.0]), 1.0)
 
 
 class TestParameterDerivatives:

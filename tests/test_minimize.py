@@ -289,6 +289,19 @@ class TestPinnedOther:
         assert r.converged
         assert math.isnan(r.lambda_est)  # planar scalar fit does not apply
 
+    def test_3d_chord_converges_to_planar_energy(self):
+        # without a quasi-Newton candidate in 3-D this chord exhausted 2000
+        # iterations at grad ~2.6e-4; the minimizer is planar, so the 3-D
+        # solve must land on the energy of the same chord solved in the plane
+        d = 0.462 * np.array([1.0, 2.0, 2.0]) / 3.0
+        r3 = minimize_pinned(PinnedProblem(np.zeros(3), d, 1.0, 100))
+        r2 = minimize_pinned(PinnedProblem(np.zeros(2), 0.462 * EX, 1.0, 100))
+        assert r3.converged and r2.converged
+        assert r3.iterations < 200
+        assert r3.B == pytest.approx(r2.B, rel=1e-10)
+        assert r3.B == pytest.approx(12.4266241906, rel=1e-10)
+        assert np.max(np.abs(edge_lengths(r3.curve) - 0.01)) <= 1e-12
+
     def test_tol_option_honored(self):
         p = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(tol=1e-3, max_iters=2000))
@@ -353,6 +366,24 @@ class TestClamped:
         # on the fine level B never rises by more than its rounding bound
         Bs = [row["B"] for row in r.log if row["N"] == 200]
         assert all(b1 - b0 <= _rounding_bound(b0, 200) for b0, b1 in zip(Bs, Bs[1:]))
+
+
+    def test_planar_arch_embedded_in_3d(self):
+        # the clamped arch of the plane, posed in R^3: it used to end at
+        # grad ~9e2 with B = 20.59; it must reach the planar solution
+        a = 0.5
+        V0, V1 = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(a), -math.sin(a)])
+        p2 = ClampedProblem(np.zeros(2), 0.6 * EX, 1.0, 100, V0, V1)
+        p3 = ClampedProblem(
+            np.zeros(3), np.array([0.6, 0.0, 0.0]), 1.0, 100, np.append(V0, 0.0), np.append(V1, 0.0)
+        )
+        r2, r3 = minimize_clamped(p2), minimize_clamped(p3)
+        assert r2.converged and r3.converged
+        assert r3.grad_norm < 1e-8 * 100
+        assert r3.B == pytest.approx(r2.B, rel=1e-12)
+        assert r3.B == pytest.approx(20.476339258960, rel=1e-12)
+        assert np.max(np.abs(r3.curve.vertices[:, 2])) == 0.0
+        assert np.max(np.abs(r3.curve.vertices[:, :2] - r2.curve.vertices)) < 1e-6
 
 
 class TestEstimateMultiplier:

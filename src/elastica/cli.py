@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: constants, sample, energy, liyau, minimize, integrate, leafed,
-classify.  Every run echoes its resolved configuration to stderr (suppress
-with --quiet); the artifact goes to --out or stdout.  CSV carries floats at
-17 significant digits (lossless round-trip), SVG at 6.
+classify.  Every run echoes its resolved configuration to stderr, and
+integrate its worst local error estimate (suppress both with --quiet); the
+artifact goes to --out or stdout.  CSV carries floats at 17 significant
+digits (lossless round-trip), SVG at 6.
 
 Exit codes: 0 success (and, for liyau, bound satisfied); 1 internal error or
 violated bound; 2 input error; 3 infeasible construction.
@@ -47,7 +48,7 @@ from .minimize import (
     minimize_clamped,
     minimize_pinned,
 )
-from .odeint import ElasticaState, integrate_elastica
+from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
 
@@ -287,10 +288,11 @@ def cmd_integrate(args) -> int:
     lam, s_end, h = float(kv["lam"]), float(kv["s_end"]), float(kv["h"])
     _echo(args, lam=lam, s_end=s_end, h=h, dim=state.dim)
     t = integrate_elastica(state, lam, s_end, h)
+    _note(args, "error estimate", {"err_max": t.err_max, "err_max_s": t.err_max_s})
     g = t.data[:, 0, :]
     kap = np.linalg.norm(t.data[:, 2, :], axis=1)
     if t.dim == 3:
-        det = np.linalg.det(t.data[:, 1:4, :])
+        det = monitor_det(t)
         z = g[:, 2]
     else:  # planar trajectories: z = 0 and det(d1,d2,d3) = 0 identically
         det = np.zeros(t.n_states)

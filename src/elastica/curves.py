@@ -575,8 +575,10 @@ def reconstruct_spatial(
 
     Classical 4th-order stepping with per-step Gram-Schmidt
     re-orthonormalization of the frame; planar profiles (c = 0) freeze the
-    binormal and integrate the unsigned curvature.  frame0 holds rows
-    (T0, N0, B0), orthonormal to 1e-12; the curve starts at the origin.
+    binormal and integrate the unsigned curvature.  The k and t tables are
+    evaluated up front over arrays; the steps run on Python floats.  frame0
+    holds rows (T0, N0, B0), orthonormal to 1e-12; the curve starts at the
+    origin.
     """
     F = np.array(frame0, dtype=float)
     if F.shape != (3, 3) or not np.allclose(F @ F.T, np.eye(3), atol=1e-12):
@@ -599,28 +601,41 @@ def reconstruct_spatial(
     svals = s_min + h * np.arange(n + 1)
     k_all, t_all = rates(np.repeat(svals, 2)[: 2 * n + 1] + np.tile([0.0, 0.5 * h], n + 1)[: 2 * n + 1])
 
-    def deriv(y: np.ndarray, k: float, t: float) -> np.ndarray:
-        g, T, Nv, B = y
-        return np.stack([T, k * Nv, -k * T + t * B, -t * Nv])
-
-    y = np.stack([np.zeros(3), F[0], F[1], F[2]])
-    out = np.empty((n + 1, 3))
-    out[0] = y[0]
+    ks, ts = k_all.tolist(), t_all.tolist()
+    y = [0.0, 0.0, 0.0] + F.ravel().tolist()
+    out = [y[:3]]
     for i in range(n):
-        k0, t0 = k_all[2 * i], t_all[2 * i]
-        km, tm = k_all[2 * i + 1], t_all[2 * i + 1]
-        k1, t1 = k_all[2 * i + 2], t_all[2 * i + 2]
-        a1 = deriv(y, k0, t0)
-        a2 = deriv(y + 0.5 * h * a1, km, tm)
-        a3 = deriv(y + 0.5 * h * a2, km, tm)
-        a4 = deriv(y + h * a3, k1, t1)
-        y = y + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        # Gram-Schmidt the frame; the frame is the product here, keep it clean
-        T = y[1] / np.linalg.norm(y[1])
-        Nv = y[2] - np.dot(y[2], T) * T
-        Nv /= np.linalg.norm(Nv)
-        B = y[3] - np.dot(y[3], T) * T - np.dot(y[3], Nv) * Nv
-        B /= np.linalg.norm(B)
-        y = np.stack([y[0], T, Nv, B])
-        out[i + 1] = y[0]
-    return DiscreteCurve(out, closed=False)
+        y = _frame_step(y, h, ks[2 * i : 2 * i + 3], ts[2 * i : 2 * i + 3])
+        out.append(y[:3])
+    return DiscreteCurve(np.array(out), closed=False)
+
+
+def _frame_rates(v: list[float], k: float, t: float) -> list[float]:
+    _, _, _, T0, T1, T2, N0, N1, N2, B0, B1, B2 = v
+    return [T0, T1, T2, k * N0, k * N1, k * N2, t * B0 - k * T0, t * B1 - k * T1,
+            t * B2 - k * T2, -t * N0, -t * N1, -t * N2]
+
+
+def _frame_step(y: list[float], h: float, k: list[float], t: list[float]) -> list[float]:
+    """One classical 4th-order step of the flat (gamma, T, N, B) state in
+    Python floats, then Gram-Schmidt on the frame; k and t hold the rates
+    at the step's start, middle and end."""
+    hh = 0.5 * h
+    a1 = _frame_rates(y, k[0], t[0])
+    a2 = _frame_rates([u + hh * v for u, v in zip(y, a1)], k[1], t[1])
+    a3 = _frame_rates([u + hh * v for u, v in zip(y, a2)], k[1], t[1])
+    a4 = _frame_rates([u + h * v for u, v in zip(y, a3)], k[2], t[2])
+    h6 = h / 6.0
+    g0, g1, g2, T0, T1, T2, N0, N1, N2, B0, B1, B2 = (
+        u + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for u, b1, b2, b3, b4 in zip(y, a1, a2, a3, a4))
+    # Gram-Schmidt the frame; the frame is the product here, keep it clean
+    r = math.sqrt(T0 * T0 + T1 * T1 + T2 * T2)
+    T0, T1, T2 = T0 / r, T1 / r, T2 / r
+    p = N0 * T0 + N1 * T1 + N2 * T2
+    N0, N1, N2 = N0 - p * T0, N1 - p * T1, N2 - p * T2
+    r = math.sqrt(N0 * N0 + N1 * N1 + N2 * N2)
+    N0, N1, N2 = N0 / r, N1 / r, N2 / r
+    p, q = B0 * T0 + B1 * T1 + B2 * T2, B0 * N0 + B1 * N1 + B2 * N2
+    B0, B1, B2 = B0 - p * T0 - q * N0, B1 - p * T1 - q * N1, B2 - p * T2 - q * N2
+    r = math.sqrt(B0 * B0 + B1 * B1 + B2 * B2)
+    return [g0, g1, g2, T0, T1, T2, N0, N1, N2, B0 / r, B1 / r, B2 / r]

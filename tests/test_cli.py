@@ -384,6 +384,22 @@ class TestIntegrate:
         assert np.abs(a[:, 4] - 1.0).max() < 1e-10
         assert np.abs(a[:, 5]).max() < 1e-12
 
+    def test_error_estimate_on_stderr_only(self, run, tmp_path):
+        ic = self.write_ic(tmp_path,
+                           "gamma = 0 0 0\nd1 = 1 0 0\nd2 = 0 1.5 0\nd3 = -2.25 0 0.27\n"
+                           "lam = 0.5\ns_end = 2\nh = 2e-3\n")
+        loud, quiet = tmp_path / "loud.csv", tmp_path / "quiet.csv"
+        code, out, err = run("integrate", ic, "--out", str(loud))
+        assert code == 0 and out == ""
+        note = next(line for line in err.splitlines() if line.startswith("error estimate: "))
+        est = json.loads(note.removeprefix("error estimate: "))
+        assert 0.0 < est["err_max"] <= 1e-6
+        assert 0.0 <= est["err_max_s"] < 2.0
+        code, out, err = run("integrate", ic, "--out", str(quiet), "--quiet")
+        assert code == 0 and out == "" and err == ""
+        assert loud.read_bytes() == quiet.read_bytes()
+        assert run("integrate", ic)[1].encode() == loud.read_bytes()
+
     @pytest.mark.parametrize("text", [
         "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\n",  # no h
         "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-3\nfoo = 1\n",

@@ -39,7 +39,7 @@ from elastica.discrete import (
 )
 from elastica.elliptic import comp_E, comp_K
 from elastica.errors import DomainError, InfeasibleError
-from elastica.profiles import CurvatureProfile, profile_c, profile_period
+from elastica.profiles import CurvatureProfile, kappa_sq, profile_c, profile_period
 
 # oracle values (bisection + Newton on 2E-K; entire downstream chain hangs
 # off these, so they are frozen here as well as recomputed)
@@ -473,6 +473,22 @@ class TestReconstruct:
         assert np.max(dets) - np.min(dets) < 1e-6
         assert np.mean(dets) == pytest.approx(c_exp, abs=1e-3)
 
+    @pytest.mark.parametrize("m, w, A", [
+        (0.2, 0.6, 1.5),  # spatial
+        (0.0, 0.5, 1.0),  # helix
+        (0.0, 1.0, 1.0),  # planar circle: binormal frozen
+        (0.7, 0.7, 2 * math.sqrt(0.7)),  # planar wavelike, k through zero
+        (0.5, 0.9, 2.0),
+    ])
+    def test_matches_reference_loop(self, m, w, A):
+        p = CurvatureProfile(m=m, w=w, A=A)
+        F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
+        for s_range, h in [((0.0, 3.0), 2e-3), ((-1.0, 2.0), 0.05), ((0.0, 0.1), 0.05)]:
+            got = reconstruct_spatial(p, F, s_range, h).vertices
+            want = reference_reconstruct(p, F, s_range, h)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_domain(self):
         p = CurvatureProfile(m=0.0, w=1.0, A=1.0)
         with pytest.raises(DomainError):
@@ -481,6 +497,48 @@ class TestReconstruct:
             reconstruct_spatial(p, self.F0, (0.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             reconstruct_spatial(p, self.F0, (1.0, 1.0), 1e-3)
+
+
+def reference_reconstruct(p, F, s_range, h):
+    """The per-step NumPy frame loop reconstruct_spatial is checked against."""
+    s_min, s_max = s_range
+    c = profile_c(p)
+
+    def rates(svals):
+        k = np.sqrt(np.maximum(kappa_sq(p, svals), 0.0))
+        if c == 0.0:
+            return k, np.zeros_like(k)
+        return k, c / (k * k)
+
+    n = max(1, int(round((s_max - s_min) / h)))
+    h = (s_max - s_min) / n
+    svals = s_min + h * np.arange(n + 1)
+    k_all, t_all = rates(np.repeat(svals, 2)[: 2 * n + 1] + np.tile([0.0, 0.5 * h], n + 1)[: 2 * n + 1])
+
+    def deriv(y, k, t):
+        g, T, Nv, B = y
+        return np.stack([T, k * Nv, -k * T + t * B, -t * Nv])
+
+    y = np.stack([np.zeros(3), F[0], F[1], F[2]])
+    out = np.empty((n + 1, 3))
+    out[0] = y[0]
+    for i in range(n):
+        k0, t0 = k_all[2 * i], t_all[2 * i]
+        km, tm = k_all[2 * i + 1], t_all[2 * i + 1]
+        k1, t1 = k_all[2 * i + 2], t_all[2 * i + 2]
+        a1 = deriv(y, k0, t0)
+        a2 = deriv(y + 0.5 * h * a1, km, tm)
+        a3 = deriv(y + 0.5 * h * a2, km, tm)
+        a4 = deriv(y + h * a3, k1, t1)
+        y = y + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        T = y[1] / np.linalg.norm(y[1])
+        Nv = y[2] - np.dot(y[2], T) * T
+        Nv /= np.linalg.norm(Nv)
+        B = y[3] - np.dot(y[3], T) * T - np.dot(y[3], Nv) * Nv
+        B /= np.linalg.norm(B)
+        y = np.stack([y[0], T, Nv, B])
+        out[i + 1] = y[0]
+    return out
 
 
 def c1_h(curve: DiscreteCurve, s_total: float) -> float:

@@ -1,10 +1,12 @@
 """Position-form elastica ODE: integration accuracy and conservation laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from elastica import odeint
 from elastica.curves import PlanarElastica, planar_state
 from elastica.elliptic import cn, comp_K
 from elastica.errors import DomainError, StepSizeError
@@ -44,6 +46,50 @@ def spatial_state(p: CurvatureProfile) -> ElasticaState:
     return ElasticaState(
         [0, 0, 0], [1, 0, 0], [0, k0, 0], [-k0 * k0, 0.0, k0 * t0]
     )
+
+
+def borderline_state(s):
+    # curvature 2 sech(s): nearly straight far from the single pulse at s = 0
+    return ElasticaState(*planar_state(PlanarElastica("borderline"), s))
+
+
+def reference_rhs(y, lam):
+    d1, d2, d3 = y[1], y[2], y[3]
+    out = np.empty_like(y)
+    out[0] = d1
+    out[1] = d2
+    out[2] = d3
+    out[3] = 0.5 * (lam * d2 - 6.0 * np.dot(d2, d3) * d1 - 3.0 * np.dot(d2, d2) * d2)
+    return out
+
+
+def reference_rk4(y, h, lam):
+    k1 = reference_rhs(y, lam)
+    k2 = reference_rhs(y + (0.5 * h) * k1, lam)
+    k3 = reference_rhs(y + (0.5 * h) * k2, lam)
+    k4 = reference_rhs(y + h * k3, lam)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_integrate(s0, lam, s_end, h):
+    """The per-step NumPy loop integrate_elastica is checked against:
+    (states, per-step error estimates, first offending step or None)."""
+    n = max(1, int(round(s_end / h)))
+    h = s_end / n
+    data = np.empty((n + 1, 4, s0.dim))
+    errs = []
+    y = s0.as_array()
+    data[0] = y
+    for i in range(n):
+        y_full = reference_rk4(y, h, lam)
+        y_half = reference_rk4(reference_rk4(y, 0.5 * h, lam), 0.5 * h, lam)
+        err = float(np.max(np.abs(y_full - y_half))) / 15.0
+        if not err <= 1e-6:
+            return data[: i + 1], np.array(errs), i
+        errs.append(err)
+        y = y_full
+        data[i + 1] = y
+    return data, np.array(errs), None
 
 
 def rotation_3d(a, b):
@@ -217,3 +263,71 @@ class TestEnergyLaw:
         lam, a, c_sq = first_integral_coeffs(p)
         tr = integrate_elastica(spatial_state(p), lam, 10.0, 1e-3)
         assert np.max(np.abs(energy_law_residual(tr, a, c_sq))) < 1e-9
+
+
+REFERENCE_CASES = {
+    "line": (line_state(), 1.3, 5.0, 1e-2),
+    "circle": (circle_state(), 1.0, 2 * math.pi, 4e-3),
+    "wavelike2d": (wavelike_state(0.7), 2 * (2 * 0.7 - 1), 4 * comp_K(0.7), 4e-3),
+    "wavelike3d": (wavelike_state(0.9, dim=3), 2 * (2 * 0.9 - 1), 3.0, 2e-3),
+    "tilted": (ElasticaState(*(rotation_3d(0.5, 0.3) @ np.append(v, 0.0) for v in planar_state(
+        PlanarElastica("wavelike", 0.7), 0.4))), 2 * (2 * 0.7 - 1), 3.0, 4e-3),
+    "spatial": (spatial_state(CurvatureProfile(m=0.2, w=0.6, A=1.5)),
+                first_integral_coeffs(CurvatureProfile(m=0.2, w=0.6, A=1.5))[0], 6.0, 2e-3),
+    "helix": (spatial_state(CurvatureProfile(m=0.0, w=0.5, A=1.0)),
+              first_integral_coeffs(CurvatureProfile(m=0.0, w=0.5, A=1.0))[0], 3.0, 1e-2),
+}
+
+
+class TestReferenceLoop:
+    """integrate_elastica against the per-step NumPy loop it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference(self, case):
+        s0, lam, s_end, h = REFERENCE_CASES[case]
+        tr = integrate_elastica(s0, lam, s_end, h)
+        want, errs, bad = reference_integrate(s0, lam, s_end, h)
+        assert bad is None
+        assert tr.data.shape == want.shape
+        assert np.all(np.abs(tr.data - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert tr.err_max == pytest.approx(errs.max(), rel=1e-3, abs=1e-15)
+        assert tr.err_max <= 1e-6
+
+    def test_err_max_location(self):
+        # one clear peak of the estimate, at the pulse, in the second block
+        s0, lam, s_end, h = borderline_state(-50.0), 2.0, 60.0, 0.04
+        tr = integrate_elastica(s0, lam, s_end, h)
+        _, errs, bad = reference_integrate(s0, lam, s_end, h)
+        assert bad is None
+        assert tr.err_max == pytest.approx(errs.max(), rel=1e-6)
+        assert tr.err_max_s == pytest.approx(int(np.argmax(errs)) * tr.h, abs=1e-9)
+        assert tr.err_max_s > odeint._BLOCK * tr.h
+
+    def test_default_fields(self):
+        tr = Trajectory(h=0.1, lam=1.0, data=np.zeros((2, 4, 2)))
+        assert math.isnan(tr.err_max) and math.isnan(tr.err_max_s)
+
+    @pytest.mark.parametrize("s0, lam, s_end, h, first, last", [
+        (circle_state(), 1.0, 1.0, 1.0, 0, 0),  # n = 1
+        (wavelike_state(0.7), 0.8, 10.0, 0.5, 0, 0),  # n = 20
+        (borderline_state(-10.0), 2.0, 20.0, 0.1, 1, odeint._BLOCK - 1),  # n = 200
+        (borderline_state(-110.0), 2.0, 220.0, 0.1, odeint._BLOCK, 2 * odeint._BLOCK - 1),
+    ])
+    def test_first_offending_step_matches(self, s0, lam, s_end, h, first, last):
+        # [first, last] brackets the reference's first offending step, so
+        # each row covers the case it is here for
+        _, _, bad = reference_integrate(s0, lam, s_end, h)
+        assert bad is not None and first <= bad <= last
+        n = max(1, int(round(s_end / h)))
+        with pytest.raises(StepSizeError, match="> 1e-06") as exc:
+            integrate_elastica(s0, lam, s_end, h)
+        assert f"at s = {bad * (s_end / n):.6g}; reduce h" in str(exc.value)
+
+    def test_non_finite_estimate_rejected(self):
+        # lam = 1e160 overflows in the first step; NaN > 1e-6 is False, so a
+        # plain threshold test would let the NaN trajectory through
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(StepSizeError, match="non-finite") as exc:
+                integrate_elastica(circle_state(), 1e160, 1.0, 0.1)
+        assert "at s = 0; reduce h" in str(exc.value)

@@ -29,7 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from .discrete import DiscreteCurve, curvature_data, length
-from .elliptic import _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn
+from .elliptic import (
+    _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn, sncndn,
+)
 from .errors import DomainError, InfeasibleError
 from .profiles import (
     FAMILY_TAGS,
@@ -489,21 +491,16 @@ class ClassifyResult:
     residual: float  # best rms curvature misfit relative to max |k|
 
 
-def _cn_shifted(cn_u, sn_u, dn_u, m, b):
-    # cn(u - b) via the addition formula, vectorized over u for scalar b
-    cb = cn(-b, m)
-    sb = sn(-b, m)
-    db = dn(-b, m)
-    return (cn_u * cb - sn_u * sb * dn_u * db) / (1.0 - m * sn_u**2 * sb**2)
-
-
 def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     """Classify a closed, arclength-uniform planar curve by its curvature.
 
     Least-squares fit of the signed discrete curvature to a constant
     (multiply covered circle) and to the figure-eight profile
     2 sqrt(m*)/Lam * cn((s - beta)/Lam, m*) across covering counts;
-    accepted when the rms misfit is below tol * max |k|.
+    accepted when the rms misfit is below tol * max |k|.  The shift beta
+    enters through the addition formula for cn, so each trial shift costs
+    one scalar sncndn: a coarse grid of 128 shifts (one array call for
+    all of them), then a golden-section search.
     """
     if not curve.closed:
         raise DomainError("classification applies to closed curves")
@@ -524,33 +521,38 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
 
     m = figure_eight_modulus()
     K = comp_K(m)
+    grid = np.linspace(0.0, 4.0 * K, 129)[:-1]
+    grid_sn, grid_cn, grid_dn = (v.tolist() for v in sncndn(-grid, m))
+    gr = 0.5 * (math.sqrt(5.0) - 1.0)
     amp_best = (float("inf"), 0, 0.0)  # (rms, fold, beta)
     for mu in range(1, 9):
         Lam = L / (4.0 * K * mu)
-        u = s / Lam
-        cn_u, sn_u, dn_u = cn(u, m), sn(u, m), dn(u, m)
+        sn_u, cn_u, dn_u = sncndn(s / Lam, m)
         amp = 2.0 * math.sqrt(m) / Lam
+        # amp cn(u - b) = (A cn(-b) - B sn(-b) dn(-b)) / (1 - M sn(-b)^2)
+        A, B, M = amp * cn_u, amp * sn_u * dn_u, m * sn_u * sn_u
 
-        def rms_at(b):
-            model = amp * _cn_shifted(cn_u, sn_u, dn_u, m, b)
+        def rms_at(sb, cb, db):
+            model = (A * cb - B * (sb * db)) / (1.0 - M * (sb * sb))
             return math.sqrt(float(np.sum(w * (kappa - model) ** 2)))
 
-        grid = np.linspace(0.0, 4.0 * K, 129)[:-1]
-        vals = [rms_at(b) for b in grid]
+        def rms_shift(b):
+            return rms_at(*sncndn(-b, m))
+
+        vals = [rms_at(*v) for v in zip(grid_sn, grid_cn, grid_dn)]
         j = int(np.argmin(vals))
         lo, hi = grid[j] - 4.0 * K / 128, grid[j] + 4.0 * K / 128
-        gr = 0.5 * (math.sqrt(5.0) - 1.0)
         b1, b2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
-        f1, f2 = rms_at(b1), rms_at(b2)
+        f1, f2 = rms_shift(b1), rms_shift(b2)
         for _ in range(40):
             if f1 < f2:
                 hi, b2, f2 = b2, b1, f1
                 b1 = hi - gr * (hi - lo)
-                f1 = rms_at(b1)
+                f1 = rms_shift(b1)
             else:
                 lo, b1, f1 = b1, b2, f2
                 b2 = lo + gr * (hi - lo)
-                f2 = rms_at(b2)
+                f2 = rms_shift(b2)
         rms = min(f1, f2)
         if rms < amp_best[0]:
             amp_best = (rms, mu, 0.5 * (lo + hi))

@@ -22,6 +22,7 @@ missing marker falls back to endpoint-coincidence detection.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -121,6 +122,7 @@ class MultiplicityReport:
     point: np.ndarray
     r: int
     witnesses: tuple[float, ...]  # arclength of each distinct visit
+    eps: float  # proximity radius the visits were counted at
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,9 @@ class LiYauReport:
     satisfied: bool
     slack: float
     bound_kind: str  # "liyau" (varpi* r^2, r >= 2) or "fenchel" (4 pi^2)
+    eps: float = math.nan  # proximity radius of the multiplicity search
+    witnesses: tuple[float, ...] = ()  # arclength of each visit
+    bound_reason: str = ""  # why bound_kind was chosen
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -141,6 +146,9 @@ class LiYauReport:
                 "satisfied": self.satisfied,
                 "slack": self.slack,
                 "bound_kind": self.bound_kind,
+                "eps": self.eps,
+                "witnesses": list(self.witnesses),
+                "bound_reason": self.bound_reason,
             }
         )
 
@@ -275,54 +283,140 @@ def resample_arclength(c: DiscreteCurve, N: int) -> DiscreteCurve:
     return DiscreteCurve(out, closed=c.closed)
 
 
-def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> MultiplicityReport:
-    """Greedy vertex clustering (radius eps) + arclength-separated visits.
+_PAIR_BLOCK = 1 << 12  # candidate (point, edge) pairs per block: bounds the temporaries
 
-    r is the largest number of visits any cluster receives, where member
-    arclengths more than 3*eps apart count as distinct visits (with wrap
-    merging on closed curves).  Default eps = 1e-3 * L.
+
+def _near_edges(x, pos, p, e, a, ell, period, eps):
+    """Every (point, edge) pair closer than eps in space and more than
+    3 eps apart in arclength, yielded in blocks of whole points.
+
+    Point k sits at x[k], at arclength pos[k]; edge j runs from p[j] along
+    e[j] over the arclength interval [a[j], a[j] + ell[j]].  Arclength gaps
+    wrap at period (L when closed, inf when open), so a point never pairs
+    with the edges it lies on.  Each block is (q, j, dist, t), sorted by
+    point q then edge j, with every partner of each of its points; t is
+    the fraction along edge j of its point nearest x[q].  Edges are hashed
+    by their start into a uniform grid and sought in the 3^dim cells
+    around each point; a block holds about _PAIR_BLOCK candidates.
     """
-    L = length(c)
+    ne, dim = p.shape
+    # a point within eps of an edge lies within eps + max(ell) of the
+    # edge's start, so with cells that wide the two sit in neighbouring
+    # cells; the floor on the width keeps the cell keys inside int64
+    lo = np.minimum(p.min(axis=0), x.min(axis=0))
+    extent = np.maximum(p.max(axis=0), x.max(axis=0)) - lo
+    width = max(eps + float(ell.max()), float(extent.max()) * 2.0**-20)
+    stride = np.cumprod(np.r_[1, extent[:-1] // width + 3]).astype(np.int64)
+
+    def cell_keys(y):
+        key = np.zeros(len(y), np.int64)
+        for axis in range(dim):  # one axis at a time keeps temporaries 1-D
+            key += ((y[:, axis] - lo[axis]) // width + 1.0).astype(np.int64) * stride[axis]
+        return key
+
+    key = cell_keys(p)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim))) @ stride
+    order = np.argsort(key, kind="stable")
+    cells, first, size = np.unique(key[order], return_index=True, return_counts=True)
+    qcells, home = np.unique(cell_keys(x), return_inverse=True)
+    # per point cell and offset: where the neighbour cell's edges start in
+    # `order`, and how many there are
+    nb = qcells[:, None] + offsets
+    slot = np.minimum(np.searchsorted(cells, nb), len(cells) - 1)
+    nb_first = first[slot]
+    nb_size = np.where(cells[slot] == nb, size[slot], 0)
+    total = np.cumsum(nb_size.sum(axis=1)[home])
+    k0 = 0
+    while k0 < len(x):
+        done = total[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, "right")))
+        cnt = nb_size[home[k0:k1]].ravel()
+        q = np.repeat(np.repeat(np.arange(k0, k1), len(offsets)), cnt)
+        shift = nb_first[home[k0:k1]].ravel() - (np.cumsum(cnt) - cnt)
+        j = order[np.arange(len(q)) + np.repeat(shift, cnt)]
+        span = np.maximum(a[j] + ell[j], pos[q]) - np.minimum(a[j], pos[q])
+        apart = np.minimum(span - ell[j], period - span) > 3.0 * eps
+        q, j = q[apart], j[apart]
+        w = x[q] - p[j]
+        t = np.clip(np.einsum("ij,ij->i", w, e[j]) / (ell[j] * ell[j]), 0.0, 1.0)
+        w -= t[:, None] * e[j]
+        d = np.sqrt(np.einsum("ij,ij->i", w, w))
+        near = np.flatnonzero(d <= eps)
+        near = near[np.argsort(q[near] * ne + j[near], kind="stable")]
+        yield q[near], j[near], d[near], t[near]
+        k0 = k1
+
+
+def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> MultiplicityReport:
+    """Most distinct visits the curve pays to the eps-ball around one of
+    its points.
+
+    The curve is sampled at equal arclength steps of at most eps/2 (at
+    least L / 2^16, which caps the samples at 2^16 + 1).  The partners of
+    a sample x are the edges whose exact distance to x is at most eps and
+    which more than 3 eps of arclength separate from x (circularly on a
+    closed curve).  They split into visits wherever the arclength gap
+    between consecutive partners exceeds 3 eps; on a closed curve a visit
+    across the seam counts once.  r is 1 (the curve's own pass through x)
+    plus the largest visit count.  Every crossing lies within eps/4 of a
+    sample, so it is found wherever it falls between vertices.  The
+    report is taken at the sample with the most visits whose farthest
+    visit passes closest: point is that sample, witnesses the sorted
+    arclengths of x and of the nearest point of each visit, which lie
+    more than 3 eps apart.  Default eps = 1e-3 * L.
+
+    Edges are hashed into a uniform grid, so for curves whose edges are
+    short against their extent the cost grows linearly in the number of
+    vertices; candidate pairs are handled in fixed-size blocks, which
+    bounds memory.  Where the vertex numbering starts and which way it
+    runs only move the samples along the curve, which leaves every
+    crossing within eps/4 of one.
+    """
+    e = _edges(c)
+    ell = np.linalg.norm(e, axis=1)
+    L = float(ell.sum())
     if eps is None:
         eps = 1e-3 * L
     if not eps > 0.0:
         raise DomainError("need eps > 0")
-    v = c.vertices
-    s = vertex_arclengths(c)
-    centers: list[np.ndarray] = []
-    members: list[list[int]] = []
-    cen = np.empty((0, c.dim))
-    for i in range(len(v)):
-        if len(centers):
-            d2 = np.einsum("ij,ij->i", cen - v[i], cen - v[i])
-            j = int(np.argmin(d2))
-            if d2[j] <= eps * eps:
-                members[j].append(i)
-                continue
-        centers.append(v[i])
-        members.append([i])
-        cen = np.asarray(centers)
-
-    def count_visits(svals: np.ndarray) -> list[float]:
-        svals = np.sort(svals)
-        starts = [0]
-        for k in range(1, len(svals)):
-            if svals[k] - svals[k - 1] > 3.0 * eps:
-                starts.append(k)
-        groups = np.split(svals, starts[1:])
-        if c.closed and len(groups) > 1:
-            # first and last group may be one visit across the seam
-            if (groups[0][0] + L) - groups[-1][-1] <= 3.0 * eps:
-                groups = [np.concatenate([groups[-1], groups[0]])] + groups[1:-1]
-        return [float(np.mean(g)) for g in groups]
-
-    best_r, best_idx, best_wit = 0, 0, [0.0]
-    for idx, mem in enumerate(members):
-        wit = count_visits(s[np.asarray(mem)])
-        if len(wit) > best_r:
-            best_r, best_idx, best_wit = len(wit), idx, wit
-    point = np.mean(v[np.asarray(members[best_idx])], axis=0)
-    return MultiplicityReport(point=point, r=best_r, witnesses=tuple(best_wit))
+    p = c.vertices[: len(e)]
+    a = np.concatenate([[0.0], np.cumsum(ell[:-1])])
+    steps = min(math.ceil(2.0 * L / eps), 2**16)
+    pos = np.arange(steps if c.closed else steps + 1) * (L / steps)
+    k = np.searchsorted(a, pos, "right") - 1
+    x = p[k] + ((pos - a[k]) / ell[k])[:, None] * e[k]
+    best = (0, 0.0, x[0].copy(), (0.0,))  # (visits, farthest visit, point, witnesses)
+    for q, j, d, t in _near_edges(x, pos, p, e, a, ell, L if c.closed else math.inf, eps):
+        if not len(q):
+            continue
+        # a run of partners with gaps of at most 3 eps is one visit
+        new = np.ones(len(q), dtype=bool)
+        new[1:] = (q[1:] != q[:-1]) | (a[j[1:]] - a[j[:-1]] - ell[j[:-1]] > 3.0 * eps)
+        starts = np.flatnonzero(new)
+        near = np.minimum.reduceat(d, starts)  # how close each visit passes
+        points, at, runs = np.unique(q[starts], return_index=True, return_counts=True)
+        end = np.append(starts[at[1:]], len(q))  # past each point's last partner
+        visits = runs
+        if c.closed:
+            # a point's last visit joins its first across the seam
+            first, last, tail = starts[at], at + runs - 1, end - 1
+            seam = (runs > 1) & (a[j[first]] + L - a[j[tail]] - ell[j[tail]] <= 3.0 * eps)
+            near[at[seam]] = np.minimum(near[at[seam]], near[last[seam]])
+            near[last[seam]] = 0.0
+            visits = runs - seam
+        far = np.maximum.reduceat(near, at)
+        b = np.lexsort((far, -visits))[0]
+        if (visits[b], -far[b]) <= (best[0], -best[1]):
+            continue
+        # the nearest partner of each visit witnesses it
+        lo = starts[at[b] : at[b] + runs[b]]
+        rows = [s + int(np.argmin(d[s:h])) for s, h in zip(lo, np.append(lo[1:], end[b]))]
+        if visits[b] < runs[b]:
+            rows[0] = min(rows[0], rows.pop(), key=lambda r: d[r])
+        wit = [pos[points[b]]] + [a[j[r]] + t[r] * ell[j[r]] for r in rows]
+        best = (int(visits[b]), float(far[b]), x[points[b]].copy(), tuple(sorted(map(float, wit))))
+    visits, _, point, witnesses = best
+    return MultiplicityReport(point=point, r=visits + 1, witnesses=witnesses, eps=float(eps))
 
 
 def liyau_check(
@@ -330,9 +424,14 @@ def liyau_check(
 ) -> LiYauReport:
     """Energy bound Bbar >= varpi* r^2 at the detected multiplicity r.
 
-    For r = 1 the r^2 bound (28.1...) sits below the closed-curve floor
-    4 pi^2, so the report falls back to the Fenchel bound (bound_kind
-    "fenchel").  satisfied allows a tol_disc discretization margin.
+    r comes from detect_multiplicity: the most distinct visits (more than
+    3 eps of arclength apart) that pass within eps of one point of the
+    curve, found in time linear in the number of vertices; default
+    eps = 1e-3 * L.  For r = 1 the r^2 bound (28.1...) sits below the
+    closed-curve floor 4 pi^2, so the report falls back to the Fenchel
+    bound (bound_kind "fenchel"); bound_reason says which case held, and
+    eps and the visit witnesses are reported with it.  satisfied allows a
+    tol_disc discretization margin.
     """
     if not c.closed:
         raise DomainError("the multiplicity bound applies to closed curves")
@@ -342,8 +441,10 @@ def liyau_check(
     rep = normalized_energy(c)
     if mult.r >= 2:
         bound, kind = varpi_star() * mult.r**2, "liyau"
+        reason = f"a point visited {mult.r} times within eps"
     else:
         bound, kind = FOUR_PI_SQ, "fenchel"
+        reason = "no point visited twice within eps"
     return LiYauReport(
         r=mult.r,
         Bbar=rep.Bbar,
@@ -351,6 +452,9 @@ def liyau_check(
         satisfied=bool(rep.Bbar >= bound * (1.0 - tol_disc)),
         slack=rep.Bbar - bound,
         bound_kind=kind,
+        eps=mult.eps,
+        witnesses=mult.witnesses,
+        bound_reason=reason,
     )
 
 

@@ -315,8 +315,10 @@ def sncndn(x, m: float):
         v = cmid * u
         s, c = np.sin(v), np.cos(v)
         d = np.ones_like(v)
-        zero = s == 0.0  # only hit at v == 0 in floats; there sn=0, cn=dn=1
-        a = c / np.where(zero, 1.0, s)
+        # below |x| = 1e-8 the series sn = x - (1+m) x^3/6, cn, dn = 1 - O(x^2)
+        # round to (x, 1, 1), while cot(v) overflows the descent below 1e-154
+        tiny = np.abs(u) < 1e-8
+        a = c / np.where(tiny, 1.0, s)
         cc = cmid * a
         for ai, bi in zip(reversed(aa), reversed(bb)):
             a = a * cc
@@ -326,9 +328,9 @@ def sncndn(x, m: float):
         amp = 1.0 / np.sqrt(cc * cc + 1.0)
         s_out = np.where(s >= 0.0, amp, -amp)
         c_out = cc * s_out
-        s = np.where(zero, 0.0, s_out)
-        c = np.where(zero, 1.0, c_out)
-        d = np.where(zero, 1.0, d)
+        s = np.where(tiny, u, s_out)
+        c = np.where(tiny, 1.0, c_out)
+        d = np.where(tiny, 1.0, d)
     return _shape_like(u, s, c, d)
 
 

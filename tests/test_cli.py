@@ -210,6 +210,18 @@ class TestLiyau:
         assert code == 0
         assert out == liyau_check(load_curve_csv(path)).to_json_line() + "\n"
 
+    def test_json_explains_the_bound(self, run, tmp_path):
+        path = tmp_path / "double.csv"
+        write_polygon(path, folds=2, n=1024)
+        code, out, _ = run("liyau", str(path), "--quiet")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["r"] == 2 and rep["bound_kind"] == "liyau"
+        assert rep["bound_reason"] == "a point visited 2 times within eps"
+        assert rep["eps"] == pytest.approx(1e-3 * normalized_energy(load_curve_csv(path)).L, rel=1e-12)
+        w = sorted(rep["witnesses"])
+        assert len(w) == 2 and w[1] - w[0] > 2.0 * rep["eps"]
+
     def test_figure_eight_pipeline(self, run, tmp_path):
         eight = tmp_path / "eight.csv"
         code, _, _ = run("leafed", "--r", "2", "--dim", "2", "--N", "512",
@@ -498,6 +510,20 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "varpi_star = 28.109" in proc.stdout
+
+    def test_liyau_does_not_import_scipy_spatial(self, tmp_path):
+        # importing scipy.spatial costs every CLI process well over 100 ms
+        path = tmp_path / "circle.csv"
+        write_polygon(path)
+        script = (
+            "import sys\n"
+            "from elastica.cli import main\n"
+            f"assert main(['liyau', {str(path)!r}, '--quiet']) == 0\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_subcommand(self):
         proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Discrete curve model: energies, bounds, multiplicity, CSV interchange."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from elastica.curves import canonical_leaf, varpi_star
+from elastica.curves import (
+    PlanarElastica,
+    build_leafed,
+    canonical_leaf,
+    eval_planar,
+    figure_eight_modulus,
+    sample_leafed,
+    varpi_star,
+)
 from elastica.discrete import (
     FOUR_PI_SQ,
     DiscreteCurve,
@@ -30,6 +39,7 @@ from elastica.discrete import (
     turning_angles,
     vertex_arclengths,
 )
+from elastica.elliptic import comp_K
 from elastica.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -343,6 +353,106 @@ class TestLiYau:
             assert rep.r == r
             assert rep.bound_kind == "liyau"
             assert rep.satisfied and rep.slack > 0
+
+
+def phased_eight(n: int, s0: float) -> DiscreteCurve:
+    # the exact figure-eight at n equally spaced vertices, started at s0
+    m = figure_eight_modulus()
+    s = np.linspace(0.0, 4.0 * comp_K(m), n + 1)[:-1]
+    x, y = eval_planar(PlanarElastica("wavelike", m=m, s0=s0), s)
+    return DiscreteCurve(np.column_stack([x, y]), closed=True)
+
+
+def posed(c: DiscreteCurve, seed: int, scale: float, shift: float) -> DiscreteCurve:
+    # a random rotation (det +1), then scaling and a translation
+    rng = default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(c.dim, c.dim)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return DiscreteCurve(scale * c.vertices @ q.T + shift * rng.normal(size=c.dim), closed=True)
+
+
+# (leaf count, dimension): the planar figure-eight and double figure-eight,
+# and the spatial 3- and 4-leafed propellers; r equals the leaf count
+LEAFED = [(2, 2), (4, 2), (3, 3), (4, 3)]
+
+
+class TestMultiplicityVisits:
+    # phase in units of the vertex spacing; with the double point between
+    # vertices no vertex lies within eps of the other strand
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("phase", [0.37, 0.5])
+    def test_figure_eight_double_point_between_vertices(self, n, phase):
+        c = phased_eight(n, phase * 4.0 * comp_K(figure_eight_modulus()) / n)
+        assert detect_multiplicity(c).r == 2
+        assert liyau_check(c).bound_kind == "liyau"
+
+    def test_grazing_pass_counts_once(self):
+        # the second lap runs at distance eps(1 + 0.1 sin) from the first,
+        # so it leaves and re-enters the eps-ball every eps of arclength:
+        # gaps under 3 eps join its pieces into one visit
+        eps = 0.01
+        th = 4.0 * math.pi * np.arange(16384) / 16384
+        rho = 1.0 + np.where(th >= 2.0 * math.pi, eps * (1.0 + 0.1 * np.sin(th * math.pi / eps)), 0.0)
+        c = DiscreteCurve(rho[:, None] * np.column_stack([np.cos(th), np.sin(th)]), closed=True)
+        assert detect_multiplicity(c, eps).r == 2
+
+
+class TestMultiplicityInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(phase=st.floats(0.0, 1.0, exclude_max=True), npl=st.sampled_from([256, 1024, 4096]))
+    def test_figure_eight_phase(self, phase, npl):
+        rep = detect_multiplicity(phased_eight(2 * npl, phase * 4.0 * comp_K(figure_eight_modulus())))
+        assert rep.r == 2 and len(rep.witnesses) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(LEAFED), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3), shift=st.floats(-1e2, 1e2))
+    def test_rigid_motion_and_scaling(self, shape, seed, scale, shift):
+        r, dim = shape
+        c = posed(sample_leafed(build_leafed(r, dim), 256), seed, scale, shift)
+        assert detect_multiplicity(c).r == r
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(LEAFED), start=st.integers(0, 4 * 256 - 1), reverse=st.booleans())
+    def test_vertex_order(self, shape, start, reverse):
+        r, dim = shape
+        v = np.roll(sample_leafed(build_leafed(r, dim), 256).vertices, -start, axis=0)
+        rep = detect_multiplicity(DiscreteCurve(v[::-1] if reverse else v, closed=True))
+        assert rep.r == r and len(rep.witnesses) == r
+
+    @pytest.mark.parametrize("npl", [256, 1024, 4096])
+    @pytest.mark.parametrize("shape", LEAFED)
+    def test_resampling(self, shape, npl):
+        r, dim = shape
+        assert detect_multiplicity(sample_leafed(build_leafed(r, dim), npl)).r == r
+
+
+class TestMultiplicityReport:
+    def test_eps_reported(self):
+        c = regular_polygon(512, folds=2)
+        assert detect_multiplicity(c).eps == pytest.approx(1e-3 * length(c), rel=1e-15)
+        assert detect_multiplicity(c, eps=0.01).eps == 0.01
+
+    def test_witnesses_lie_on_the_curve_near_the_point(self):
+        c = sample_leafed(build_leafed(3, 3), 1024)
+        rep = detect_multiplicity(c)
+        s = np.append(vertex_arclengths(c), length(c))
+        v = np.vstack([c.vertices, c.vertices[:1]])
+        for w in rep.witnesses:
+            x = [np.interp(w, s, v[:, k]) for k in range(3)]
+            assert np.linalg.norm(x - rep.point) <= rep.eps * (1.0 + 1e-12)
+
+    def test_liyau_json_explains_the_bound(self):
+        one = json.loads(liyau_check(regular_polygon(4096)).to_json_line())
+        assert list(one)[:6] == ["r", "Bbar", "bound", "satisfied", "slack", "bound_kind"]
+        assert one["bound_reason"] == "no point visited twice within eps"
+        assert one["eps"] == pytest.approx(2e-3 * math.pi, rel=1e-6)
+        assert len(one["witnesses"]) == 1
+        two = json.loads(liyau_check(regular_polygon(8192, folds=2)).to_json_line())
+        assert two["bound_kind"] == "liyau"
+        assert two["bound_reason"] == "a point visited 2 times within eps"
+        assert len(two["witnesses"]) == 2
 
 
 class TestCsv:

@@ -261,6 +261,19 @@ class TestJacobiFunctions:
         assert el.cn(x, 0.0) == math.cos(x)
         assert el.dn(x, 0.0) == 1.0
 
+    @pytest.mark.parametrize("m", [0.3, 0.826, el.M_MAX])
+    def test_tiny_arguments(self, m):
+        # the descent starts from cot(x), which overflows below |x| ~ 1e-154;
+        # a nan dn keeps jacobi_epsilon's duplication from ever converging
+        # (1 - x^2/2 and x - x^3 agree with 1 and x to within one ulp here)
+        x = np.array([5e-324, -1e-300, 1e-160, 3e-9, -1e-8])
+        ulp = np.spacing(1.0)
+        s, c, d = el.sncndn(x, m)
+        assert np.all(np.abs(s - x) <= ulp * np.abs(x))
+        assert np.all(np.abs(c - 1.0) <= ulp) and np.all(np.abs(d - 1.0) <= ulp)
+        assert np.all(np.abs(el.jacobi_epsilon(x, m) - x) <= ulp * np.abs(x))
+        assert np.all(el.am(x, m) == s)
+
     def test_special_points(self):
         m = 0.3
         K = el.comp_K(m)

@@ -13,11 +13,11 @@ violated bound; 2 input error; 3 infeasible construction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -41,13 +41,6 @@ from .discrete import (
 )
 from .elliptic import comp_E, comp_K
 from .errors import DomainError, InfeasibleError, StepSizeError
-from .minimize import (
-    ClampedProblem,
-    MinimizeOptions,
-    PinnedProblem,
-    minimize_clamped,
-    minimize_pinned,
-)
 from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
@@ -203,7 +196,12 @@ def cmd_liyau(args) -> int:
     return 0 if rep.satisfied else 1
 
 
+# .minimize pulls in scipy.linalg (about 200 ms), so only the minimize
+# subcommand imports it, inside the functions below
+
 def _parse_problem(path: str, cli_seed: int | None):
+    from .minimize import ClampedProblem, MinimizeOptions, PinnedProblem
+
     kv = _read_kv(path)
     known = {"P0", "P1", "V0", "V1", "L0", "N", "tol", "max_iters", "seed"}
     unknown = set(kv) - known
@@ -230,15 +228,15 @@ def _parse_problem(path: str, cli_seed: int | None):
 
 
 def _run_minimize(problem, opts):
+    from .minimize import ClampedProblem, minimize_clamped, minimize_pinned
+
     solver = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
     return solver(problem, opts)
 
 
 def _run_minimize_seeded(payload):
     problem, opts, seed = payload
-    return seed, _run_minimize(problem, MinimizeOptions(
-        tol=opts.tol, max_iters=opts.max_iters, seed=seed, perturb_amp=opts.perturb_amp
-    ))
+    return seed, _run_minimize(problem, dataclasses.replace(opts, seed=seed))
 
 
 def cmd_minimize(args) -> int:
@@ -249,6 +247,8 @@ def cmd_minimize(args) -> int:
             raise DomainError("--sweep needs at least 1 seed")
         payloads = [(problem, opts, seed) for seed in range(args.sweep)]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 runs = dict(pool.map(_run_minimize_seeded, payloads))
         else:
@@ -373,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("liyau", parents=[common],
                         help="energy bound verdict for a closed curve CSV; exit 0 iff satisfied")
     sp.add_argument("input")
-    sp.add_argument("--eps", type=float, help="multiplicity clustering radius (default 1e-3 L)")
+    sp.add_argument("--eps", type=float,
+                    help="proximity radius of the sampled multiplicity search (default 1e-3 L)")
     sp.set_defaults(func=cmd_liyau)
 
     sp = sub.add_parser("minimize", parents=[common],

@@ -30,7 +30,7 @@ import numpy as np
 
 from .discrete import DiscreteCurve, curvature_data, length
 from .elliptic import (
-    _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn, sncndn,
+    _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
 )
 from .errors import DomainError, InfeasibleError
 from .profiles import (
@@ -488,19 +488,24 @@ def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
 class ClassifyResult:
     kind: str  # "circle" | "figure_eight" | "not_elastica"
     fold: int  # covering count (0 when not_elastica)
-    residual: float  # best rms curvature misfit relative to max |k|
+    residual: float  # rms misfit at the implied covering count, relative to max |k|
 
 
 def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     """Classify a closed, arclength-uniform planar curve by its curvature.
 
-    Least-squares fit of the signed discrete curvature to a constant
-    (multiply covered circle) and to the figure-eight profile
-    2 sqrt(m*)/Lam * cn((s - beta)/Lam, m*) across covering counts;
-    accepted when the rms misfit is below tol * max |k|.  The shift beta
-    enters through the addition formula for cn, so each trial shift costs
-    one scalar sncndn: a coarse grid of 128 shifts (one array call for
-    all of them), then a golden-section search.
+    Closed planar elasticae are the multiply covered circles and the
+    figure-eights, so the signed discrete curvature is fitted to a constant
+    and to the figure-eight profile 2 sqrt(m*)/Lam * cn((s - beta)/Lam, m*);
+    a fit is accepted when its rms misfit is below tol * max |k|.  Both
+    figure-eight parameters are read off in closed form.  One period of
+    2 sqrt(m) cn turns through 8 arcsin sqrt(m) (the integral of cn over a
+    quarter period is arcsin(k)/k), so the total curvature fixes the
+    covering count mu.  The Fourier series of cn has only odd harmonics,
+    all with positive coefficients (DLMF 22.11.2), so the phase of the
+    curvature's fundamental at frequency 2 pi mu / L is the shift beta.
+    The cost is O(N): one cn evaluation (a single sncndn call) over the
+    vertices and one rms misfit.
     """
     if not curve.closed:
         raise DomainError("classification applies to closed curves")
@@ -521,46 +526,16 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
 
     m = figure_eight_modulus()
     K = comp_K(m)
-    grid = np.linspace(0.0, 4.0 * K, 129)[:-1]
-    grid_sn, grid_cn, grid_dn = (v.tolist() for v in sncndn(-grid, m))
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    amp_best = (float("inf"), 0, 0.0)  # (rms, fold, beta)
-    for mu in range(1, 9):
-        Lam = L / (4.0 * K * mu)
-        sn_u, cn_u, dn_u = sncndn(s / Lam, m)
-        amp = 2.0 * math.sqrt(m) / Lam
-        # amp cn(u - b) = (A cn(-b) - B sn(-b) dn(-b)) / (1 - M sn(-b)^2)
-        A, B, M = amp * cn_u, amp * sn_u * dn_u, m * sn_u * sn_u
-
-        def rms_at(sb, cb, db):
-            model = (A * cb - B * (sb * db)) / (1.0 - M * (sb * sb))
-            return math.sqrt(float(np.sum(w * (kappa - model) ** 2)))
-
-        def rms_shift(b):
-            return rms_at(*sncndn(-b, m))
-
-        vals = [rms_at(*v) for v in zip(grid_sn, grid_cn, grid_dn)]
-        j = int(np.argmin(vals))
-        lo, hi = grid[j] - 4.0 * K / 128, grid[j] + 4.0 * K / 128
-        b1, b2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
-        f1, f2 = rms_shift(b1), rms_shift(b2)
-        for _ in range(40):
-            if f1 < f2:
-                hi, b2, f2 = b2, b1, f1
-                b1 = hi - gr * (hi - lo)
-                f1 = rms_shift(b1)
-            else:
-                lo, b1, f1 = b1, b2, f2
-                b2 = lo + gr * (hi - lo)
-                f2 = rms_shift(b2)
-        rms = min(f1, f2)
-        if rms < amp_best[0]:
-            amp_best = (rms, mu, 0.5 * (lo + hi))
-    if amp_best[0] <= tol * kmax:
-        return ClassifyResult("figure_eight", amp_best[1], amp_best[0] / kmax)
-    return ClassifyResult(
-        "not_elastica", 0, min(rms_circle, amp_best[0]) / kmax
-    )
+    tc = float(np.sum(np.abs(kappa) * lbar))
+    mu = max(1, round(tc / (8.0 * math.asin(math.sqrt(m)))))
+    omega = 2.0 * math.pi * mu / L
+    beta = -float(np.angle(np.sum(w * kappa * np.exp(-1j * omega * s)))) / omega
+    Lam = L / (4.0 * K * mu)
+    model = (2.0 * math.sqrt(m) / Lam) * cn((s - beta) / Lam, m)
+    rms = math.sqrt(float(np.sum(w * (kappa - model) ** 2)))
+    if rms <= tol * kmax:
+        return ClassifyResult("figure_eight", mu, rms / kmax)
+    return ClassifyResult("not_elastica", 0, min(rms_circle, rms) / kmax)
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,36 @@ class TestEntryPoint:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_only_minimize_imports_scipy(self, tmp_path):
+        # scipy.linalg costs every CLI process about 200 ms; only the
+        # minimizer uses it
+        curve = tmp_path / "circle.csv"
+        write_polygon(curve)
+        ic = tmp_path / "ic.txt"
+        ic.write_text("gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
+                      "lam = 1\ns_end = 1\nh = 1e-2\n")
+        out = str(tmp_path / "out")
+        calls = [
+            ["constants"],
+            ["sample", "--family", "wavelike", "--m", "0.5", "--N", "64"],
+            ["energy", str(curve)],
+            ["liyau", str(curve)],
+            ["integrate", str(ic)],
+            ["leafed", "--r", "2", "--dim", "2", "--N", "64"],
+            ["classify", str(curve)],
+        ]
+        script = (
+            "import sys\n"
+            "from elastica.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_subcommand(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elastica.cli", "frobnicate"],

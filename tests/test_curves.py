@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from elastica.curves import (
@@ -398,6 +400,38 @@ class TestClassify:
         raw = DiscreteCurve(np.column_stack([2 * np.cos(t), np.sin(t)]), closed=True)
         res = classify_closed(resample_arclength(raw, 2048))
         assert res.kind == "not_elastica" and res.fold == 0
+
+    @pytest.mark.parametrize("r", [18, 20])
+    def test_fold_above_eight(self, r):
+        # the covering count comes from the total curvature, so no cap on it
+        res = classify_closed(sample_leafed(build_leafed(r, 2), 256))
+        assert res.kind == "figure_eight" and res.fold == r // 2
+
+    # (kind, fold) pairs for the invariance property below
+    CASES = [("circle", mu) for mu in (1, 2, 3)] + [("figure_eight", mu) for mu in (1, 2, 3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CASES), start=st.floats(0.0, 1.0, exclude_max=True),
+           reverse=st.booleans(), angle=st.floats(0.0, 2 * math.pi), reflect=st.booleans(),
+           scale=st.floats(1e-2, 1e2), shift=st.tuples(st.floats(-1e2, 1e2), st.floats(-1e2, 1e2)),
+           per_leaf=st.one_of(st.none(), st.integers(256, 1024)))
+    def test_invariant_kind_and_fold(self, case, start, reverse, angle, reflect, scale, shift,
+                                     per_leaf):
+        kind, mu = case
+        if kind == "circle":
+            v = self.circle(512 * mu, mu).vertices
+        else:
+            v = sample_leafed(build_leafed(2 * mu, 2), 512).vertices
+        v = np.roll(v, -int(start * len(v)), axis=0)
+        if reverse:
+            v = v[::-1]
+        c, s = math.cos(angle), math.sin(angle)
+        R = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+        curve = DiscreteCurve(scale * v @ R.T + np.array(shift), closed=True)
+        if per_leaf is not None:
+            curve = resample_arclength(curve, per_leaf * (mu if kind == "circle" else 2 * mu))
+        res = classify_closed(curve)
+        assert (res.kind, res.fold) == (kind, mu)
 
     def test_domain(self):
         with pytest.raises(DomainError):

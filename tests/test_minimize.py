@@ -385,6 +385,25 @@ class TestClamped:
         assert np.max(np.abs(r3.curve.vertices[:, 2])) == 0.0
         assert np.max(np.abs(r3.curve.vertices[:, :2] - r2.curve.vertices)) < 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="_arc_initial picks the initial arc's bulge side "
+                       "from the coordinate axes, not from the clamped tangents")
+    def test_solution_independent_of_pose(self):
+        # chord along x converges to B 14.395; the rotated poses start on
+        # the other side and land on a looped critical point at B 92.467
+        def solve(angle):
+            c, s = math.cos(angle), math.sin(angle)
+            R = np.array([[c, -s], [s, c]])
+            V0 = R @ np.array([math.cos(1.1), math.sin(1.1)])
+            V1 = R @ np.array([math.cos(1.1), -math.sin(1.1)])
+            return minimize_clamped(ClampedProblem(np.zeros(2), R @ (0.5 * EX), 1.0, 64, V0, V1))
+
+        ref = solve(0.0)
+        assert ref.converged
+        for angle in (0.5, 1.0, 2.0, 3.0):
+            r = solve(angle)
+            assert r.converged
+            assert r.B == pytest.approx(ref.B, rel=1e-6)
+
 
 class TestEstimateMultiplier:
     def test_unit_circle(self):

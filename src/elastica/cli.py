@@ -41,6 +41,13 @@ from .discrete import (
 )
 from .elliptic import comp_E, comp_K
 from .errors import DomainError, InfeasibleError, StepSizeError
+from .minimize import (
+    ClampedProblem,
+    MinimizeOptions,
+    PinnedProblem,
+    minimize_clamped,
+    minimize_pinned,
+)
 from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
@@ -196,12 +203,7 @@ def cmd_liyau(args) -> int:
     return 0 if rep.satisfied else 1
 
 
-# .minimize pulls in scipy.linalg (about 200 ms), so only the minimize
-# subcommand imports it, inside the functions below
-
 def _parse_problem(path: str, cli_seed: int | None):
-    from .minimize import ClampedProblem, MinimizeOptions, PinnedProblem
-
     kv = _read_kv(path)
     known = {"P0", "P1", "V0", "V1", "L0", "N", "tol", "max_iters", "seed"}
     unknown = set(kv) - known
@@ -228,8 +230,6 @@ def _parse_problem(path: str, cli_seed: int | None):
 
 
 def _run_minimize(problem, opts):
-    from .minimize import ClampedProblem, minimize_clamped, minimize_pinned
-
     solver = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
     return solver(problem, opts)
 
@@ -264,6 +264,7 @@ def cmd_minimize(args) -> int:
     _note(args, "result", {
         "B": result.B, "Bbar": result.Bbar, "grad_norm": result.grad_norm,
         "iterations": result.iterations, "converged": result.converged,
+        "termination": result.termination,
         "lambda_est": None if math.isnan(result.lambda_est) else result.lambda_est,
     })
     _emit(curve_to_csv(result.curve), args.out)

@@ -1,22 +1,33 @@
 """Fixed-length bending-energy minimization with pinned/clamped endpoints.
 
-The length constraint is discretized as N equal edge lengths (inextensible
-chain), keeping the polyline arclength-parametrized throughout descent.
-Each iteration projects the exact energy gradient onto the constraint
-tangent space, applies an H^2-type preconditioner (banded Cholesky solve
-of a regularized squared-Laplacian, the discrete analogue of a Sobolev
-gradient — plain projected gradient descent on this energy has stiffness
-~N^3/L^3 and would need millions of iterations), backtracks with an Armijo
-line search evaluated *after* re-projection onto the constraints, and
-re-establishes the edge-length constraints by Gauss-Newton (with
-renormalization sweeps as a far-from-feasible fallback).  Accepted steps
-decrease the energy, with one exception at its floating-point floor: once
-a step changes B by no more than the rounding bound n eps |B| of the
-n-term energy sum, the sign of that change is noise, and a Newton step
-(angle-space Newton in the plane, the constrained quasi-Newton step in
-3-D) within the bound is accepted only when it lowers the projected
-gradient by a fixed factor (the stationarity residual is the merit
-function there).  Such a step may raise B by at most that bound.
+The length constraint is discretized as N equal edges of length h = L0/N,
+and the unknowns are the unit edge tangents T.  The vertices are rebuilt
+as X = P0 + h cumsum(T) with X[0] = P0 and X[N] = P1 set exactly, so every
+edge length holds by construction, a clamped end fixes its edge's tangent,
+and the only constraint left is closure, h sum(T) = P1 - P0 (dim
+equations).  On such a chain B = sum theta_i^2 / h over the turning angles.
+
+Each free edge moves in dim - 1 coordinates of a parallel-transported
+(Bishop) frame; in the plane that is the edge angle, in which B is exactly
+quadratic with Hessian (2/h) times the path Laplacian.  The step is Newton's
+SQP step: the Hessian of B plus the curvature term nu . T_i of the
+least-squares closure multiplier nu, block-tridiagonal in these
+coordinates, so one banded solve with 1 + dim right-hand sides (Thomas in
+the plane) and a dim x dim Schur complement give it.  In space B's Hessian
+adds, per turning vertex, terms along its binormal; without them the step
+converges only linearly.  When the Newton step does not descend, the
+positive definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that
+always does.  Each trial is restored onto closure by Gauss-Newton (a
+dim x dim normal matrix) and accepted on Armijo decrease of B, with one
+exception at B's floating-point floor: once a step changes B by no more
+than the rounding bound n eps |B| of the n-term energy sum, the sign of
+that change is noise, and the step is accepted only when it cuts the
+projected gradient by a fixed factor (the stationarity residual is the
+merit function there).  Such a step may raise B by at most that bound.
+When no step is accepted the solve ends with termination "floor".
+
+grad_norm (compared against tol) is the norm of the vertex-space energy
+gradient projected onto the tangent space of the edge-length constraints.
 
 The multiplier lambda of the elastica equation 2 k_ss + k^3 - lam k = 0 is
 recovered from converged planar curves by a least-squares fit over
@@ -29,15 +40,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import (
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-    solve_banded,
-)
 
-from .discrete import DiscreteCurve, bending_energy, curvature_data, length, resample_arclength
+from .discrete import DiscreteCurve, curvature_data, length
 from .errors import DomainError
 
 __all__ = [
@@ -55,8 +59,10 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_PROJ_TOL = 1e-13  # relative edge-length residual target
-_MAX_SWEEPS = 200
+_MAX_TRIALS = 30
+_MAX_TURN = 0.5  # largest rotation of any tangent in a trial step, radians
+_CLOSURE_TOL = 1e-12  # closure residual target, in edge lengths
+_RIDGE = 1e-10  # relative shift keeping the free-end Laplacian invertible
 _FLOOR_GRAD_FACTOR = 0.5  # projected-gradient cut a floor step must achieve
 
 
@@ -170,6 +176,7 @@ class MinimizeResult:
     iterations: int
     converged: bool
     saddle_perturbed: bool
+    termination: str  # "converged", "budget" (max_iters spent) or "floor" (no step accepted)
     log: tuple[dict, ...] = field(repr=False, default=())
 
 
@@ -240,226 +247,243 @@ def energy_gradient(c: DiscreteCurve) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# equal-edge-length constraint machinery (open chain, some vertices fixed)
+# the chain in edge-tangent coordinates
 
-class _Chain:
-    """Open chain with equal target edge length h and a fixed-vertex mask."""
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S Z = rhs for symmetric banded S, rhs (n, k).
 
-    def __init__(self, n_vertices: int, h: float, fixed: np.ndarray):
-        self.h = h
-        self.fixed = fixed
-        self.free = ~fixed
-        # constraint i couples vertices i and i+1; both-fixed edges are exact
-        self.act = np.flatnonzero(~(fixed[:-1] & fixed[1:]))
+    band[q, i] = S[i, i + q] for q = 0..p.  LDL^T without pivoting on
+    Python floats, which beats per-row NumPy calls at chain sizes; with
+    p = 1 this is the Thomas algorithm.  The elimination is recorded as a
+    flat list of row operations, replayed forward for L and backward for
+    L^T.  A zero pivot gives NaN, which callers reject.
+    """
+    p1, n = band.shape
+    p = p1 - 1
+    # p unit rows of padding spare the loops their bounds checks
+    U = [row + [float(q == 0)] * p for q, row in enumerate(band.tolist())]
+    steps = [(q, range(p1 - q)) for q in range(1, p1)]
+    ops = []  # (j, i, l): row j -= l * row i, in elimination order
+    try:
+        for i in range(n):
+            d = U[0][i]
+            for q, ms in steps:
+                lq = U[q][i] / d
+                ops.append((i + q, i, lq))
+                for m in ms:
+                    U[m][i + q] -= lq * U[q + m][i]
+        inv = [1.0 / d for d in U[0]]
+    except ZeroDivisionError:
+        return np.full(rhs.shape, math.nan)
+    cols = []
+    for y in rhs.T.tolist():
+        y += [0.0] * p
+        for j, i, lq in ops:
+            y[j] -= lq * y[i]
+        y = [a * b for a, b in zip(y, inv)]
+        for j, i, lq in reversed(ops):
+            y[i] -= lq * y[j]
+        cols.append(y[:n])
+    return np.array(cols).T
 
-    def residual(self, X: np.ndarray) -> np.ndarray:
-        e = np.diff(X, axis=0)
-        return np.linalg.norm(e, axis=1) - self.h
 
-    def _jjt_banded(self, X: np.ndarray):
-        # J J^T over active constraints; tridiagonal in upper-banded form
-        e = np.diff(X, axis=0)
-        ehat = e / np.linalg.norm(e, axis=1)[:, None]
-        k = self.act
-        diag = self.free[k].astype(float) + self.free[k + 1].astype(float)
-        # consecutive active constraints coupling through a shared free vertex
-        off = np.zeros(len(k))
-        share = (np.diff(k) == 1) & self.free[k[1:]]
-        off[1:][share] = -np.einsum("ij,ij->i", ehat[k[:-1]][share], ehat[k[1:]][share])
-        ab = np.zeros((2, len(k)))
-        ab[0] = off
-        ab[1] = diag + 1e-12  # ridge: J J^T degenerates on exactly straight chains
-        return ab, ehat
+def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Move each unit tangent T_i along the great circle in the direction of
+    the tangent vector D_i, through the angle |D_i| (the exponential map)."""
+    r = np.linalg.norm(D, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.where(r > 0.0, np.sin(r) / r, 1.0)
+    out = np.cos(r)[:, None] * T + sinc[:, None] * D
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
-    def project_tangent(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Remove the component of G violating the linearized constraints."""
-        G = G.copy()
-        G[self.fixed] = 0.0
-        ab, ehat = self._jjt_banded(X)
-        k = self.act
-        jg = np.einsum("ij,ij->i", ehat[k], G[k + 1] - G[k])
-        mu = self._solve_spd(ab, jg)
-        corr = ehat[k] * mu[:, None]
-        np.add.at(G, k + 1, -corr * self.free[k + 1][:, None])
-        np.add.at(G, k, corr * self.free[k][:, None])
-        return G
 
-    @staticmethod
-    def _solve_spd(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _frames(T: np.ndarray) -> np.ndarray:
+    """(n, dim-1, dim) orthonormal normals of the edge tangents.
+
+    In the plane the edge-angle direction; in space the Bishop frame,
+    parallel transported from edge to edge by the rotation taking T_{i-1}
+    to T_i.  The transport is vectorized: each edge gets a reference normal
+    (e_z x T, or e_x x T near the z axis), and the cumulative twist between
+    transported and reference normals rotates it into the Bishop frame.
+    """
+    if T.shape[1] == 2:
+        return np.column_stack([-T[:, 1], T[:, 0]])[:, None, :]
+    ref = np.zeros_like(T)
+    polar = np.abs(T[:, 2]) >= 0.9
+    ref[~polar, 2] = 1.0
+    ref[polar, 0] = 1.0
+    U = np.cross(ref, T)
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    V = np.cross(T, U)
+    # R u = c u + k x u + (k.u) k / (1 + c), k = T_{i-1} x T_i, c = T_{i-1}.T_i
+    k = np.cross(T[:-1], T[1:])
+    c = np.einsum("ij,ij->i", T[:-1], T[1:])
+    Up = U[:-1]
+    ku = np.einsum("ij,ij->i", k, Up) / (1.0 + c)
+    PU = c[:, None] * Up + np.cross(k, Up) + ku[:, None] * k
+    tau = np.arctan2(np.einsum("ij,ij->i", PU, V[1:]), np.einsum("ij,ij->i", PU, U[1:]))
+    beta = np.concatenate([[0.0], np.cumsum(tau)])
+    cb, sb = np.cos(beta)[:, None], np.sin(beta)[:, None]
+    return np.stack([cb * U + sb * V, cb * V - sb * U], axis=1)
+
+
+def _turning(T: np.ndarray):
+    """Turning angles between consecutive tangents, with their cosines and
+    theta / sin(theta) (1 at theta = 0)."""
+    a, b = T[:-1], T[1:]
+    d = np.einsum("ij,ij->i", a, b)
+    if T.shape[1] == 2:
+        n = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    else:
+        n = np.linalg.norm(np.cross(a, b), axis=1)
+    theta = np.arctan2(n, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(n > 1e-300, theta / n, 1.0)
+    return theta, d, ratio
+
+
+def _energy(T: np.ndarray, h: float) -> float:
+    """B = sum theta_i^2 / h, the bending energy of the equal-edge chain."""
+    theta = _turning(T)[0]
+    return float(np.dot(theta, theta)) / h
+
+
+def _tangent_gradient(T: np.ndarray, h: float) -> np.ndarray:
+    """Gradient of B with respect to each unit tangent, in its tangent plane.
+
+    On the sphere grad_b theta^2 = -2 (theta / sin theta)(a - cos(theta) b)
+    for theta the angle between unit vectors a and b.
+    """
+    theta, d, ratio = _turning(T)
+    a, b = T[:-1], T[1:]
+    w = (-2.0 / h) * ratio[:, None]
+    G = np.zeros_like(T)
+    G[1:] += w * (a - d[:, None] * b)
+    G[:-1] += w * (b - d[:, None] * a)
+    return G
+
+
+def _projected_gradient_norm(T: np.ndarray, GT: np.ndarray, h: float, a: int, b: int) -> float:
+    """Norm of the vertex-space gradient projected onto the tangent space of
+    the edge-length constraints, with every vertex outside a+1..b-1 fixed.
+
+    Vertex j sees (GT_{j-1} - GT_j) / h; the edge-length terms of the
+    vertex gradient lie along the constraint normals and project out.  The
+    normal equations J J^T of the active edges a..b-1 are tridiagonal.  A
+    second pass projects out what the first left of the constraint forces,
+    which dominate the gradient near a critical point and which the first
+    solve resolves only to cond(J J^T) times the rounding error.
+    """
+    Gp = np.zeros((b - a + 1, T.shape[1]))
+    Gp[1:-1] = (GT[a : b - 1] - GT[a + 1 : b]) / h
+    Ta = T[a:b]
+    band = np.zeros((2, b - a))
+    band[0] = 2.0 + 1e-12  # ridge: J J^T degenerates on exactly straight chains
+    band[0, [0, -1]] -= 1.0  # the end edges touch one free vertex
+    band[1, :-1] = -np.einsum("ij,ij->i", Ta[:-1], Ta[1:])
+    for _ in range(2):
+        jg = np.einsum("ij,ij->i", Ta, Gp[1:] - Gp[:-1])
+        corr = _band_solve(band, jg[:, None]) * Ta
+        Gp[1:] -= corr
+        Gp[:-1] += corr
+        Gp[[0, -1]] = 0.0  # fixed vertices
+    return float(np.linalg.norm(Gp))
+
+
+def _residual(T: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Closure residual sum(T) - target, exactly rounded.
+
+    A plain float sum of N tangents toward a target of size up to N is off
+    by ~N eps |target|; the energy moves with that error times the closure
+    multiplier, well above its own rounding bound on tightly bent chains.
+    """
+    return np.array([math.fsum([*col, -t]) for col, t in zip(T.T.tolist(), target.tolist())])
+
+
+def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | None:
+    """Rotate the free tangents a..b-1 until sum(T) = target (closure).
+
+    Gauss-Newton with minimal-norm steps; the normal matrix
+    sum (I - T_i T_i^T) is dim x dim.  Once the residual is below
+    _CLOSURE_TOL one more step takes it to rounding level, because B moves
+    with the closure residual times the multiplier, and energies are
+    compared near their rounding floor.  None when it does not converge.
+    """
+    T = T.copy()
+    closed = False
+    for _ in range(30):
+        r = _residual(T, target)
+        if np.max(np.abs(r)) <= _CLOSURE_TOL:
+            if closed:
+                return T
+            closed = True
+        Tf = T[a:b]
+        M = (b - a) * np.eye(T.shape[1]) - Tf.T @ Tf
         try:
-            return cho_solve_banded((cholesky_banded(ab), False), rhs)
+            lam = np.linalg.solve(M, -r)
         except np.linalg.LinAlgError:
-            ab = ab.copy()
-            ab[1] += 1e-6
-            return cho_solve_banded((cholesky_banded(ab), False), rhs)
-
-    def project_feasible(self, X: np.ndarray) -> np.ndarray | None:
-        """Restore all edge lengths to h (fixed vertices untouched).
-
-        Gauss-Newton from near-feasible states; renormalization sweeps as
-        fallback.  Returns None if the residual cannot be reduced below
-        _PROJ_TOL * h (caller treats that as a rejected step).
-        """
-        X = X.copy()
-        tol = _PROJ_TOL * self.h
-        swept = False
-        while True:
-            for _ in range(30):
-                r = self.residual(X)[self.act]
-                if np.max(np.abs(r)) <= tol:
-                    return X
-                ab, ehat = self._jjt_banded(X)
-                mu = self._solve_spd(ab, r)
-                k = self.act
-                corr = ehat[k] * mu[:, None]
-                np.add.at(X, k + 1, -corr * self.free[k + 1][:, None])
-                np.add.at(X, k, corr * self.free[k][:, None])
-            if swept:
-                return None
-            # Gauss-Newton stalled (far from feasible): renormalization
-            # sweeps anchored alternately at either end, then one retry
-            swept = True
-            for _ in range(_MAX_SWEEPS):
-                for i in self.act:
-                    if self.free[i + 1]:
-                        X[i + 1] = X[i] + self.h * _unit(X[i + 1] - X[i])
-                for i in self.act[::-1]:
-                    if self.free[i]:
-                        X[i] = X[i + 1] - self.h * _unit(X[i] - X[i + 1])
-                if np.max(np.abs(self.residual(X)[self.act])) < 1e-6 * self.h:
-                    break
+            return None
+        T[a:b] = _rotate(Tf, lam - (Tf @ lam)[:, None] * Tf)
+    return None
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _direction(T, E, r, resid, h, a, b, nu=None):
+    """SQP step in the frame coordinates of the free edges a..b-1: minimize
+    r . dy + dy H dy / 2 subject to the linearized closure A dy = -resid.
 
-
-def _precond_factor(n_free: int, h: float):
-    """Banded Cholesky of 2/h^3 * T^2 + I with T the Dirichlet Laplacian.
-
-    T^2 is the dominant part of the bending Hessian on an equal-edge chain;
-    solving against it turns the h^-3-stiff gradient flow into a
-    well-scaled one.
+    H is the Hessian of B in the frame coordinates E (all edges, (n,
+    dim-1, dim)) plus nu . T_i, the curvature term of the closure
+    multiplier nu.  With nu None, H is (2/h) times the path Laplacian
+    (x) I_{dim-1}, which is positive definite.  B's Hessian is
+    block-tridiagonal: to second order, a turning vertex of angle theta
+    whose edges move by da and db (transported coordinates) changes B by
+    |da - db|^2 / h, exactly so in the plane, and in space by a further
+    ((theta / sin theta - 1)(k . (da - db))^2 - (theta / sin theta)
+    (1 - cos theta)((k . da)^2 + (k . db)^2)) / h along its binormal k.
+    One banded solve with 1 + dim right-hand sides, then a dim x dim Schur
+    complement.
     """
-    # pentadiagonal T @ T in upper-banded storage
-    ab = np.zeros((3, n_free))
-    ab[0, 2:] = 1.0  # superdiagonal 2: 1*1
-    ab[1, 1:] = -4.0  # superdiagonal 1: 1*(-2) + (-2)*1
-    ab[2, :] = 6.0  # diagonal: 1 + 4 + 1
-    ab[2, 0] = ab[2, -1] = 5.0  # boundary rows lose one neighbor
-    scale = 2.0 / h**3
-    ab *= scale
-    ab[2] += 1.0
-    return cholesky_banded(ab)
-
-
-def _newton_direction_2d(X, chain, fixed):
-    """Planar SQP step computed in edge-angle coordinates.
-
-    On an equal-edge chain the energy is quadratic in the edge direction
-    angles with a constant tridiagonal Hessian, and the only constraints are
-    the two chord-closure equations; one bordered tridiagonal solve gives the
-    exact Newton displacement, returned in vertex space for the usual
-    projected line search.  Returns None when the solve degenerates.
-    """
-    h = chain.h
-    e = np.diff(X, axis=0)
-    phi = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
-    n_e = len(phi)
-    fixed_edge = fixed[:-1] & fixed[1:]
-    free = np.flatnonzero(~fixed_edge)
-    if len(free) < 3:
-        return None
-    a, b = free[0], free[-1] + 1  # free edges form one contiguous run
-    th = np.diff(phi)
-    g = np.zeros(n_e)
-    g[1:] += (2.0 / h) * th
-    g[:-1] -= (2.0 / h) * th
-    gf = g[a:b]
-    # Hessian of the angle energy on the free run (tridiagonal)
+    n, dm, dim = E.shape
     nf = b - a
-    diag = (2.0 / h) * (
-        (np.arange(a, b) >= 1).astype(float) + (np.arange(a, b) <= n_e - 2)
-    )
-    # multiplier estimate for the constraint-curvature term
-    J = np.vstack([-np.sin(phi[a:b]), np.cos(phi[a:b])])
-    JJt = J @ J.T
+    eye = np.eye(dm)
+    deg = np.full(nf, 2.0)
+    if a == 0:
+        deg[[0, -1]] = 1.0  # the end edges touch one turning vertex
+    D = (deg + _RIDGE)[:, None, None] * eye  # in units of 2/h
+    O = np.broadcast_to(-eye, (nf - 1, dm, dm)).copy()
+    if nu is not None:
+        D += ((0.5 * h) * (T[a:b] @ nu))[:, None, None] * eye
+        if dm == 2:
+            _, c, ratio = _turning(T)
+            k = np.cross(T[:-1], T[1:])
+            k /= np.maximum(np.linalg.norm(k, axis=1), 1e-300)[:, None]
+            kap = np.einsum("jad,jd->ja", E[1:], k)  # vertex j's binormal in edge j's frame
+            # per vertex 0..n, zero at the two ends, which do not turn
+            kk = np.zeros((n + 1, dm, dm))
+            kk[1:-1] = kap[:, :, None] * kap[:, None, :]
+            eps = np.zeros(n + 1)
+            eps[1:-1] = ratio - 1.0
+            dlt = np.zeros(n + 1)
+            dlt[1:-1] = ratio * (1.0 - c)
+            Dv = (eps - dlt)[:, None, None] * kk
+            D += Dv[a:b] + Dv[a + 1 : b + 1]  # edge i touches vertices i and i + 1
+            O -= eps[a + 1 : b, None, None] * kk[a + 1 : b]
+    # upper band of the interleaved ordering dm * i + alpha
+    band = np.zeros((2 * dm, nf * dm))
+    for al in range(dm):
+        for be in range(dm):
+            if be >= al:
+                band[be - al, al::dm] = D[:, al, be]
+            band[dm + be - al, al::dm][: nf - 1] = O[:, al, be]
+    Ef = E[a:b].reshape(nf * dm, dim)  # columns of A^T
+    Z = _band_solve((2.0 / h) * band, np.column_stack([r.ravel(), Ef]))
+    Zg, ZA = Z[:, 0], Z[:, 1:]
     try:
-        nu = np.linalg.solve(JJt, J @ gf)
+        mu = np.linalg.solve(Ef.T @ ZA, resid - Ef.T @ Zg)
     except np.linalg.LinAlgError:
         return None
-    Wdiag = -nu[0] * np.cos(phi[a:b]) - nu[1] * np.sin(phi[a:b])
-    delta = (X[-1] - X[0]) / h
-    c = np.array([np.sum(np.cos(phi)) - delta[0], np.sum(np.sin(phi)) - delta[1]])
-    rhs = np.column_stack([gf, J[0], J[1]])
-    Y = None
-    for w in (Wdiag, 0.0):  # drop the curvature term if it spoils definiteness
-        band = np.zeros((2, nf))
-        band[0, 1:] = -2.0 / h
-        band[1] = diag + w + 1e-10 * (2.0 / h)
-        try:
-            Y = cho_solve_banded((cholesky_banded(band), False), rhs)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if Y is None:
-        return None
-    S = J @ Y[:, 1:]
-    try:
-        nu_new = np.linalg.solve(S, c - J @ Y[:, 0])
-    except np.linalg.LinAlgError:
-        return None
-    dphi = -Y[:, 0] - Y[:, 1:] @ nu_new
-    if not np.all(np.isfinite(dphi)):
-        return None
-    phi_new = phi.copy()
-    phi_new[a:b] += dphi
-    Xn = np.empty_like(X)
-    Xn[0] = X[0]
-    Xn[1:] = X[0] + h * np.cumsum(
-        np.column_stack([np.cos(phi_new), np.sin(phi_new)]), axis=0
-    )
-    d = X - Xn
-    d[fixed] = 0.0
-    return d
-
-
-def _kkt_direction(X, Gt, chain, fac, row, free_idx):
-    """Quasi-Newton direction: minimize the preconditioner quadratic model
-    subject to the linearized edge-length constraints (Schur complement).
-
-    Unlike precondition-then-project, this keeps its accuracy for gradient
-    modes that the preconditioner maps nearly normal to the constraints —
-    exactly the modes left over when plain descent hits the roundoff floor.
-    """
-    k = chain.act
-    e = np.diff(X, axis=0)
-    ehat = e / np.linalg.norm(e, axis=1)[:, None]
-    dim = X.shape[1]
-    n_free = len(free_idx)
-    n_act = len(k)
-    rp = row[k]  # free-variable row of vertex k; -1 routes to a padding slot
-    rq = row[k + 1]
-    cols = np.arange(n_act)
-    MG = cho_solve_banded((fac, False), Gt[free_idx])  # (n_free, dim)
-    S = np.zeros((n_act, n_act))
-    rhs = np.zeros(n_act)
-    Ws = []
-    for c in range(dim):
-        R = np.zeros((n_free + 1, n_act))
-        R[rq, cols] += ehat[k, c]
-        R[rp, cols] -= ehat[k, c]
-        Wc = cho_solve_banded((fac, False), R[:n_free])
-        Wp = np.vstack([Wc, np.zeros((1, n_act))])
-        S += ehat[k, c][:, None] * (Wp[rq] - Wp[rp])
-        MGp = np.concatenate([MG[:, c], [0.0]])
-        rhs += ehat[k, c] * (MGp[rq] - MGp[rp])
-        Ws.append(Wc)
-    S[np.diag_indices_from(S)] += 1e-12 * max(np.max(np.diag(S)), 1e-300)
-    nu = cho_solve(cho_factor(S), rhs)
-    d = np.zeros_like(Gt)
-    d[free_idx] = MG - np.stack([W @ nu for W in Ws], axis=1)
-    return d
+    dy = -(Zg + ZA @ mu)
+    return dy.reshape(nf, dm) if np.all(np.isfinite(dy)) else None
 
 
 def _smooth_perturbation(n: int, dim: int, rng, amp: float) -> np.ndarray:
@@ -470,9 +494,33 @@ def _smooth_perturbation(n: int, dim: int, rng, amp: float) -> np.ndarray:
     return amp * delta
 
 
-def _arc_initial(P0, P1, L0, N, dim):
+def _vertices(T: np.ndarray, P0: np.ndarray, P1: np.ndarray, h: float) -> np.ndarray:
+    X = np.empty((len(T) + 1, len(P0)))
+    X[0] = P0
+    X[1:] = P0 + h * np.cumsum(T, axis=0)
+    X[-1] = P1
+    return X
+
+
+def _perturbed(T, P0, P1, h, a, rng, amp):
+    """Tangents of the chain with a smooth vertex perturbation added; the
+    ends and, when clamped (a = 1), the end tangents stay put."""
+    pert = _smooth_perturbation(len(T) + 1, len(P0), rng, amp)
+    pert[[0, -1]] = 0.0
+    if a:
+        pert[[1, -2]] = 0.0
+    E = np.diff(_vertices(T, P0, P1, h) + pert, axis=0)
+    Tp = E / np.linalg.norm(E, axis=1)[:, None]
+    if a:
+        Tp[[0, -1]] = T[[0, -1]]
+    return Tp
+
+
+def _arc_initial(P0, P1, L0, N, dim, bulge=None):
     """Equal-parameter samples of the circular arc of length L0 joining the
-    endpoints; P0 = P1 degenerates to the full circle (teardrop)."""
+    endpoints, bulging toward the part of `bulge` normal to the chord (the
+    coordinate axes when that vanishes); P0 = P1 degenerates to the full
+    circle (teardrop)."""
     d = np.linalg.norm(P1 - P0)
     if d < 1e-14 * L0:
         rho = L0 / (2.0 * math.pi)
@@ -492,193 +540,98 @@ def _arc_initial(P0, P1, L0, N, dim):
     phi = 0.5 * (lo + hi)
     R = L0 / (2.0 * phi)
     t = np.linspace(-phi, phi, N + 1)
-    chord = _unit(P1 - P0)
-    normal = np.zeros(dim)
-    if abs(chord[0]) < 0.9:
-        normal[0] = 1.0
-    else:
-        normal[1] = 1.0
-    normal = _unit(normal - np.dot(normal, chord) * chord)
+    chord = (P1 - P0) / d
+    normal = np.zeros(dim) if bulge is None else bulge - np.dot(bulge, chord) * chord
+    if np.linalg.norm(normal) <= 1e-12:
+        normal = np.zeros(dim)
+        normal[0 if abs(chord[0]) < 0.9 else 1] = 1.0
+        normal -= np.dot(normal, chord) * chord
+    normal /= np.linalg.norm(normal)
     mid_pt = 0.5 * (P0 + P1)
     sag = R * (1.0 - math.cos(phi))
-    return (
-        mid_pt
-        + np.outer(R * np.sin(t) - 0.0, chord)
-        + np.outer(R * np.cos(t) - R + sag, normal)
-    )
+    return mid_pt + np.outer(R * np.sin(t), chord) + np.outer(R * np.cos(t) - R + sag, normal)
 
 
-def _polish(X, B, chain, fac, row, free_idx, tol, budget, energy):
-    """Terminal critical-point refinement by full quasi-Newton steps.
-
-    Entered when the line search can no longer verify descent (the energy
-    sits at its floating-point floor); drives the projected gradient the
-    rest of the way down.  Energy may wiggle at roundoff scale here.
-    """
-    B_entry = B
-    best = (X, B, math.inf)
-    hist = []
-    for _ in range(budget):
-        Gt = chain.project_tangent(X, energy_gradient(DiscreteCurve(X, closed=False)))
-        gn = float(np.linalg.norm(Gt))
-        res = float(np.max(np.abs(chain.residual(X)[chain.act]))) / chain.h
-        hist.append({"B": B, "grad_norm": gn, "max_constraint_residual": res})
-        if gn < best[2]:
-            best = (X, B, gn)
-        if gn < tol or gn > 1e3 * best[2]:
-            break
-        try:
-            d = _kkt_direction(X, Gt, chain, fac, row, free_idx)
-        except np.linalg.LinAlgError:
-            break
-        m = np.max(np.abs(d))
-        if m > 0.5 * chain.h:
-            d *= 0.5 * chain.h / m
-        Xt = chain.project_feasible(X - d)
-        if Xt is None:
-            break
-        Bt = energy(Xt)
-        if Bt > B_entry + 1e-9 * max(1.0, abs(B_entry)):
-            break
-        X, B = Xt, Bt
-    return best, hist
-
-
-def _descend(X0, chain, fixed, tol, max_iters, problem_dim, L0):
-    X = chain.project_feasible(X0)
-    if X is None:
-        raise DomainError("could not project the initial curve onto the constraints")
-    fac = _precond_factor(int(np.sum(~fixed)), chain.h)
-    free_idx = np.flatnonzero(~fixed)
-    row = -np.ones(len(fixed), dtype=int)
-    row[free_idx] = np.arange(len(free_idx))
-
-    def energy(Xc):
-        return bending_energy(DiscreteCurve(Xc, closed=False))
-
-    B = energy(X)
+def _descend(T, P0, P1, h, a, tol, max_iters, L0):
+    """Descent at one level.  The free tangents are a..b-1 (a = 1 when the
+    end tangents are clamped); closure is sum(T) = (P1 - P0) / h."""
+    n = len(T)
+    b = n - a
+    target = (P1 - P0) / h
+    T = _close(T, target, a, b)
+    if T is None:
+        raise DomainError("could not close the initial curve on the endpoints")
+    B = _energy(T, h)
     log = []
     saddle_done = False
-    it = 0
     grad_norm = math.inf
-    t_mem = {0: None, 1: None, 2: None}  # last accepted step per direction kind
-    no_progress = 0
-    B_mark, it_mark = B, 0  # stagnation watch: last material decrease
     for it in range(1, max_iters + 1):
-        G = energy_gradient(DiscreteCurve(X, closed=False))
-        Gt = chain.project_tangent(X, G)
-        grad_norm = float(np.linalg.norm(Gt))
-        res = float(np.max(np.abs(chain.residual(X)[chain.act]))) / chain.h
-        log.append(
-            {"iteration": it - 1, "B": B, "grad_norm": grad_norm, "max_constraint_residual": res}
-        )
+        GT = _tangent_gradient(T, h)
+        grad_norm = _projected_gradient_norm(T, GT, h, a, b)
+        el = np.linalg.norm(np.diff(_vertices(T, P0, P1, h), axis=0), axis=1)
+        log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
+                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h})
         if grad_norm < max(1e-13, 1e-13 * B) and grad_norm >= tol and not saddle_done:
             # symmetric saddle: kick once with a deterministic smooth mode
-            kick = _smooth_perturbation(len(X), problem_dim, np.random.default_rng(0), 0.01 * L0)
-            kick[fixed] = 0.0
-            Xk = chain.project_feasible(X + kick)
-            if Xk is not None:
-                X, B = Xk, energy(Xk)
+            Tk = _close(_perturbed(T, P0, P1, h, a, np.random.default_rng(0), 0.01 * L0),
+                        target, a, b)
+            if Tk is not None:
+                T, B = Tk, _energy(Tk, h)
             saddle_done = True
             continue
         if grad_norm < tol:
-            return X, B, grad_norm, it - 1, True, saddle_done, log
-        if B < B_mark - 1e-11 * max(1.0, abs(B_mark)):
-            B_mark, it_mark = B, it
-        stagnant = it - it_mark > 100  # descent drowned in projection noise
-        # direction candidates, best first: planar angle-space Newton (full
-        # steps) or, in 3-D, the constrained quasi-Newton step; then the
-        # Sobolev-preconditioned gradient and the raw gradient.  Each is
-        # accepted on Armijo decrease of B, and the slot-0 step also when
-        # it stays within B's rounding bound and cuts the projected gradient
-        candidates = []
-        if not stagnant:
-            if problem_dim == 2:
-                dn = _newton_direction_2d(X, chain, fixed)
-                if dn is not None:
-                    # Newton is all-or-nothing: a couple of backtracks only,
-                    # then defer to the safeguarded gradient directions
-                    candidates.append((0, dn, 1.0, 4))
-            else:
-                try:
-                    dq = _kkt_direction(X, Gt, chain, fac, row, free_idx)
-                except np.linalg.LinAlgError:
-                    dq = None
-                if dq is not None:
-                    # capped at half an edge, as in _polish, then tried like
-                    # the planar Newton step
-                    m = np.max(np.abs(dq))
-                    if m > 0.5 * chain.h:
-                        dq *= 0.5 * chain.h / m
-                    candidates.append((0, dq, 1.0, 4))
-            dirn = np.zeros_like(Gt)
-            dirn[free_idx] = cho_solve_banded((fac, False), Gt[free_idx])
-            dirn = chain.project_tangent(X, dirn)
-            # keep gradient-based trial displacements below half an edge so
-            # projection stays in the Gauss-Newton basin
-            for slot, d in ((1, dirn), (2, Gt)):
-                cap = min(1.0, 0.5 * chain.h / max(np.max(np.abs(d)), 1e-300))
-                candidates.append((slot, d, cap, 40))
+            return T, B, grad_norm, it - 1, "converged", saddle_done, log
+        Tf = T[a:b]
+        E = _frames(T)
+        Ef = E[a:b]
+        g = np.einsum("iad,id->ia", Ef, GT[a:b])
+        # least-squares closure multiplier nu and the reduced gradient
+        # r = g - A^T nu, the slope of the Lagrangian B - nu . closure;
+        # solving with r instead of g keeps the step accurate relative to
+        # r, which is all that is left of g near a critical point
+        nu = np.linalg.solve((b - a) * np.eye(len(P0)) - Tf.T @ Tf, np.einsum("iaj,ia->j", Ef, g))
+        r = g - np.einsum("iaj,j->ia", Ef, nu)
+        resid = _residual(T, target)
+        # the Newton step first; when it does not descend, the Laplacian
+        # step, which always does
+        floor = _rounding_bound(B, n - 1)
         accepted = False
-        floor = _rounding_bound(B, len(X) - 1)
-        for slot, trial_dir, t_cap, n_trials in candidates:
-            slope = float(np.sum(Gt * trial_dir))
-            if slope <= 0.0:
+        for curved in (nu, None):
+            dy = _direction(T, E, r, resid, h, a, b, curved)
+            if dy is None:
                 continue
-            t_last = t_mem[slot]
-            t = t_cap if t_last is None else min(t_cap, 2.0 * t_last)
-            for _ in range(n_trials):
-                Xt = chain.project_feasible(X - t * trial_dir)
-                if Xt is not None:
-                    Bt = energy(Xt)
-                    if Bt < B and Bt <= B - _ARMIJO_C * t * slope:
-                        X, B, accepted = Xt, Bt, True
-                        t_mem[slot] = t
-                        no_progress = 0
+            slope = float(np.sum(r * dy))
+            if not slope < 0.0:
+                continue
+            D = np.einsum("ia,iad->id", dy, Ef)
+            t = min(1.0, _MAX_TURN / float(np.max(np.linalg.norm(D, axis=1))))
+            for _ in range(_MAX_TRIALS):
+                Tt = T.copy()
+                Tt[a:b] = _rotate(Tf, t * D)
+                Tt = _close(Tt, target, a, b)
+                if Tt is not None:
+                    Bt = _energy(Tt, h)
+                    if Bt < B - floor and Bt <= B + _ARMIJO_C * t * slope:
+                        accepted = True
                         break
                     # at the rounding floor of B the sign of Bt - B is noise;
-                    # a Newton step is then judged by the stationarity
-                    # residual instead, which still resolves it, and counts
-                    # as progress for the stagnation watch
-                    if slot == 0 and abs(Bt - B) <= floor:
-                        Gn = chain.project_tangent(
-                            Xt, energy_gradient(DiscreteCurve(Xt, closed=False))
-                        )
-                        if np.linalg.norm(Gn) <= _FLOOR_GRAD_FACTOR * grad_norm:
-                            X, B, accepted = Xt, Bt, True
-                            t_mem[slot] = t
-                            no_progress = 0
-                            it_mark = it
-                            break
-                    # at the floating-point floor of the energy, equal-energy
-                    # moves still relax stiff gradient modes; require real
-                    # motion and cap how long this polishing may run
-                    if Bt <= B and no_progress < 150 and np.any(Xt != X):
-                        X, B, accepted = Xt, Bt, True
-                        t_mem[slot] = t
-                        no_progress += 1
+                    # the step is judged by the stationarity residual instead,
+                    # and shorter steps cannot do better
+                    if abs(Bt - B) <= floor:
+                        gn = _projected_gradient_norm(Tt, _tangent_gradient(Tt, h), h, a, b)
+                        accepted = gn <= _FLOOR_GRAD_FACTOR * grad_norm
                         break
                 t *= _BACKTRACK
             if accepted:
+                T, B = Tt, Bt
                 break
         if not accepted:
-            # no acceptable step in any direction: the iterate sits at the
-            # resolution floor of the constrained energy; polish toward the
-            # critical point within the remaining iteration budget
-            budget = min(30, max_iters - it)
-            if grad_norm >= tol and budget > 0:
-                (X, B, grad_norm), hist = _polish(
-                    X, B, chain, fac, row, free_idx, tol, budget, energy
-                )
-                for j, row_ in enumerate(hist):
-                    log.append({"iteration": it + j, **row_})
-                it += len(hist)
-            return X, B, grad_norm, it, grad_norm < tol, saddle_done, log
-    return X, B, grad_norm, it, False, saddle_done, log
+            return T, B, grad_norm, it, "floor", saddle_done, log
+    return T, B, grad_norm, max_iters, "budget", saddle_done, log
 
 
-def _package(X, L0, opts_log):
-    B, grad_norm, iters, conv, saddle, log = opts_log
+def _package(X, info):
+    B, grad_norm, iters, termination, saddle, log = info
     curve = DiscreteCurve(X, closed=False)
     L = length(curve)
     lam = math.nan
@@ -694,91 +647,100 @@ def _package(X, L0, opts_log):
         lambda_est=lam,
         grad_norm=grad_norm,
         iterations=iters,
-        converged=conv,
+        converged=termination == "converged",
         saddle_perturbed=saddle,
+        termination=termination,
         log=tuple(log),
     )
 
 
+def _prolong(T: np.ndarray, n: int) -> np.ndarray:
+    """Tangents of a chain of n edges interpolated in arclength from T
+    (the unwrapped edge angle in the plane, componentwise then normalized
+    in space)."""
+    s_old = (np.arange(len(T)) + 0.5) / len(T)
+    s_new = (np.arange(n) + 0.5) / n
+    if T.shape[1] == 2:
+        phi = np.interp(s_new, s_old, np.unwrap(np.arctan2(T[:, 1], T[:, 0])))
+        return np.column_stack([np.cos(phi), np.sin(phi)])
+    Tn = np.column_stack([np.interp(s_new, s_old, T[:, k]) for k in range(3)])
+    return Tn / np.linalg.norm(Tn, axis=1)[:, None]
+
+
 def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
-    """Coarse-to-fine driver: solve on a short chain first, prolong by the
-    arclength spline, re-solve.  Kinked transients that take thousands of
-    iterations to relax at the target N cost almost nothing at N ~ 32."""
+    """Coarse-to-fine solve: solve on a short chain first, prolong the
+    tangents, re-solve.  Kinked transients that take many iterations to
+    relax at the target N cost almost nothing at N ~ 32."""
     levels = [N]
     while levels[-1] > 32:
         levels.append((levels[-1] + 1) // 2)
     levels.reverse()
     tol_fine = opts.tol if opts.tol is not None else 1e-8 * N
+    a = 0 if clamp is None else 1
 
-    X = None
+    T = None
     log: list[dict] = []
     used = 0
     saddle_any = False
-    out = (math.inf, math.inf, False)
+    out = (math.inf, math.inf, "budget")
     for n in levels:
         fine = n == N
         h = L0 / n
-        fixed = np.zeros(n + 1, dtype=bool)
-        fixed[0] = fixed[-1] = True
         if clamp is not None:
-            fixed[1] = fixed[-2] = True
             q0 = P0 + h * clamp[0]
             q1 = P1 - h * clamp[1]
             # the inner chain must be able to span q0 -> q1 at this h
             if not fine and np.linalg.norm(q1 - q0) >= (n - 2) * h:
                 continue
-        if X is None:
+        if T is None:
             if clamp is None:
                 X0 = _arc_initial(P0, P1, L0, n, dim)
             else:
                 X0 = np.empty((n + 1, dim))
-                X0[1:-1] = _arc_initial(q0, q1, (n - 2) * h, n - 2, dim)
+                X0[1:-1] = _arc_initial(q0, q1, (n - 2) * h, n - 2, dim, clamp[0] - clamp[1])
                 X0[0], X0[-1] = P0, P1
+            E0 = np.diff(X0, axis=0)
+            T0 = E0 / np.linalg.norm(E0, axis=1)[:, None]
             if opts.seed is not None:
-                pert = _smooth_perturbation(
-                    n + 1, dim, np.random.default_rng(opts.seed), opts.perturb_amp * L0
-                )
-                pert[fixed] = 0.0
-                X0 = X0 + pert
+                rng = np.random.default_rng(opts.seed)
+                T0 = _perturbed(T0, P0, P1, h, a, rng, opts.perturb_amp * L0)
         else:
-            X0 = resample_arclength(DiscreteCurve(X, closed=False), n).vertices.copy()
-            X0[0], X0[-1] = P0, P1
-            if clamp is not None:
-                X0[1], X0[-2] = q0, q1
+            T0 = _prolong(T, n)
+        if clamp is not None:
+            T0[0], T0[-1] = clamp
         budget = opts.max_iters - used if fine else min(300, opts.max_iters - used)
         if budget <= 0 and not fine:
             continue
-        chain = _Chain(n + 1, h, fixed)
         try:
-            X_, B, gn, iters, conv, saddle, lv_log = _descend(
-                X0, chain, fixed, tol_fine if fine else 1e-8 * n, max(budget, 1), dim, L0
+            T_, B, gn, iters, term, saddle, lv_log = _descend(
+                T0, P0, P1, h, a, tol_fine if fine else 1e-8 * n, max(budget, 1), L0
             )
         except DomainError:
             if fine:
                 raise
-            continue  # coarse level not projectable; retry on a finer grid
-        X = X_
+            continue  # coarse level not closable; retry on a finer grid
+        T = T_
         for row in lv_log:
             log.append({**row, "N": n})
         used += iters
         saddle_any = saddle_any or saddle
-        out = (B, gn, conv)
+        out = (B, gn, term)
     for i, row in enumerate(log):
         row["iteration"] = i
-    B, gn, conv = out
-    return X, (B, gn, used, conv, saddle_any, log)
+    B, gn, term = out
+    return _vertices(T, P0, P1, L0 / N), (B, gn, used, term, saddle_any, log)
 
 
 def minimize_pinned(p: PinnedProblem, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Minimize bending energy over curves of length L0 from P0 to P1 with
     free end tangents (natural boundary condition: end curvature -> 0)."""
     X, info = _multilevel(p.P0, p.P1, p.L0, p.N, p.dim, opts)
-    return _package(X, p.L0, info)
+    return _package(X, info)
 
 
 def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """As minimize_pinned, with the first/last edge directions clamped to
-    V0 and V1 (realized by fixing the vertices P0 + h V0 and P1 - h V1)."""
+    V0 and V1."""
     if p.is_taut:
         # the straight segment is the only curve in the constraint set
         t = np.linspace(0.0, 1.0, p.N + 1)[:, None]
@@ -786,9 +748,9 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
         log = [
             {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N}
         ]
-        return _package(X, p.L0, (0.0, 0.0, 0, True, False, log))
+        return _package(X, (0.0, 0.0, 0, "converged", False, log))
     X, info = _multilevel(p.P0, p.P1, p.L0, p.N, p.dim, opts, clamp=(p.V0, p.V1))
-    return _package(X, p.L0, info)
+    return _package(X, info)
 
 
 # ---------------------------------------------------------------------------

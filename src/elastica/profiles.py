@@ -53,8 +53,6 @@ __all__ = [
     "residual_planar",
     "residual_spatial",
     "residual_first_integral",
-    "profile_to_record",
-    "profile_from_record",
 ]
 
 FAMILY_TAGS = ("linear", "wavelike", "borderline", "orbitlike", "circular")
@@ -273,48 +271,3 @@ def residual_first_integral(p: CurvatureProfile, s, h: float | None = None):
     du = (kappa_sq(p, s + h) - kappa_sq(p, s - h)) / (2.0 * h)
     poly = -(u**3) + 2.0 * lam * u**2 + 4.0 * a * u - 4.0 * c_sq
     return du * du - poly
-
-
-# ---------------------------------------------------------------------------
-# plain-text key = value records (library only; no CLI subcommand reads them)
-
-def profile_to_record(p: CurvatureProfile, sign: int = 1) -> str:
-    """Serialize to the key = value record format."""
-    if sign not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
-    lines = [
-        f"m = {p.m!r}",
-        f"w = {p.w!r}",
-        f"A = {p.A!r}",
-        f"s0 = {p.s0!r}",
-        f"sign = {sign}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def profile_from_record(text: str) -> tuple[CurvatureProfile, int]:
-    """Parse a key = value record (# starts a comment) back to a profile."""
-    fields: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in ("m", "w", "A", "s0", "sign"):
-            raise DomainError(f"line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise DomainError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            fields[key] = float(val.strip())
-        except ValueError as exc:
-            raise DomainError(f"line {lineno}: bad number {val.strip()!r}") from exc
-    missing = {"m", "w", "A"} - set(fields)
-    if missing:
-        raise DomainError(f"missing keys: {sorted(missing)}")
-    sign = int(fields.get("sign", 1))
-    if sign not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
-    return CurvatureProfile(fields["m"], fields["w"], fields["A"], fields.get("s0", 0.0)), sign

@@ -292,6 +292,17 @@ class TestMinimize:
         assert result["converged"] is True
         assert result["Bbar"] == pytest.approx(varpi_star(), rel=0.01)
 
+    def test_result_note_names_the_termination(self, run, tmp_path):
+        problem = self.leaf_problem(tmp_path, n=64)
+        text = problem.read_text().replace("max_iters = 2000", "max_iters = 2")
+        problem.write_text(text)
+        code, _, err = run("minimize", str(problem), "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        result = json.loads(next(
+            ln for ln in err.splitlines() if ln.startswith("result: "))[len("result: "):])
+        assert result["termination"] == "budget"
+        assert result["converged"] is False
+
     def test_resolved_seed_prefers_file(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64, seed=3)
         _, _, err = run("minimize", str(problem), "--seed", "9", "--out",
@@ -550,6 +561,21 @@ class TestEntryPoint:
             f"for argv in {calls!r}:\n"
             f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
             "    assert 'scipy' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_minimize_runs_without_scipy(self, tmp_path):
+        # the minimizer is NumPy only; a None entry makes any SciPy import fail
+        problem = tmp_path / "leaf.txt"
+        problem.write_text("P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\nseed = 3\n")
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from elastica.cli import main\n"
+            f"assert main(['minimize', {str(problem)!r}, '--quiet', "
+            f"'--out', {str(tmp_path / 'sol.csv')!r}]) == 0\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120)

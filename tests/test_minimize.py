@@ -302,6 +302,28 @@ class TestPinnedOther:
         assert r3.B == pytest.approx(12.4266241906, rel=1e-10)
         assert np.max(np.abs(edge_lengths(r3.curve) - 0.01)) <= 1e-12
 
+    @pytest.mark.parametrize("P1", [0.4 * EX, np.array([0.3, 0.2, 0.1])])
+    def test_grad_norm_is_the_projected_vertex_gradient(self, P1):
+        # grad_norm: the vertex-space energy gradient projected onto the
+        # tangent space of the edge-length constraints (ends fixed)
+        # a loose tol stops at the prolonged start of the fine level
+        p = PinnedProblem(np.zeros(len(P1)), P1, 1.0, 64)
+        r = minimize_pinned(p, MinimizeOptions(tol=1e3))
+        assert r.converged and r.grad_norm > 1.0
+        X = r.curve.vertices
+        G = energy_gradient(r.curve)[1:-1].ravel()
+        e = np.diff(X, axis=0)
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        d = len(P1)
+        J = np.zeros((64, 63 * d))
+        for k in range(64):
+            if k < 63:
+                J[k, k * d : (k + 1) * d] = e[k]  # vertex k + 1 is the edge's head
+            if k > 0:
+                J[k, (k - 1) * d : k * d] = -e[k]
+        Gt = G - J.T @ np.linalg.lstsq(J.T, G, rcond=None)[0]
+        assert np.linalg.norm(Gt) == pytest.approx(r.grad_norm, rel=1e-6)
+
     def test_tol_option_honored(self):
         p = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(tol=1e-3, max_iters=2000))
@@ -385,11 +407,10 @@ class TestClamped:
         assert np.max(np.abs(r3.curve.vertices[:, 2])) == 0.0
         assert np.max(np.abs(r3.curve.vertices[:, :2] - r2.curve.vertices)) < 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="_arc_initial picks the initial arc's bulge side "
-                       "from the coordinate axes, not from the clamped tangents")
     def test_solution_independent_of_pose(self):
-        # chord along x converges to B 14.395; the rotated poses start on
-        # the other side and land on a looped critical point at B 92.467
+        # chord along x converges to B 14.395; the rotated poses used to
+        # start on the other side and land on a looped critical point at
+        # B 92.467
         def solve(angle):
             c, s = math.cos(angle), math.sin(angle)
             R = np.array([[c, -s], [s, c]])
@@ -403,6 +424,73 @@ class TestClamped:
             r = solve(angle)
             assert r.converged
             assert r.B == pytest.approx(ref.B, rel=1e-6)
+
+
+    def test_floor_stall_data_converge_in_their_own_pose(self):
+        # the initial arc used to bulge away from the clamped tangents here:
+        # 406 iterations ended unconverged at B 64.478, while the same data
+        # rotated by pi converged to B 7.82414699401513
+        V0 = np.array([0.4793496565506274, -0.877624012185626])
+        V1 = np.array([0.479349656550627, 0.8776240121856259])
+        p = ClampedProblem(np.zeros(2), 0.6579888389922908 * EX, 1.0, 64, V0, V1)
+        r = minimize_clamped(p)
+        assert r.converged
+        assert r.B == pytest.approx(7.82414699401513, rel=1e-8)
+
+    def test_planar_arch_in_3d_converges_in_any_pose(self):
+        # posed in the xy-plane this arch stopped at grad 1.7e-5, and under
+        # a generic rotation at grad 1.7e-4 after 598 iterations (tol 1e-6)
+        a = 0.8
+        V0 = np.array([math.cos(a), math.sin(a), 0.0])
+        V1 = np.array([math.cos(a), -math.sin(a), 0.0])
+        P1 = np.array([0.4, 0.0, 0.0])
+        Q = np.linalg.qr(default_rng(0).normal(size=(3, 3)))[0]
+        for R in (np.eye(3), Q):
+            r = minimize_clamped(ClampedProblem(np.zeros(3), R @ P1, 1.0, 100, R @ V0, R @ V1))
+            assert r.converged
+            assert r.B == pytest.approx(27.275175219017, rel=1e-10)
+
+    def test_random_3d_problems_converge(self):
+        # generic spatial clamped data: the edge-tangent Newton step uses
+        # the exact block Hessian, so none of these may stall at the floor
+        rng = default_rng(12)
+        solved = 0
+        while solved < 6:
+            u, V0, V1 = (v / np.linalg.norm(v) for v in rng.normal(size=(3, 3)))
+            try:
+                p = ClampedProblem(np.zeros(3), rng.uniform(0.0, 0.8) * u, 1.0, 64, V0, V1)
+            except DomainError:
+                continue
+            r = minimize_clamped(p)
+            assert r.converged, (solved, r.termination, r.grad_norm)
+            solved += 1
+
+
+class TestTermination:
+    def test_converged(self, leaf_result):
+        assert leaf_result.termination == "converged"
+        assert leaf_result.converged
+
+    def test_budget(self):
+        p = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64)
+        r = minimize_pinned(p, MinimizeOptions(max_iters=2))
+        assert r.termination == "budget"
+        assert not r.converged
+
+    def test_floor(self):
+        # the projected gradient cannot reach 1e-15 in double precision:
+        # once neither B nor the gradient resolves a step the solve stops
+        p = PinnedProblem(np.zeros(2), 0.5 * EX, 1.0, 64)
+        r = minimize_pinned(p, MinimizeOptions(tol=1e-15))
+        assert r.termination == "floor"
+        assert not r.converged
+        assert r.grad_norm >= 1e-15
+        assert r.grad_norm < 1e-8 * 64  # well past the default tolerance
+        assert r.iterations < 2000
+
+    def test_taut_segment_is_converged(self):
+        r = minimize_clamped(ClampedProblem(np.zeros(2), EX, 1.0, 16, EX, EX))
+        assert r.termination == "converged"
 
 
 class TestEstimateMultiplier:

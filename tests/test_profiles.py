@@ -308,31 +308,3 @@ class TestUniqueness:
                     seen.add(key)
                     count += 1
         assert len(seen) == count
-
-
-class TestRecords:
-    def test_round_trip(self):
-        p = pr.CurvatureProfile(0.25, 0.75, 1.5, s0=-0.4)
-        text = pr.profile_to_record(p, sign=-1)
-        q, sign = pr.profile_from_record(text)
-        assert q == p and sign == -1
-
-    def test_comments_and_whitespace(self):
-        text = "# spatial sample\nm = 0.2\nw = 0.6  # midrange\n\nA = 1.5\n"
-        p, sign = pr.profile_from_record(text)
-        assert (p.m, p.w, p.A, p.s0, sign) == (0.2, 0.6, 1.5, 0.0, 1)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "m = 0.2\nw = 0.6",  # missing A
-            "m = 0.2\nw = 0.6\nA = 1.5\nq = 3",  # unknown key
-            "m = 0.2\nw = 0.6\nA = abc",  # bad number
-            "m = 0.2\nm = 0.3\nw = 0.6\nA = 1.5",  # duplicate
-            "m = 0.2\nw = 0.6\nA = 1.5\nsign = 0",  # bad sign
-            "m 0.2",  # no equals
-        ],
-    )
-    def test_parse_errors(self, bad):
-        with pytest.raises(DomainError):
-            pr.profile_from_record(bad)

@@ -41,13 +41,6 @@ from .discrete import (
 )
 from .elliptic import comp_E, comp_K
 from .errors import DomainError, InfeasibleError, StepSizeError
-from .minimize import (
-    ClampedProblem,
-    MinimizeOptions,
-    PinnedProblem,
-    minimize_clamped,
-    minimize_pinned,
-)
 from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
@@ -204,6 +197,8 @@ def cmd_liyau(args) -> int:
 
 
 def _parse_problem(path: str, cli_seed: int | None):
+    from .minimize import ClampedProblem, MinimizeOptions, PinnedProblem
+
     kv = _read_kv(path)
     known = {"P0", "P1", "V0", "V1", "L0", "N", "tol", "max_iters", "seed"}
     unknown = set(kv) - known
@@ -230,6 +225,8 @@ def _parse_problem(path: str, cli_seed: int | None):
 
 
 def _run_minimize(problem, opts):
+    from .minimize import ClampedProblem, minimize_clamped, minimize_pinned
+
     solver = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
     return solver(problem, opts)
 

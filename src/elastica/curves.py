@@ -553,7 +553,8 @@ def reconstruct_spatial(
     Classical 4th-order stepping with per-step Gram-Schmidt
     re-orthonormalization of the frame; planar profiles (c = 0) freeze the
     binormal and integrate the unsigned curvature.  The k and t tables are
-    evaluated up front over arrays; the steps run on Python floats.  frame0
+    evaluated up front over arrays; each step is one straight-line kernel
+    on named Python floats (_frame_step).  frame0
     holds rows (T0, N0, B0), orthonormal to 1e-12; the curve starts at the
     origin.
     """
@@ -581,30 +582,58 @@ def reconstruct_spatial(
     ks, ts = k_all.tolist(), t_all.tolist()
     y = [0.0, 0.0, 0.0] + F.ravel().tolist()
     out = [y[:3]]
-    for i in range(n):
-        y = _frame_step(y, h, ks[2 * i : 2 * i + 3], ts[2 * i : 2 * i + 3])
+    for k0, km, k1, t0, tm, t1 in zip(ks[0:-1:2], ks[1::2], ks[2::2],
+                                      ts[0:-1:2], ts[1::2], ts[2::2]):
+        y = _frame_step(y, h, k0, km, k1, t0, tm, t1)
         out.append(y[:3])
     return DiscreteCurve(np.array(out), closed=False)
 
 
-def _frame_rates(v: list[float], k: float, t: float) -> list[float]:
-    _, _, _, T0, T1, T2, N0, N1, N2, B0, B1, B2 = v
-    return [T0, T1, T2, k * N0, k * N1, k * N2, t * B0 - k * T0, t * B1 - k * T1,
-            t * B2 - k * T2, -t * N0, -t * N1, -t * N2]
-
-
-def _frame_step(y: list[float], h: float, k: list[float], t: list[float]) -> list[float]:
-    """One classical 4th-order step of the flat (gamma, T, N, B) state in
-    Python floats, then Gram-Schmidt on the frame; k and t hold the rates
-    at the step's start, middle and end."""
+def _frame_step(y, h: float, k0: float, km: float, k1: float, t0: float, tm: float,
+                t1: float) -> tuple[float, ...]:
+    """One classical 4th-order step of the flat (gamma, T, N, B) state,
+    written out on named Python floats, then Gram-Schmidt on the frame.
+    The rates are gamma' = T, T' = kN, N' = tB - kT, B' = -tN, with k and t
+    at the step's start (k0, t0), middle (km, tm) and end (k1, t1); u, v, w,
+    z hold the frame rates of stages 1-4 and T2..T4, N2..N4, B2..B4 the
+    stage frames.  gamma feeds no rate, so its stage values are never
+    formed."""
+    g0, g1, g2, T0, T1, T2, N0, N1, N2, B0, B1, B2 = y
     hh = 0.5 * h
-    a1 = _frame_rates(y, k[0], t[0])
-    a2 = _frame_rates([u + hh * v for u, v in zip(y, a1)], k[1], t[1])
-    a3 = _frame_rates([u + hh * v for u, v in zip(y, a2)], k[1], t[1])
-    a4 = _frame_rates([u + h * v for u, v in zip(y, a3)], k[2], t[2])
+    uT0, uT1, uT2 = k0 * N0, k0 * N1, k0 * N2
+    uN0, uN1, uN2 = t0 * B0 - k0 * T0, t0 * B1 - k0 * T1, t0 * B2 - k0 * T2
+    uB0, uB1, uB2 = -t0 * N0, -t0 * N1, -t0 * N2
+    T20, T21, T22 = T0 + hh * uT0, T1 + hh * uT1, T2 + hh * uT2
+    N20, N21, N22 = N0 + hh * uN0, N1 + hh * uN1, N2 + hh * uN2
+    B20, B21, B22 = B0 + hh * uB0, B1 + hh * uB1, B2 + hh * uB2
+    vT0, vT1, vT2 = km * N20, km * N21, km * N22
+    vN0, vN1, vN2 = tm * B20 - km * T20, tm * B21 - km * T21, tm * B22 - km * T22
+    vB0, vB1, vB2 = -tm * N20, -tm * N21, -tm * N22
+    T30, T31, T32 = T0 + hh * vT0, T1 + hh * vT1, T2 + hh * vT2
+    N30, N31, N32 = N0 + hh * vN0, N1 + hh * vN1, N2 + hh * vN2
+    B30, B31, B32 = B0 + hh * vB0, B1 + hh * vB1, B2 + hh * vB2
+    wT0, wT1, wT2 = km * N30, km * N31, km * N32
+    wN0, wN1, wN2 = tm * B30 - km * T30, tm * B31 - km * T31, tm * B32 - km * T32
+    wB0, wB1, wB2 = -tm * N30, -tm * N31, -tm * N32
+    T40, T41, T42 = T0 + h * wT0, T1 + h * wT1, T2 + h * wT2
+    N40, N41, N42 = N0 + h * wN0, N1 + h * wN1, N2 + h * wN2
+    B40, B41, B42 = B0 + h * wB0, B1 + h * wB1, B2 + h * wB2
+    zT0, zT1, zT2 = k1 * N40, k1 * N41, k1 * N42
+    zN0, zN1, zN2 = t1 * B40 - k1 * T40, t1 * B41 - k1 * T41, t1 * B42 - k1 * T42
+    zB0, zB1, zB2 = -t1 * N40, -t1 * N41, -t1 * N42
     h6 = h / 6.0
-    g0, g1, g2, T0, T1, T2, N0, N1, N2, B0, B1, B2 = (
-        u + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for u, b1, b2, b3, b4 in zip(y, a1, a2, a3, a4))
+    g0 += h6 * (T0 + 2.0 * T20 + 2.0 * T30 + T40)
+    g1 += h6 * (T1 + 2.0 * T21 + 2.0 * T31 + T41)
+    g2 += h6 * (T2 + 2.0 * T22 + 2.0 * T32 + T42)
+    T0 += h6 * (uT0 + 2.0 * vT0 + 2.0 * wT0 + zT0)
+    T1 += h6 * (uT1 + 2.0 * vT1 + 2.0 * wT1 + zT1)
+    T2 += h6 * (uT2 + 2.0 * vT2 + 2.0 * wT2 + zT2)
+    N0 += h6 * (uN0 + 2.0 * vN0 + 2.0 * wN0 + zN0)
+    N1 += h6 * (uN1 + 2.0 * vN1 + 2.0 * wN1 + zN1)
+    N2 += h6 * (uN2 + 2.0 * vN2 + 2.0 * wN2 + zN2)
+    B0 += h6 * (uB0 + 2.0 * vB0 + 2.0 * wB0 + zB0)
+    B1 += h6 * (uB1 + 2.0 * vB1 + 2.0 * wB1 + zB1)
+    B2 += h6 * (uB2 + 2.0 * vB2 + 2.0 * wB2 + zB2)
     # Gram-Schmidt the frame; the frame is the product here, keep it clean
     r = math.sqrt(T0 * T0 + T1 * T1 + T2 * T2)
     T0, T1, T2 = T0 / r, T1 / r, T2 / r
@@ -615,4 +644,4 @@ def _frame_step(y: list[float], h: float, k: list[float], t: list[float]) -> lis
     p, q = B0 * T0 + B1 * T1 + B2 * T2, B0 * N0 + B1 * N1 + B2 * N2
     B0, B1, B2 = B0 - p * T0 - q * N0, B1 - p * T1 - q * N1, B2 - p * T2 - q * N2
     r = math.sqrt(B0 * B0 + B1 * B1 + B2 * B2)
-    return [g0, g1, g2, T0, T1, T2, N0, N1, N2, B0 / r, B1 / r, B2 / r]
+    return g0, g1, g2, T0, T1, T2, N0, N1, N2, B0 / r, B1 / r, B2 / r

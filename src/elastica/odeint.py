@@ -7,7 +7,10 @@ The fourth-order equation
 is integrated as the first-order system in (gamma, d1, d2, d3) with
 classical fixed-step 4th-order stepping.  The full step is the one kept,
 so halving h cuts the closed-form deviation by about 16x; it is advanced
-one step at a time on Python floats.  Each step's embedded error estimate
+one step at a time by one straight-line kernel on named Python floats in
+R^3.  Planar states go through it at z = 0: every z-rate is then an exact
+zero, so the x/y values are those two coordinates would give, and the z
+columns are dropped again.  Each step's embedded error estimate
 |y_h - y_{h/2}| / 15 depends only on the kept state the step starts at,
 so its two half steps run afterwards in NumPy, for up to _BLOCK steps at
 once.  The two right-hand sides (float and array) check each other: if
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
 
 _LOCAL_ERR_MAX = 1e-6
 _BLOCK = 1024  # full steps per batched error estimate: caps temporaries and waste
+_FIELDS = ("gamma", "d1", "d2", "d3")
 
 
 @dataclass(frozen=True)
@@ -55,21 +59,37 @@ class ElasticaState:
     d3: np.ndarray
 
     def __post_init__(self):
+        self._freeze()
+        if abs(np.linalg.norm(self.d1) - 1.0) > 1e-9:
+            raise DomainError("initial speed |d1| must be 1 (to 1e-9)")
+        if abs(np.dot(self.d1, self.d2)) > 1e-9:
+            raise DomainError("initial <d1, d2> must vanish (to 1e-9)")
+
+    def _freeze(self) -> None:
+        """Check that the four vectors are finite and of one dimension, 2 or
+        3, and store them as read-only float arrays."""
         arrs = []
-        for name in ("gamma", "d1", "d2", "d3"):
+        for name in _FIELDS:
             a = np.array(getattr(self, name), dtype=float)
             if a.shape not in ((2,), (3,)) or not np.all(np.isfinite(a)):
                 raise DomainError(f"{name} must be a finite 2- or 3-vector")
             arrs.append(a)
         if len({a.shape for a in arrs}) != 1:
             raise DomainError("state vectors must share one dimension")
-        if abs(np.linalg.norm(arrs[1]) - 1.0) > 1e-9:
-            raise DomainError("initial speed |d1| must be 1 (to 1e-9)")
-        if abs(np.dot(arrs[1], arrs[2])) > 1e-9:
-            raise DomainError("initial <d1, d2> must vanish (to 1e-9)")
-        for name, a in zip(("gamma", "d1", "d2", "d3"), arrs):
+        for name, a in zip(_FIELDS, arrs):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _along(cls, g, d1, d2, d3) -> ElasticaState:
+        """A state reached by integration: shapes and finiteness are checked,
+        but not the unit-speed conditions, which RK4 drift leaves true only
+        to the integrator's accuracy."""
+        st = cls.__new__(cls)
+        for name, a in zip(_FIELDS, (g, d1, d2, d3)):
+            object.__setattr__(st, name, a)
+        st._freeze()
+        return st
 
     @property
     def dim(self) -> int:
@@ -83,8 +103,11 @@ class ElasticaState:
 class Trajectory:
     """States h apart in arclength, starting at the initial condition.
 
-    data[i] stacks (gamma, d1, d2, d3) of state i; `states` materializes
-    ElasticaState objects on demand.  err_max is the worst half-step error
+    data[i] stacks (gamma, d1, d2, d3) of state i; `state(i)` and `states`
+    materialize ElasticaState objects on demand, checked for shape and
+    finiteness only: along the trajectory |d1| = 1 and <d1, d2> = 0 hold
+    to the integrator's accuracy, not to the 1e-9 asked of an initial
+    condition.  err_max is the worst half-step error
     estimate of any step and err_max_s the arclength where that step
     starts (both NaN when not computed).
     """
@@ -108,33 +131,66 @@ class Trajectory:
         return self.data.shape[2]
 
     def state(self, i: int) -> ElasticaState:
-        g, d1, d2, d3 = self.data[i]
-        return ElasticaState(g, d1, d2, d3)
+        return ElasticaState._along(*self.data[i])
 
     @property
     def states(self) -> list[ElasticaState]:
         return [self.state(i) for i in range(self.n_states)]
 
 
-def _full_step(y: list[float], h: float, lam: float, dim: int) -> list[float]:
+def _step3(y, h: float, lam: float) -> tuple[float, ...]:
     """One classical 4th-order step of the flat state y = (gamma, d1, d2, d3)
-    in Python floats: the kept step, advanced one at a time."""
-    i2, i3 = 2 * dim, 3 * dim
-
-    def rates(v: list[float]) -> list[float]:
-        d1, d2, d3 = v[dim:i2], v[i2:i3], v[i3:]
-        p = 6.0 * sum(map(mul, d2, d3))
-        q = 3.0 * sum(map(mul, d2, d2))
-        return v[dim:] + [0.5 * (lam * b - p * a - q * b) for a, b in zip(d1, d2)]
-
+    in R^3, written out on named Python floats: the kept step, advanced one
+    at a time.  The rates are gamma' = d1, d1' = d2, d2' = d3 and
+    d3' = (lam d2 - p d1 - q d2) / 2 with p = 6 <d2, d3>, q = 3 |d2|^2;
+    a2..a4, b2..b4, c2..c4 are d1, d2, d3 at stages 2-4 and e1..e4 the
+    d3-rates.  gamma feeds no rate, so its stage values are never formed.
+    Each <d2, d3> is summed from 0.0, left to right, as sum() does, so it
+    is never -0.0 and the floats match a generic per-component loop, signed
+    zeros included."""
+    gx, gy, gz, ax, ay, az, bx, by, bz, cx, cy, cz = y
     hh = 0.5 * h
-    k1 = rates(y)
-    k2 = rates([a + hh * b for a, b in zip(y, k1)])
-    k3 = rates([a + hh * b for a, b in zip(y, k2)])
-    k4 = rates([a + h * b for a, b in zip(y, k3)])
+    p = 6.0 * (0.0 + bx * cx + by * cy + bz * cz)
+    q = 3.0 * (bx * bx + by * by + bz * bz)
+    e1x = 0.5 * (lam * bx - p * ax - q * bx)
+    e1y = 0.5 * (lam * by - p * ay - q * by)
+    e1z = 0.5 * (lam * bz - p * az - q * bz)
+    a2x, a2y, a2z = ax + hh * bx, ay + hh * by, az + hh * bz
+    b2x, b2y, b2z = bx + hh * cx, by + hh * cy, bz + hh * cz
+    c2x, c2y, c2z = cx + hh * e1x, cy + hh * e1y, cz + hh * e1z
+    p = 6.0 * (0.0 + b2x * c2x + b2y * c2y + b2z * c2z)
+    q = 3.0 * (b2x * b2x + b2y * b2y + b2z * b2z)
+    e2x = 0.5 * (lam * b2x - p * a2x - q * b2x)
+    e2y = 0.5 * (lam * b2y - p * a2y - q * b2y)
+    e2z = 0.5 * (lam * b2z - p * a2z - q * b2z)
+    a3x, a3y, a3z = ax + hh * b2x, ay + hh * b2y, az + hh * b2z
+    b3x, b3y, b3z = bx + hh * c2x, by + hh * c2y, bz + hh * c2z
+    c3x, c3y, c3z = cx + hh * e2x, cy + hh * e2y, cz + hh * e2z
+    p = 6.0 * (0.0 + b3x * c3x + b3y * c3y + b3z * c3z)
+    q = 3.0 * (b3x * b3x + b3y * b3y + b3z * b3z)
+    e3x = 0.5 * (lam * b3x - p * a3x - q * b3x)
+    e3y = 0.5 * (lam * b3y - p * a3y - q * b3y)
+    e3z = 0.5 * (lam * b3z - p * a3z - q * b3z)
+    a4x, a4y, a4z = ax + h * b3x, ay + h * b3y, az + h * b3z
+    b4x, b4y, b4z = bx + h * c3x, by + h * c3y, bz + h * c3z
+    c4x, c4y, c4z = cx + h * e3x, cy + h * e3y, cz + h * e3z
+    p = 6.0 * (0.0 + b4x * c4x + b4y * c4y + b4z * c4z)
+    q = 3.0 * (b4x * b4x + b4y * b4y + b4z * b4z)
     h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return (
+        gx + h6 * (ax + 2.0 * a2x + 2.0 * a3x + a4x),
+        gy + h6 * (ay + 2.0 * a2y + 2.0 * a3y + a4y),
+        gz + h6 * (az + 2.0 * a2z + 2.0 * a3z + a4z),
+        ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
+        ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
+        az + h6 * (bz + 2.0 * b2z + 2.0 * b3z + b4z),
+        bx + h6 * (cx + 2.0 * c2x + 2.0 * c3x + c4x),
+        by + h6 * (cy + 2.0 * c2y + 2.0 * c3y + c4y),
+        bz + h6 * (cz + 2.0 * c2z + 2.0 * c3z + c4z),
+        cx + h6 * (e1x + 2.0 * e2x + 2.0 * e3x + 0.5 * (lam * b4x - p * a4x - q * b4x)),
+        cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
+        cz + h6 * (e1z + 2.0 * e2z + 2.0 * e3z + 0.5 * (lam * b4z - p * a4z - q * b4z)),
+    )
 
 
 def _rates_batch(y: np.ndarray, lam: float) -> np.ndarray:
@@ -170,10 +226,11 @@ def integrate_elastica(
 ) -> Trajectory:
     """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h)).
 
-    Recommended h <= 1e-3 / sqrt(1 + |lam|).  Raises StepSizeError at the
-    first step whose half-step error estimate exceeds 1e-6 or is not
-    finite; the estimates come after each block of _BLOCK steps, so at most
-    one block is wasted.  The trajectory carries the worst estimate and
+    The steps run in the float kernel _step3, planar states at z = 0; data
+    keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
+    Raises StepSizeError at the first step whose half-step error estimate
+    exceeds 1e-6 or is not finite; the estimates come after each block of
+    _BLOCK steps, so at most one block is wasted.  The trajectory carries the worst estimate and
     where it occurred.
     """
     if not (np.isfinite(lam) and np.isfinite(s_end) and s_end > 0.0):
@@ -181,21 +238,23 @@ def integrate_elastica(
     if not 0.0 < h <= s_end:
         raise DomainError("need 0 < h <= s_end")
     n = max(1, int(round(s_end / h)))
-    h = s_end / n
-    lam = float(lam)  # NumPy scalars would slow the float loop
+    h = float(s_end) / n  # NumPy scalars would slow the float loop
+    lam = float(lam)
     dim = s0.dim
     data = np.empty((n + 1, 4, dim))
     data[0] = s0.as_array()
-    flat = data.reshape(n + 1, 4 * dim)
-    y = flat[0].tolist()
+    y3 = np.zeros((4, 3))
+    y3[:, :dim] = data[0]
+    y = y3.ravel().tolist()
     err_max, err_max_s = 0.0, 0.0
     for c0 in range(0, n, _BLOCK):
         c1 = min(n, c0 + _BLOCK)
         rows = []
         for _ in range(c0, c1):
-            y = _full_step(y, h, lam, dim)
+            y = _step3(y, h, lam)
             rows.append(y)
-        flat[c0 + 1 : c1 + 1] = rows
+        block = np.fromiter(chain.from_iterable(rows), float, 12 * (c1 - c0))
+        data[c0 + 1 : c1 + 1] = block.reshape(-1, 4, 3)[:, :, :dim]
         err = _half_step_error(data[c0:c1], data[c0 + 1 : c1 + 1], h, lam)
         bad = np.flatnonzero(~(err <= _LOCAL_ERR_MAX))
         if bad.size:

@@ -566,6 +566,27 @@ class TestEntryPoint:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_only_minimize_imports_minimizer(self, tmp_path):
+        # compiling elastica.minimize costs every process that loads it
+        # about 20 ms when no bytecode cache is written
+        curve = tmp_path / "circle.csv"
+        write_polygon(curve)
+        ic = tmp_path / "ic.txt"
+        ic.write_text("gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
+                      "lam = 1\ns_end = 1\nh = 1e-2\n")
+        out = str(tmp_path / "out")
+        calls = [["constants"], ["integrate", str(ic)], ["liyau", str(curve)]]
+        script = (
+            "import sys\n"
+            "from elastica.cli import main\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
+            "    assert 'elastica.minimize' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_minimize_runs_without_scipy(self, tmp_path):
         # the minimizer is NumPy only; a None entry makes any SciPy import fail
         problem = tmp_path / "leaf.txt"

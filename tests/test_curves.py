@@ -517,7 +517,10 @@ class TestReconstruct:
     def test_matches_reference_loop(self, m, w, A):
         p = CurvatureProfile(m=m, w=w, A=A)
         F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
-        for s_range, h in [((0.0, 3.0), 2e-3), ((-1.0, 2.0), 0.05), ((0.0, 0.1), 0.05)]:
+        # the last range spans several periods in 3750 steps, so a wrong
+        # component of the frame step cannot hide behind a short range
+        for s_range, h in [((0.0, 3.0), 2e-3), ((-1.0, 2.0), 0.05), ((0.0, 0.1), 0.05),
+                           ((-7.0, 23.0), 8e-3)]:
             got = reconstruct_spatial(p, F, s_range, h).vertices
             want = reference_reconstruct(p, F, s_range, h)
             assert got.shape == want.shape

@@ -185,6 +185,37 @@ class TestIntegrate:
         assert isinstance(st, ElasticaState)
         assert len(tr.states) == 11
 
+    def test_numpy_scalars_run_as_floats(self):
+        # a NumPy scalar h would run every step of the float loop at NumPy speed
+        tr = integrate_elastica(circle_state(), np.float64(1.0), np.float64(0.1), 1e-2)
+        assert type(tr.h) is float and type(tr.lam) is float
+
+    def test_states_past_initial_tolerance(self):
+        # RK4 drifts past the 1e-9 initial-condition checks at this step
+        # (<d1, d2> reaches 2.6e-5); every state must still be readable
+        tr = integrate_elastica(wavelike_state(0.95, dim=3), 2 * (2 * 0.95 - 1),
+                                4 * comp_K(0.95), 4e-3)
+        states = tr.states
+        assert len(states) == tr.n_states
+        assert max(abs(float(np.dot(st.d1, st.d2))) for st in states) > 1e-9
+        np.testing.assert_array_equal(states[-1].as_array(), tr.data[-1])
+        assert not states[-1].d3.flags.writeable
+
+    @pytest.mark.parametrize("s0, lam, s_end, h", [
+        (wavelike_state(0.7), 2 * (2 * 0.7 - 1), 4 * comp_K(0.7), 4e-3),
+        (circle_state(), 1.0, 2 * math.pi, 4e-3),
+    ])
+    def test_planar_embedding_is_exact(self, s0, lam, s_end, h):
+        # planar and spatial states share one kernel: z = 0 must leave the
+        # x/y floats exactly as a 2-D run has them
+        flat = integrate_elastica(s0, lam, s_end, h)
+        s3 = ElasticaState(*(np.append(v, 0.0) for v in (s0.gamma, s0.d1, s0.d2, s0.d3)))
+        emb = integrate_elastica(s3, lam, s_end, h)
+        assert emb.data.shape == flat.data.shape[:2] + (3,)
+        assert np.array_equal(emb.data[:, :, :2], flat.data)
+        assert np.all(emb.data[:, :, 2] == 0.0)
+        assert emb.err_max == pytest.approx(flat.err_max, rel=1e-12)
+
 
 class TestDetMonitor:
     def test_planar_embedded_zero(self):

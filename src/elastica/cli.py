@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .curves import (
+    FAMILY_TAGS,
     PlanarElastica,
     build_leafed,
     classify_closed,
@@ -55,11 +56,6 @@ _FORMATS = {
     "leafed": ("csv", "svg"),
     "classify": ("json",),
 }
-
-# canonical curvature periods in arclength (aperiodic families use --range)
-_PERIODS = {"circular": lambda m: 2.0 * math.pi,
-            "wavelike": lambda m: 4.0 * comp_K(m),
-            "orbitlike": lambda m: 2.0 * comp_K(m)}
 
 
 def _g17(v: float) -> str:
@@ -157,9 +153,8 @@ def cmd_sample(args) -> int:
         s0, s1 = args.range
         if not s1 > s0:
             raise DomainError("--range needs A < B")
-    elif args.family in _PERIODS:
-        period = _PERIODS[args.family](args.m)
-        s0, s1 = 0.0, args.periods * period
+    elif math.isfinite(e.period):
+        s0, s1 = 0.0, args.periods * e.period
     else:
         s0, s1 = -8.0, 8.0  # aperiodic families: window around the loop
     _echo(args, s_range=[s0, s1])
@@ -180,12 +175,7 @@ def cmd_sample(args) -> int:
 def cmd_energy(args) -> int:
     rep = normalized_energy(load_curve_csv(args.input))
     _echo(args)
-    if args.format == "text":
-        payload = {"L": rep.L, "B": rep.B, "Bbar": rep.Bbar, "TC": rep.TC}
-        text = "".join(f"{k} = {v:.17g}\n" for k, v in payload.items())
-    else:
-        text = rep.to_json_line() + "\n"
-    _emit(text, args.out)
+    _emit(rep.to_text() if args.format == "text" else rep.to_json_line() + "\n", args.out)
     return 0
 
 
@@ -305,8 +295,6 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_leafed(args) -> int:
-    if args.dim == 2 and args.r % 2:
-        raise InfeasibleError("planar odd r")
     le = build_leafed(args.r, args.dim)
     c = sample_leafed(le, args.N)
     _echo(args, total_vertices=len(c.vertices))
@@ -328,8 +316,7 @@ def cmd_classify(args) -> int:
             c = DiscreteCurve(c.vertices[:, :2], closed=c.closed)
     res = classify_closed(c, tol=args.tol)
     _echo(args)
-    payload = {"kind": res.kind, "fold": res.fold, "residual": res.residual}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(res)) + "\n", args.out)
     return 0
 
 
@@ -354,8 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("sample", parents=[common], help="sample a planar elastica: s,x,y,k CSV or SVG")
-    sp.add_argument("--family", required=True,
-                    choices=("linear", "circular", "wavelike", "orbitlike", "borderline"))
+    sp.add_argument("--family", required=True, choices=FAMILY_TAGS)
     sp.add_argument("--m", type=float, help="elliptic parameter m = k^2 (wavelike/orbitlike)")
     sp.add_argument("--N", type=int, default=512, help="sample count (emits N+1 rows)")
     sp.add_argument("--periods", type=float, default=1.0,

@@ -18,6 +18,12 @@ Canonical curves, arclength-parametrized with curvature kappa:
 
 where eps(s,m) is the Jacobi epsilon function.  The wavelike tangential
 angle is theta_w = 2 arcsin(sqrt(m) sn), the orbitlike one theta_o = 2 am.
+A similarity of scale Lam (and a reflection, for the sign) gives the signed
+curvature +-kappa(s/Lam + s0)/Lam, i.e. +-A cn/sech/dn(alpha s + s0) with
+alpha = 1/Lam and A = 2 sqrt(m) alpha (wavelike) or 2 alpha (borderline,
+orbitlike); the circle has radius Lam.  This module is the one place the
+five families are described; `profiles` holds the unified (m, w, A, s0)
+curvature profile that covers them and the spatial elasticae.
 """
 
 from __future__ import annotations
@@ -33,13 +39,7 @@ from .elliptic import (
     _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
 )
 from .errors import DomainError, InfeasibleError
-from .profiles import (
-    FAMILY_TAGS,
-    CurvatureProfile,
-    _canon_k,
-    kappa_sq,
-    profile_c,
-)
+from .profiles import CurvatureProfile, kappa_sq, profile_c
 
 __all__ = [
     "figure_eight_modulus",
@@ -178,8 +178,7 @@ class RigidMotion:
 # ---------------------------------------------------------------------------
 # planar families
 
-def _need_m(tag: str) -> bool:
-    return tag in ("wavelike", "orbitlike")
+FAMILY_TAGS = ("linear", "wavelike", "borderline", "orbitlike", "circular")
 
 
 @dataclass(frozen=True)
@@ -198,13 +197,28 @@ class PlanarElastica:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise DomainError(f"unknown family {self.family!r}")
-        if _need_m(self.family):
+        if self.family in ("wavelike", "orbitlike"):
             if self.m is None or not 0.0 < self.m < 1.0:
                 raise DomainError(f"{self.family} needs m in (0,1)")
         elif self.m is not None:
             raise DomainError(f"{self.family} takes no modulus")
         if not np.isfinite(self.s0):
             raise DomainError("phase must be finite")
+
+    @property
+    def period(self) -> float:
+        """Arclength period of the signed curvature: 2 pi (circular), 4K(m)
+        (wavelike) or 2K(m) (orbitlike), times the similarity scale; inf for
+        the aperiodic linear and borderline families."""
+        if self.family == "circular":
+            canon = 2.0 * math.pi
+        elif self.family == "wavelike":
+            canon = 4.0 * comp_K(self.m)
+        elif self.family == "orbitlike":
+            canon = 2.0 * comp_K(self.m)
+        else:
+            return math.inf
+        return canon * self.similarity.scale
 
 
 def _canon_point(tag: str, m, s):
@@ -231,6 +245,19 @@ def _canon_theta(tag: str, m, s):
     if tag == "orbitlike":
         return 2.0 * am(s, m)
     return s + np.zeros_like(s)
+
+
+def _canon_k(tag: str, m, s):
+    s = np.asarray(s, dtype=float)
+    if tag == "linear":
+        return np.zeros_like(s)
+    if tag == "wavelike":
+        return 2.0 * math.sqrt(m) * cn(s, m)
+    if tag == "borderline":
+        return 2.0 / np.cosh(s)
+    if tag == "orbitlike":
+        return 2.0 * dn(s, m)
+    return 1.0 + np.zeros_like(s)  # circular
 
 
 def _canon_k_prime(tag: str, m, s):

@@ -25,7 +25,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,15 +99,11 @@ class EnergyReport:
     TC: float
 
     def to_text(self) -> str:
-        rows = [("length", self.L), ("bending", self.B),
-                ("normalized", self.Bbar), ("total_curvature", self.TC)]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v:.17g}" for k, v in rows) + "\n"
+        """`key = value` lines, the keys of to_json_line, 17 significant digits."""
+        return "".join(f"{k} = {v:.17g}\n" for k, v in asdict(self).items())
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"L": self.L, "B": self.B, "Bbar": self.Bbar, "TC": self.TC}
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

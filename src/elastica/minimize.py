@@ -175,7 +175,7 @@ class MinimizeResult:
     grad_norm: float
     iterations: int
     converged: bool
-    saddle_perturbed: bool
+    saddle_perturbed: bool  # always False: the solver has no saddle kick (perfbench reads it)
     termination: str  # "converged", "budget" (max_iters spent) or "floor" (no step accepted)
     log: tuple[dict, ...] = field(repr=False, default=())
 
@@ -552,7 +552,7 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
     return mid_pt + np.outer(R * np.sin(t), chord) + np.outer(R * np.cos(t) - R + sag, normal)
 
 
-def _descend(T, P0, P1, h, a, tol, max_iters, L0):
+def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent at one level.  The free tangents are a..b-1 (a = 1 when the
     end tangents are clamped); closure is sum(T) = (P1 - P0) / h."""
     n = len(T)
@@ -563,7 +563,6 @@ def _descend(T, P0, P1, h, a, tol, max_iters, L0):
         raise DomainError("could not close the initial curve on the endpoints")
     B = _energy(T, h)
     log = []
-    saddle_done = False
     grad_norm = math.inf
     for it in range(1, max_iters + 1):
         GT = _tangent_gradient(T, h)
@@ -571,16 +570,8 @@ def _descend(T, P0, P1, h, a, tol, max_iters, L0):
         el = np.linalg.norm(np.diff(_vertices(T, P0, P1, h), axis=0), axis=1)
         log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
                     "max_constraint_residual": float(np.max(np.abs(el - h))) / h})
-        if grad_norm < max(1e-13, 1e-13 * B) and grad_norm >= tol and not saddle_done:
-            # symmetric saddle: kick once with a deterministic smooth mode
-            Tk = _close(_perturbed(T, P0, P1, h, a, np.random.default_rng(0), 0.01 * L0),
-                        target, a, b)
-            if Tk is not None:
-                T, B = Tk, _energy(Tk, h)
-            saddle_done = True
-            continue
         if grad_norm < tol:
-            return T, B, grad_norm, it - 1, "converged", saddle_done, log
+            return T, B, grad_norm, it - 1, "converged", log
         Tf = T[a:b]
         E = _frames(T)
         Ef = E[a:b]
@@ -626,12 +617,12 @@ def _descend(T, P0, P1, h, a, tol, max_iters, L0):
                 T, B = Tt, Bt
                 break
         if not accepted:
-            return T, B, grad_norm, it, "floor", saddle_done, log
-    return T, B, grad_norm, max_iters, "budget", saddle_done, log
+            return T, B, grad_norm, it, "floor", log
+    return T, B, grad_norm, max_iters, "budget", log
 
 
 def _package(X, info):
-    B, grad_norm, iters, termination, saddle, log = info
+    B, grad_norm, iters, termination, log = info
     curve = DiscreteCurve(X, closed=False)
     L = length(curve)
     lam = math.nan
@@ -648,7 +639,7 @@ def _package(X, info):
         grad_norm=grad_norm,
         iterations=iters,
         converged=termination == "converged",
-        saddle_perturbed=saddle,
+        saddle_perturbed=False,
         termination=termination,
         log=tuple(log),
     )
@@ -681,7 +672,6 @@ def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
     T = None
     log: list[dict] = []
     used = 0
-    saddle_any = False
     out = (math.inf, math.inf, "budget")
     for n in levels:
         fine = n == N
@@ -712,8 +702,8 @@ def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
         if budget <= 0 and not fine:
             continue
         try:
-            T_, B, gn, iters, term, saddle, lv_log = _descend(
-                T0, P0, P1, h, a, tol_fine if fine else 1e-8 * n, max(budget, 1), L0
+            T_, B, gn, iters, term, lv_log = _descend(
+                T0, P0, P1, h, a, tol_fine if fine else 1e-8 * n, max(budget, 1)
             )
         except DomainError:
             if fine:
@@ -723,12 +713,11 @@ def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
         for row in lv_log:
             log.append({**row, "N": n})
         used += iters
-        saddle_any = saddle_any or saddle
         out = (B, gn, term)
     for i, row in enumerate(log):
         row["iteration"] = i
     B, gn, term = out
-    return _vertices(T, P0, P1, L0 / N), (B, gn, used, term, saddle_any, log)
+    return _vertices(T, P0, P1, L0 / N), (B, gn, used, term, log)
 
 
 def minimize_pinned(p: PinnedProblem, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
@@ -748,7 +737,7 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
         log = [
             {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N}
         ]
-        return _package(X, (0.0, 0.0, 0, "converged", False, log))
+        return _package(X, (0.0, 0.0, 0, "converged", log))
     X, info = _multilevel(p.P0, p.P1, p.L0, p.N, p.dim, opts, clamp=(p.V0, p.V1))
     return _package(X, info)
 

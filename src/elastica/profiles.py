@@ -14,15 +14,8 @@ triple is parametrized by (m, w, A, s0) with 0 <= m <= w <= 1, w > 0, A > 0:
 
 where lambda is the length-constraint multiplier and c the torsion constant
 (k^2 t = c for spatial elasticae; c = 0 exactly when w = 1 or w = m, the
-planar cases).  The five planar families carry signed curvature
-
-    linear 0;  wavelike +-A cn(alpha s + beta, m), A^2 = 4 alpha^2 m;
-    borderline +-A sech(alpha s + beta), A^2 = 4 alpha^2;
-    orbitlike +-A dn(alpha s + beta, m), A^2 = 4 alpha^2;  circular +-A.
-
-Each is +-alpha times the curvature of its unit-frequency canonical curve
-(`_canon_k`; alpha = A for the circle) at alpha s + beta; the point-level
-curves in `curves` use the same table.
+planar cases).  The five planar families with their signed curvature live
+in `curves.PlanarElastica`.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from .errors import DomainError
 
 __all__ = [
     "CurvatureProfile",
-    "PlanarCurvatureFamily",
     "profile_lambda",
     "profile_c",
     "profile_period",
@@ -48,15 +40,11 @@ __all__ = [
     "first_integral_coeffs",
     "solve_cubic_ode",
     "cubic_constant_solutions",
-    "planar_k",
     "torsion",
     "residual_planar",
     "residual_spatial",
     "residual_first_integral",
 ]
-
-FAMILY_TAGS = ("linear", "wavelike", "borderline", "orbitlike", "circular")
-
 
 @dataclass(frozen=True)
 class CurvatureProfile:
@@ -76,46 +64,6 @@ class CurvatureProfile:
             raise DomainError("need A > 0")
         if not math.isfinite(self.s0):
             raise DomainError("phase s0 must be finite")
-
-
-@dataclass(frozen=True)
-class PlanarCurvatureFamily:
-    """One of the five signed planar curvature families."""
-
-    tag: str
-    A: float | None = None
-    beta: float = 0.0
-    sign: int = 1
-    m: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise DomainError(f"unknown family tag {self.tag!r}")
-        if self.sign not in (-1, 1):
-            raise DomainError("sign must be +1 or -1")
-        if self.tag == "linear":
-            if self.A is not None:
-                raise DomainError("linear family has no amplitude")
-            return
-        if self.A is None or not self.A > 0.0:
-            raise DomainError(f"{self.tag} family needs amplitude A > 0")
-        if self.tag in ("wavelike", "orbitlike"):
-            if self.m is None or not 0.0 < self.m < 1.0:
-                raise DomainError(f"{self.tag} family needs m in (0, 1)")
-        elif self.m is not None:
-            raise DomainError(f"{self.tag} family takes no parameter m")
-
-    @property
-    def frequency(self) -> float:
-        """alpha in k = +-A cn/sech/dn(alpha s + beta); A for the circle,
-        whose canonical curvature is 1, and 1 for the line."""
-        if self.tag == "wavelike":
-            return self.A / (2.0 * math.sqrt(self.m))
-        if self.tag in ("borderline", "orbitlike"):
-            return self.A / 2.0
-        if self.tag == "circular":
-            return self.A
-        return 1.0
 
 
 def profile_lambda(p: CurvatureProfile) -> float:
@@ -205,27 +153,6 @@ def cubic_constant_solutions(a1: float, a2: float, a3: float) -> tuple[Callable,
         return u
 
     return make(a2), make(a3)
-
-
-def _canon_k(tag: str, m, s):
-    """Curvature of the unit-frequency canonical curve of a planar family."""
-    s = np.asarray(s, dtype=float)
-    if tag == "linear":
-        return np.zeros_like(s)
-    if tag == "wavelike":
-        return 2.0 * math.sqrt(m) * el.cn(s, m)
-    if tag == "borderline":
-        return 2.0 / np.cosh(s)
-    if tag == "orbitlike":
-        return 2.0 * el.dn(s, m)
-    return 1.0 + np.zeros_like(s)  # circular
-
-
-def planar_k(f: PlanarCurvatureFamily, s):
-    """Signed curvature of a planar family at arclength s."""
-    alpha = f.frequency
-    z = alpha * np.asarray(s, dtype=float) + f.beta
-    return _shape_like(s, f.sign * alpha * _canon_k(f.tag, f.m, z))
 
 
 def torsion(p: CurvatureProfile, s):

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import elastica
 from elastica.cli import main
 from elastica.curves import figure_eight_modulus, varpi_star
 from elastica.discrete import (
@@ -439,7 +441,7 @@ class TestLeafed:
     def test_planar_odd_r_infeasible(self, run):
         code, _, err = run("leafed", "--r", "3", "--dim", "2", "--quiet")
         assert code == 3
-        assert err == "infeasible: planar odd r\n"
+        assert err == "infeasible: planar closed leafed elasticae need an even leaf count\n"
 
     def test_figure_eight_csv(self, run, tmp_path):
         dest = tmp_path / "eight.csv"
@@ -514,11 +516,18 @@ class TestClassify:
 
 
 class TestEntryPoint:
-    # cheap end-to-end sanity through a real process
+    # cheap end-to-end sanity through a real process, which finds the
+    # package under test through PYTHONPATH
+    @staticmethod
+    def env() -> dict:
+        src = os.path.dirname(os.path.dirname(elastica.__file__))
+        path = os.environ.get("PYTHONPATH")
+        return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elastica.cli", "constants", "--quiet"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=self.env())
         assert proc.returncode == 0
         assert "varpi_star = 28.109" in proc.stdout
 
@@ -533,7 +542,7 @@ class TestEntryPoint:
             "assert 'scipy.spatial' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
     def test_only_minimize_imports_scipy(self, tmp_path):
@@ -563,7 +572,7 @@ class TestEntryPoint:
             "    assert 'scipy' not in sys.modules, argv\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
     def test_only_minimize_imports_minimizer(self, tmp_path):
@@ -584,7 +593,7 @@ class TestEntryPoint:
             "    assert 'elastica.minimize' not in sys.modules, argv\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
     def test_minimize_runs_without_scipy(self, tmp_path):
@@ -599,11 +608,11 @@ class TestEntryPoint:
             f"'--out', {str(tmp_path / 'sol.csv')!r}]) == 0\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
     def test_unknown_subcommand(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elastica.cli", "frobnicate"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=self.env())
         assert proc.returncode == 2

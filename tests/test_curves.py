@@ -167,6 +167,22 @@ class TestEvalPlanar:
             assert eval_k(w, s + 2 * K) == pytest.approx(-eval_k(w, s), abs=1e-12)
             assert eval_k(o, s + 2 * K) == pytest.approx(eval_k(o, s), abs=1e-12)
 
+    @pytest.mark.parametrize("family, m", [("wavelike", 0.6), ("orbitlike", 0.9), ("circular", None)])
+    @pytest.mark.parametrize("sim", [Similarity(), Similarity(rotation=0.4, scale=2.7, reflect=True)])
+    def test_period(self, family, m, sim):
+        e = PlanarElastica(family, m, similarity=sim, s0=0.3)
+        s = np.linspace(-4.0, 5.0, 37)
+        k = eval_k(e, s)
+        assert np.max(np.abs(eval_k(e, s + e.period) - k)) < 1e-12
+        if family == "circular":  # constant curvature: the curve itself closes
+            assert np.allclose(eval_planar(e, s + e.period), eval_planar(e, s), rtol=0, atol=1e-12)
+        else:  # and half the period does not repeat it
+            assert np.max(np.abs(eval_k(e, s + 0.5 * e.period) - k)) > 1e-3
+
+    def test_aperiodic_families(self):
+        assert PlanarElastica("linear").period == math.inf
+        assert PlanarElastica("borderline", similarity=Similarity(scale=3.0)).period == math.inf
+
     def test_validation(self):
         with pytest.raises(DomainError):
             PlanarElastica("helical")

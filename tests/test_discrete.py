@@ -22,6 +22,7 @@ from elastica.curves import (
 from elastica.discrete import (
     FOUR_PI_SQ,
     DiscreteCurve,
+    EnergyReport,
     bending_energy,
     curvature_data,
     curve_from_csv,
@@ -175,13 +176,16 @@ class TestNormalizedEnergy:
 
     def test_report_formats(self):
         rep = normalized_energy(regular_polygon(64))
-        text = rep.to_text()
-        assert "length" in text and "normalized" in text
         import json
 
         parsed = json.loads(rep.to_json_line())
         assert parsed["Bbar"] == rep.Bbar
         assert set(parsed) == {"L", "B", "Bbar", "TC"}
+        # one report, two spellings: the same keys in the same order, same
+        # values; the second report's values need all 17 digits
+        for r in (rep, EnergyReport(0.1 + 0.2, 1.0 + 2.0**-52, math.nextafter(math.pi, 4.0), 1e-300)):
+            text = [line.split(" = ") for line in r.to_text().splitlines()]
+            assert [(k, float(v)) for k, v in text] == list(json.loads(r.to_json_line()).items())
 
 
 class TestTotalCurvature:

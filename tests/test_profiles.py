@@ -13,6 +13,7 @@ import pytest
 from elastica import DomainError
 from elastica import elliptic as el
 from elastica import profiles as pr
+from elastica.curves import PlanarElastica, Similarity, eval_k
 
 
 def fd4(f, x, h):
@@ -41,19 +42,6 @@ class TestProfileType:
         with pytest.raises(DomainError):
             pr.CurvatureProfile(0.2, 1.2, 1.0)  # w > 1
         pr.CurvatureProfile(1.0, 1.0, 2.0)  # soliton corner is admissible
-
-    def test_family_validation(self):
-        with pytest.raises(DomainError):
-            pr.PlanarCurvatureFamily("spiral", A=1.0)
-        with pytest.raises(DomainError):
-            pr.PlanarCurvatureFamily("wavelike", A=1.0)  # missing m
-        with pytest.raises(DomainError):
-            pr.PlanarCurvatureFamily("borderline", A=1.0, m=0.5)  # stray m
-        with pytest.raises(DomainError):
-            pr.PlanarCurvatureFamily("linear", A=1.0)
-        with pytest.raises(DomainError):
-            pr.PlanarCurvatureFamily("circular", A=1.0, sign=2)
-        pr.PlanarCurvatureFamily("linear")
 
 
 class TestLambdaAndC:
@@ -189,30 +177,45 @@ class TestCubicODE:
 
 
 class TestPlanarFamilies:
+    # the signed planar curvature lives in curves; a similarity of scale
+    # 1/alpha gives k = +-A cn/sech/dn(alpha s) with A the peak
     def test_linear(self):
-        f = pr.PlanarCurvatureFamily("linear")
-        assert pr.planar_k(f, 3.7) == 0.0
+        assert eval_k(PlanarElastica("linear"), 3.7) == 0.0
 
     def test_borderline_peak(self):
-        f = pr.PlanarCurvatureFamily("borderline", A=2.0)
-        assert pr.planar_k(f, 0.0) == pytest.approx(2.0)
-        assert f.frequency == pytest.approx(1.0)  # A^2 = 4 alpha^2
+        assert eval_k(PlanarElastica("borderline"), 0.0) == pytest.approx(2.0)
 
     def test_orbitlike_peak(self):
-        f = pr.PlanarCurvatureFamily("orbitlike", A=2.0, m=0.5)
-        assert pr.planar_k(f, 0.0) == pytest.approx(2.0)
+        assert eval_k(PlanarElastica("orbitlike", m=0.5), 0.0) == pytest.approx(2.0)
 
     def test_wavelike_frequency_relation(self):
-        m, A = 0.7, 2.0 * math.sqrt(0.7)
-        f = pr.PlanarCurvatureFamily("wavelike", A=A, m=m)
-        assert A**2 == pytest.approx(4 * f.frequency**2 * m, rel=1e-14)
-        assert f.frequency == pytest.approx(1.0)
+        m, alpha = 0.7, 1.3
+        e = PlanarElastica("wavelike", m=m, similarity=Similarity(scale=1.0 / alpha))
+        A = eval_k(e, 0.0)
+        assert A**2 == pytest.approx(4 * alpha**2 * m, rel=1e-14)
 
     def test_sign_reflects(self):
         s = np.linspace(0, 3, 7)
-        up = pr.PlanarCurvatureFamily("wavelike", A=1.0, m=0.4)
-        dn_ = pr.PlanarCurvatureFamily("wavelike", A=1.0, m=0.4, sign=-1)
-        assert np.allclose(pr.planar_k(up, s), -pr.planar_k(dn_, s), atol=0)
+        up = PlanarElastica("wavelike", m=0.4)
+        dn_ = PlanarElastica("wavelike", m=0.4, similarity=Similarity(reflect=True))
+        assert np.allclose(eval_k(up, s), -eval_k(dn_, s), atol=0)
+
+    @pytest.mark.parametrize("family, m, w, A", [
+        ("wavelike", 0.3, 0.3, 0.8),
+        ("wavelike", 0.826, 0.826, 2.2),
+        ("orbitlike", 0.5, 1.0, 1.7),
+        ("borderline", 1.0, 1.0, 1.4),
+        ("circular", 0.0, 1.0, 0.9),
+    ])
+    def test_square_is_the_unified_profile(self, family, m, w, A):
+        # the planar corners (m, m, A), (m, 1, A), (1, 1, A), (0, 1, A) of
+        # the unified profile square to the signed curvature of the family
+        # at frequency alpha = A / (2 sqrt(w)), or A for the circle
+        alpha = A if family == "circular" else A / (2.0 * math.sqrt(w))
+        e = PlanarElastica(family, m=m if family in ("wavelike", "orbitlike") else None,
+                           similarity=Similarity(scale=1.0 / alpha))
+        s = np.linspace(-6.0, 9.0, 61)
+        assert np.max(np.abs(eval_k(e, s) ** 2 - pr.kappa_sq(pr.CurvatureProfile(m, w, A), s))) < 1e-12
 
 
 class TestTorsion:
@@ -237,16 +240,16 @@ class TestTorsion:
 class TestResiduals:
     def test_wavelike(self):
         m = 0.7
-        f = pr.PlanarCurvatureFamily("wavelike", A=2 * math.sqrt(m), m=m)
+        e = PlanarElastica("wavelike", m=m)  # A = 2 sqrt(m), unit frequency
         lam = 2 * (2 * m - 1)
         s = np.linspace(-3, 8, 60)
-        res = pr.residual_planar(lambda x: pr.planar_k(f, x), lam, s, h=1e-4)
+        res = pr.residual_planar(lambda x: eval_k(e, x), lam, s, h=1e-4)
         assert np.max(np.abs(res)) < 1e-5
 
     def test_borderline(self):
-        f = pr.PlanarCurvatureFamily("borderline", A=2.0)
+        e = PlanarElastica("borderline")  # A = 2, unit frequency
         s = np.linspace(-4, 4, 40)
-        res = pr.residual_planar(lambda x: pr.planar_k(f, x), 2.0, s, h=1e-4)
+        res = pr.residual_planar(lambda x: eval_k(e, x), 2.0, s, h=1e-4)
         assert np.max(np.abs(res)) < 1e-5
 
     def test_circular_exact(self):
@@ -256,9 +259,10 @@ class TestResiduals:
 
     def test_spatial_planar_limit(self):
         m = 0.4
-        f = pr.PlanarCurvatureFamily("wavelike", A=1.1, m=m)
+        # peak A = 1.1 at frequency alpha = A / (2 sqrt(m))
+        e = PlanarElastica("wavelike", m=m, similarity=Similarity(scale=2 * math.sqrt(m) / 1.1))
         lam = pr.profile_lambda(pr.CurvatureProfile(m, m, 1.1))
-        k = lambda x: pr.planar_k(f, x) + 3.0  # offset keeps k away from 0
+        k = lambda x: eval_k(e, x) + 3.0  # offset keeps k away from 0
         s = np.array([0.3, 1.1])
         # with c = 0 the spatial residual is identically the planar one
         assert np.allclose(

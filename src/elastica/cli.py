@@ -46,22 +46,6 @@ from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
 
-_FORMATS = {
-    "constants": ("text", "json"),
-    "sample": ("csv", "svg"),
-    "energy": ("json", "text"),
-    "liyau": ("json",),
-    "minimize": ("csv",),
-    "integrate": ("csv",),
-    "leafed": ("csv", "svg"),
-    "classify": ("json",),
-}
-
-
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -103,8 +87,9 @@ def _svg_polyline(xy: np.ndarray, size: int = 512, margin: int = 16) -> str:
     )
 
 
-def _read_kv(path: str) -> dict[str, str]:
-    """key = value per line; '#' starts a comment; later keys win."""
+def _read_kv(path: str, what: str, required: tuple, optional: tuple = ()) -> dict[str, str]:
+    """key = value per line; '#' starts a comment; later keys win.  Keys
+    outside required + optional, and missing required keys, are errors."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -115,14 +100,36 @@ def _read_kv(path: str) -> dict[str, str]:
                 raise DomainError(f"{path}:{lineno}: expected key = value")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
+    unknown = set(out) - set(required) - set(optional)
+    if unknown:
+        raise DomainError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in out]
+    if missing:
+        raise DomainError(f"{what} file needs {missing}")
     return out
 
 
-def _vec(text: str, key: str) -> np.ndarray:
+def _num(kv: dict[str, str], key: str, kind=float, default=None):
+    """kv[key] as kind (float or int), or default when the key is absent."""
+    if key not in kv:
+        return default
     try:
-        return np.array([float(t) for t in text.replace(",", " ").split()])
+        return kind(kv[key])
     except ValueError as exc:
-        raise DomainError(f"{key}: could not parse vector from {text!r}") from exc
+        raise DomainError(f"{key}: could not parse {kind.__name__} from {kv[key]!r}") from exc
+
+
+def _vec(kv: dict[str, str], key: str) -> np.ndarray:
+    try:
+        return np.array([float(t) for t in kv[key].replace(",", " ").split()])
+    except ValueError as exc:
+        raise DomainError(f"{key}: could not parse vector from {kv[key]!r}") from exc
+
+
+def _csv(header: str, *cols) -> str:
+    """header, then one row per sample of the columns, 17 significant digits."""
+    rows = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +155,15 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.N < 1:
+        raise DomainError("--N needs at least 1")
+    if not (math.isfinite(args.periods) and args.periods > 0.0):
+        raise DomainError("--periods needs a finite value > 0")
     e = PlanarElastica(args.family, m=args.m)  # validates family/m pairing
     if args.range is not None:
         s0, s1 = args.range
+        if not (math.isfinite(s0) and math.isfinite(s1)):
+            raise DomainError("--range needs finite A and B")
         if not s1 > s0:
             raise DomainError("--range needs A < B")
     elif math.isfinite(e.period):
@@ -162,13 +175,8 @@ def cmd_sample(args) -> int:
     x, y = eval_planar(e, s)
     if args.format == "svg":
         _emit(_svg_polyline(np.column_stack([x, y])), args.out)
-        return 0
-    k = eval_k(e, s)
-    lines = ["s,x,y,k"]
-    lines += [
-        f"{_g17(si)},{_g17(xi)},{_g17(yi)},{_g17(ki)}" for si, xi, yi, ki in zip(s, x, y, k)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(_csv("s,x,y,k", s, x, y, eval_k(e, s)), args.out)
     return 0
 
 
@@ -189,27 +197,19 @@ def cmd_liyau(args) -> int:
 def _parse_problem(path: str, cli_seed: int | None):
     from .minimize import ClampedProblem, MinimizeOptions, PinnedProblem
 
-    kv = _read_kv(path)
-    known = {"P0", "P1", "V0", "V1", "L0", "N", "tol", "max_iters", "seed"}
-    unknown = set(kv) - known
-    if unknown:
-        raise DomainError(f"unknown problem keys: {sorted(unknown)}")
-    for key in ("P0", "P1", "L0", "N"):
-        if key not in kv:
-            raise DomainError(f"problem file needs {key}")
-    P0, P1 = _vec(kv["P0"], "P0"), _vec(kv["P1"], "P1")
-    L0, N = float(kv["L0"]), int(kv["N"])
+    kv = _read_kv(path, "problem", ("P0", "P1", "L0", "N"),
+                  ("V0", "V1", "tol", "max_iters", "seed"))
+    P0, P1, L0, N = _vec(kv, "P0"), _vec(kv, "P1"), _num(kv, "L0"), _num(kv, "N", int)
     if ("V0" in kv) != ("V1" in kv):
         raise DomainError("clamped problems need both V0 and V1")
     if "V0" in kv:
-        problem = ClampedProblem(P0, P1, L0, N, _vec(kv["V0"], "V0"), _vec(kv["V1"], "V1"))
+        problem = ClampedProblem(P0, P1, L0, N, _vec(kv, "V0"), _vec(kv, "V1"))
     else:
         problem = PinnedProblem(P0, P1, L0, N)
-    seed = int(kv["seed"]) if "seed" in kv else cli_seed
     opts = MinimizeOptions(
-        tol=float(kv["tol"]) if "tol" in kv else None,
-        max_iters=int(kv["max_iters"]) if "max_iters" in kv else 2000,
-        seed=seed,
+        tol=_num(kv, "tol"),
+        max_iters=_num(kv, "max_iters", int, 2000),
+        seed=_num(kv, "seed", int, cli_seed),
     )
     return problem, opts
 
@@ -264,16 +264,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    kv = _read_kv(args.ic)
-    known = {"gamma", "d1", "d2", "d3", "lam", "s_end", "h"}
-    unknown = set(kv) - known
-    if unknown:
-        raise DomainError(f"unknown IC keys: {sorted(unknown)}")
-    missing = known - set(kv)
-    if missing:
-        raise DomainError(f"IC file needs {sorted(missing)}")
-    state = ElasticaState(*(_vec(kv[k], k) for k in ("gamma", "d1", "d2", "d3")))
-    lam, s_end, h = float(kv["lam"]), float(kv["s_end"]), float(kv["h"])
+    kv = _read_kv(args.ic, "IC", ("gamma", "d1", "d2", "d3", "lam", "s_end", "h"))
+    state = ElasticaState(*(_vec(kv, k) for k in ("gamma", "d1", "d2", "d3")))
+    lam, s_end, h = (_num(kv, k) for k in ("lam", "s_end", "h"))
     _echo(args, lam=lam, s_end=s_end, h=h, dim=state.dim)
     t = integrate_elastica(state, lam, s_end, h)
     _note(args, "error estimate", {"err_max": t.err_max, "err_max_s": t.err_max_s})
@@ -285,12 +278,7 @@ def cmd_integrate(args) -> int:
     else:  # planar trajectories: z = 0 and det(d1,d2,d3) = 0 identically
         det = np.zeros(t.n_states)
         z = np.zeros(t.n_states)
-    lines = ["s,x,y,z,kappa,det"]
-    lines += [
-        ",".join(_g17(v) for v in row)
-        for row in zip(t.s, g[:, 0], g[:, 1], z, kap, det)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv("s,x,y,z,kappa,det", t.s, g[:, 0], g[:, 1], z, kap, det), args.out)
     return 0
 
 
@@ -311,7 +299,7 @@ def cmd_classify(args) -> int:
         # trajectory CSVs pad planar data with a z column; flatten it when it
         # carries no geometry (classification itself is a planar notion)
         z = c.vertices[:, 2]
-        scale = max(float(np.sum(np.linalg.norm(np.diff(c.vertices, axis=0), axis=1))), 1.0)
+        scale = max(float(np.sum(c.edge_lengths[: c.n_vertices - 1])), 1.0)
         if np.max(np.abs(z - z[0])) <= 1e-9 * scale:
             c = DiscreteCurve(c.vertices[:, :2], closed=c.closed)
     res = classify_closed(c, tol=args.tol)
@@ -323,12 +311,14 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+def _format_option(sp: argparse.ArgumentParser, *choices: str) -> None:
+    sp.add_argument("--format", choices=choices, default=choices[0],
+                    help=f"output format (default {choices[0]})")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="write the artifact here (default stdout)")
-    common.add_argument("--format", help="output format (subcommand-specific; see below)")
-    common.add_argument("--seed", type=int, help="PRNG seed where applicable")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for seed sweeps")
     common.add_argument("--quiet", action="store_true", help="suppress config/result echo")
 
     p = argparse.ArgumentParser(
@@ -338,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     sp = sub.add_parser("constants", parents=[common], help="print the leaf/figure-eight constants")
+    _format_option(sp, "text", "json")
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("sample", parents=[common], help="sample a planar elastica: s,x,y,k CSV or SVG")
@@ -348,10 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="curvature periods to cover (periodic families)")
     sp.add_argument("--range", type=float, nargs=2, metavar=("A", "B"),
                     help="explicit arclength window (overrides --periods)")
+    _format_option(sp, "csv", "svg")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("energy", parents=[common], help="L, B, Bbar, TC of a curve CSV")
     sp.add_argument("input", help="curve CSV (header s,x,y[,z], '# closed=...' marker)")
+    _format_option(sp, "json", "text")
     sp.set_defaults(func=cmd_energy)
 
     sp = sub.add_parser("liyau", parents=[common],
@@ -364,6 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimize", parents=[common],
                         help="solve a pinned/clamped problem file; solution CSV + JSONL log")
     sp.add_argument("problem", help="key=value file: P0 P1 [V0 V1] L0 N [tol max_iters seed]")
+    sp.add_argument("--seed", type=int, help="PRNG seed (a seed in the problem file wins)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for --sweep")
     sp.add_argument("--log", metavar="PATH",
                     help="convergence log path (default: OUT.log when --out is set)")
     sp.add_argument("--sweep", type=int, metavar="K",
@@ -379,6 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True, help="leaf count (multiplicity)")
     sp.add_argument("--dim", type=int, required=True, choices=(2, 3))
     sp.add_argument("--N", type=int, default=512, help="vertices per leaf")
+    _format_option(sp, "csv", "svg")
     sp.set_defaults(func=cmd_leafed)
 
     sp = sub.add_parser("classify", parents=[common],
@@ -390,13 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    allowed = _FORMATS[args.subcommand]
-    if args.format is None:
-        args.format = allowed[0]
-    elif args.format not in allowed:
-        parser.error(f"{args.subcommand} supports --format {{{','.join(allowed)}}}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

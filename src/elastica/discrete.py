@@ -1,7 +1,11 @@
 """Discrete curves: length, bending energy, multiplicity, energy bounds.
 
 A curve is a polyline (open or closed) with at least 3 vertices in R^2 or
-R^3 and strictly positive edge lengths.  Discrete curvature lives on
+R^3 and strictly positive edge lengths.  Edge i runs from vertex i to
+vertex i + 1, and a closed curve's last edge runs back to vertex 0.
+DiscreteCurve computes its edges and their lengths once, while checking
+them, and stores them read-only beside the vertices; every quantity below
+(L, B, TC, multiplicity) reads them from there.  Discrete curvature lives on
 vertices: with turning angle theta_i between consecutive edges and dual
 length lbar_i = (l_{i-1} + l_i)/2,
 
@@ -25,7 +29,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,10 +65,17 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Polyline in R^2 or R^3; vertices are read-only after construction."""
+    """Polyline in R^2 or R^3; every array is read-only after construction.
+
+    edges[i] runs from vertex i to vertex i + 1; a closed curve has one
+    more edge, from the last vertex back to vertex 0.  edges and
+    edge_lengths are computed once, by the checks of the constructor.
+    """
 
     vertices: np.ndarray
     closed: bool = False
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -77,10 +88,12 @@ class DiscreteCurve:
         e = np.diff(v, axis=0)
         if self.closed:
             e = np.vstack([e, v[0] - v[-1]])
-        if np.any(np.linalg.norm(e, axis=1) == 0.0):
+        ell = np.linalg.norm(e, axis=1)
+        if np.any(ell == 0.0):
             raise DomainError("consecutive vertices must be distinct")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        for name, arr in (("vertices", v), ("edges", e), ("edge_lengths", ell)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -134,58 +147,38 @@ class LiYauReport:
     bound_reason: str = ""  # why bound_kind was chosen
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "Bbar": self.Bbar,
-                "bound": self.bound,
-                "satisfied": self.satisfied,
-                "slack": self.slack,
-                "bound_kind": self.bound_kind,
-                "eps": self.eps,
-                "witnesses": list(self.witnesses),
-                "bound_reason": self.bound_reason,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------
 # edge/vertex geometry
 
-def _edges(c: DiscreteCurve) -> np.ndarray:
-    v = c.vertices
-    e = np.diff(v, axis=0)
+def _pairs(c: DiscreteCurve, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(incoming, outgoing) rows of the per-edge array x at every turning
+    vertex: all vertices if closed, interior ones if open."""
     if c.closed:
-        e = np.vstack([e, v[0] - v[-1]])
-    return e
+        return np.roll(x, 1, axis=0), x
+    return x[:-1], x[1:]
 
 
 def edge_lengths(c: DiscreteCurve) -> np.ndarray:
-    return np.linalg.norm(_edges(c), axis=1)
+    """c.edge_lengths (read-only)."""
+    return c.edge_lengths
 
 
 def length(c: DiscreteCurve) -> float:
-    return float(edge_lengths(c).sum())
+    return float(c.edge_lengths.sum())
 
 
 def vertex_arclengths(c: DiscreteCurve) -> np.ndarray:
     """Cumulative arclength of each vertex from vertex 0."""
-    ell = edge_lengths(c)
-    return np.concatenate([[0.0], np.cumsum(ell[: len(c.vertices) - 1])])
-
-
-def _angle_pairs(c: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
-    # (incoming, outgoing) edge at every turning vertex
-    e = _edges(c)
-    if c.closed:
-        return np.roll(e, 1, axis=0), e
-    return e[:-1], e[1:]
+    return np.concatenate([[0.0], np.cumsum(c.edge_lengths[: c.n_vertices - 1])])
 
 
 def turning_angles(c: DiscreteCurve, signed: bool = False) -> np.ndarray:
     """Turning angle at each turning vertex (all vertices if closed,
     interior ones if open).  signed=True gives the 2D signed angle."""
-    a, b = _angle_pairs(c)
+    a, b = _pairs(c, c.edges)
     dot = np.einsum("ij,ij->i", a, b)
     if c.dim == 2:
         cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
@@ -204,22 +197,16 @@ def curvature_data(c: DiscreteCurve, signed: bool = False):
     each turning vertex (closed: all vertices; open: interior vertices).
     """
     theta = turning_angles(c, signed=signed)
-    ell = edge_lengths(c)
-    if c.closed:
-        lbar = 0.5 * (np.roll(ell, 1) + ell)
-        s = vertex_arclengths(c)
-    else:
-        lbar = 0.5 * (ell[:-1] + ell[1:])
-        s = vertex_arclengths(c)[1:-1]
-    return theta / lbar, lbar, s
+    la, lb = _pairs(c, c.edge_lengths)
+    lbar = 0.5 * (la + lb)
+    s = vertex_arclengths(c)
+    return theta / lbar, lbar, s if c.closed else s[1:-1]
 
 
 def bending_energy(c: DiscreteCurve) -> float:
     """B = sum kappa_i^2 lbar_i over turning vertices."""
     theta = turning_angles(c)
-    a, b = _angle_pairs(c)
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
+    la, lb = _pairs(c, c.edge_lengths)
     return float(np.sum(2.0 * theta * theta / (la + lb)))
 
 
@@ -359,7 +346,8 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     report is taken at the sample with the most visits whose farthest
     visit passes closest: point is that sample, witnesses the sorted
     arclengths of x and of the nearest point of each visit, which lie
-    more than 3 eps apart.  Default eps = 1e-3 * L.
+    more than 3 eps apart.  eps must be finite and positive; default
+    eps = 1e-3 * L.
 
     Edges are hashed into a uniform grid, so for curves whose edges are
     short against their extent the cost grows linearly in the number of
@@ -368,13 +356,11 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     runs only move the samples along the curve, which leaves every
     crossing within eps/4 of one.
     """
-    e = _edges(c)
-    ell = np.linalg.norm(e, axis=1)
-    L = float(ell.sum())
+    e, ell, L = c.edges, c.edge_lengths, length(c)
     if eps is None:
         eps = 1e-3 * L
-    if not eps > 0.0:
-        raise DomainError("need eps > 0")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise DomainError("need a finite eps > 0")
     p = c.vertices[: len(e)]
     a = np.concatenate([[0.0], np.cumsum(ell[:-1])])
     steps = min(math.ceil(2.0 * L / eps), 2**16)

@@ -180,27 +180,9 @@ def _rd(x, y, z):
 # ---------------------------------------------------------------------------
 # Complete integrals (AGM)
 
-def comp_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, K(m) = F(pi/2, m)."""
-    m = _require_m_for_K(m)
-    if m == 0.0:
-        return math.pi / 2.0
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(40):
-        if abs(a - b) <= _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
-
-
-def comp_E(m: float) -> float:
-    """Complete elliptic integral of the second kind, E(m) = E(pi/2, m)."""
-    m = _require_m_complete(m)
-    if m == 1.0:
-        return 1.0
-    if m == 0.0:
-        return math.pi / 2.0
-    # E = K * (1 - sum_n 2^(n-1) c_n^2) with c_0 = sqrt(m), c_{n+1} = (a-b)/2
+def _agm(m: float) -> tuple[float, float]:
+    """(K(m), 1 - sum_n 2^(n-1) c_n^2) from one AGM of 1 and sqrt(1 - m),
+    with c_0 = sqrt(m), c_{n+1} = (a_n - b_n)/2; E = K * (the second)."""
     a, b = 1.0, math.sqrt(1.0 - m)
     csum = 0.5 * m
     p = 0.5
@@ -211,7 +193,26 @@ def comp_E(m: float) -> float:
         p *= 2.0
         csum += p * c * c
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b) * (1.0 - csum)
+    return math.pi / (a + b), 1.0 - csum
+
+
+def comp_K(m: float) -> float:
+    """Complete elliptic integral of the first kind, K(m) = F(pi/2, m)."""
+    m = _require_m_for_K(m)
+    if m == 0.0:
+        return math.pi / 2.0
+    return _agm(m)[0]
+
+
+def comp_E(m: float) -> float:
+    """Complete elliptic integral of the second kind, E(m) = E(pi/2, m)."""
+    m = _require_m_complete(m)
+    if m == 1.0:
+        return 1.0
+    if m == 0.0:
+        return math.pi / 2.0
+    K, f = _agm(m)
+    return K * f
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DiscreteCurve, curvature_data, length
+from .discrete import DiscreteCurve, _pairs, curvature_data, length
 from .errors import DomainError
 
 __all__ = [
@@ -64,6 +64,7 @@ _MAX_TURN = 0.5  # largest rotation of any tangent in a trial step, radians
 _CLOSURE_TOL = 1e-12  # closure residual target, in edge lengths
 _RIDGE = 1e-10  # relative shift keeping the free-end Laplacian invertible
 _FLOOR_GRAD_FACTOR = 0.5  # projected-gradient cut a floor step must achieve
+_PERTURB_AMP = 0.03  # seeded perturbation of the initial arc, relative to L0
 
 
 def _rounding_bound(B: float, n_terms: int) -> float:
@@ -162,8 +163,7 @@ class ClampedProblem:
 class MinimizeOptions:
     tol: float | None = None  # default 1e-8 * N
     max_iters: int = 2000
-    seed: int | None = None  # smooth random perturbation of the initial arc
-    perturb_amp: float = 0.03  # relative to L0
+    seed: int | None = None  # smooth random perturbation (_PERTURB_AMP) of the initial arc
 
 
 @dataclass(frozen=True)
@@ -190,24 +190,14 @@ def energy_gradient(c: DiscreteCurve) -> np.ndarray:
     a, b the adjacent edge lengths; grad(theta^2) comes from the atan2
     representation, which stays smooth through theta = 0.
     """
-    v = c.vertices
-    dim = c.dim
-    if dim == 2:  # one 3D code path: the energy only sees |theta|
-        v = np.column_stack([v, np.zeros(len(v))])
-    e = np.diff(v, axis=0)
-    if c.closed:
-        e = np.vstack([e, v[0] - v[-1]])
-        u, w = np.roll(e, 1, axis=0), e
-        iu = np.arange(-1, len(v) - 1)  # edge u = v[i] - v[iu]
-        iw = np.arange(len(v))
-        iwn = np.roll(iw, -1)
-    else:
-        u, w = e[:-1], e[1:]
-        iu = np.arange(0, len(v) - 2)
-        iw = np.arange(1, len(v) - 1)
-        iwn = np.arange(2, len(v))
-    a = np.linalg.norm(u, axis=1)
-    b = np.linalg.norm(w, axis=1)
+    e = c.edges
+    if c.dim == 2:  # one 3D code path: the energy only sees |theta|
+        e = np.column_stack([e, np.zeros(len(e))])
+    u, w = _pairs(c, e)
+    a, b = _pairs(c, c.edge_lengths)
+    nv = c.n_vertices
+    iw = np.arange(nv) if c.closed else np.arange(1, nv - 1)  # turning vertices
+    iu, iwn = iw - 1, (iw + 1) % nv  # edge u = v[iw] - v[iu], edge w = v[iwn] - v[iw]
     d = np.einsum("ij,ij->i", u, w)
     C = np.cross(u, w)
     n = np.linalg.norm(C, axis=1)
@@ -239,11 +229,11 @@ def energy_gradient(c: DiscreteCurve) -> np.ndarray:
     th2 = theta * theta
     fu = (2.0 / apb)[:, None] * g_u - (2.0 * th2 / (apb**2 * a))[:, None] * u
     fw = (2.0 / apb)[:, None] * g_w - (2.0 * th2 / (apb**2 * b))[:, None] * w
-    grad = np.zeros_like(v)
+    grad = np.zeros((nv, 3))
     np.add.at(grad, iu, -fu)
     np.add.at(grad, iw, fu - fw)
     np.add.at(grad, iwn, fw)
-    return grad[:, :dim] if dim == 2 else grad
+    return grad[:, : c.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +683,7 @@ def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
             T0 = E0 / np.linalg.norm(E0, axis=1)[:, None]
             if opts.seed is not None:
                 rng = np.random.default_rng(opts.seed)
-                T0 = _perturbed(T0, P0, P1, h, a, rng, opts.perturb_amp * L0)
+                T0 = _perturbed(T0, P0, P1, h, a, rng, _PERTURB_AMP * L0)
         else:
             T0 = _prolong(T, n)
         if clamp is not None:

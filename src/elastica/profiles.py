@@ -175,11 +175,7 @@ def residual_planar(k: Callable, lam: float, s, h: float = 1e-4):
 
 def residual_spatial(k: Callable, lam: float, c: float, s, h: float = 1e-4):
     """2 k_ss + k^3 - lambda k - 2 c^2 / k^3 (k bounded away from zero)."""
-    if not h > 0.0:
-        raise DomainError("need h > 0")
-    ks = k(s)
-    k_ss = (k(s + h) - 2.0 * ks + k(s - h)) / (h * h)
-    return 2.0 * k_ss + ks**3 - lam * ks - 2.0 * c * c / ks**3
+    return residual_planar(k, lam, s, h) - 2.0 * c * c / k(s) ** 3
 
 
 def residual_first_integral(p: CurvatureProfile, s, h: float | None = None):

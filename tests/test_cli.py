@@ -91,6 +91,30 @@ class TestConfigEcho:
         _, _, err = run("constants", "--quiet")
         assert err == ""
 
+    def test_echo_holds_only_the_subcommands_options(self, run):
+        code, _, err = run("sample", "--family", "circular", "--N", "8")
+        assert code == 0
+        cfg = json.loads(err.splitlines()[0][len("config: "):])
+        assert cfg["format"] == "csv"
+        assert "seed" not in cfg and "jobs" not in cfg
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "circular", "--seed", "1"],
+        ["sample", "--family", "circular", "--jobs", "2"],
+        ["liyau", "x.csv", "--format", "json"],
+        ["integrate", "ic.txt", "--format", "csv"],
+    ])
+    def test_options_only_where_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_help_lists_format_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert "{csv,svg}" in capsys.readouterr().out
+
 
 class TestSample:
     def test_circular_csv(self, run):
@@ -155,6 +179,20 @@ class TestSample:
     def test_empty_range_exits_2(self, run):
         code, _, _ = run("sample", "--family", "circular", "--range", "2", "0", "--quiet")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [
+        ["--N", "-5"],
+        ["--N", "0"],
+        ["--periods", "nan"],
+        ["--periods", "0"],
+        ["--periods", "inf"],
+        ["--range", "0", "inf"],
+    ])
+    def test_bad_arguments_exit_2(self, run, bad):
+        code, out, err = run("sample", "--family", "circular", *bad, "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEnergy:
@@ -258,6 +296,15 @@ class TestLiyau:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_bad_eps_exits_2(self, run, tmp_path, eps):
+        path = tmp_path / "circle.csv"
+        write_polygon(path)
+        code, out, err = run("liyau", str(path), "--eps", eps, "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestMinimize:
     def leaf_problem(self, tmp_path, n: int = 96, seed: int = 3):
@@ -353,6 +400,11 @@ class TestMinimize:
         "P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\nV0 = 1 0\n",  # V0 without V1
         "P0 = zero zero\nP1 = 0 0\nL0 = 1\nN = 64\n",      # unparsable vector
         "P0 0 0\n",                                        # not key = value
+        "P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 1.5\n",          # N not an integer
+        "P0 = 0 0\nP1 = 0 0\nL0 = one\nN = 64\n",         # unparsable L0
+        "P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\nmax_iters = ten\n",
+        "P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\ntol = small\n",
+        "P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\nseed = x\n",
     ])
     def test_problem_file_errors(self, run, tmp_path, content):
         problem = tmp_path / "bad.txt"
@@ -430,6 +482,8 @@ class TestIntegrate:
         "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-3\nfoo = 1\n",
         "gamma = a b\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-3\n",
         "gamma = 0 -1\nd1 = 3 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-3\n",  # |d1| != 1
+        "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = one\ns_end = 1\nh = 1e-3\n",
+        "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-3x\n",
     ])
     def test_bad_ic_exits_2(self, run, tmp_path, text):
         code, _, err = run("integrate", self.write_ic(tmp_path, text), "--quiet")

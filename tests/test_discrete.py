@@ -90,6 +90,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             c.vertices[0, 0] = 5.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_edges_stored_read_only(self, dim, closed):
+        v = default_rng(5).normal(size=(7, dim))
+        c = DiscreteCurve(v, closed=closed)
+        e = np.diff(v, axis=0)
+        if closed:
+            e = np.vstack([e, v[0] - v[-1]])  # the closing edge runs back to vertex 0
+        assert np.array_equal(c.edges, e)
+        assert np.array_equal(c.edge_lengths, np.linalg.norm(e, axis=1))
+        assert edge_lengths(c) is c.edge_lengths
+        for arr in (c.edges, c.edge_lengths):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
     def test_open_curve_may_touch_endpoints(self):
         # non-adjacent coincidence is allowed (only edges must be nonzero)
         DiscreteCurve([[0, 0], [1, 0], [1, 1], [0, 0]], closed=False)
@@ -316,6 +331,11 @@ class TestMultiplicity:
     def test_eps_must_be_positive(self):
         with pytest.raises(DomainError):
             detect_multiplicity(regular_polygon(16), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(DomainError):
+            detect_multiplicity(regular_polygon(16), eps=eps)
 
 
 def petal_curve(rng, r: int, n: int = 96) -> DiscreteCurve:

@@ -35,10 +35,12 @@ from .curves import (
 )
 from .discrete import (
     DiscreteCurve,
+    _csv,
     curve_to_csv,
     liyau_check,
     load_curve_csv,
     normalized_energy,
+    vertex_arclengths,
 )
 from .elliptic import comp_E, comp_K
 from .errors import DomainError, InfeasibleError, StepSizeError
@@ -59,7 +61,8 @@ def _echo(args: argparse.Namespace, **extra) -> None:
         return
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     cfg.update(extra)
-    print("config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
+    text = json.dumps(cfg, sort_keys=True, default=str, allow_nan=False)  # NaN is not JSON
+    print("config: " + text, file=sys.stderr)
 
 
 def _note(args: argparse.Namespace, label: str, payload: dict) -> None:
@@ -124,12 +127,6 @@ def _vec(kv: dict[str, str], key: str) -> np.ndarray:
         return np.array([float(t) for t in kv[key].replace(",", " ").split()])
     except ValueError as exc:
         raise DomainError(f"{key}: could not parse vector from {kv[key]!r}") from exc
-
-
-def _csv(header: str, *cols) -> str:
-    """header, then one row per sample of the columns, 17 significant digits."""
-    rows = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
-    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +225,8 @@ def _run_minimize_seeded(payload):
 
 def cmd_minimize(args) -> int:
     problem, opts = _parse_problem(args.problem, args.seed)
+    if args.jobs < 1:
+        raise DomainError("--jobs needs at least 1")
     _echo(args, problem_kind=type(problem).__name__, resolved_seed=opts.seed)
     if args.sweep is not None:
         if args.sweep < 1:
@@ -267,8 +266,8 @@ def cmd_integrate(args) -> int:
     kv = _read_kv(args.ic, "IC", ("gamma", "d1", "d2", "d3", "lam", "s_end", "h"))
     state = ElasticaState(*(_vec(kv, k) for k in ("gamma", "d1", "d2", "d3")))
     lam, s_end, h = (_num(kv, k) for k in ("lam", "s_end", "h"))
-    _echo(args, lam=lam, s_end=s_end, h=h, dim=state.dim)
     t = integrate_elastica(state, lam, s_end, h)
+    _echo(args, lam=lam, s_end=s_end, h=h, dim=state.dim)
     _note(args, "error estimate", {"err_max": t.err_max, "err_max_s": t.err_max_s})
     g = t.data[:, 0, :]
     kap = np.linalg.norm(t.data[:, 2, :], axis=1)
@@ -299,7 +298,7 @@ def cmd_classify(args) -> int:
         # trajectory CSVs pad planar data with a z column; flatten it when it
         # carries no geometry (classification itself is a planar notion)
         z = c.vertices[:, 2]
-        scale = max(float(np.sum(c.edge_lengths[: c.n_vertices - 1])), 1.0)
+        scale = max(float(vertex_arclengths(c)[-1]), 1.0)
         if np.max(np.abs(z - z[0])) <= 1e-9 * scale:
             c = DiscreteCurve(c.vertices[:, :2], closed=c.closed)
     res = classify_closed(c, tol=args.tol)

@@ -357,70 +357,36 @@ def build_leaf(N: int) -> DiscreteCurve:
 # ---------------------------------------------------------------------------
 # tangent chains on the sphere and leafed elasticae
 
-def _chain_residual(u: np.ndarray, cpsi: float) -> float:
-    dots = np.einsum("ij,ij->i", u, np.roll(u, -1, axis=0))
-    return float(np.max(np.abs(dots - cpsi)))
-
-
 def spherical_chain(r: int, psi: float) -> np.ndarray:
     """r unit 3-vectors u_1..u_r with angle(u_i, u_{i+1 mod r}) = psi.
 
-    r=2 is a planar pair, r=3 the closed-form cone cos^2(alpha) =
-    (2 cos psi + 1)/3 over azimuths {0, 2pi/3, 4pi/3}; larger r starts
-    from a winding cone and polishes by projected least squares on
-    sum_i (<u_i, u_{i+1}> - cos psi)^2.  Raises InfeasibleError when the
-    residual cannot be brought below 1e-9 (e.g. r=3 with psi > 2pi/3).
+    r = 2 is a planar pair.  For r >= 3 the vectors lie on a cone about e_z
+    that winds k times, so consecutive azimuths differ by 2 pi k / r and
+    cos psi = cos^2(alpha) + sin^2(alpha) cos(2 pi k / r) fixes the cone's
+    half-angle alpha; the smallest k in 1..r//2 with cos^2(alpha) in [0, 1]
+    (psi <= 2 pi k / r) is taken.  Even r always fits, at k = r/2; odd r
+    fits exactly when psi <= pi - pi/r, and InfeasibleError is raised above.
     """
     if r < 2:
         raise DomainError("need r >= 2")
     if not 0.0 < psi < math.pi:
         raise DomainError("need psi in (0, pi)")
-    cpsi = math.cos(psi)
     if r == 2:
         half = 0.5 * psi
         return np.array(
             [[math.cos(half), math.sin(half), 0.0], [math.cos(half), -math.sin(half), 0.0]]
         )
-    if r == 3:
-        # consecutive pairs exhaust all pairs: the chain must be equiangular,
-        # which needs the Gram eigenvalue 1 + 2 cos psi >= 0
-        c2 = (2.0 * cpsi + 1.0) / 3.0
-        if c2 < 0.0:
-            raise InfeasibleError(f"no 3-chain at angle {psi:.6g}: 1 + 2 cos psi < 0")
-        ca = math.sqrt(c2)
-        sa = math.sqrt(1.0 - c2)
-        phi = 2.0 * math.pi * np.arange(3) / 3.0
-        return np.column_stack([sa * np.cos(phi), sa * np.sin(phi), ca + 0.0 * phi])
-
-    # cone winding k times: consecutive azimuth gap 2 pi k / r
-    u = None
+    cpsi = math.cos(psi)
     for k in range(1, r // 2 + 1):
         cgap = math.cos(2.0 * math.pi * k / r)
-        denom = 1.0 - cgap
-        c2 = (cpsi - cgap) / denom
+        c2 = (cpsi - cgap) / (1.0 - cgap)
         if 0.0 <= c2 <= 1.0:
             ca, sa = math.sqrt(c2), math.sqrt(1.0 - c2)
             phi = 2.0 * math.pi * k * np.arange(r) / r
-            u = np.column_stack([sa * np.cos(phi), sa * np.sin(phi), ca + 0.0 * phi])
-            break
-    if u is None:
-        # no cone fits; start from a jittered polar cap and let the solver try
-        phi = 2.0 * math.pi * np.arange(r) / r
-        u = np.column_stack([np.cos(phi), np.sin(phi), 0.1 + 0.0 * phi])
-        u /= np.linalg.norm(u, axis=1)[:, None]
-
-    step = 0.25
-    for _ in range(500):
-        if _chain_residual(u, cpsi) < 1e-12:
-            break
-        e = np.einsum("ij,ij->i", u, np.roll(u, -1, axis=0)) - cpsi
-        g = 2.0 * (e[:, None] * np.roll(u, -1, axis=0) + np.roll(e, 1)[:, None] * np.roll(u, 1, axis=0))
-        g -= np.einsum("ij,ij->i", g, u)[:, None] * u  # tangent to the sphere
-        u = u - step * g
-        u /= np.linalg.norm(u, axis=1)[:, None]
-    if _chain_residual(u, cpsi) > 1e-9:
-        raise InfeasibleError(f"no {r}-chain found at angle {psi:.6g}")
-    return u
+            return np.column_stack([sa * np.cos(phi), sa * np.sin(phi), ca + 0.0 * phi])
+    raise InfeasibleError(
+        f"no {r}-chain at angle {psi:.6g}: odd r needs psi <= pi - pi/r = {math.pi - math.pi / r:.6g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -532,8 +498,10 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     all with positive coefficients (DLMF 22.11.2), so the phase of the
     curvature's fundamental at frequency 2 pi mu / L is the shift beta.
     The cost is O(N): one cn evaluation (a single sncndn call) over the
-    vertices and one rms misfit.
+    vertices and one rms misfit.  tol must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("need a finite tol > 0")
     if not curve.closed:
         raise DomainError("classification applies to closed curves")
     if curve.dim != 2:

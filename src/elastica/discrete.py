@@ -19,13 +19,13 @@ Bbar = L*B is exactly scale invariant: turning angles do not change under
 dilation and lengths scale linearly.
 
 CSV interchange: header ``s,x,y[,z]`` (s = cumulative arclength), a
-``# closed=true|false`` comment marker, 17 significant digits; on input a
-missing marker falls back to endpoint-coincidence detection.
+``# closed=true|false`` comment marker, 17 significant digits (_csv, which
+also writes the CLI's sample and trajectory CSVs); on input a missing marker
+falls back to endpoint-coincidence detection.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -51,7 +51,6 @@ __all__ = [
     "total_curvature",
     "normalized_energy",
     "fenchel_floor_check",
-    "resample_arclength",
     "detect_multiplicity",
     "liyau_check",
     "curve_to_csv",
@@ -175,19 +174,33 @@ def vertex_arclengths(c: DiscreteCurve) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(c.edge_lengths[: c.n_vertices - 1])])
 
 
+def _turn(a: np.ndarray, b: np.ndarray):
+    """(theta, a . b, |a x b|) for each pair of rows of a and b: the angle
+    between them, its cosine times |a||b| and its sine times |a||b|."""
+    d = np.einsum("ij,ij->i", a, b)
+    if a.shape[1] == 2:
+        n = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    else:
+        n = np.linalg.norm(np.cross(a, b), axis=1)
+    return np.arctan2(n, d), d, n
+
+
+def _turn_ratio(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """theta / n, and 1 where n is not above 1e-300: theta / sin(theta) for
+    unit rows, the factor that keeps grad(theta^2) smooth through 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(n > 1e-300, theta / n, 1.0)
+
+
 def turning_angles(c: DiscreteCurve, signed: bool = False) -> np.ndarray:
     """Turning angle at each turning vertex (all vertices if closed,
     interior ones if open).  signed=True gives the 2D signed angle."""
     a, b = _pairs(c, c.edges)
-    dot = np.einsum("ij,ij->i", a, b)
-    if c.dim == 2:
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        theta = np.arctan2(np.abs(cross), dot)
-        return np.arctan2(cross, dot) if signed else theta
-    if signed:
+    if not signed:
+        return _turn(a, b)[0]
+    if c.dim != 2:
         raise DomainError("signed turning angles are only defined in the plane")
-    cross = np.linalg.norm(np.cross(a, b), axis=1)
-    return np.arctan2(cross, dot)
+    return np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("ij,ij->i", a, b))
 
 
 def curvature_data(c: DiscreteCurve, signed: bool = False):
@@ -228,42 +241,6 @@ def fenchel_floor_check(c: DiscreteCurve, tol: float = 1e-9) -> FenchelReport:
     rep = normalized_energy(c)
     ok = rep.Bbar >= rep.TC**2 - tol and rep.TC >= 2.0 * math.pi - tol
     return FenchelReport(Bbar=rep.Bbar, TC=rep.TC, passed=bool(ok))
-
-
-def resample_arclength(c: DiscreteCurve, N: int) -> DiscreteCurve:
-    """Resample to N equal-arclength edges through a cubic-spline fit.
-
-    The vertices are treated as samples of a smooth curve: a cubic spline
-    in chord-length parameter (periodic when closed) is evaluated at equal
-    arclength.  Refining therefore tracks the smooth curve's bending
-    energy instead of concentrating the old corner angles on shorter dual
-    edges.  N+1 vertices for open curves (endpoints exact), N for closed.
-    Regular polygons at their own N and collinear data reproduce the
-    input; in general length and energy move by O(N^-2).
-    """
-    if N < 3:
-        raise DomainError("need N >= 3")
-    from scipy.interpolate import CubicSpline
-
-    v = c.vertices
-    if c.closed:
-        v = np.vstack([v, v[0]])
-    t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(v, axis=0), axis=1))])
-    spl = CubicSpline(t, v, axis=0, bc_type="periodic" if c.closed else "not-a-knot")
-    # cumulative spline arclength on a 16x refined grid, then invert
-    refine = np.arange(16) / 16.0
-    tt = np.append((t[:-1, None] + np.diff(t)[:, None] * refine).ravel(), t[-1])
-    speed = np.linalg.norm(spl(tt, 1), axis=1)
-    s_grid = np.concatenate([[0.0], np.cumsum(np.diff(tt) * 0.5 * (speed[:-1] + speed[1:]))])
-    L = s_grid[-1]
-    if c.closed:
-        targets = np.arange(N) * (L / N)
-    else:
-        targets = np.linspace(0.0, L, N + 1)
-    out = spl(np.interp(targets, s_grid, tt))
-    if not c.closed:
-        out[0], out[-1] = c.vertices[0], c.vertices[-1]
-    return DiscreteCurve(out, closed=c.closed)
 
 
 _PAIR_BLOCK = 1 << 12  # candidate (point, edge) pairs per block: bounds the temporaries
@@ -362,7 +339,7 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     if not (eps > 0.0 and math.isfinite(eps)):
         raise DomainError("need a finite eps > 0")
     p = c.vertices[: len(e)]
-    a = np.concatenate([[0.0], np.cumsum(ell[:-1])])
+    a = vertex_arclengths(c)[: len(e)]
     steps = min(math.ceil(2.0 * L / eps), 2**16)
     pos = np.arange(steps if c.closed else steps + 1) * (L / steps)
     k = np.searchsorted(a, pos, "right") - 1
@@ -413,10 +390,12 @@ def liyau_check(
     closed-curve floor 4 pi^2, so the report falls back to the Fenchel
     bound (bound_kind "fenchel"); bound_reason says which case held, and
     eps and the visit witnesses are reported with it.  satisfied allows a
-    tol_disc discretization margin.
+    tol_disc discretization margin, which must lie in [0, 1).
     """
     if not c.closed:
         raise DomainError("the multiplicity bound applies to closed curves")
+    if not 0.0 <= tol_disc < 1.0:
+        raise DomainError("need tol_disc in [0, 1)")
     from .curves import varpi_star  # local import: curves depends on this module
 
     mult = detect_multiplicity(c, eps)
@@ -443,15 +422,16 @@ def liyau_check(
 # ---------------------------------------------------------------------------
 # CSV interchange
 
+def _csv(header: str, *cols) -> str:
+    """header, then one row per sample of the columns, 17 significant digits."""
+    rows = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
+    return "\n".join(rows) + "\n"
+
+
 def curve_to_csv(c: DiscreteCurve) -> str:
-    cols = "s,x,y" if c.dim == 2 else "s,x,y,z"
-    s = vertex_arclengths(c)
-    buf = io.StringIO()
-    buf.write(f"# closed={'true' if c.closed else 'false'}\n")
-    buf.write(cols + "\n")
-    for si, vi in zip(s, c.vertices):
-        buf.write(",".join(f"{val:.17g}" for val in (si, *vi)) + "\n")
-    return buf.getvalue()
+    header = "s,x,y" if c.dim == 2 else "s,x,y,z"
+    marker = f"# closed={'true' if c.closed else 'false'}\n"
+    return marker + _csv(header, vertex_arclengths(c), *c.vertices.T)
 
 
 def curve_from_csv(text: str) -> DiscreteCurve:

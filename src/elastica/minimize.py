@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DiscreteCurve, _pairs, curvature_data, length
+from .discrete import DiscreteCurve, _pairs, _turn, _turn_ratio, curvature_data, length
 from .errors import DomainError
 
 __all__ = [
@@ -165,6 +165,12 @@ class MinimizeOptions:
     max_iters: int = 2000
     seed: int | None = None  # smooth random perturbation (_PERTURB_AMP) of the initial arc
 
+    def __post_init__(self):
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError("tol must be None or a finite value > 0")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise DomainError("max_iters must be an integer >= 1")
+
 
 @dataclass(frozen=True)
 class MinimizeResult:
@@ -186,54 +192,32 @@ class MinimizeResult:
 def energy_gradient(c: DiscreteCurve) -> np.ndarray:
     """Per-vertex gradient of bending_energy (closed form).
 
-    B = sum_i 2 theta_i^2 / (a_i + b_i) with theta the turning angle and
-    a, b the adjacent edge lengths; grad(theta^2) comes from the atan2
-    representation, which stays smooth through theta = 0.
+    B = sum_i w_i theta_i^2 with w = 2 / (a + b), theta the turning angle
+    between the unit tangents t_a, t_b of the incoming and outgoing edges
+    and a, b their lengths.  On the sphere grad_{t_a} theta^2 =
+    -2 (theta / sin theta)(t_b - cos(theta) t_a), which stays smooth through
+    theta = 0; the chain rule through t = e / l divides it by a, and the
+    weight adds -(w^2 theta^2 / 2) t_a for the change in length.  Vertex j
+    receives the gradient of edge j - 1 minus that of edge j.
     """
-    e = c.edges
-    if c.dim == 2:  # one 3D code path: the energy only sees |theta|
-        e = np.column_stack([e, np.zeros(len(e))])
-    u, w = _pairs(c, e)
+    t = c.edges / c.edge_lengths[:, None]
+    ta, tb = _pairs(c, t)
     a, b = _pairs(c, c.edge_lengths)
-    nv = c.n_vertices
-    iw = np.arange(nv) if c.closed else np.arange(1, nv - 1)  # turning vertices
-    iu, iwn = iw - 1, (iw + 1) % nv  # edge u = v[iw] - v[iu], edge w = v[iwn] - v[iw]
-    d = np.einsum("ij,ij->i", u, w)
-    C = np.cross(u, w)
-    n = np.linalg.norm(C, axis=1)
-    theta = np.arctan2(n, d)
-    # theta/n -> 1/(a b) as the angle closes; reflex corners (d<0, n->0)
-    # are genuine kinks and never arise along descent
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(n > 1e-300, theta / np.where(n > 1e-300, n, 1.0), 1.0 / (a * b))
-    ab2 = (a * b) ** 2
-    # d(theta^2)/du and /dw; v x C = b^2 u - d w, C x w -> a^2 w - d u
-    g_u = (2.0 / ab2)[:, None] * (
-        (ratio * d)[:, None] * (b**2)[:, None] * u
-        - (ratio * d * d)[:, None] * w
-        - (theta * n)[:, None] * w
-    )
-    g_w = (2.0 / ab2)[:, None] * (
-        (ratio * d)[:, None] * (a**2)[:, None] * w
-        - (ratio * d * d)[:, None] * u
-        - (theta * n)[:, None] * u
-    )
-    # exactly collinear corners: theta = 0 kills every term analytically,
-    # but the expanded products above leave h^-2-amplified rounding crumbs
-    flat = (n == 0.0) & (d > 0.0)
-    if np.any(flat):
-        g_u[flat] = 0.0
-        g_w[flat] = 0.0
-    # f_i = 2 theta^2/(a+b): d/du = 2 d(theta^2)/du/(a+b) - 2 theta^2/(a+b)^2 uhat
-    apb = a + b
-    th2 = theta * theta
-    fu = (2.0 / apb)[:, None] * g_u - (2.0 * th2 / (apb**2 * a))[:, None] * u
-    fw = (2.0 / apb)[:, None] * g_w - (2.0 * th2 / (apb**2 * b))[:, None] * w
-    grad = np.zeros((nv, 3))
-    np.add.at(grad, iu, -fu)
-    np.add.at(grad, iw, fu - fw)
-    np.add.at(grad, iwn, fw)
-    return grad[:, : c.dim]
+    theta, d, n = _turn(ta, tb)
+    w = 2.0 / (a + b)
+    s = -2.0 * w * _turn_ratio(theta, n)
+    # exactly collinear corners: theta = 0 kills every term, but t_b - t_a
+    # can keep a rounding crumb that the 1/l factor amplifies
+    s[(n == 0.0) & (d > 0.0)] = 0.0
+    stretch = (0.5 * (w * theta) ** 2)[:, None]
+    g_a = (s / a)[:, None] * (tb - d[:, None] * ta) - stretch * ta
+    g_b = (s / b)[:, None] * (ta - d[:, None] * tb) - stretch * tb
+    if c.closed:  # edge j leaves vertex j and enters vertex j + 1
+        G = g_b + np.roll(g_a, -1, axis=0)
+        return np.roll(G, 1, axis=0) - G
+    zero = np.zeros((1, c.dim))
+    G = np.vstack([zero, g_b]) + np.vstack([g_a, zero])
+    return -np.diff(np.vstack([zero, G, zero]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +304,8 @@ def _frames(T: np.ndarray) -> np.ndarray:
 def _turning(T: np.ndarray):
     """Turning angles between consecutive tangents, with their cosines and
     theta / sin(theta) (1 at theta = 0)."""
-    a, b = T[:-1], T[1:]
-    d = np.einsum("ij,ij->i", a, b)
-    if T.shape[1] == 2:
-        n = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    else:
-        n = np.linalg.norm(np.cross(a, b), axis=1)
-    theta = np.arctan2(n, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(n > 1e-300, theta / n, 1.0)
-    return theta, d, ratio
+    theta, d, n = _turn(T[:-1], T[1:])
+    return theta, d, _turn_ratio(theta, n)
 
 
 def _energy(T: np.ndarray, h: float) -> float:
@@ -444,9 +420,9 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     if nu is not None:
         D += ((0.5 * h) * (T[a:b] @ nu))[:, None, None] * eye
         if dm == 2:
-            _, c, ratio = _turning(T)
-            k = np.cross(T[:-1], T[1:])
-            k /= np.maximum(np.linalg.norm(k, axis=1), 1e-300)[:, None]
+            theta, c, sn = _turn(T[:-1], T[1:])
+            ratio = _turn_ratio(theta, sn)
+            k = np.cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
             kap = np.einsum("jad,jd->ja", E[1:], k)  # vertex j's binormal in edge j's frame
             # per vertex 0..n, zero at the two ends, which do not turn
             kk = np.zeros((n + 1, dm, dm))

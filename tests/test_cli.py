@@ -413,6 +413,25 @@ class TestMinimize:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("option", [
+        "tol = nan", "tol = -1", "tol = 0", "tol = inf", "max_iters = 0", "max_iters = -1",
+    ])
+    def test_bad_options_exit_2(self, run, tmp_path, option):
+        problem = tmp_path / "bad.txt"
+        problem.write_text(f"P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\n{option}\n")
+        code, out, err = run("minimize", str(problem), "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exits_2(self, run, tmp_path, jobs):
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, out, err = run("minimize", str(problem), "--sweep", "2", "--jobs", jobs, "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_missing_problem_file(self, run, tmp_path):
         code, _, _ = run("minimize", str(tmp_path / "nope.txt"), "--quiet")
         assert code == 2
@@ -490,6 +509,17 @@ class TestIntegrate:
         assert code == 2
         assert "error:" in err
 
+    def test_nan_lam_is_not_echoed(self, run, tmp_path):
+        # the config echo is JSON, which has no NaN; the run rejects it first
+        ic = self.write_ic(tmp_path,
+                           "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
+                           "lam = nan\ns_end = 1\nh = 1e-3\n")
+        code, out, err = run("integrate", ic)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "NaN" not in err and "config:" not in err
+
 
 class TestLeafed:
     def test_planar_odd_r_infeasible(self, run):
@@ -555,6 +585,15 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["kind"] == "not_elastica"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_exits_2(self, run, tmp_path, tol):
+        leaf4 = tmp_path / "leaf4.csv"
+        run("leafed", "--r", "4", "--dim", "2", "--N", "256", "--quiet", "--out", str(leaf4))
+        code, out, err = run("classify", str(leaf4), "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_accepts_flat_trajectory_csv(self, run, tmp_path):
         # integrate pads planar output with z = 0; classify must flatten it
         ic = tmp_path / "ic.txt"
@@ -599,36 +638,6 @@ class TestEntryPoint:
                               timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
-    def test_only_minimize_imports_scipy(self, tmp_path):
-        # scipy.linalg costs every CLI process about 200 ms; only the
-        # minimizer uses it
-        curve = tmp_path / "circle.csv"
-        write_polygon(curve)
-        ic = tmp_path / "ic.txt"
-        ic.write_text("gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
-                      "lam = 1\ns_end = 1\nh = 1e-2\n")
-        out = str(tmp_path / "out")
-        calls = [
-            ["constants"],
-            ["sample", "--family", "wavelike", "--m", "0.5", "--N", "64"],
-            ["energy", str(curve)],
-            ["liyau", str(curve)],
-            ["integrate", str(ic)],
-            ["leafed", "--r", "2", "--dim", "2", "--N", "64"],
-            ["classify", str(curve)],
-        ]
-        script = (
-            "import sys\n"
-            "from elastica.cli import main\n"
-            "assert 'scipy' not in sys.modules\n"
-            f"for argv in {calls!r}:\n"
-            f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
-            "    assert 'scipy' not in sys.modules, argv\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120, env=self.env())
-        assert proc.returncode == 0, proc.stderr
-
     def test_only_minimize_imports_minimizer(self, tmp_path):
         # compiling elastica.minimize costs every process that loads it
         # about 20 ms when no bytecode cache is written
@@ -651,15 +660,34 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
 
     def test_minimize_runs_without_scipy(self, tmp_path):
-        # the minimizer is NumPy only; a None entry makes any SciPy import fail
+        # the library is NumPy only: a None entry makes any SciPy import
+        # fail, and every subcommand, minimize included, must still run
+        curve = tmp_path / "circle.csv"
+        write_polygon(curve)
+        ic = tmp_path / "ic.txt"
+        ic.write_text("gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
+                      "lam = 1\ns_end = 1\nh = 1e-2\n")
         problem = tmp_path / "leaf.txt"
         problem.write_text("P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 64\nseed = 3\n")
+        out = str(tmp_path / "out")
+        calls = [
+            ["constants"],
+            ["sample", "--family", "wavelike", "--m", "0.5", "--N", "64"],
+            ["energy", str(curve)],
+            ["liyau", str(curve)],
+            ["integrate", str(ic)],
+            ["leafed", "--r", "3", "--dim", "3", "--N", "64"],
+            ["classify", str(curve)],
+            ["minimize", str(problem)],
+        ]
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
+            "import elastica\n"
             "from elastica.cli import main\n"
-            f"assert main(['minimize', {str(problem)!r}, '--quiet', "
-            f"'--out', {str(tmp_path / 'sol.csv')!r}]) == 0\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
+            "assert not any(m.startswith('scipy.') for m in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env=self.env())

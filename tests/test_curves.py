@@ -36,12 +36,13 @@ from elastica.discrete import (
     detect_multiplicity,
     length,
     normalized_energy,
-    resample_arclength,
     total_curvature,
 )
 from elastica.elliptic import comp_E, comp_K
 from elastica.errors import DomainError, InfeasibleError
 from elastica.profiles import CurvatureProfile, kappa_sq, profile_c, profile_period
+
+from arclength_resample import resample_arclength
 
 # oracle values (bisection + Newton on 2E-K; entire downstream chain hangs
 # off these, so they are frozen here as well as recomputed)
@@ -307,6 +308,24 @@ class TestSphericalChain:
                 psi, abs=1e-9
             )
 
+    @pytest.mark.parametrize("r", range(3, 13))
+    def test_cone_or_infeasible(self, r):
+        # odd r has no closed chain above pi - pi/r; the cone covers the rest
+        bound = math.pi - math.pi / r
+        for psi in np.linspace(0.05, math.pi - 0.01, 97):
+            if abs(psi - bound) < 1e-9:
+                continue
+            if r % 2 and psi > bound:
+                with pytest.raises(InfeasibleError):
+                    spherical_chain(r, psi)
+                continue
+            u = spherical_chain(r, psi)
+            v = np.roll(u, -1, axis=0)
+            assert u.shape == (r, 3)
+            assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-15
+            angle = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.einsum("ij,ij->i", u, v))
+            assert np.max(np.abs(angle - psi)) < 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             spherical_chain(1, 1.0)
@@ -448,6 +467,12 @@ class TestClassify:
             curve = resample_arclength(curve, per_leaf * (mu if kind == "circle" else 2 * mu))
         res = classify_closed(curve)
         assert (res.kind, res.fold) == (kind, mu)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # a bad tolerance must not read as "not an elastica"
+        with pytest.raises(DomainError):
+            classify_closed(sample_leafed(build_leafed(4, 2), 256), tol=tol)
 
     def test_domain(self):
         with pytest.raises(DomainError):

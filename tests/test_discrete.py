@@ -34,7 +34,6 @@ from elastica.discrete import (
     liyau_check,
     load_curve_csv,
     normalized_energy,
-    resample_arclength,
     save_curve_csv,
     total_curvature,
     turning_angles,
@@ -42,6 +41,8 @@ from elastica.discrete import (
 )
 from elastica.elliptic import comp_K
 from elastica.errors import DomainError
+
+from arclength_resample import resample_arclength
 
 TWO_PI = 2.0 * math.pi
 
@@ -367,6 +368,14 @@ class TestLiYau:
     def test_open_rejected(self):
         with pytest.raises(DomainError):
             liyau_check(leaf_vertices(32))
+
+    @pytest.mark.parametrize("tol_disc", [-5.0, math.nan, 1.0, math.inf])
+    def test_bad_margin_rejected(self, tol_disc):
+        # a bad margin must not read as a violated bound
+        eight = sample_leafed(build_leafed(2, 2), 256)
+        with pytest.raises(DomainError):
+            liyau_check(eight, tol_disc=tol_disc)
+        assert liyau_check(eight, tol_disc=0.01).satisfied
 
     def test_random_petal_curves_always_satisfy(self):
         # universal bound: 200 random curves forced through an r-fold point

@@ -10,7 +10,7 @@ from numpy.random import default_rng
 from scipy.spatial import cKDTree
 
 from elastica.curves import canonical_leaf, figure_eight_modulus, varpi_star
-from elastica.discrete import DiscreteCurve, bending_energy, curvature_data, edge_lengths
+from elastica.discrete import DiscreteCurve, _pairs, bending_energy, curvature_data, edge_lengths
 from elastica.elliptic import cn, comp_E, comp_K
 from elastica.errors import DomainError
 from elastica.minimize import (
@@ -47,6 +47,48 @@ def fd_gradient(c: DiscreteCurve, eps: float = 1e-6) -> np.ndarray:
                 - bending_energy(DiscreteCurve(Vm, closed=c.closed))
             ) / (2.0 * eps)
     return out
+
+
+def reference_energy_gradient(c: DiscreteCurve) -> np.ndarray:
+    """The expanded-algebra gradient that energy_gradient replaced, kept as
+    a reference: 2-D edges padded to 3-D, grad(theta^2) from the atan2 form
+    of theta written out in the raw edges u, w, scattered with np.add.at."""
+    e = c.edges
+    if c.dim == 2:
+        e = np.column_stack([e, np.zeros(len(e))])
+    u, w = _pairs(c, e)
+    a, b = _pairs(c, c.edge_lengths)
+    nv = c.n_vertices
+    iw = np.arange(nv) if c.closed else np.arange(1, nv - 1)
+    iu, iwn = iw - 1, (iw + 1) % nv
+    d = np.einsum("ij,ij->i", u, w)
+    n = np.linalg.norm(np.cross(u, w), axis=1)
+    theta = np.arctan2(n, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(n > 1e-300, theta / np.where(n > 1e-300, n, 1.0), 1.0 / (a * b))
+    ab2 = (a * b) ** 2
+    g_u = (2.0 / ab2)[:, None] * (
+        (ratio * d)[:, None] * (b**2)[:, None] * u
+        - (ratio * d * d)[:, None] * w
+        - (theta * n)[:, None] * w
+    )
+    g_w = (2.0 / ab2)[:, None] * (
+        (ratio * d)[:, None] * (a**2)[:, None] * w
+        - (ratio * d * d)[:, None] * u
+        - (theta * n)[:, None] * u
+    )
+    flat = (n == 0.0) & (d > 0.0)
+    g_u[flat] = 0.0
+    g_w[flat] = 0.0
+    apb = a + b
+    th2 = theta * theta
+    fu = (2.0 / apb)[:, None] * g_u - (2.0 * th2 / (apb**2 * a))[:, None] * u
+    fw = (2.0 / apb)[:, None] * g_w - (2.0 * th2 / (apb**2 * b))[:, None] * w
+    grad = np.zeros((nv, 3))
+    np.add.at(grad, iu, -fu)
+    np.add.at(grad, iw, fu - fw)
+    np.add.at(grad, iwn, fw)
+    return grad[:, : c.dim]
 
 
 def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
@@ -119,6 +161,15 @@ class TestEnergyGradient:
         gR = energy_gradient(DiscreteCurve(V @ R.T, closed=True))
         assert np.allclose(gR, g @ R.T, rtol=1e-10, atol=1e-12)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 64), dim=st.sampled_from([2, 3]),
+           closed=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_expanded_reference(self, seed, n, dim, closed):
+        c = DiscreteCurve(default_rng(seed).normal(size=(n, dim)), closed=closed)
+        g, ref = energy_gradient(c), reference_energy_gradient(c)
+        assert g.shape == ref.shape
+        assert np.max(np.abs(g - ref)) <= 1e-9 * np.max(np.abs(ref))
+
 
 class TestProblemValidation:
     def test_pinned_rejects_far_endpoints(self):
@@ -167,6 +218,20 @@ class TestProblemValidation:
         # cannot bridge the remaining gap
         with pytest.raises(DomainError):
             ClampedProblem(np.zeros(2), 0.9 * EX, 1.0, 8, -EX, EX)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_options_reject_bad_tol(self, tol):
+        with pytest.raises(DomainError):
+            MinimizeOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 1.5, math.nan])
+    def test_options_reject_bad_budget(self, max_iters):
+        with pytest.raises(DomainError):
+            MinimizeOptions(max_iters=max_iters)
+
+    def test_options_accept_valid_values(self):
+        assert MinimizeOptions(tol=None, max_iters=1).max_iters == 1
+        assert MinimizeOptions(tol=1e-3, max_iters=np.int64(5)).tol == 1e-3
 
 
 @pytest.fixture(scope="module")

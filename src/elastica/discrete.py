@@ -84,10 +84,13 @@ class DiscreteCurve:
             raise DomainError("a discrete curve needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise DomainError("vertices must be finite")
-        e = np.diff(v, axis=0)
-        if self.closed:
-            e = np.vstack([e, v[0] - v[-1]])
-        ell = np.linalg.norm(e, axis=1)
+        with np.errstate(over="ignore"):  # finite vertices can still overflow an edge
+            e = np.diff(v, axis=0)
+            if self.closed:
+                e = np.vstack([e, v[0] - v[-1]])
+            ell = np.linalg.norm(e, axis=1)
+            if not math.isfinite(ell.sum()):
+                raise DomainError("edge lengths must be finite")
         if np.any(ell == 0.0):
             raise DomainError("consecutive vertices must be distinct")
         for name, arr in (("vertices", v), ("edges", e), ("edge_lengths", ell)):
@@ -235,15 +238,17 @@ def normalized_energy(c: DiscreteCurve) -> EnergyReport:
 
 
 def fenchel_floor_check(c: DiscreteCurve, tol: float = 1e-9) -> FenchelReport:
-    """Checks the chain Bbar >= TC^2 >= 4 pi^2 for a closed curve."""
+    """Checks the chain Bbar >= TC^2 >= 4 pi^2 for a closed curve up to a finite tol >= 0."""
     if not c.closed:
         raise DomainError("the energy floor applies to closed curves")
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise DomainError("need a finite tol >= 0")
     rep = normalized_energy(c)
     ok = rep.Bbar >= rep.TC**2 - tol and rep.TC >= 2.0 * math.pi - tol
     return FenchelReport(Bbar=rep.Bbar, TC=rep.TC, passed=bool(ok))
 
 
-_PAIR_BLOCK = 1 << 12  # candidate (point, edge) pairs per block: bounds the temporaries
+_PAIR_BLOCK = 1 << 14  # candidate (point, edge) pairs per block: bounds the temporaries
 
 
 def _near_edges(x, pos, p, e, a, ell, period, eps):
@@ -260,50 +265,63 @@ def _near_edges(x, pos, p, e, a, ell, period, eps):
     around each point; a block holds about _PAIR_BLOCK candidates.
     """
     ne, dim = p.shape
+    pt, xt = p.T.copy(), x.T.copy()  # coordinate rows: fast to reduce and hash
     # a point within eps of an edge lies within eps + max(ell) of the
     # edge's start, so with cells that wide the two sit in neighbouring
     # cells; the floor on the width keeps the cell keys inside int64
-    lo = np.minimum(p.min(axis=0), x.min(axis=0))
-    extent = np.maximum(p.max(axis=0), x.max(axis=0)) - lo
+    lo = np.minimum(pt.min(axis=1), xt.min(axis=1))
+    extent = np.maximum(pt.max(axis=1), xt.max(axis=1)) - lo
     width = max(eps + float(ell.max()), float(extent.max()) * 2.0**-20)
-    stride = np.cumprod(np.r_[1, extent[:-1] // width + 3]).astype(np.int64)
+    stride = np.cumprod(np.r_[1, (extent[:-1] / width).astype(np.int64) + 3])
 
-    def cell_keys(y):
-        key = np.zeros(len(y), np.int64)
-        for axis in range(dim):  # one axis at a time keeps temporaries 1-D
-            key += ((y[:, axis] - lo[axis]) // width + 1.0).astype(np.int64) * stride[axis]
+    def cell_keys(yt):
+        key = np.full(yt.shape[1], stride.sum())  # index + 1 per axis: neighbours >= 0
+        for axis in range(dim):  # yt >= lo, so the cast floors the quotient
+            key += ((yt[axis] - lo[axis]) / width).astype(np.int64) * stride[axis]
         return key
 
-    key = cell_keys(p)
+    key = cell_keys(pt)
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim))) @ stride
     order = np.argsort(key, kind="stable")
     cells, first, size = np.unique(key[order], return_index=True, return_counts=True)
-    qcells, home = np.unique(cell_keys(x), return_inverse=True)
+    qcells, home = np.unique(cell_keys(xt), return_inverse=True)
     # per point cell and offset: where the neighbour cell's edges start in
     # `order`, and how many there are
     nb = qcells[:, None] + offsets
     slot = np.minimum(np.searchsorted(cells, nb), len(cells) - 1)
     nb_first = first[slot]
     nb_size = np.where(cells[slot] == nb, size[slot], 0)
-    total = np.cumsum(nb_size.sum(axis=1)[home])
+    del nb, slot
+    per_point = nb_size.sum(axis=1)[home]
+    total = np.cumsum(per_point)
+    a_end, ell_sq = a + ell, ell * ell  # elementwise: gathered, the same floats as per pair
+
+    def block(k0, k1):
+        cnt = nb_size[home[k0:k1]].ravel()
+        q = np.repeat(np.arange(k0, k1), per_point[k0:k1])
+        shift = nb_first[home[k0:k1]].ravel() - (np.cumsum(cnt) - cnt)
+        j = order[np.arange(len(q)) + np.repeat(shift, cnt)]
+        aj, sq = a[j], pos[q]
+        span = np.maximum(a_end[j], sq) - np.minimum(aj, sq)
+        apart = np.flatnonzero(np.minimum(span - ell[j], period - span) > 3.0 * eps)
+        del aj, sq, span  # one block's temporaries set the peak memory
+        q, j = q[apart], j[apart]
+        w = x.take(q, axis=0)
+        w -= p.take(j, axis=0)
+        ej = e.take(j, axis=0)
+        t = np.clip(np.einsum("ij,ij->i", w, ej) / ell_sq[j], 0.0, 1.0)
+        ej *= t[:, None]
+        w -= ej
+        d = np.sqrt(np.einsum("ij,ij->i", w, w))
+        near = np.flatnonzero(d <= eps)
+        near = near[np.argsort(q[near] * ne + j[near], kind="stable")]
+        return q[near], j[near], d[near], t[near]
+
     k0 = 0
     while k0 < len(x):
         done = total[k0 - 1] if k0 else 0
         k1 = max(k0 + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, "right")))
-        cnt = nb_size[home[k0:k1]].ravel()
-        q = np.repeat(np.repeat(np.arange(k0, k1), len(offsets)), cnt)
-        shift = nb_first[home[k0:k1]].ravel() - (np.cumsum(cnt) - cnt)
-        j = order[np.arange(len(q)) + np.repeat(shift, cnt)]
-        span = np.maximum(a[j] + ell[j], pos[q]) - np.minimum(a[j], pos[q])
-        apart = np.minimum(span - ell[j], period - span) > 3.0 * eps
-        q, j = q[apart], j[apart]
-        w = x[q] - p[j]
-        t = np.clip(np.einsum("ij,ij->i", w, e[j]) / (ell[j] * ell[j]), 0.0, 1.0)
-        w -= t[:, None] * e[j]
-        d = np.sqrt(np.einsum("ij,ij->i", w, w))
-        near = np.flatnonzero(d <= eps)
-        near = near[np.argsort(q[near] * ne + j[near], kind="stable")]
-        yield q[near], j[near], d[near], t[near]
+        yield block(k0, k1)
         k0 = k1
 
 
@@ -311,20 +329,20 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     """Most distinct visits the curve pays to the eps-ball around one of
     its points.
 
-    The curve is sampled at equal arclength steps of at most eps/2 (at
-    least L / 2^16, which caps the samples at 2^16 + 1).  The partners of
-    a sample x are the edges whose exact distance to x is at most eps and
-    which more than 3 eps of arclength separate from x (circularly on a
-    closed curve).  They split into visits wherever the arclength gap
-    between consecutive partners exceeds 3 eps; on a closed curve a visit
-    across the seam counts once.  r is 1 (the curve's own pass through x)
-    plus the largest visit count.  Every crossing lies within eps/4 of a
-    sample, so it is found wherever it falls between vertices.  The
-    report is taken at the sample with the most visits whose farthest
-    visit passes closest: point is that sample, witnesses the sorted
-    arclengths of x and of the nearest point of each visit, which lie
-    more than 3 eps apart.  eps must be finite and positive; default
-    eps = 1e-3 * L.
+    The curve is sampled at equal arclength steps of at most eps/2.  The
+    partners of a sample x are the edges whose exact distance to x is at
+    most eps and which more than 3 eps of arclength separate from x
+    (circularly on a closed curve).  They split into visits wherever the
+    arclength gap between consecutive partners exceeds 3 eps; on a closed
+    curve a visit across the seam counts once.  r is 1 (the curve's own
+    pass through x) plus the largest visit count.  Every crossing lies
+    within eps/4 of a sample, so it is found wherever it falls between
+    vertices.  The report is taken at the sample with the most visits
+    whose farthest visit passes closest: point is that sample, witnesses
+    the sorted arclengths of x and of the nearest point of each visit,
+    which lie more than 3 eps apart.  Default eps = 1e-3 * L; eps must be
+    finite and at least 2L / 2^16 (at most 2^16 + 1 samples), else
+    DomainError: a coarser sampling could miss a crossing.
 
     Edges are hashed into a uniform grid, so for curves whose edges are
     short against their extent the cost grows linearly in the number of
@@ -336,11 +354,11 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     e, ell, L = c.edges, c.edge_lengths, length(c)
     if eps is None:
         eps = 1e-3 * L
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError("need a finite eps > 0")
+    if not (eps >= 2.0 * L / 2**16 and math.isfinite(eps)):
+        raise DomainError(f"need a finite eps >= 2 L / 2^16 = {2.0 * L / 2**16:.17g}")
     p = c.vertices[: len(e)]
     a = vertex_arclengths(c)[: len(e)]
-    steps = min(math.ceil(2.0 * L / eps), 2**16)
+    steps = math.ceil(2.0 * L / eps)
     pos = np.arange(steps if c.closed else steps + 1) * (L / steps)
     k = np.searchsorted(a, pos, "right") - 1
     x = p[k] + ((pos - a[k]) / ell[k])[:, None] * e[k]
@@ -353,12 +371,14 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
         new[1:] = (q[1:] != q[:-1]) | (a[j[1:]] - a[j[:-1]] - ell[j[:-1]] > 3.0 * eps)
         starts = np.flatnonzero(new)
         near = np.minimum.reduceat(d, starts)  # how close each visit passes
-        points, at, runs = np.unique(q[starts], return_index=True, return_counts=True)
-        end = np.append(starts[at[1:]], len(q))  # past each point's last partner
+        qs = q[starts]  # sorted, so each point's visits are consecutive
+        at = np.flatnonzero(np.r_[True, qs[1:] != qs[:-1]])  # each point's first visit
+        runs, first, points = np.diff(np.append(at, len(qs))), starts[at], qs[at]
+        end = np.append(first[1:], len(q))  # past each point's last partner
         visits = runs
         if c.closed:
             # a point's last visit joins its first across the seam
-            first, last, tail = starts[at], at + runs - 1, end - 1
+            last, tail = at + runs - 1, end - 1
             seam = (runs > 1) & (a[j[first]] + L - a[j[tail]] - ell[j[tail]] <= 3.0 * eps)
             near[at[seam]] = np.minimum(near[at[seam]], near[last[seam]])
             near[last[seam]] = 0.0

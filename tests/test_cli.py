@@ -305,6 +305,15 @@ class TestLiyau:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-14"])
+    def test_eps_contract_exits_2(self, run, tmp_path, eps):
+        # every eps the library rejects, the sampling floor 2 L / 2^16 included
+        path = tmp_path / "eight.csv"
+        assert run("leafed", "--r", "2", "--dim", "2", "--N", "256", "--out", str(path), "--quiet")[0] == 0
+        code, out, err = run("liyau", str(path), f"--eps={eps}", "--quiet")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestMinimize:
     def leaf_problem(self, tmp_path, n: int = 96, seed: int = 3):

@@ -1,5 +1,6 @@
 """Discrete curve model: energies, bounds, multiplicity, CSV interchange."""
 
+import inspect
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import elastica.discrete as discrete
 from elastica.curves import (
     PlanarElastica,
     build_leafed,
@@ -43,6 +45,7 @@ from elastica.elliptic import comp_K
 from elastica.errors import DomainError
 
 from arclength_resample import resample_arclength
+from multiplicity_reference import narrow_phase_args, reference_detect_multiplicity, reference_near_edges
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,6 +413,17 @@ def posed(c: DiscreteCurve, seed: int, scale: float, shift: float) -> DiscreteCu
 LEAFED = [(2, 2), (4, 2), (3, 3), (4, 3)]
 
 
+GRAZING_EPS = 0.01
+
+
+def grazing_pass(eps: float) -> DiscreteCurve:
+    # the second lap runs at distance eps(1 + 0.1 sin) from the first, so
+    # it leaves and re-enters the eps-ball every eps of arclength
+    th = 4.0 * math.pi * np.arange(16384) / 16384
+    rho = 1.0 + np.where(th >= 2.0 * math.pi, eps * (1.0 + 0.1 * np.sin(th * math.pi / eps)), 0.0)
+    return DiscreteCurve(rho[:, None] * np.column_stack([np.cos(th), np.sin(th)]), closed=True)
+
+
 class TestMultiplicityVisits:
     # phase in units of the vertex spacing; with the double point between
     # vertices no vertex lies within eps of the other strand
@@ -421,14 +435,8 @@ class TestMultiplicityVisits:
         assert liyau_check(c).bound_kind == "liyau"
 
     def test_grazing_pass_counts_once(self):
-        # the second lap runs at distance eps(1 + 0.1 sin) from the first,
-        # so it leaves and re-enters the eps-ball every eps of arclength:
-        # gaps under 3 eps join its pieces into one visit
-        eps = 0.01
-        th = 4.0 * math.pi * np.arange(16384) / 16384
-        rho = 1.0 + np.where(th >= 2.0 * math.pi, eps * (1.0 + 0.1 * np.sin(th * math.pi / eps)), 0.0)
-        c = DiscreteCurve(rho[:, None] * np.column_stack([np.cos(th), np.sin(th)]), closed=True)
-        assert detect_multiplicity(c, eps).r == 2
+        # gaps under 3 eps join the second lap's pieces into one visit
+        assert detect_multiplicity(grazing_pass(GRAZING_EPS), GRAZING_EPS).r == 2
 
 
 class TestMultiplicityInvariance:
@@ -553,3 +561,175 @@ class TestCurvatureData:
     def test_edge_lengths_roll(self):
         c = DiscreteCurve([[0, 0], [2, 0], [2, 1]], closed=True)
         assert edge_lengths(c) == pytest.approx([2.0, 1.0, math.sqrt(5)])
+
+
+def assert_same_report(c: DiscreteCurve, eps=None):
+    # every (point, edge) pair within eps and every MultiplicityReport
+    # field, bit for bit, against the reference; the blocks may split
+    # differently
+    args = narrow_phase_args(c, eps)
+    new, ref = (list(map(np.concatenate, zip(*f(*args)))) for f in (discrete._near_edges, reference_near_edges))
+    assert [col.tobytes() for col in new] == [col.tobytes() for col in ref]
+    new, ref = detect_multiplicity(c, eps), reference_detect_multiplicity(c, eps)
+    assert (new.r, new.eps, new.witnesses) == (ref.r, ref.eps, ref.witnesses)
+    assert new.point.tobytes() == ref.point.tobytes()
+    assert np.array(new.witnesses).tobytes() == np.array(ref.witnesses).tobytes()
+    return new
+
+
+# the closed kinds of the exact_closed benchmark workload: (leaf count or
+# covering number, dimension); a leaf count of 0 is the figure-eight
+EXACT_CLOSED = {
+    "figure_eight": (0, 2),
+    "leafed2": (2, 2),
+    "leafed4": (4, 2),
+    "propeller3": (3, 3),
+    "propeller4": (4, 3),
+    "circle1": (1, 2),
+    "circle2": (2, 2),
+    "circle3": (3, 2),
+}
+
+
+def exact_closed_curve(kind: str, npl: int) -> DiscreteCurve:
+    r, dim = EXACT_CLOSED[kind]
+    if kind == "figure_eight":
+        c = phased_eight(2 * npl, 0.3 * 4.0 * comp_K(figure_eight_modulus()))
+    elif kind.startswith("circle"):
+        c = regular_polygon(npl * r, folds=r)
+    else:
+        c = sample_leafed(build_leafed(r, dim), npl)
+    return posed(c, seed=npl, scale=1.7, shift=0.5)
+
+
+@st.composite
+def polylines(draw):
+    # random polylines in 2-D and 3-D, some traced up to three times with a
+    # little noise so that points are visited more than twice
+    dim, n, folds = draw(st.sampled_from([2, 3])), draw(st.integers(3, 40)), draw(st.integers(1, 3))
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 1e-3, 3e-2]))
+    v = np.tile(rng.uniform(-1.0, 1.0, size=(n, dim)), (folds, 1))
+    v += rng.normal(scale=noise, size=v.shape)
+    return DiscreteCurve(v, closed=draw(st.booleans()))
+
+
+class TestNarrowPhaseReference:
+    """detect_multiplicity gives the reference implementation's report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=polylines(), frac=st.one_of(st.none(), st.floats(2e-3, 0.3)))
+    def test_random_polylines(self, c, frac):
+        assert_same_report(c, None if frac is None else frac * length(c))
+
+    @pytest.mark.parametrize("npl", [256, 1024, 4096])
+    @pytest.mark.parametrize("kind", list(EXACT_CLOSED))
+    def test_exact_closed_kinds(self, kind, npl):
+        r = EXACT_CLOSED[kind][0] or 2
+        assert assert_same_report(exact_closed_curve(kind, npl)).r == r
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_double_point_between_vertices(self, n):
+        c = phased_eight(n, 0.37 * 4.0 * comp_K(figure_eight_modulus()) / n)
+        assert assert_same_report(c).r == 2
+
+    def test_grazing_pass(self):
+        assert assert_same_report(grazing_pass(GRAZING_EPS), GRAZING_EPS).r == 2
+
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, block):
+        cases = [(exact_closed_curve("leafed4", 256), None), (exact_closed_curve("propeller3", 256), None),
+                 (grazing_pass(GRAZING_EPS), GRAZING_EPS), (petal_curve(default_rng(7), 3), 0.05)]
+        want = [detect_multiplicity(c, eps) for c, eps in cases]
+        monkeypatch.setattr(discrete, "_PAIR_BLOCK", block)
+        for (c, eps), w in zip(cases, want):
+            got = detect_multiplicity(c, eps)
+            assert (got.r, got.witnesses, got.eps) == (w.r, w.witnesses, w.eps)
+            assert got.point.tobytes() == w.point.tobytes()
+
+
+def check_fenchel_at_zero_margin(rep):
+    assert math.isfinite(rep.Bbar) and math.isfinite(rep.TC)
+    assert rep.passed == (rep.Bbar >= rep.TC**2 and rep.TC >= 2.0 * math.pi)
+    assert rep.passed  # the eight is far from equality in both
+
+
+def check_liyau_at_zero_margin(rep):
+    assert all(map(math.isfinite, (rep.Bbar, rep.bound, rep.slack, rep.eps)))
+    assert rep.satisfied == (rep.Bbar >= rep.bound)
+
+
+BAD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+# every float parameter of a function in discrete.__all__: the values of
+# BAD_FLOATS that give a documented result, with its check; every other
+# value must raise DomainError
+FLOAT_CONTRACTS = {
+    ("fenchel_floor_check", "tol"): {0.0: check_fenchel_at_zero_margin},
+    ("detect_multiplicity", "eps"): {},
+    ("liyau_check", "eps"): {},
+    ("liyau_check", "tol_disc"): {0.0: check_liyau_at_zero_margin},
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        # the report classes are outputs; DiscreteCurve's floats are its
+        # vertices, checked below
+        found = {
+            (name, par.name)
+            for name in discrete.__all__
+            if inspect.isfunction(obj := getattr(discrete, name))
+            for par in inspect.signature(obj).parameters.values()
+            if "float" in str(par.annotation)
+        }
+        assert found == set(FLOAT_CONTRACTS)
+
+    @pytest.mark.parametrize("value", BAD_FLOATS, ids=str)
+    @pytest.mark.parametrize("fn,param", list(FLOAT_CONTRACTS), ids=[".".join(k) for k in FLOAT_CONTRACTS])
+    def test_float_parameter(self, fn, param, value):
+        c = sample_leafed(build_leafed(2, 2), 256)
+        check = FLOAT_CONTRACTS[(fn, param)].get(value)
+        if check is None:
+            with pytest.raises(DomainError):
+                getattr(discrete, fn)(c, **{param: value})
+        else:
+            check(getattr(discrete, fn)(c, **{param: value}))
+
+    @pytest.mark.parametrize("value", BAD_FLOATS, ids=str)
+    def test_vertex_coordinate(self, value):
+        # through the constructor and through a CSV cell
+        rows = [[0.0, 0.0], [1.0, 0.0], [2.0, value], [0.0, 1.0]]
+        text = "s,x,y\n" + "".join(f"{i},{x},{y}\n" for i, (x, y) in enumerate(rows))
+        if math.isfinite(value):
+            assert math.isfinite(length(DiscreteCurve(rows, closed=True)))
+            assert math.isfinite(length(curve_from_csv(text)))
+            return
+        with pytest.raises(DomainError):
+            DiscreteCurve(rows, closed=True)
+        with pytest.raises(DomainError):
+            curve_from_csv(text)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e307])
+    def test_overflowing_edges_rejected(self, scale):
+        # finite vertices whose edge lengths or total length overflow; a
+        # RuntimeWarning fails the suite, so the check must emit none
+        with pytest.raises(DomainError):
+            DiscreteCurve(scale * regular_polygon(4096).vertices, closed=True)
+        with pytest.raises(DomainError):
+            DiscreteCurve([[-scale, 0.0], [scale, 0.0], [0.0, 1.0]], closed=False)
+
+    @pytest.mark.parametrize("frac", [5e-324, 1e-14, 5e-6, 2.0**-15 * (1.0 - 2.0**-52)])
+    def test_eps_below_the_sampling_floor(self, frac):
+        # below 2L / 2^16 the 2^16 sample cap would leave crossings more than
+        # eps/4 from every sample: a 4096-gon read as doubly covered, and
+        # figure-eights whose double point was missed
+        for c in (regular_polygon(4096), phased_eight(512, 0.37 * 4.0 * comp_K(figure_eight_modulus()) / 512)):
+            with pytest.raises(DomainError):
+                detect_multiplicity(c, frac * length(c))
+            with pytest.raises(DomainError):
+                liyau_check(c, eps=frac * length(c))
+
+    def test_eps_at_the_sampling_floor(self):
+        c = regular_polygon(1024, folds=2)
+        rep = detect_multiplicity(c, 2.0 * length(c) / 2**16)
+        assert rep.r == 2 and rep.eps == 2.0 * length(c) / 2**16

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,6 +115,8 @@ def check_closure(family: str, m: float, tol: float = 1e-9) -> bool:
         raise DomainError(f"closure test applies to wavelike/orbitlike, not {family!r}")
     if not 0.0 < m < 1.0:
         raise DomainError("need m in (0,1)")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("need a finite tol > 0")
     if family == "orbitlike":
         return False
     return abs(2.0 * comp_E(m) - comp_K(m)) < tol
@@ -222,7 +224,6 @@ class PlanarElastica:
 
 
 def _canon_point(tag: str, m, s):
-    s = np.asarray(s, dtype=float)
     if tag == "linear":
         return s, np.zeros_like(s)
     if tag == "wavelike":
@@ -235,7 +236,6 @@ def _canon_point(tag: str, m, s):
 
 
 def _canon_theta(tag: str, m, s):
-    s = np.asarray(s, dtype=float)
     if tag == "linear":
         return np.zeros_like(s)
     if tag == "wavelike":
@@ -248,7 +248,6 @@ def _canon_theta(tag: str, m, s):
 
 
 def _canon_k(tag: str, m, s):
-    s = np.asarray(s, dtype=float)
     if tag == "linear":
         return np.zeros_like(s)
     if tag == "wavelike":
@@ -261,7 +260,6 @@ def _canon_k(tag: str, m, s):
 
 
 def _canon_k_prime(tag: str, m, s):
-    s = np.asarray(s, dtype=float)
     if tag == "wavelike":
         return -2.0 * math.sqrt(m) * sn(s, m) * dn(s, m)
     if tag == "borderline":
@@ -271,16 +269,25 @@ def _canon_k_prime(tag: str, m, s):
     return np.zeros_like(s)  # linear, circular
 
 
+def _canon_arg(e: PlanarElastica, s) -> np.ndarray:
+    """Canonical parameter u = s/scale + s0 of arclength s; it must be finite."""
+    with np.errstate(over="ignore"):
+        u = np.asarray(s, dtype=float) / e.similarity.scale + e.s0
+    if not np.isfinite(u).all():
+        raise DomainError("arclength s and s/scale + s0 must be finite")
+    return u
+
+
 def eval_planar(e: PlanarElastica, s):
     """Point at arclength s (arrays allowed): similarity of the canonical curve."""
-    u = np.asarray(s, dtype=float) / e.similarity.scale + e.s0
+    u = _canon_arg(e, s)
     x, y = e.similarity.apply(*_canon_point(e.family, e.m, u))
     return _shape_like(s, x, y)
 
 
 def eval_theta(e: PlanarElastica, s):
     """Tangential angle: d/ds eval_planar = (cos theta, sin theta)."""
-    u = np.asarray(s, dtype=float) / e.similarity.scale + e.s0
+    u = _canon_arg(e, s)
     th = _canon_theta(e.family, e.m, u)
     if e.similarity.reflect:
         th = -th
@@ -289,7 +296,7 @@ def eval_theta(e: PlanarElastica, s):
 
 def eval_k(e: PlanarElastica, s):
     """Signed curvature: d/ds eval_theta."""
-    u = np.asarray(s, dtype=float) / e.similarity.scale + e.s0
+    u = _canon_arg(e, s)
     k = _canon_k(e.family, e.m, u) / e.similarity.scale
     if e.similarity.reflect:
         k = -k
@@ -301,7 +308,7 @@ def planar_state(e: PlanarElastica, s: float):
     position-form ODE.  d2 = k N, d3 = k' N - k^2 d1."""
     Lam = e.similarity.scale
     sgn = -1.0 if e.similarity.reflect else 1.0
-    u = s / Lam + e.s0
+    u = _canon_arg(e, s)
     th = float(eval_theta(e, s))
     k = float(eval_k(e, s))
     kp = sgn * float(_canon_k_prime(e.family, e.m, u)) / Lam**2
@@ -318,7 +325,9 @@ def planar_state(e: PlanarElastica, s: float):
 class Leaf:
     """Half figure-eight: the wavelike arc gamma_w(s - K(m*), m*) on
     s in [0, 2K(m*)].  Both endpoints sit at the origin (closure is exactly
-    the condition 2E = K) with vanishing curvature."""
+    the condition 2E = K) with vanishing curvature.  It is evaluated by
+    eval_planar, eval_theta and eval_k on `elastica`, the wavelike
+    PlanarElastica at m* with phase s0 = -K."""
 
     m: float
     K: float
@@ -327,17 +336,9 @@ class Leaf:
     def length(self) -> float:
         return 2.0 * self.K
 
-    def point(self, s):
-        u = np.asarray(s, dtype=float) - self.K
-        return np.stack(_canon_point("wavelike", self.m, u), axis=-1)
-
-    def tangent_angle(self, s):
-        u = np.asarray(s, dtype=float) - self.K
-        return _shape_like(s, _canon_theta("wavelike", self.m, u))
-
-    def curvature(self, s):
-        u = np.asarray(s, dtype=float) - self.K
-        return _shape_like(s, _canon_k("wavelike", self.m, u))
+    @cached_property
+    def elastica(self) -> PlanarElastica:
+        return PlanarElastica("wavelike", self.m, s0=-self.K)
 
 
 @lru_cache(maxsize=1)
@@ -346,12 +347,17 @@ def canonical_leaf() -> Leaf:
     return Leaf(m=m, K=comp_K(m))
 
 
+def _require_count(n, least: int, name: str) -> None:
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"need an integer {name} >= {least}")
+
+
 def build_leaf(N: int) -> DiscreteCurve:
     """Open polyline with N+1 arclength-uniform samples of the leaf."""
-    if N < 2:
-        raise DomainError("need N >= 2")
+    _require_count(N, 2, "N")
     leaf = canonical_leaf()
-    return DiscreteCurve(leaf.point(np.linspace(0.0, leaf.length, N + 1)), closed=False)
+    x, y = eval_planar(leaf.elastica, np.linspace(0.0, leaf.length, N + 1))
+    return DiscreteCurve(np.column_stack([x, y]), closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +373,7 @@ def spherical_chain(r: int, psi: float) -> np.ndarray:
     (psi <= 2 pi k / r) is taken.  Even r always fits, at k = r/2; odd r
     fits exactly when psi <= pi - pi/r, and InfeasibleError is raised above.
     """
-    if r < 2:
-        raise DomainError("need r >= 2")
+    _require_count(r, 2, "r")
     if not 0.0 < psi < math.pi:
         raise DomainError("need psi in (0, pi)")
     if r == 2:
@@ -433,8 +438,7 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
     taking the canonical start/end tangent pair to (u_i, u_{i+1}) from
     spherical_chain, keeping each leaf's plane through the pair bisector.
     """
-    if r < 2:
-        raise DomainError("need r >= 2")
+    _require_count(r, 2, "r")
     if dim not in (2, 3):
         raise DomainError("dim must be 2 or 3")
     ts, te = _leaf_end_tangents(dim)
@@ -462,13 +466,11 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
 
 def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
     """Closed polyline with n_per_leaf vertices per leaf (junctions shared)."""
-    if n_per_leaf < 3:
-        raise DomainError("need n_per_leaf >= 3")
+    _require_count(n_per_leaf, 3, "n_per_leaf")
     leaf = canonical_leaf()
     s = np.arange(n_per_leaf) * (leaf.length / n_per_leaf)  # endpoint omitted
-    pts = leaf.point(s)
-    if le.dim == 3:
-        pts = np.column_stack([pts, np.zeros(len(pts))])
+    x, y = eval_planar(leaf.elastica, s)
+    pts = np.column_stack([x, y, np.zeros_like(x)][: le.dim])
     return DiscreteCurve(
         np.vstack([mot.apply(pts) for mot in le.motions]), closed=True
     )
@@ -556,11 +558,13 @@ def reconstruct_spatial(
     F = np.array(frame0, dtype=float)
     if F.shape != (3, 3) or not np.allclose(F @ F.T, np.eye(3), atol=1e-12):
         raise DomainError("frame0 must be an orthonormal (T, N, B) triple")
-    if not h > 0.0:
-        raise DomainError("need h > 0")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError("need a finite h > 0")
     s_min, s_max = map(float, s_range)
     if not s_max > s_min:
         raise DomainError("need s_max > s_min")
+    if not math.isfinite((s_max - s_min) / h):
+        raise DomainError("need a finite s_range, and finitely many steps of h")
     c = profile_c(p)
 
     def rates(svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

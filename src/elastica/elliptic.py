@@ -9,13 +9,15 @@ modulus k).  Definitions:
     am(x, m) = inverse of F(., m),  sn = sin(am),  cn = cos(am),
     dn = sqrt(1 - m sn^2)
 
-Algorithms: complete integrals by the arithmetic-geometric mean, incomplete
-ones by Carlson symmetric-form duplication (R_F, R_D), and sn/cn/dn by a
-descending Landen/AGM chain with a trigonometric base case.  The amplitude
-comes from the same chain: am = atan2(sn, cn) on the branch nearest
-pi x / (2K), and the Jacobi epsilon function is Carlson's E(am, m) written
-in sn/cn/dn after reducing x by the period 2K.  All are quadratically
-convergent and well-conditioned as m -> 1.
+Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`)
+serves K, E and sn/cn/dn: K and E come from its limit and its gap sum, and
+sn/cn/dn from a descending Landen transformation through its legs with a
+trigonometric base case.  Incomplete integrals are Carlson symmetric-form
+duplication (R_F, R_D) on the principal branch |x| <= pi/2, plus 2n K or
+2n E for x = x0 + n pi.  The amplitude is am = atan2(sn, cn) on the branch
+nearest pi x / (2K), and the Jacobi epsilon function is Carlson's E(am, m)
+written in sn/cn/dn after reducing x by the period 2K.  All are
+quadratically convergent and well-conditioned as m -> 1.
 
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
 Operations built on K (F, K, am, and sn/cn/dn away from m = 1) refuse
@@ -180,10 +182,13 @@ def _rd(x, y, z):
 # ---------------------------------------------------------------------------
 # Complete integrals (AGM)
 
-def _agm(m: float) -> tuple[float, float]:
-    """(K(m), 1 - sum_n 2^(n-1) c_n^2) from one AGM of 1 and sqrt(1 - m),
-    with c_0 = sqrt(m), c_{n+1} = (a_n - b_n)/2; E = K * (the second)."""
+def _agm(m: float) -> tuple[float, float, list[tuple[float, float]]]:
+    """(K(m), 1 - sum_n 2^(n-1) c_n^2, legs) from one AGM of 1 and sqrt(1 - m),
+    with c_0 = sqrt(m), c_{n+1} = (a_n - b_n)/2; E = K * (the second).  legs
+    holds every (a_n, b_n), the last within eps of convergence; sncndn
+    descends through them."""
     a, b = 1.0, math.sqrt(1.0 - m)
+    legs = [(a, b)]
     csum = 0.5 * m
     p = 0.5
     for _ in range(40):
@@ -193,15 +198,13 @@ def _agm(m: float) -> tuple[float, float]:
         p *= 2.0
         csum += p * c * c
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b), 1.0 - csum
+        legs.append((a, b))
+    return math.pi / (a + b), 1.0 - csum, legs
 
 
 def comp_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m) = F(pi/2, m)."""
-    m = _require_m_for_K(m)
-    if m == 0.0:
-        return math.pi / 2.0
-    return _agm(m)[0]
+    return _agm(_require_m_for_K(m))[0]
 
 
 def comp_E(m: float) -> float:
@@ -209,9 +212,7 @@ def comp_E(m: float) -> float:
     m = _require_m_complete(m)
     if m == 1.0:
         return 1.0
-    if m == 0.0:
-        return math.pi / 2.0
-    K, f = _agm(m)
+    K, f, _ = _agm(m)
     return K * f
 
 
@@ -227,12 +228,10 @@ def _reduce_pi(x: float) -> tuple[float, float]:
     return r - n * _PI_TAIL, float(n)
 
 
-def _F_principal(phi: float, m: float) -> float:
-    # |phi| <= pi/2 (+ a few ulp); no reduction
-    s, c = math.sin(phi), math.cos(phi)
-    if s == 0.0:
-        return 0.0
-    return float(s * _rf(c * c, 1.0 - m * s * s, 1.0))
+def _F_sc(s, c, q, m: float):
+    # F(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
+    # q = 1 - m s^2 (m unused: the signature is _E_sc's)
+    return s * _rf(c * c, q, 1.0)
 
 
 def _E_sc(s, c, q, m: float):
@@ -242,57 +241,34 @@ def _E_sc(s, c, q, m: float):
     return s * (_rf(cc, q, 1.0) - (m / 3.0) * s * s * _rd(cc, q, 1.0))
 
 
-def _E_principal(phi: float, m: float) -> float:
-    s, c = math.sin(phi), math.cos(phi)
-    if s == 0.0:
-        return 0.0
-    return float(_E_sc(s, c, 1.0 - m * s * s, m))
+def _quasi_periodic(x: float, m: float, principal, complete) -> tuple[float, float, float]:
+    """(v, n, P) for F (principal _F_sc, complete comp_K) or E (_E_sc,
+    comp_E): x = x0 + n pi with |x0| <= pi/2, P = complete(m) (0 when
+    n = 0), and v = principal(x0) + 2 n P."""
+    x = float(_require_finite(x))
+    m = _require_m_for_K(m)
+    x0, n = _reduce_pi(x)
+    s, c = math.sin(x0), math.cos(x0)
+    v = 0.0 if s == 0.0 else float(principal(s, c, 1.0 - m * s * s, m))
+    if n == 0.0:
+        return v, n, 0.0
+    P = complete(m)
+    return v + 2.0 * n * P, n, P
 
 
 def ellint_F(x: float, m: float) -> float:
     """Incomplete elliptic integral of the first kind F(x, m)."""
-    x = float(_require_finite(x))
-    m = _require_m_for_K(m)
-    x0, n = _reduce_pi(x)
-    f0 = _F_principal(x0, m)
-    if n == 0.0:
-        return f0
-    return f0 + 2.0 * n * comp_K(m)
+    return _quasi_periodic(x, m, _F_sc, comp_K)[0]
 
 
 def ellint_E_inc(x: float, m: float) -> float:
     """Incomplete elliptic integral of the second kind E(x, m)."""
-    x = float(_require_finite(x))
-    m = _require_m_for_K(m)
-    x0, n = _reduce_pi(x)
-    e0 = _E_principal(x0, m)
-    if n == 0.0:
-        return e0
-    return e0 + 2.0 * n * comp_E(m)
+    return _quasi_periodic(x, m, _E_sc, comp_E)[0]
 
 
 # ---------------------------------------------------------------------------
-# sn / cn / dn (descending Landen / AGM chain), and am and epsilon from them
-
-def _landen_chain(m: float) -> tuple[list[float], list[float], float]:
-    # arithmetic (a_i) and geometric (b_i) legs of the AGM for 1, sqrt(1-m),
-    # terminated when the relative gap drops below _CA; final midpoint last
-    emc = 1.0 - m
-    a = 1.0
-    aa: list[float] = []
-    bb: list[float] = []
-    c = 0.0
-    for _ in range(14):
-        aa.append(a)
-        emc = math.sqrt(emc)
-        bb.append(emc)
-        c = 0.5 * (a + emc)
-        if abs(a - emc) <= _CA * a:
-            break
-        emc *= a
-        a = c
-    return aa, bb, c
-
+# sn / cn / dn (descending Landen transformation on the AGM legs), and am
+# and epsilon from them
 
 def sncndn(x, m: float):
     """All three Jacobi elliptic functions at once: (sn, cn, dn).
@@ -301,9 +277,7 @@ def sncndn(x, m: float):
     [0, 1 - 1e-9] or exactly 1.
     """
     m = float(m)
-    if m == 1.0:
-        pass  # hyperbolic closed forms below
-    else:
+    if m != 1.0:  # m = 1 has hyperbolic closed forms below
         _require_m_for_K(m)
     u = _require_finite(x)
     if m == 1.0:
@@ -312,7 +286,11 @@ def sncndn(x, m: float):
     elif m == 0.0:
         s, c, d = np.sin(u), np.cos(u), np.ones_like(u)
     else:
-        aa, bb, cmid = _landen_chain(m)
+        # descend from the first leg whose gap is within _CA (DLMF 22.20(ii));
+        # the AGM's eps stop comes at most one leg later
+        legs = _agm(m)[2]
+        top = next(i for i, (a, b) in enumerate(legs) if abs(a - b) <= _CA * a)
+        cmid = 0.5 * (legs[top][0] + legs[top][1])
         v = cmid * u
         s, c = np.sin(v), np.cos(v)
         d = np.ones_like(v)
@@ -321,7 +299,7 @@ def sncndn(x, m: float):
         tiny = np.abs(u) < 1e-8
         a = c / np.where(tiny, 1.0, s)
         cc = cmid * a
-        for ai, bi in zip(reversed(aa), reversed(bb)):
+        for ai, bi in reversed(legs[: top + 1]):
             a = a * cc
             cc = cc * d
             d = (bi + a) / (ai + a)
@@ -424,15 +402,13 @@ def comp_E_with_error(m: float) -> EllipticValue:
     return EllipticValue(v, 8.0 * _EPS * max(1.0, v))
 
 
+def _with_error(v: float, n: float, P: float) -> EllipticValue:
+    return EllipticValue(v, _EPS * (2.0 * abs(v) + 4.0 * abs(n) * P + 2.0))
+
+
 def ellint_F_with_error(x: float, m: float) -> EllipticValue:
-    v = ellint_F(x, m)
-    _, n = _reduce_pi(float(x))
-    period = comp_K(m) if n else 0.0
-    return EllipticValue(v, _EPS * (2.0 * abs(v) + 4.0 * abs(n) * period + 2.0))
+    return _with_error(*_quasi_periodic(x, m, _F_sc, comp_K))
 
 
 def ellint_E_inc_with_error(x: float, m: float) -> EllipticValue:
-    v = ellint_E_inc(x, m)
-    _, n = _reduce_pi(float(x))
-    period = comp_E(m) if n else 0.0
-    return EllipticValue(v, _EPS * (2.0 * abs(v) + 4.0 * abs(n) * period + 2.0))
+    return _with_error(*_quasi_periodic(x, m, _E_sc, comp_E))

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic as el
-from .elliptic import _shape_like
+from .elliptic import _require_finite, _shape_like
 from .errors import DomainError
 
 __all__ = [
@@ -60,8 +60,8 @@ class CurvatureProfile:
             raise DomainError(f"need 0 <= m <= w <= 1, got m={self.m}, w={self.w}")
         if not self.w > 0.0:
             raise DomainError("need w > 0")
-        if not self.A > 0.0:
-            raise DomainError("need A > 0")
+        if not (math.isfinite(self.A) and self.A > 0.0):
+            raise DomainError("need a finite A > 0")
         if not math.isfinite(self.s0):
             raise DomainError("phase s0 must be finite")
 
@@ -108,7 +108,7 @@ def profile_period(p: CurvatureProfile) -> float:
 
 def kappa_sq(p: CurvatureProfile, s):
     """Squared curvature A^2 (1 - (m/w) sn^2(A s/(2 sqrt(w)) + s0, m))."""
-    z = p.A / (2.0 * math.sqrt(p.w)) * np.asarray(s, dtype=float) + p.s0
+    z = p.A / (2.0 * math.sqrt(p.w)) * _require_finite(s) + p.s0
     if p.m == 0.0:
         out = np.full_like(z, p.A**2)
     else:
@@ -124,6 +124,8 @@ def solve_cubic_ode(a1: float, a2: float, a3: float, s0: float = 0.0) -> Callabl
     taking values in [a2, a3].  Requires a1 <= 0 <= a2 < a3; for a2 == a3
     use cubic_constant_solutions (the modulus expression degenerates 0/0).
     """
+    if not all(map(math.isfinite, (a1, a2, a3, s0))):
+        raise DomainError("roots and phase must be finite")
     if not (a1 <= 0.0 <= a2 < a3):
         raise DomainError(
             f"need a1 <= 0 <= a2 < a3, got ({a1}, {a2}, {a3}); "
@@ -144,6 +146,8 @@ def solve_cubic_ode(a1: float, a2: float, a3: float, s0: float = 0.0) -> Callabl
 
 def cubic_constant_solutions(a1: float, a2: float, a3: float) -> tuple[Callable, Callable]:
     """The constant solutions u = a2 and u = a3 of the cubic ODE."""
+    if not all(map(math.isfinite, (a1, a2, a3))):
+        raise DomainError("roots must be finite")
     if not (a1 <= 0.0 <= a2 <= a3):
         raise DomainError(f"need a1 <= 0 <= a2 <= a3, got ({a1}, {a2}, {a3})")
 
@@ -166,8 +170,11 @@ def torsion(p: CurvatureProfile, s):
 
 def residual_planar(k: Callable, lam: float, s, h: float = 1e-4):
     """2 k_ss + k^3 - lambda k with k_ss by second-order central differences."""
-    if not h > 0.0:
-        raise DomainError("need h > 0")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError("need a finite h > 0")
+    if not math.isfinite(lam):
+        raise DomainError("need a finite lambda")
+    _require_finite(s)
     ks = k(s)
     k_ss = (k(s + h) - 2.0 * ks + k(s - h)) / (h * h)
     return 2.0 * k_ss + ks**3 - lam * ks
@@ -175,6 +182,8 @@ def residual_planar(k: Callable, lam: float, s, h: float = 1e-4):
 
 def residual_spatial(k: Callable, lam: float, c: float, s, h: float = 1e-4):
     """2 k_ss + k^3 - lambda k - 2 c^2 / k^3 (k bounded away from zero)."""
+    if not math.isfinite(c):
+        raise DomainError("need a finite c")
     return residual_planar(k, lam, s, h) - 2.0 * c * c / k(s) ** 3
 
 
@@ -189,6 +198,8 @@ def residual_first_integral(p: CurvatureProfile, s, h: float | None = None):
         if not math.isfinite(period):
             period = 4.0 * math.sqrt(p.w) / p.A
         h = 1e-5 * period
+    elif not (math.isfinite(h) and h > 0.0):
+        raise DomainError("need a finite h > 0")
     lam, a, c_sq = first_integral_coeffs(p)
     u = kappa_sq(p, s)
     du = (kappa_sq(p, s + h) - kappa_sq(p, s - h)) / (2.0 * h)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import elastica.curves as curves
 from elastica.curves import (
     ClassifyResult,
     Leaf,
@@ -43,6 +44,7 @@ from elastica.errors import DomainError, InfeasibleError
 from elastica.profiles import CurvatureProfile, kappa_sq, profile_c, profile_period
 
 from arclength_resample import resample_arclength
+from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
 
 # oracle values (bisection + Newton on 2E-K; entire downstream chain hangs
 # off these, so they are frozen here as well as recomputed)
@@ -250,19 +252,19 @@ class TestQuasiPeriodicity:
 class TestLeaf:
     def test_endpoints_coincide(self):
         leaf = canonical_leaf()
-        p0 = leaf.point(0.0)
-        p1 = leaf.point(leaf.length)
+        p0 = np.array(eval_planar(leaf.elastica, 0.0))
+        p1 = np.array(eval_planar(leaf.elastica, leaf.length))
         assert np.linalg.norm(p1 - p0) < 1e-9
         assert np.linalg.norm(p0) < 1e-12  # junction sits at the origin
 
     def test_endpoint_curvature(self):
         leaf = canonical_leaf()
-        assert abs(leaf.curvature(0.0)) < 1e-12
-        assert abs(leaf.curvature(leaf.length)) < 1e-12
+        assert abs(eval_k(leaf.elastica, 0.0)) < 1e-12
+        assert abs(eval_k(leaf.elastica, leaf.length)) < 1e-12
 
     def test_peak_curvature(self):
         leaf = canonical_leaf()
-        assert leaf.curvature(leaf.K) == pytest.approx(2 * math.sqrt(M_STAR), rel=1e-13)
+        assert eval_k(leaf.elastica, leaf.K) == pytest.approx(2 * math.sqrt(M_STAR), rel=1e-13)
 
     def test_build_leaf(self):
         c = build_leaf(500)
@@ -274,8 +276,8 @@ class TestLeaf:
     def test_tangent_angles(self):
         leaf = canonical_leaf()
         a = 2 * math.asin(math.sqrt(M_STAR))
-        assert leaf.tangent_angle(0.0) == pytest.approx(-a, rel=1e-12)
-        assert leaf.tangent_angle(leaf.length) == pytest.approx(a, rel=1e-12)
+        assert eval_theta(leaf.elastica, 0.0) == pytest.approx(-a, rel=1e-12)
+        assert eval_theta(leaf.elastica, leaf.length) == pytest.approx(a, rel=1e-12)
 
 
 class TestSphericalChain:
@@ -346,7 +348,7 @@ def junction_checks(le):
         assert np.allclose(R.T @ R, np.eye(le.dim), atol=1e-12)
         assert np.all(mot.translation == 0.0)
         for s in (0.0, leaf.length):
-            p = leaf.point(s)
+            p = np.array(eval_planar(leaf.elastica, s))
             if le.dim == 3:
                 p = np.append(p, 0.0)
             assert np.linalg.norm(mot.apply(p)) < 1e-9  # C0: through the origin
@@ -354,7 +356,7 @@ def junction_checks(le):
         ends.append(R @ te)
     for i in range(le.r):  # C1: end tangent meets the next start tangent
         assert np.allclose(ends[i], le.chain[(i + 1) % le.r], atol=1e-9)
-    assert abs(leaf.curvature(0.0)) < 1e-9  # C2 compatibility at junctions
+    assert abs(eval_k(leaf.elastica, 0.0)) < 1e-9  # C2 compatibility at junctions
 
 
 class TestBuildLeafed:
@@ -621,3 +623,71 @@ def reference_reconstruct(p, F, s_range, h):
 
 def c1_h(curve: DiscreteCurve, s_total: float) -> float:
     return s_total / (curve.n_vertices - 1)
+
+
+@pytest.mark.parametrize("fn", [eval_planar, eval_theta, eval_k, planar_state], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("e", ALL_FAMILIES, ids=lambda e: e.family)
+def test_non_finite_arclength(e, s, fn):
+    with pytest.raises(DomainError):
+        fn(e, s)
+
+
+def test_arclength_overflowing_the_canonical_parameter():
+    # s finite, s / scale + s0 not: no RuntimeWarning, a DomainError
+    e = PlanarElastica("circular", similarity=Similarity(scale=1e-10))
+    for fn in (eval_planar, eval_theta, eval_k, planar_state):
+        with pytest.raises(DomainError):
+            fn(e, 1e300)
+
+
+@pytest.mark.parametrize("count", [16.5, 16.0, np.float64(16.0), "16"], ids=repr)
+def test_counts_must_be_integers(count):
+    with pytest.raises(DomainError):
+        sample_leafed(build_leafed(2, 2), count)
+    with pytest.raises(DomainError):
+        build_leaf(count)
+    with pytest.raises(DomainError):
+        build_leafed(count, 3)
+    with pytest.raises(DomainError):
+        spherical_chain(count, 1.0)
+
+
+WAVE = PlanarElastica("wavelike", 0.5)
+K0 = 2.0 * math.sqrt(0.5)  # wavelike peak curvature 2 sqrt(m)
+SPATIAL = CurvatureProfile(0.3, 0.8, 1.5)
+# every float parameter of curves.__all__ (Leaf and ClassifyResult are
+# records the module returns)
+FLOAT_CONTRACTS = {
+    ("check_closure", "m"): (lambda v: check_closure("wavelike", v), {}),
+    ("check_closure", "tol"): (lambda v: check_closure("wavelike", 0.5, v), {}),
+    ("Similarity", "rotation"): (lambda v: Similarity(rotation=v).apply(1.0, 0.0),
+                                 {0.0: is_((1.0, 0.0)), -1.0: is_((math.cos(1.0), -math.sin(1.0)))}),
+    ("Similarity", "translation"): (lambda v: Similarity(translation=(0.0, v)).apply(0.0, 0.0),
+                                    {0.0: is_((0.0, 0.0)), -1.0: is_((0.0, -1.0))}),
+    ("Similarity", "scale"): (lambda v: Similarity(scale=v), {}),
+    ("PlanarElastica", "m"): (lambda v: PlanarElastica("wavelike", v), {}),
+    ("PlanarElastica", "s0"): (lambda v: eval_k(PlanarElastica("wavelike", 0.5, s0=v), 0.0),
+                               {0.0: is_(K0), -1.0: is_(eval_k(WAVE, -1.0))}),
+    ("eval_planar", "s"): (lambda v: eval_planar(WAVE, v), {0.0: is_((0.0, -K0)), -1.0: mirrored(-1, 1)}),
+    ("eval_theta", "s"): (lambda v: eval_theta(WAVE, v), {0.0: is_(0.0), -1.0: mirrored(-1)}),
+    ("eval_k", "s"): (lambda v: eval_k(WAVE, v), {0.0: is_(K0), -1.0: mirrored(1)}),
+    # (gamma, d1, d2, d3) at s = 0: k' = 0, so d3 = -k^2 d1
+    ("planar_state", "s"): (lambda v: np.concatenate(planar_state(WAVE, v)), {
+        0.0: is_((0.0, -K0, 1.0, 0.0, 0.0, K0, -K0 * K0, 0.0)),
+        -1.0: mirrored(-1, 1, 1, -1, -1, 1, 1, -1),
+    }),
+    ("spherical_chain", "psi"): (lambda v: spherical_chain(3, v), {}),
+    ("classify_closed", "tol"): (lambda v: classify_closed(sample_leafed(build_leafed(2, 2), 64), v), {}),
+    ("reconstruct_spatial", "s_range"): (lambda v: reconstruct_spatial(SPATIAL, np.eye(3), (0.0, v), 0.1), {}),
+    ("reconstruct_spatial", "h"): (lambda v: reconstruct_spatial(SPATIAL, np.eye(3), (0.0, 1.0), v), {}),
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        assert float_parameters(curves, records=("Leaf", "ClassifyResult")) == set(FLOAT_CONTRACTS)
+
+    @contract_cases(FLOAT_CONTRACTS)
+    def test_float_parameter(self, key, value):
+        check_contract(FLOAT_CONTRACTS, key, value)

@@ -45,6 +45,7 @@ from elastica.elliptic import comp_K
 from elastica.errors import DomainError
 
 from arclength_resample import resample_arclength
+from input_contracts import BAD_FLOATS
 from multiplicity_reference import narrow_phase_args, reference_detect_multiplicity, reference_near_edges
 
 TWO_PI = 2.0 * math.pi
@@ -58,7 +59,8 @@ def regular_polygon(n: int, folds: int = 1, radius: float = 1.0) -> DiscreteCurv
 def leaf_vertices(n: int) -> DiscreteCurve:
     # open arc with zero endpoint curvature; smooth everywhere
     leaf = canonical_leaf()
-    return DiscreteCurve(leaf.point(np.linspace(0.0, leaf.length, n + 1)), closed=False)
+    x, y = eval_planar(leaf.elastica, np.linspace(0.0, leaf.length, n + 1))
+    return DiscreteCurve(np.column_stack([x, y]), closed=False)
 
 
 def random_closed(rng, n: int) -> DiscreteCurve:
@@ -659,7 +661,6 @@ def check_liyau_at_zero_margin(rep):
     assert rep.satisfied == (rep.Bbar >= rep.bound)
 
 
-BAD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 # every float parameter of a function in discrete.__all__: the values of
 # BAD_FLOATS that give a documented result, with its check; every other
 # value must raise DomainError

@@ -17,6 +17,8 @@ from elastica import DomainError
 from elastica import elliptic as el
 from elastica.curves import figure_eight_modulus
 
+from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
+
 # frozen oracle values (quadrature / AGM, see module docstring)
 K_HALF = 1.8540746773013719
 E_HALF = 1.3506438810476755
@@ -486,3 +488,100 @@ class TestErrorEstimates:
                 x = float(x)
                 rf = el.ellint_F_with_error(x, m)
                 assert abs(rf.value - special.ellipkinc(x, m)) <= rf.est_abs_error + 1e-12
+
+
+def landen_chain(m: float) -> list[tuple[float, float]]:
+    # legs (a_n, b_n) of the AGM of 1 and sqrt(1 - m) up to the first with
+    # |a - b| <= 1e-8 a, built on its own
+    a, b = 1.0, math.sqrt(1.0 - m)
+    legs = [(a, b)]
+    while abs(a - b) > 1e-8 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        legs.append((a, b))
+    return legs
+
+
+def reference_sncndn(u: np.ndarray, m: float):
+    # the descending Landen transformation on its own chain, step for step
+    # as in sncndn, so the two must agree bit for bit
+    legs = landen_chain(m)
+    cmid = 0.5 * (legs[-1][0] + legs[-1][1])
+    v = cmid * u
+    s, c = np.sin(v), np.cos(v)
+    d = np.ones_like(v)
+    tiny = np.abs(u) < 1e-8
+    a = c / np.where(tiny, 1.0, s)
+    cc = cmid * a
+    for ai, bi in reversed(legs):
+        a = a * cc
+        cc = cc * d
+        d = (bi + a) / (ai + a)
+        a = cc / ai
+    amp = 1.0 / np.sqrt(cc * cc + 1.0)
+    s_out = np.where(s >= 0.0, amp, -amp)
+    return np.where(tiny, u, s_out), np.where(tiny, 1.0, cc * s_out), np.where(tiny, 1.0, d)
+
+
+AGM_GRID = [5e-324, 1e-16, 1e-9, 0.1, 0.5, 0.8261, 0.99, 1 - 1e-6, el.M_MAX]
+
+
+class TestOneAGM:
+    @pytest.mark.parametrize("m", AGM_GRID)
+    def test_descent_legs_are_a_prefix_of_the_agm(self, m):
+        # sncndn descends through the AGM legs up to the first gap within
+        # 1e-8; the AGM's own eps stop comes at most one leg later
+        legs = el._agm(m)[2]
+        chain = landen_chain(m)
+        assert legs[: len(chain)] == chain
+        assert len(legs) - len(chain) in (0, 1)
+
+    @pytest.mark.parametrize("m", AGM_GRID)
+    def test_sncndn_bit_for_bit(self, m):
+        u = np.concatenate([[0.0, 1e-300, -1e-9, 1e-8], np.random.default_rng(5).uniform(-100, 100, 500)])
+        for got, want in zip(el.sncndn(u, m), reference_sncndn(u, m)):
+            assert np.array_equal(got, want)
+
+
+M, X = 0.7, 0.6
+# every float parameter of elliptic.__all__ (EllipticValue is an output record)
+FLOAT_CONTRACTS = {
+    **{
+        (f.__name__, "x"): (lambda v, f=f: f(v, M), {0.0: is_(zero), -1.0: mirrored(*signs)})
+        for f, zero, signs in [
+            (el.ellint_F, 0.0, (-1,)), (el.ellint_E_inc, 0.0, (-1,)), (el.am, 0.0, (-1,)),
+            (el.sn, 0.0, (-1,)), (el.cn, 1.0, (1,)), (el.dn, 1.0, (1,)),
+            (el.sncndn, (0.0, 1.0, 1.0), (-1, 1, 1)), (el.jacobi_epsilon, 0.0, (-1,)),
+        ]
+    },
+    **{
+        (f.__name__, "m"): (lambda v, f=f: f(X, v), {0.0: is_(at_zero, rtol=1e-15)})
+        for f, at_zero in [
+            (el.ellint_F, X), (el.ellint_E_inc, X), (el.am, X), (el.sn, math.sin(X)),
+            (el.cn, math.cos(X)), (el.dn, 1.0), (el.sncndn, (math.sin(X), math.cos(X), 1.0)),
+            (el.jacobi_epsilon, X),
+        ]
+    },
+    ("comp_K", "m"): (el.comp_K, {0.0: is_(math.pi / 2)}),
+    ("comp_E", "m"): (el.comp_E, {0.0: is_(math.pi / 2)}),
+    # the closed forms are 0/0 at m = 0: documented to raise
+    ("dK_dm", "m"): (el.dK_dm, {}),
+    ("dE_dm", "m"): (el.dE_dm, {}),
+    ("ellint_F_with_error", "x"): (lambda v: el.ellint_F_with_error(v, M).value,
+                                   {0.0: is_(0.0), -1.0: mirrored(-1)}),
+    ("ellint_F_with_error", "m"): (lambda v: el.ellint_F_with_error(X, v).value, {0.0: is_(X)}),
+    ("ellint_E_inc_with_error", "x"): (lambda v: el.ellint_E_inc_with_error(v, M).value,
+                                       {0.0: is_(0.0), -1.0: mirrored(-1)}),
+    ("ellint_E_inc_with_error", "m"): (lambda v: el.ellint_E_inc_with_error(X, v).value,
+                                       {0.0: is_(X)}),
+    ("comp_K_with_error", "m"): (lambda v: el.comp_K_with_error(v).value, {0.0: is_(math.pi / 2)}),
+    ("comp_E_with_error", "m"): (lambda v: el.comp_E_with_error(v).value, {0.0: is_(math.pi / 2)}),
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        assert float_parameters(el, records=("EllipticValue",)) == set(FLOAT_CONTRACTS)
+
+    @contract_cases(FLOAT_CONTRACTS)
+    def test_float_parameter(self, key, value):
+        check_contract(FLOAT_CONTRACTS, key, value)

@@ -15,6 +15,8 @@ from elastica import elliptic as el
 from elastica import profiles as pr
 from elastica.curves import PlanarElastica, Similarity, eval_k
 
+from input_contracts import check_contract, contract_cases, finite, float_parameters, is_, mirrored, small
+
 
 def fd4(f, x, h):
     # 4th-order central first derivative
@@ -312,3 +314,77 @@ class TestUniqueness:
                     seen.add(key)
                     count += 1
         assert len(seen) == count
+
+
+SPATIAL = pr.CurvatureProfile(0.3, 0.8, 1.5)
+PLANAR = pr.CurvatureProfile(0.5, 1.0, 1.2)  # k = A dn(A s / 2, m)
+CONSTANT = pr.CurvatureProfile(0.0, 0.8, 1.5)  # kappa_sq = A^2 without an sn call
+
+
+def k_planar(s):
+    return np.sqrt(pr.kappa_sq(PLANAR, s))
+
+
+def k_spatial(s):
+    return np.sqrt(pr.kappa_sq(SPATIAL, s))
+
+
+def solution_at(s, expected):
+    return lambda u, call: np.testing.assert_allclose(u(s), expected, rtol=1e-14)
+
+
+def constants_are(a2, a3):
+    return lambda us, call: np.testing.assert_allclose((us[0](0.3), us[1](0.3)), (a2, a3))
+
+
+LAM_P, LAM_S, C_S = pr.profile_lambda(PLANAR), pr.profile_lambda(SPATIAL), pr.profile_c(SPATIAL)
+# every float parameter of profiles.__all__; u(0) = a3 when the phase is 0
+FLOAT_CONTRACTS = {
+    ("CurvatureProfile", "m"): (lambda v: pr.kappa_sq(pr.CurvatureProfile(v, 0.8, 1.5), 0.7),
+                                {0.0: is_(2.25)}),
+    ("CurvatureProfile", "w"): (lambda v: pr.CurvatureProfile(0.3, v, 1.5), {}),
+    ("CurvatureProfile", "A"): (lambda v: pr.CurvatureProfile(0.3, 0.8, v), {}),
+    ("CurvatureProfile", "s0"): (lambda v: pr.kappa_sq(pr.CurvatureProfile(0.3, 0.8, 1.5, v), 0.0), {
+        0.0: is_(2.25), -1.0: is_(2.25 * (1.0 - 0.375 * el.sn(-1.0, 0.3) ** 2)),
+    }),
+    ("kappa_sq", "s"): (lambda v: pr.kappa_sq(CONSTANT, v), {0.0: is_(2.25), -1.0: is_(2.25)}),
+    ("torsion", "s"): (lambda v: pr.torsion(SPATIAL, v), {0.0: is_(C_S / 2.25), -1.0: mirrored(1)}),
+    ("solve_cubic_ode", "a1"): (lambda v: pr.solve_cubic_ode(v, 0.5, 2.0),
+                                {0.0: solution_at(0.0, 2.0), -1.0: solution_at(0.0, 2.0)}),
+    ("solve_cubic_ode", "a2"): (lambda v: pr.solve_cubic_ode(-1.0, v, 2.0), {0.0: solution_at(0.0, 2.0)}),
+    ("solve_cubic_ode", "a3"): (lambda v: pr.solve_cubic_ode(-1.0, 0.5, v), {}),
+    ("solve_cubic_ode", "s0"): (lambda v: pr.solve_cubic_ode(-1.0, 0.5, 2.0, v), {
+        0.0: solution_at(0.0, 2.0), -1.0: solution_at(0.0, 2.0 - 1.5 * el.sn(-1.0, 0.5) ** 2),
+    }),
+    ("cubic_constant_solutions", "a1"): (lambda v: pr.cubic_constant_solutions(v, 0.5, 2.0),
+                                         {0.0: constants_are(0.5, 2.0), -1.0: constants_are(0.5, 2.0)}),
+    ("cubic_constant_solutions", "a2"): (lambda v: pr.cubic_constant_solutions(-1.0, v, 2.0),
+                                         {0.0: constants_are(0.0, 2.0)}),
+    ("cubic_constant_solutions", "a3"): (lambda v: pr.cubic_constant_solutions(-1.0, 0.5, v), {}),
+    # a wrong lambda gives a finite, nonzero residual
+    ("residual_planar", "lam"): (lambda v: pr.residual_planar(k_planar, v, 0.3), {0.0: finite, -1.0: finite}),
+    ("residual_planar", "s"): (lambda v: pr.residual_planar(k_planar, LAM_P, v),
+                               {0.0: small(1e-6), -1.0: small(1e-6)}),
+    ("residual_planar", "h"): (lambda v: pr.residual_planar(k_planar, LAM_P, 0.3, v), {}),
+    ("residual_spatial", "lam"): (lambda v: pr.residual_spatial(k_spatial, v, C_S, 0.3),
+                                  {0.0: finite, -1.0: finite}),
+    # c enters squared; c = 0 is the planar residual
+    ("residual_spatial", "c"): (lambda v: pr.residual_spatial(k_spatial, LAM_S, v, 0.3), {
+        0.0: is_(pr.residual_planar(k_spatial, LAM_S, 0.3)), -1.0: mirrored(1),
+    }),
+    ("residual_spatial", "s"): (lambda v: pr.residual_spatial(k_spatial, LAM_S, C_S, v),
+                                {0.0: small(1e-6), -1.0: small(1e-6)}),
+    ("residual_spatial", "h"): (lambda v: pr.residual_spatial(k_spatial, LAM_S, C_S, 0.3, v), {}),
+    ("residual_first_integral", "s"): (lambda v: pr.residual_first_integral(SPATIAL, v),
+                                       {0.0: small(1e-6), -1.0: small(1e-6)}),
+    ("residual_first_integral", "h"): (lambda v: pr.residual_first_integral(SPATIAL, 0.3, v), {}),
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        assert float_parameters(pr) == set(FLOAT_CONTRACTS)
+
+    @contract_cases(FLOAT_CONTRACTS)
+    def test_float_parameter(self, key, value):
+        check_contract(FLOAT_CONTRACTS, key, value)

@@ -191,7 +191,7 @@ def cmd_liyau(args) -> int:
     return 0 if rep.satisfied else 1
 
 
-def _parse_problem(path: str, cli_seed: int | None):
+def _parse_problem(path: str):
     from .minimize import ClampedProblem, MinimizeOptions, PinnedProblem
 
     kv = _read_kv(path, "problem", ("P0", "P1", "L0", "N"),
@@ -206,7 +206,7 @@ def _parse_problem(path: str, cli_seed: int | None):
     opts = MinimizeOptions(
         tol=_num(kv, "tol"),
         max_iters=_num(kv, "max_iters", int, 2000),
-        seed=_num(kv, "seed", int, cli_seed),
+        seed=_num(kv, "seed", int),
     )
     return problem, opts
 
@@ -224,10 +224,10 @@ def _run_minimize_seeded(payload):
 
 
 def cmd_minimize(args) -> int:
-    problem, opts = _parse_problem(args.problem, args.seed)
+    problem, opts = _parse_problem(args.problem)
     if args.jobs < 1:
         raise DomainError("--jobs needs at least 1")
-    _echo(args, problem_kind=type(problem).__name__, resolved_seed=opts.seed)
+    _echo(args, problem_kind=type(problem).__name__, seed=opts.seed)
     if args.sweep is not None:
         if args.sweep < 1:
             raise DomainError("--sweep needs at least 1 seed")
@@ -356,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimize", parents=[common],
                         help="solve a pinned/clamped problem file; solution CSV + JSONL log")
     sp.add_argument("problem", help="key=value file: P0 P1 [V0 V1] L0 N [tol max_iters seed]")
-    sp.add_argument("--seed", type=int, help="PRNG seed (a seed in the problem file wins)")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for --sweep")
     sp.add_argument("--log", metavar="PATH",
                     help="convergence log path (default: OUT.log when --out is set)")

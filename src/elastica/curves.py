@@ -36,7 +36,7 @@ import numpy as np
 
 from .discrete import DiscreteCurve, curvature_data, length
 from .elliptic import (
-    _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
+    _cosh, _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
 )
 from .errors import DomainError, InfeasibleError
 from .profiles import CurvatureProfile, kappa_sq, profile_c
@@ -47,7 +47,6 @@ __all__ = [
     "leaf_spread_angle",
     "check_closure",
     "Similarity",
-    "RigidMotion",
     "PlanarElastica",
     "eval_planar",
     "eval_theta",
@@ -64,6 +63,8 @@ __all__ = [
     "classify_closed",
     "reconstruct_spatial",
 ]
+
+_EIGHT_TOL = 1e-9  # |2E(m) - K(m)| below which a wavelike curve closes (a figure-eight)
 
 # ---------------------------------------------------------------------------
 # figure-eight constants
@@ -105,25 +106,24 @@ def leaf_spread_angle() -> float:
     return 2.0 * math.pi - 4.0 * math.asin(math.sqrt(figure_eight_modulus()))
 
 
-def check_closure(family: str, m: float, tol: float = 1e-9) -> bool:
+def check_closure(family: str, m: float) -> bool:
     """Whether the family closes up at modulus m.
 
-    Wavelike curves close exactly when 2E(m) = K(m); orbitlike ones never
-    do, since 2E(m) + (m-2)K(m) < 0 throughout (0,1).
+    Wavelike curves close exactly when 2E(m) = K(m), taken as
+    |2E(m) - K(m)| < 1e-9 (_EIGHT_TOL); orbitlike ones never do, since
+    2E(m) + (m-2)K(m) < 0 throughout (0,1).
     """
     if family not in ("wavelike", "orbitlike"):
         raise DomainError(f"closure test applies to wavelike/orbitlike, not {family!r}")
     if not 0.0 < m < 1.0:
         raise DomainError("need m in (0,1)")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("need a finite tol > 0")
     if family == "orbitlike":
         return False
-    return abs(2.0 * comp_E(m) - comp_K(m)) < tol
+    return abs(2.0 * comp_E(m) - comp_K(m)) < _EIGHT_TOL
 
 
 # ---------------------------------------------------------------------------
-# similarities and rigid motions
+# similarities
 
 @dataclass(frozen=True)
 class Similarity:
@@ -150,31 +150,6 @@ class Similarity:
             tx + self.scale * (ca * np.asarray(x) - sa * np.asarray(y)),
             ty + self.scale * (sa * np.asarray(x) + ca * np.asarray(y)),
         )
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """Euclidean isometry x -> rotation @ x + translation (det rotation ±1)."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] not in (2, 3):
-            raise DomainError("rotation must be a 2x2 or 3x3 matrix")
-        if t.shape != (R.shape[0],):
-            raise DomainError("translation dimension must match the rotation")
-        if not np.allclose(R.T @ R, np.eye(R.shape[0]), atol=1e-12):
-            raise DomainError("rotation columns must be orthonormal to 1e-12")
-        R.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.rotation.T + self.translation
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +204,7 @@ def _canon_point(tag: str, m, s):
     if tag == "wavelike":
         return 2.0 * jacobi_epsilon(s, m) - s, -2.0 * math.sqrt(m) * cn(s, m)
     if tag == "borderline":
-        return 2.0 * np.tanh(s) - s, -2.0 / np.cosh(s)
+        return 2.0 * np.tanh(s) - s, -2.0 / _cosh(s)
     if tag == "orbitlike":
         return (2.0 * jacobi_epsilon(s, m) + (m - 2.0) * s) / m, -2.0 * dn(s, m) / m
     return np.sin(s), -np.cos(s)  # circular
@@ -253,7 +228,7 @@ def _canon_k(tag: str, m, s):
     if tag == "wavelike":
         return 2.0 * math.sqrt(m) * cn(s, m)
     if tag == "borderline":
-        return 2.0 / np.cosh(s)
+        return 2.0 / _cosh(s)
     if tag == "orbitlike":
         return 2.0 * dn(s, m)
     return 1.0 + np.zeros_like(s)  # circular
@@ -263,7 +238,7 @@ def _canon_k_prime(tag: str, m, s):
     if tag == "wavelike":
         return -2.0 * math.sqrt(m) * sn(s, m) * dn(s, m)
     if tag == "borderline":
-        return -2.0 * np.tanh(s) / np.cosh(s)
+        return -2.0 * np.tanh(s) / _cosh(s)
     if tag == "orbitlike":
         return -2.0 * m * sn(s, m) * cn(s, m)
     return np.zeros_like(s)  # linear, circular
@@ -398,15 +373,22 @@ def spherical_chain(r: int, psi: float) -> np.ndarray:
 class LeafedElastica:
     """r >= 2 canonical leaves joined C^1 at the origin.
 
-    motions[i] places leaf i (zero translation: every leaf passes through
-    the origin); chain[i] is leaf i's start tangent, which equals leaf
-    (i-1)'s end tangent.
+    rotations[i], an orthogonal dim x dim matrix, places leaf i; there is
+    no translation, since every leaf starts and ends at the origin.
+    chain[i] is leaf i's start tangent, which equals leaf (i-1)'s end
+    tangent.  Both arrays are read-only.
     """
 
     r: int
     dim: int
-    motions: tuple[RigidMotion, ...]
+    rotations: np.ndarray  # (r, dim, dim)
     chain: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rotations", "chain"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def total_length(self) -> float:
@@ -447,21 +429,14 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
             raise InfeasibleError(
                 "planar closed leafed elasticae need an even leaf count"
             )
-        mirror = np.diag([1.0, -1.0])
-        eye = np.eye(2)
-        motions = tuple(
-            RigidMotion(eye if i % 2 == 0 else mirror, np.zeros(2)) for i in range(r)
-        )
+        rotations = np.array([np.diag([1.0, (-1.0) ** i]) for i in range(r)])  # leaf, mirror, ...
         chain = np.array([ts if i % 2 == 0 else te for i in range(r)])
-        return LeafedElastica(r=r, dim=2, motions=motions, chain=chain)
+        return LeafedElastica(r=r, dim=2, rotations=rotations, chain=chain)
 
     chain = spherical_chain(r, leaf_spread_angle())
     F0 = _pair_frame(ts, te)
-    motions = []
-    for i in range(r):
-        Fi = _pair_frame(chain[i], chain[(i + 1) % r])
-        motions.append(RigidMotion(Fi @ F0.T, np.zeros(3)))
-    return LeafedElastica(r=r, dim=3, motions=tuple(motions), chain=chain)
+    rotations = np.array([_pair_frame(chain[i], chain[(i + 1) % r]) @ F0.T for i in range(r)])
+    return LeafedElastica(r=r, dim=3, rotations=rotations, chain=chain)
 
 
 def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
@@ -471,9 +446,7 @@ def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
     s = np.arange(n_per_leaf) * (leaf.length / n_per_leaf)  # endpoint omitted
     x, y = eval_planar(leaf.elastica, s)
     pts = np.column_stack([x, y, np.zeros_like(x)][: le.dim])
-    return DiscreteCurve(
-        np.vstack([mot.apply(pts) for mot in le.motions]), closed=True
-    )
+    return DiscreteCurve(np.vstack([pts @ R.T for R in le.rotations]), closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +526,19 @@ def reconstruct_spatial(
     evaluated up front over arrays; each step is one straight-line kernel
     on named Python floats (_frame_step).  frame0
     holds rows (T0, N0, B0), orthonormal to 1e-12; the curve starts at the
-    origin.
+    origin.  (s_max - s_min) / h may not exceed odeint.MAX_STEPS.
     """
+    from .odeint import _step_count  # local import: most callers never integrate
+
     F = np.array(frame0, dtype=float)
     if F.shape != (3, 3) or not np.allclose(F @ F.T, np.eye(3), atol=1e-12):
         raise DomainError("frame0 must be an orthonormal (T, N, B) triple")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError("need a finite h > 0")
     s_min, s_max = map(float, s_range)
-    if not s_max > s_min:
-        raise DomainError("need s_max > s_min")
-    if not math.isfinite((s_max - s_min) / h):
-        raise DomainError("need a finite s_range, and finitely many steps of h")
+    if not (s_max > s_min and math.isfinite(s_max - s_min)):
+        raise DomainError("need a finite s_range with s_max > s_min")
+    n = _step_count(s_max - s_min, h)
     c = profile_c(p)
 
     def rates(svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +547,6 @@ def reconstruct_spatial(
             return k, np.zeros_like(k)
         return k, c / (k * k)
 
-    n = max(1, int(round((s_max - s_min) / h)))
     h = (s_max - s_min) / n
     svals = s_min + h * np.arange(n + 1)
     k_all, t_all = rates(np.repeat(svals, 2)[: 2 * n + 1] + np.tile([0.0, 0.5 * h], n + 1)[: 2 * n + 1])

@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+_FENCHEL_TOL = 1e-9  # rounding allowance of the chain Bbar >= TC^2 >= 4 pi^2
+_LIYAU_MARGIN = 0.01  # relative discretization margin of Bbar >= varpi* r^2
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,12 @@ def normalized_energy(c: DiscreteCurve) -> EnergyReport:
     return EnergyReport(L=L, B=B, Bbar=L * B, TC=total_curvature(c))
 
 
-def fenchel_floor_check(c: DiscreteCurve, tol: float = 1e-9) -> FenchelReport:
-    """Checks the chain Bbar >= TC^2 >= 4 pi^2 for a closed curve up to a finite tol >= 0."""
+def fenchel_floor_check(c: DiscreteCurve) -> FenchelReport:
+    """Checks the chain Bbar >= TC^2 >= 4 pi^2 for a closed curve, up to 1e-9 (_FENCHEL_TOL)."""
     if not c.closed:
         raise DomainError("the energy floor applies to closed curves")
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise DomainError("need a finite tol >= 0")
     rep = normalized_energy(c)
-    ok = rep.Bbar >= rep.TC**2 - tol and rep.TC >= 2.0 * math.pi - tol
+    ok = rep.Bbar >= rep.TC**2 - _FENCHEL_TOL and rep.TC >= 2.0 * math.pi - _FENCHEL_TOL
     return FenchelReport(Bbar=rep.Bbar, TC=rep.TC, passed=bool(ok))
 
 
@@ -398,9 +398,7 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     return MultiplicityReport(point=point, r=visits + 1, witnesses=witnesses, eps=float(eps))
 
 
-def liyau_check(
-    c: DiscreteCurve, eps: float | None = None, tol_disc: float = 0.01
-) -> LiYauReport:
+def liyau_check(c: DiscreteCurve, eps: float | None = None) -> LiYauReport:
     """Energy bound Bbar >= varpi* r^2 at the detected multiplicity r.
 
     r comes from detect_multiplicity: the most distinct visits (more than
@@ -410,12 +408,10 @@ def liyau_check(
     closed-curve floor 4 pi^2, so the report falls back to the Fenchel
     bound (bound_kind "fenchel"); bound_reason says which case held, and
     eps and the visit witnesses are reported with it.  satisfied allows a
-    tol_disc discretization margin, which must lie in [0, 1).
+    1% discretization margin (_LIYAU_MARGIN): Bbar >= 0.99 bound.
     """
     if not c.closed:
         raise DomainError("the multiplicity bound applies to closed curves")
-    if not 0.0 <= tol_disc < 1.0:
-        raise DomainError("need tol_disc in [0, 1)")
     from .curves import varpi_star  # local import: curves depends on this module
 
     mult = detect_multiplicity(c, eps)
@@ -430,7 +426,7 @@ def liyau_check(
         r=mult.r,
         Bbar=rep.Bbar,
         bound=bound,
-        satisfied=bool(rep.Bbar >= bound * (1.0 - tol_disc)),
+        satisfied=bool(rep.Bbar >= bound * (1.0 - _LIYAU_MARGIN)),
         slack=rep.Bbar - bound,
         bound_kind=kind,
         eps=mult.eps,

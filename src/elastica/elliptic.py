@@ -95,6 +95,13 @@ def _require_finite(x) -> np.ndarray:
     return u
 
 
+def _cosh(u):
+    """np.cosh(u), inf without an overflow warning past |u| ~ 710: every
+    caller divides by it, and sech -> 0 is the right value there."""
+    with np.errstate(over="ignore"):
+        return np.cosh(u)
+
+
 def _shape_like(x, *out):
     """Return-type rule of every function that broadcasts over x: a scalar x
     gives float(s), an array-like x gives ndarray(s)."""
@@ -281,7 +288,7 @@ def sncndn(x, m: float):
         _require_m_for_K(m)
     u = _require_finite(x)
     if m == 1.0:
-        sech = 1.0 / np.cosh(u)
+        sech = 1.0 / _cosh(u)
         s, c, d = np.tanh(u), sech, sech.copy()
     elif m == 0.0:
         s, c, d = np.sin(u), np.cos(u), np.ones_like(u)

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import _require_count, varpi_star
 from .discrete import DiscreteCurve, _pairs, _turn, _turn_ratio, curvature_data, length
 from .errors import DomainError
 
@@ -85,8 +86,7 @@ def _check_endpoints(P0, P1, L0, N):
         raise DomainError("endpoints must be finite")
     if not (np.isfinite(L0) and L0 > 0):
         raise DomainError("need L0 > 0")
-    if N < 8:
-        raise DomainError("need N >= 8")
+    _require_count(N, 8, "N")
     P0.setflags(write=False)
     P1.setflags(write=False)
     return P0, P1
@@ -129,8 +129,8 @@ class ClampedProblem:
         if V0.shape != P0.shape or V1.shape != P0.shape:
             raise DomainError("V0, V1 must match the endpoint dimension")
         for V in (V0, V1):
-            if abs(np.linalg.norm(V) - 1.0) > 1e-9:
-                raise DomainError("clamped tangents must be unit vectors")
+            if not abs(np.linalg.norm(V) - 1.0) <= 1e-9:  # NaN fails too
+                raise DomainError("clamped tangents must be finite unit vectors")
         d = float(np.linalg.norm(P1 - P0))
         if d > self.L0 * (1.0 + 1e-12):
             raise DomainError("need |P0 - P1| <= L0")
@@ -168,8 +168,9 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError("tol must be None or a finite value > 0")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise DomainError("max_iters must be an integer >= 1")
+        _require_count(self.max_iters, 1, "max_iters")
+        if self.seed is not None:
+            _require_count(self.seed, 0, "seed")
 
 
 @dataclass(frozen=True)
@@ -748,25 +749,20 @@ class LeafMinimalityReport:
     results: tuple[MinimizeResult, ...] = field(repr=False, default=())
 
 
-def verify_leaf_minimality(N: int, seeds: int, max_iters: int = 2000) -> LeafMinimalityReport:
-    """Pinned minimization with P0 = P1 from several random starts.
+def verify_leaf_minimality(N: int, seeds: int) -> LeafMinimalityReport:
+    """Pinned minimization with P0 = P1 from several random starts, each
+    with the default MinimizeOptions budget.
 
     The minimum normalized energy over seeds should land on the leaf value
     varpi* (within 1%); no seed may end below it by more than the same
     discretization margin.
     """
-    from .curves import varpi_star
-
-    if N < 100:
-        raise DomainError("need N >= 100")
-    if seeds < 1:
-        raise DomainError("need seeds >= 1")
+    _require_count(N, 100, "N")
+    _require_count(seeds, 1, "seeds")
     results = []
     for seed in range(seeds):
         prob = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, N)
-        results.append(
-            minimize_pinned(prob, MinimizeOptions(seed=seed, max_iters=max_iters))
-        )
+        results.append(minimize_pinned(prob, MinimizeOptions(seed=seed)))
     bbars = np.array([r.Bbar for r in results])
     vp = varpi_star()
     min_b = float(np.min(bbars))

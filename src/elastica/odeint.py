@@ -42,6 +42,8 @@ __all__ = [
 
 _LOCAL_ERR_MAX = 1e-6
 _BLOCK = 1024  # full steps per batched error estimate: caps temporaries and waste
+_RANK_TOL = 1e-8  # singular values at most this share of the largest count as zero
+MAX_STEPS = 10**7  # fixed steps one integration may take: its table is allocated up front
 _FIELDS = ("gamma", "d1", "d2", "d3")
 
 
@@ -221,10 +223,21 @@ def _half_step_error(y0: np.ndarray, y1: np.ndarray, h: float, lam: float) -> np
         return np.max(np.abs(y1 - y_half), axis=(1, 2)) / 15.0
 
 
+def _step_count(span: float, h: float) -> int:
+    """round(span / h), at least 1, for a span and step already checked
+    positive; DomainError when span / h is not at most MAX_STEPS, before
+    anything is allocated."""
+    steps = span / h
+    if not steps <= MAX_STEPS:
+        raise DomainError(f"span / h = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
+    return max(1, int(round(steps)))
+
+
 def integrate_elastica(
     s0: ElasticaState, lam: float, s_end: float, h: float
 ) -> Trajectory:
-    """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h)).
+    """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h),
+    at most MAX_STEPS).
 
     The steps run in the float kernel _step3, planar states at z = 0; data
     keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
@@ -237,7 +250,7 @@ def integrate_elastica(
         raise DomainError("need finite lam and s_end > 0")
     if not 0.0 < h <= s_end:
         raise DomainError("need 0 < h <= s_end")
-    n = max(1, int(round(s_end / h)))
+    n = _step_count(s_end, h)
     h = float(s_end) / n  # NumPy scalars would slow the float loop
     lam = float(lam)
     dim = s0.dim
@@ -274,14 +287,19 @@ def monitor_det(t: Trajectory) -> np.ndarray:
     return np.linalg.det(np.swapaxes(t.data[:, 1:4, :], 1, 2))
 
 
-def dimension_of_span(s: ElasticaState, tol: float = 1e-8) -> int:
-    """Numerical rank of span{d1, d2, d3}: singular values below
-    tol * sigma_max are treated as zero."""
-    sv = np.linalg.svd(np.column_stack([s.d1, s.d2, s.d3]), compute_uv=False)
-    return int(np.sum(sv > tol * sv[0]))
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank from descending singular values: those at most
+    _RANK_TOL * sigma_max count as zero."""
+    return int(np.sum(sv > _RANK_TOL * sv[0]))
 
 
-def planarity_drift(t: Trajectory, tol: float = 1e-8) -> float:
+def dimension_of_span(s: ElasticaState) -> int:
+    """Numerical rank of span{d1, d2, d3}: singular values at most
+    1e-8 * sigma_max count as zero (_rank)."""
+    return _rank(np.linalg.svd(np.column_stack([s.d1, s.d2, s.d3]), compute_uv=False))
+
+
+def planarity_drift(t: Trajectory) -> float:
     """Max distance of the positions from the initial osculating plane.
 
     The initial span must be at most 2-dimensional (rank 3 is rejected);
@@ -290,7 +308,7 @@ def planarity_drift(t: Trajectory, tol: float = 1e-8) -> float:
     st = t.state(0)
     M = np.column_stack([st.d1, st.d2, st.d3])
     U, sv, _ = np.linalg.svd(M)
-    if int(np.sum(sv > tol * sv[0])) == 3:
+    if _rank(sv) == 3:
         raise DomainError("initial data spans all of R^3: no plane to track")
     if t.dim == 2:
         return 0.0
@@ -300,7 +318,10 @@ def planarity_drift(t: Trajectory, tol: float = 1e-8) -> float:
 
 def energy_law_residual(t: Trajectory, a: float, c_sq: float) -> np.ndarray:
     """Residual of (u')^2 + u^3 - 2 lam u^2 - 4 a u + 4 c^2 with u = |d2|^2
-    and u' = 2 <d2, d3>; identically zero along exact solutions."""
+    and u' = 2 <d2, d3>; identically zero along exact solutions.  a and
+    c_sq must be finite."""
+    if not (math.isfinite(a) and math.isfinite(c_sq)):
+        raise DomainError("need finite a and c_sq")
     d2 = t.data[:, 2, :]
     d3 = t.data[:, 3, :]
     u = np.einsum("ij,ij->i", d2, d2)

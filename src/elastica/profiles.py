@@ -46,6 +46,9 @@ __all__ = [
     "residual_first_integral",
 ]
 
+_FD_STEP = 1e-4  # central-difference step of the planar and spatial residuals
+
+
 @dataclass(frozen=True)
 class CurvatureProfile:
     """Parameters (m, w, A, s0) of the unified curvature formula."""
@@ -60,8 +63,10 @@ class CurvatureProfile:
             raise DomainError(f"need 0 <= m <= w <= 1, got m={self.m}, w={self.w}")
         if not self.w > 0.0:
             raise DomainError("need w > 0")
-        if not (math.isfinite(self.A) and self.A > 0.0):
-            raise DomainError("need a finite A > 0")
+        with np.errstate(over="ignore", under="ignore"):
+            a6 = np.float64(self.A) ** 6  # every profile constant scales with a power of A
+        if not (self.A > 0.0 and 0.0 < a6 < math.inf):
+            raise DomainError("need A > 0 with A**6 a finite, nonzero float")
         if not math.isfinite(self.s0):
             raise DomainError("phase s0 must be finite")
 
@@ -168,38 +173,35 @@ def torsion(p: CurvatureProfile, s):
     return c / u
 
 
-def residual_planar(k: Callable, lam: float, s, h: float = 1e-4):
-    """2 k_ss + k^3 - lambda k with k_ss by second-order central differences."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError("need a finite h > 0")
+def residual_planar(k: Callable, lam: float, s):
+    """2 k_ss + k^3 - lambda k with k_ss by second-order central differences
+    of step 1e-4 (_FD_STEP)."""
     if not math.isfinite(lam):
         raise DomainError("need a finite lambda")
     _require_finite(s)
+    h = _FD_STEP
     ks = k(s)
     k_ss = (k(s + h) - 2.0 * ks + k(s - h)) / (h * h)
     return 2.0 * k_ss + ks**3 - lam * ks
 
 
-def residual_spatial(k: Callable, lam: float, c: float, s, h: float = 1e-4):
+def residual_spatial(k: Callable, lam: float, c: float, s):
     """2 k_ss + k^3 - lambda k - 2 c^2 / k^3 (k bounded away from zero)."""
     if not math.isfinite(c):
         raise DomainError("need a finite c")
-    return residual_planar(k, lam, s, h) - 2.0 * c * c / k(s) ** 3
+    return residual_planar(k, lam, s) - 2.0 * c * c / k(s) ** 3
 
 
-def residual_first_integral(p: CurvatureProfile, s, h: float | None = None):
+def residual_first_integral(p: CurvatureProfile, s):
     """(u')^2 - (-u^3 + 2 lambda u^2 + 4 a u - 4 c^2) with u = kappa_sq.
 
-    u' is a central finite difference; h defaults to 1e-5 of the profile
+    u' is a central finite difference of step h = 1e-5 of the profile
     period (the residual is O(h^2) for the exact profile).
     """
-    if h is None:
-        period = profile_period(p)
-        if not math.isfinite(period):
-            period = 4.0 * math.sqrt(p.w) / p.A
-        h = 1e-5 * period
-    elif not (math.isfinite(h) and h > 0.0):
-        raise DomainError("need a finite h > 0")
+    period = profile_period(p)
+    if not math.isfinite(period):
+        period = 4.0 * math.sqrt(p.w) / p.A
+    h = 1e-5 * period
     lam, a, c_sq = first_integral_coeffs(p)
     u = kappa_sq(p, s)
     du = (kappa_sq(p, s + h) - kappa_sq(p, s - h)) / (2.0 * h)

@@ -182,7 +182,7 @@ def test_criterion_3_curvature_formula_consistency():
             res = residual_first_integral(p, s)
             assert np.max(np.abs(res)) < 1e-8 * max(1.0, A**6)
             k = lambda t: np.sqrt(kappa_sq(p, t))
-            res = residual_spatial(k, profile_lambda(p), profile_c(p), s, h=1e-4)
+            res = residual_spatial(k, profile_lambda(p), profile_c(p), s)
             assert np.max(np.abs(res)) < 1e-5
 
 

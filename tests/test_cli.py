@@ -103,6 +103,7 @@ class TestConfigEcho:
         ["sample", "--family", "circular", "--jobs", "2"],
         ["liyau", "x.csv", "--format", "json"],
         ["integrate", "ic.txt", "--format", "csv"],
+        ["minimize", "p.txt", "--seed", "1"],  # the seed is a problem-file key
     ])
     def test_options_only_where_read(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -361,12 +362,11 @@ class TestMinimize:
         assert result["termination"] == "budget"
         assert result["converged"] is False
 
-    def test_resolved_seed_prefers_file(self, run, tmp_path):
+    def test_echo_reports_the_file_seed(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64, seed=3)
-        _, _, err = run("minimize", str(problem), "--seed", "9", "--out",
-                        str(tmp_path / "s.csv"))
+        _, _, err = run("minimize", str(problem), "--out", str(tmp_path / "s.csv"))
         cfg = json.loads(err.splitlines()[0][len("config: "):])
-        assert cfg["resolved_seed"] == 3
+        assert cfg["seed"] == 3
 
     def test_deterministic_artifacts(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64)
@@ -504,6 +504,16 @@ class TestIntegrate:
         assert code == 0 and out == "" and err == ""
         assert loud.read_bytes() == quiet.read_bytes()
         assert run("integrate", ic)[1].encode() == loud.read_bytes()
+
+    @pytest.mark.parametrize("h", ["1e-300", "1e-12"])
+    def test_step_count_above_the_cap_exits_2(self, run, tmp_path, h):
+        # an input error (exit 2) raised before the trajectory table is
+        # allocated, not NumPy's size error reported as an internal error
+        ic = self.write_ic(tmp_path, "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
+                                     f"lam = 1\ns_end = 1\nh = {h}\n")
+        code, out, err = run("integrate", ic)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "cap" in err
 
     @pytest.mark.parametrize("text", [
         "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\n",  # no h

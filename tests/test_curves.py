@@ -13,7 +13,6 @@ from elastica.curves import (
     ClassifyResult,
     Leaf,
     PlanarElastica,
-    RigidMotion,
     Similarity,
     build_leaf,
     build_leafed,
@@ -136,6 +135,21 @@ class TestClosure:
 class TestEvalPlanar:
     def test_borderline_origin(self):
         assert eval_planar(PlanarElastica("borderline"), 0.0) == pytest.approx((0.0, -2.0))
+
+    @pytest.mark.parametrize("s", [800.0, -800.0])
+    def test_borderline_past_cosh_overflow(self, s):
+        # far from the loop the borderline curve is a straight line: sech -> 0
+        # without a RuntimeWarning, where cosh(s) overflows
+        sim = Similarity(rotation=0.3)
+        e = PlanarElastica("borderline", similarity=sim)
+        assert eval_k(e, s) == 0.0
+        x, y = eval_planar(e, s)
+        assert (x, y) == sim.apply(2.0 * math.tanh(s) - s, 0.0)
+        gamma, d1, d2, d3 = planar_state(e, s)
+        assert np.array_equal(gamma, [x, y])
+        th = 0.3 + math.copysign(math.pi, s)
+        assert np.allclose(d1, [math.cos(th), math.sin(th)], rtol=0, atol=1e-15)
+        assert not np.any(d2) and not np.any(d3)
 
     def test_circular_quarter(self):
         assert eval_planar(PlanarElastica("circular"), math.pi / 2) == pytest.approx((1.0, 0.0))
@@ -343,15 +357,15 @@ def junction_checks(le):
     ts = np.array([math.cos(a), -math.sin(a), 0.0][: le.dim])
     te = np.array([math.cos(a), math.sin(a), 0.0][: le.dim])
     ends = []
-    for i, mot in enumerate(le.motions):
-        R = mot.rotation
+    assert le.rotations.shape == (le.r, le.dim, le.dim)
+    assert not le.rotations.flags.writeable and not le.chain.flags.writeable
+    for i, R in enumerate(le.rotations):
         assert np.allclose(R.T @ R, np.eye(le.dim), atol=1e-12)
-        assert np.all(mot.translation == 0.0)
         for s in (0.0, leaf.length):
             p = np.array(eval_planar(leaf.elastica, s))
             if le.dim == 3:
                 p = np.append(p, 0.0)
-            assert np.linalg.norm(mot.apply(p)) < 1e-9  # C0: through the origin
+            assert np.linalg.norm(R @ p) < 1e-9  # C0: through the origin
         assert np.allclose(R @ ts, le.chain[i], atol=1e-9)  # start tangent
         ends.append(R @ te)
     for i in range(le.r):  # C1: end tangent meets the next start tangent
@@ -485,21 +499,11 @@ class TestClassify:
 
 
 class TestRigidMotion:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RigidMotion(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
-        with pytest.raises(DomainError):
-            RigidMotion(np.eye(3), np.zeros(2))
-
-    def test_apply(self):
-        mot = RigidMotion(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
-        assert np.allclose(mot.apply(np.array([[1.0, 0.0]])), [[1.0, 3.0]])
-
     def test_preserves_energy(self):
-        # any stored motion is an isometry of the discrete energies
+        # any stored leaf rotation is an isometry of the discrete energies
         le = build_leafed(3, 3)
         c = sample_leafed(le, 256)
-        moved = DiscreteCurve(le.motions[1].apply(c.vertices), closed=True)
+        moved = DiscreteCurve(c.vertices @ le.rotations[1].T, closed=True)
         r0, r1 = normalized_energy(c), normalized_energy(moved)
         assert r1.L == pytest.approx(r0.L, rel=1e-12)
         assert r1.B == pytest.approx(r0.B, rel=1e-12)
@@ -577,6 +581,15 @@ class TestReconstruct:
             reconstruct_spatial(p, self.F0, (0.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             reconstruct_spatial(p, self.F0, (1.0, 1.0), 1e-3)
+
+    @pytest.mark.parametrize("s_range, h", [
+        ((0.0, 1.0), 1e-300), ((0.0, 1.0), 1e-12), ((-1e300, 1e300), 1.0),
+    ])
+    def test_step_count_above_the_cap(self, s_range, h):
+        # the k, t tables would not fit in memory: a DomainError before any
+        # allocation, not NumPy's "maximum allowed size exceeded"
+        with pytest.raises(DomainError, match="cap"):
+            reconstruct_spatial(CurvatureProfile(0.3, 0.8, 1.5), self.F0, s_range, h)
 
 
 def reference_reconstruct(p, F, s_range, h):
@@ -660,7 +673,6 @@ SPATIAL = CurvatureProfile(0.3, 0.8, 1.5)
 # records the module returns)
 FLOAT_CONTRACTS = {
     ("check_closure", "m"): (lambda v: check_closure("wavelike", v), {}),
-    ("check_closure", "tol"): (lambda v: check_closure("wavelike", 0.5, v), {}),
     ("Similarity", "rotation"): (lambda v: Similarity(rotation=v).apply(1.0, 0.0),
                                  {0.0: is_((1.0, 0.0)), -1.0: is_((math.cos(1.0), -math.sin(1.0)))}),
     ("Similarity", "translation"): (lambda v: Similarity(translation=(0.0, v)).apply(0.0, 0.0),

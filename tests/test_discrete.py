@@ -374,14 +374,6 @@ class TestLiYau:
         with pytest.raises(DomainError):
             liyau_check(leaf_vertices(32))
 
-    @pytest.mark.parametrize("tol_disc", [-5.0, math.nan, 1.0, math.inf])
-    def test_bad_margin_rejected(self, tol_disc):
-        # a bad margin must not read as a violated bound
-        eight = sample_leafed(build_leafed(2, 2), 256)
-        with pytest.raises(DomainError):
-            liyau_check(eight, tol_disc=tol_disc)
-        assert liyau_check(eight, tol_disc=0.01).satisfied
-
     def test_random_petal_curves_always_satisfy(self):
         # universal bound: 200 random curves forced through an r-fold point
         rng = default_rng(2024)
@@ -650,25 +642,12 @@ class TestNarrowPhaseReference:
             assert got.point.tobytes() == w.point.tobytes()
 
 
-def check_fenchel_at_zero_margin(rep):
-    assert math.isfinite(rep.Bbar) and math.isfinite(rep.TC)
-    assert rep.passed == (rep.Bbar >= rep.TC**2 and rep.TC >= 2.0 * math.pi)
-    assert rep.passed  # the eight is far from equality in both
-
-
-def check_liyau_at_zero_margin(rep):
-    assert all(map(math.isfinite, (rep.Bbar, rep.bound, rep.slack, rep.eps)))
-    assert rep.satisfied == (rep.Bbar >= rep.bound)
-
-
 # every float parameter of a function in discrete.__all__: the values of
 # BAD_FLOATS that give a documented result, with its check; every other
 # value must raise DomainError
 FLOAT_CONTRACTS = {
-    ("fenchel_floor_check", "tol"): {0.0: check_fenchel_at_zero_margin},
     ("detect_multiplicity", "eps"): {},
     ("liyau_check", "eps"): {},
-    ("liyau_check", "tol_disc"): {0.0: check_liyau_at_zero_margin},
 }
 
 

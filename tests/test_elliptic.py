@@ -257,6 +257,14 @@ class TestJacobiFunctions:
         assert el.cn(x, 1.0) == pytest.approx(1 / math.cosh(x), abs=1e-15)
         assert el.dn(x, 1.0) == pytest.approx(1 / math.cosh(x), abs=1e-15)
 
+    @pytest.mark.parametrize("x", [800.0, -800.0])
+    def test_hyperbolic_limit_past_cosh_overflow(self, x):
+        # cosh(800) overflows; sech is 0 there, with no RuntimeWarning
+        s, c, d = el.sncndn(np.array([x, 0.9]), 1.0)
+        assert (s[0], c[0], d[0]) == (math.copysign(1.0, x), 0.0, 0.0)
+        assert (s[1], c[1], d[1]) == (math.tanh(0.9), 1.0 / np.cosh(0.9), 1.0 / np.cosh(0.9))
+        assert el.sncndn(x, 1.0) == (math.copysign(1.0, x), 0.0, 0.0)
+
     def test_trigonometric_limit(self):
         x = -3.2
         assert el.sn(x, 0.0) == math.sin(x)

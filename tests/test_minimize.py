@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 from scipy.spatial import cKDTree
 
+import elastica.minimize as minimize
 from elastica.curves import canonical_leaf, eval_planar, figure_eight_modulus, varpi_star
 from elastica.discrete import DiscreteCurve, _pairs, bending_energy, curvature_data, edge_lengths
 from elastica.elliptic import cn, comp_E, comp_K
@@ -24,6 +25,8 @@ from elastica.minimize import (
     verify_leaf_minimality,
 )
 from elastica.minimize import _rounding_bound
+
+from input_contracts import BAD_FLOATS, check_contract, contract_cases, float_parameters
 
 EX = np.array([1.0, 0.0])
 EY = np.array([0.0, 1.0])
@@ -200,6 +203,19 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, 2.0 * EX, EX)
 
+    @pytest.mark.parametrize("V0", [[math.nan, 0.0], [0.0, math.nan], [math.nan, math.nan]])
+    def test_clamped_rejects_nan_tangent(self, V0):
+        # NaN passes |norm - 1| > 1e-9; the solve then failed to close the arc
+        with pytest.raises(DomainError):
+            ClampedProblem([0.0, 0.0], [0.3, 0.0], 1.0, 32, V0, [1.0, 0.0])
+
+    @pytest.mark.parametrize("N", [8.5, 16.0, np.float64(16.0), "16"], ids=repr)
+    def test_problems_reject_non_integer_N(self, N):
+        with pytest.raises(DomainError):
+            PinnedProblem(np.zeros(2), 0.5 * EX, 1.0, N)
+        with pytest.raises(DomainError):
+            ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, N, EY, EY)
+
     def test_clamped_rejects_taut_non_collinear(self):
         # |P0 - P1| = L0 with a tangent off the chord: no curve exists
         with pytest.raises(DomainError):
@@ -229,9 +245,16 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             MinimizeOptions(max_iters=max_iters)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, "3"], ids=repr)
+    def test_options_reject_bad_seed(self, seed):
+        with pytest.raises(DomainError):
+            MinimizeOptions(seed=seed)
+
     def test_options_accept_valid_values(self):
         assert MinimizeOptions(tol=None, max_iters=1).max_iters == 1
         assert MinimizeOptions(tol=1e-3, max_iters=np.int64(5)).tol == 1e-3
+        assert MinimizeOptions(seed=0).seed == 0
+        assert MinimizeOptions(seed=np.int64(7)).seed == 7
 
 
 @pytest.fixture(scope="module")
@@ -595,15 +618,15 @@ class TestEstimateMultiplier:
 
 class TestLeafMinimalityReport:
     def test_small_experiment_passes(self):
-        rep = verify_leaf_minimality(120, 2, max_iters=3000)
+        rep = verify_leaf_minimality(120, 2)
         assert rep.passed
         assert abs(rep.min_Bbar / varpi_star() - 1.0) <= 0.01
         assert all(r.Bbar >= varpi_star() * 0.99 for r in rep.results)
         assert len(rep.results) == 2
 
     def test_refinement_shrinks_deviation(self):
-        d1 = verify_leaf_minimality(120, 1, max_iters=3000).deviation
-        d2 = verify_leaf_minimality(240, 1, max_iters=3000).deviation
+        d1 = verify_leaf_minimality(120, 1).deviation
+        d2 = verify_leaf_minimality(240, 1).deviation
         assert abs(d2) < abs(d1)
 
     def test_validation(self):
@@ -611,3 +634,48 @@ class TestLeafMinimalityReport:
             verify_leaf_minimality(99, 2)
         with pytest.raises(DomainError):
             verify_leaf_minimality(120, 0)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(DomainError):
+            verify_leaf_minimality(120.5, 2)
+        with pytest.raises(DomainError):
+            verify_leaf_minimality(120, 2.5)
+
+
+# every float parameter of minimize.__all__ (MinimizeResult and
+# LeafMinimalityReport are the records it returns): each value of
+# BAD_FLOATS is an input error
+FLOAT_CONTRACTS = {
+    ("PinnedProblem", "L0"): (lambda v: PinnedProblem(np.zeros(2), 0.25 * EX, v, 16), {}),
+    ("ClampedProblem", "L0"): (lambda v: ClampedProblem(np.zeros(2), 0.25 * EX, v, 16, EY, EY), {}),
+    ("MinimizeOptions", "tol"): (lambda v: MinimizeOptions(tol=v), {}),
+}
+# the vector fields of the problems, one coordinate set to the value
+VECTOR_FIELDS = {
+    "P0": lambda v: PinnedProblem([0.0, v], 0.25 * EX, 3.0, 16),
+    "P1": lambda v: PinnedProblem(np.zeros(2), [0.25, v], 3.0, 16),
+    "V0": lambda v: ClampedProblem(np.zeros(2), 0.25 * EX, 3.0, 16, [v, 1.0], EY),
+    "V1": lambda v: ClampedProblem(np.zeros(2), 0.25 * EX, 3.0, 16, EY, [v, 1.0]),
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        records = ("MinimizeResult", "LeafMinimalityReport")
+        assert float_parameters(minimize, records=records) == set(FLOAT_CONTRACTS)
+
+    @contract_cases(FLOAT_CONTRACTS)
+    def test_float_parameter(self, key, value):
+        check_contract(FLOAT_CONTRACTS, key, value)
+
+    @pytest.mark.parametrize("value", BAD_FLOATS, ids=str)
+    @pytest.mark.parametrize("field", list(VECTOR_FIELDS))
+    def test_vector_coordinate(self, field, value):
+        # a finite coordinate gives a problem (V0, V1: only where the
+        # tangent stays a unit vector); NaN and inf are input errors
+        build = VECTOR_FIELDS[field]
+        if math.isfinite(value) and (field in ("P0", "P1") or value == 0.0):
+            assert build(value).dim == 2
+        else:
+            with pytest.raises(DomainError):
+                build(value)

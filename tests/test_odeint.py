@@ -21,6 +21,8 @@ from elastica.odeint import (
 )
 from elastica.profiles import CurvatureProfile, first_integral_coeffs, profile_c, profile_period
 
+from input_contracts import check_contract, contract_cases, float_parameters, is_
+
 
 def circle_state(dim=2):
     g = [0.0, -1.0, 0.0][:dim]
@@ -176,6 +178,15 @@ class TestIntegrate:
             integrate_elastica(st, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate_elastica(st, math.nan, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("s_end, h", [(1.0, 1e-300), (1.0, 1e-12), (1e300, 1.0)])
+    def test_step_count_above_the_cap(self, s_end, h):
+        # the table would not fit in memory: a DomainError before any
+        # allocation, not NumPy's "maximum allowed size exceeded"
+        assert s_end / h > odeint.MAX_STEPS
+        for st in (circle_state(), wavelike_state(0.7, dim=3)):
+            with pytest.raises(DomainError, match="cap"):
+                integrate_elastica(st, 1.0, s_end, h)
 
     def test_trajectory_accessors(self):
         tr = integrate_elastica(circle_state(), 1.0, 0.1, 1e-2)
@@ -362,3 +373,29 @@ class TestReferenceLoop:
             with pytest.raises(StepSizeError, match="non-finite") as exc:
                 integrate_elastica(circle_state(), 1e160, 1.0, 0.1)
         assert "at s = 0; reduce h" in str(exc.value)
+
+
+# a unit circle traversed for s in [0, 1]: u = |d2|^2 = 1 and u' = 0 to
+# about 1e-10, so the energy law reads 1 - 2 lam - 4 a + 4 c^2 with lam = 1
+CIRCLE = integrate_elastica(circle_state(), 1.0, 1.0, 1e-2)
+# every float parameter of odeint.__all__ (Trajectory is the record
+# integrate_elastica returns); a straight line ends at (1, 0, 0) for any lam
+FLOAT_CONTRACTS = {
+    ("integrate_elastica", "lam"): (lambda v: integrate_elastica(line_state(), v, 1.0, 0.1).data[-1, 0],
+                                    {0.0: is_((1.0, 0.0, 0.0)), -1.0: is_((1.0, 0.0, 0.0))}),
+    ("integrate_elastica", "s_end"): (lambda v: integrate_elastica(line_state(), 1.0, v, 0.1), {}),
+    ("integrate_elastica", "h"): (lambda v: integrate_elastica(line_state(), 1.0, 1.0, v), {}),
+    ("energy_law_residual", "a"): (lambda v: energy_law_residual(CIRCLE, v, 0.0),
+                                   {0.0: is_(-1.0, rtol=1e-8), -1.0: is_(3.0, rtol=1e-8)}),
+    ("energy_law_residual", "c_sq"): (lambda v: energy_law_residual(CIRCLE, 0.0, v),
+                                      {0.0: is_(-1.0, rtol=1e-8), -1.0: is_(-5.0, rtol=1e-8)}),
+}
+
+
+class TestInputContracts:
+    def test_table_covers_every_float_parameter(self):
+        assert float_parameters(odeint, records=("Trajectory",)) == set(FLOAT_CONTRACTS)
+
+    @contract_cases(FLOAT_CONTRACTS)
+    def test_float_parameter(self, key, value):
+        check_contract(FLOAT_CONTRACTS, key, value)

@@ -43,7 +43,7 @@ from .discrete import (
     vertex_arclengths,
 )
 from .elliptic import comp_E, comp_K
-from .errors import DomainError, InfeasibleError, StepSizeError
+from .errors import MAX_COUNT, DomainError, InfeasibleError, StepSizeError
 from .odeint import ElasticaState, integrate_elastica, monitor_det
 
 __all__ = ["main"]
@@ -154,6 +154,8 @@ def cmd_constants(args) -> int:
 def cmd_sample(args) -> int:
     if args.N < 1:
         raise DomainError("--N needs at least 1")
+    if args.N > MAX_COUNT:
+        raise DomainError(f"--N exceeds the cap of {MAX_COUNT}")
     if not (math.isfinite(args.periods) and args.periods > 0.0):
         raise DomainError("--periods needs a finite value > 0")
     e = PlanarElastica(args.family, m=args.m)  # validates family/m pairing
@@ -165,6 +167,8 @@ def cmd_sample(args) -> int:
             raise DomainError("--range needs A < B")
     elif math.isfinite(e.period):
         s0, s1 = 0.0, args.periods * e.period
+        if not math.isfinite(s1):
+            raise DomainError("--periods times the period must be finite")
     else:
         s0, s1 = -8.0, 8.0  # aperiodic families: window around the loop
     _echo(args, s_range=[s0, s1])
@@ -231,11 +235,14 @@ def cmd_minimize(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise DomainError("--sweep needs at least 1 seed")
+        if args.sweep > MAX_COUNT:
+            raise DomainError(f"--sweep exceeds the cap of {MAX_COUNT}")
         payloads = [(problem, opts, seed) for seed in range(args.sweep)]
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # workers beyond the seed count would sit idle
+            with ProcessPoolExecutor(max_workers=min(args.jobs, args.sweep)) as pool:
                 runs = dict(pool.map(_run_minimize_seeded, payloads))
         else:
             runs = dict(map(_run_minimize_seeded, payloads))

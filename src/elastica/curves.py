@@ -38,7 +38,7 @@ from .discrete import DiscreteCurve, curvature_data, length
 from .elliptic import (
     _cosh, _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
 )
-from .errors import DomainError, InfeasibleError
+from .errors import MAX_COUNT, DomainError, InfeasibleError
 from .profiles import CurvatureProfile, kappa_sq, profile_c
 
 __all__ = [
@@ -322,14 +322,16 @@ def canonical_leaf() -> Leaf:
     return Leaf(m=m, K=comp_K(m))
 
 
-def _require_count(n, least: int, name: str) -> None:
+def _require_count(n, least: int, name: str, most: float = math.inf) -> None:
     if not isinstance(n, (int, np.integer)) or n < least:
         raise DomainError(f"need an integer {name} >= {least}")
+    if n > most:
+        raise DomainError(f"{name} = {n} exceeds the cap of {most}")
 
 
 def build_leaf(N: int) -> DiscreteCurve:
     """Open polyline with N+1 arclength-uniform samples of the leaf."""
-    _require_count(N, 2, "N")
+    _require_count(N, 2, "N", MAX_COUNT)
     leaf = canonical_leaf()
     x, y = eval_planar(leaf.elastica, np.linspace(0.0, leaf.length, N + 1))
     return DiscreteCurve(np.column_stack([x, y]), closed=False)
@@ -348,7 +350,7 @@ def spherical_chain(r: int, psi: float) -> np.ndarray:
     (psi <= 2 pi k / r) is taken.  Even r always fits, at k = r/2; odd r
     fits exactly when psi <= pi - pi/r, and InfeasibleError is raised above.
     """
-    _require_count(r, 2, "r")
+    _require_count(r, 2, "r", MAX_COUNT)
     if not 0.0 < psi < math.pi:
         raise DomainError("need psi in (0, pi)")
     if r == 2:
@@ -420,7 +422,7 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
     taking the canonical start/end tangent pair to (u_i, u_{i+1}) from
     spherical_chain, keeping each leaf's plane through the pair bisector.
     """
-    _require_count(r, 2, "r")
+    _require_count(r, 2, "r", MAX_COUNT)
     if dim not in (2, 3):
         raise DomainError("dim must be 2 or 3")
     ts, te = _leaf_end_tangents(dim)
@@ -442,6 +444,7 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
 def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
     """Closed polyline with n_per_leaf vertices per leaf (junctions shared)."""
     _require_count(n_per_leaf, 3, "n_per_leaf")
+    _require_count(len(le.rotations) * int(n_per_leaf), 3, "r * n_per_leaf", MAX_COUNT)
     leaf = canonical_leaf()
     s = np.arange(n_per_leaf) * (leaf.length / n_per_leaf)  # endpoint omitted
     x, y = eval_planar(leaf.elastica, s)
@@ -526,7 +529,7 @@ def reconstruct_spatial(
     evaluated up front over arrays; each step is one straight-line kernel
     on named Python floats (_frame_step).  frame0
     holds rows (T0, N0, B0), orthonormal to 1e-12; the curve starts at the
-    origin.  (s_max - s_min) / h may not exceed odeint.MAX_STEPS.
+    origin.  (s_max - s_min) / h may not exceed errors.MAX_COUNT.
     """
     from .odeint import _step_count  # local import: most callers never integrate
 

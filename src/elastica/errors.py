@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types, and the size cap, shared across the package.
 
 The CLI maps these onto process exit codes (see `elastica.cli`), so library
 code should raise the most specific one that applies rather than a bare
 ValueError/RuntimeError.
 """
+
+# largest step, sample or vertex count an operation allocates for up front;
+# above it DomainError, before anything is allocated or looped over
+MAX_COUNT = 10**7
 
 
 class DomainError(ValueError):

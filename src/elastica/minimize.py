@@ -26,6 +26,11 @@ projected gradient by a fixed factor (the stationarity residual is the
 merit function there).  Such a step may raise B by at most that bound.
 When no step is accepted the solve ends with termination "floor".
 
+The descent runs once, at the problem's N, from the circular arc of length
+L0 through the endpoints (clamped: the two end edges along V0 and V1 joined
+by an arc), optionally perturbed by a seeded smooth field; the always
+descending Laplacian step is its globalization.
+
 grad_norm (compared against tol) is the norm of the vertex-space energy
 gradient projected onto the tangent space of the edge-length constraints.
 
@@ -43,7 +48,7 @@ import numpy as np
 
 from .curves import _require_count, varpi_star
 from .discrete import DiscreteCurve, _pairs, _turn, _turn_ratio, curvature_data, length
-from .errors import DomainError
+from .errors import MAX_COUNT, DomainError
 
 __all__ = [
     "PinnedProblem",
@@ -86,7 +91,7 @@ def _check_endpoints(P0, P1, L0, N):
         raise DomainError("endpoints must be finite")
     if not (np.isfinite(L0) and L0 > 0):
         raise DomainError("need L0 > 0")
-    _require_count(N, 8, "N")
+    _require_count(N, 8, "N", MAX_COUNT)
     P0.setflags(write=False)
     P1.setflags(write=False)
     return P0, P1
@@ -520,8 +525,9 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
 
 
 def _descend(T, P0, P1, h, a, tol, max_iters):
-    """Descent at one level.  The free tangents are a..b-1 (a = 1 when the
-    end tangents are clamped); closure is sum(T) = (P1 - P0) / h."""
+    """Descent from the tangents T of a chain of n edges.  The free
+    tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
+    is sum(T) = (P1 - P0) / h."""
     n = len(T)
     b = n - a
     target = (P1 - P0) / h
@@ -536,7 +542,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         grad_norm = _projected_gradient_norm(T, GT, h, a, b)
         el = np.linalg.norm(np.diff(_vertices(T, P0, P1, h), axis=0), axis=1)
         log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
-                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h})
+                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n})
         if grad_norm < tol:
             return T, B, grad_norm, it - 1, "converged", log
         Tf = T[a:b]
@@ -612,86 +618,35 @@ def _package(X, info):
     )
 
 
-def _prolong(T: np.ndarray, n: int) -> np.ndarray:
-    """Tangents of a chain of n edges interpolated in arclength from T
-    (the unwrapped edge angle in the plane, componentwise then normalized
-    in space)."""
-    s_old = (np.arange(len(T)) + 0.5) / len(T)
-    s_new = (np.arange(n) + 0.5) / n
-    if T.shape[1] == 2:
-        phi = np.interp(s_new, s_old, np.unwrap(np.arctan2(T[:, 1], T[:, 0])))
-        return np.column_stack([np.cos(phi), np.sin(phi)])
-    Tn = np.column_stack([np.interp(s_new, s_old, T[:, k]) for k in range(3)])
-    return Tn / np.linalg.norm(Tn, axis=1)[:, None]
-
-
-def _multilevel(P0, P1, L0, N, dim, opts, clamp=None):
-    """Coarse-to-fine solve: solve on a short chain first, prolong the
-    tangents, re-solve.  Kinked transients that take many iterations to
-    relax at the target N cost almost nothing at N ~ 32."""
-    levels = [N]
-    while levels[-1] > 32:
-        levels.append((levels[-1] + 1) // 2)
-    levels.reverse()
-    tol_fine = opts.tol if opts.tol is not None else 1e-8 * N
+def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
+    """One descent at the problem's N from the circular arc: the whole arc
+    when pinned; when clamped, the clamped end edges joined by the arc from
+    P0 + h V0 to P1 - h V1."""
+    P0, P1, N, dim = p.P0, p.P1, p.N, p.dim
+    h = p.L0 / N
     a = 0 if clamp is None else 1
-
-    T = None
-    log: list[dict] = []
-    used = 0
-    out = (math.inf, math.inf, "budget")
-    for n in levels:
-        fine = n == N
-        h = L0 / n
-        if clamp is not None:
-            q0 = P0 + h * clamp[0]
-            q1 = P1 - h * clamp[1]
-            # the inner chain must be able to span q0 -> q1 at this h
-            if not fine and np.linalg.norm(q1 - q0) >= (n - 2) * h:
-                continue
-        if T is None:
-            if clamp is None:
-                X0 = _arc_initial(P0, P1, L0, n, dim)
-            else:
-                X0 = np.empty((n + 1, dim))
-                X0[1:-1] = _arc_initial(q0, q1, (n - 2) * h, n - 2, dim, clamp[0] - clamp[1])
-                X0[0], X0[-1] = P0, P1
-            E0 = np.diff(X0, axis=0)
-            T0 = E0 / np.linalg.norm(E0, axis=1)[:, None]
-            if opts.seed is not None:
-                rng = np.random.default_rng(opts.seed)
-                T0 = _perturbed(T0, P0, P1, h, a, rng, _PERTURB_AMP * L0)
-        else:
-            T0 = _prolong(T, n)
-        if clamp is not None:
-            T0[0], T0[-1] = clamp
-        budget = opts.max_iters - used if fine else min(300, opts.max_iters - used)
-        if budget <= 0 and not fine:
-            continue
-        try:
-            T_, B, gn, iters, term, lv_log = _descend(
-                T0, P0, P1, h, a, tol_fine if fine else 1e-8 * n, max(budget, 1)
-            )
-        except DomainError:
-            if fine:
-                raise
-            continue  # coarse level not closable; retry on a finer grid
-        T = T_
-        for row in lv_log:
-            log.append({**row, "N": n})
-        used += iters
-        out = (B, gn, term)
-    for i, row in enumerate(log):
-        row["iteration"] = i
-    B, gn, term = out
-    return _vertices(T, P0, P1, L0 / N), (B, gn, used, term, log)
+    if clamp is None:
+        X0 = _arc_initial(P0, P1, p.L0, N, dim)
+    else:
+        X0 = np.empty((N + 1, dim))
+        X0[1:-1] = _arc_initial(P0 + h * clamp[0], P1 - h * clamp[1], (N - 2) * h, N - 2, dim,
+                                clamp[0] - clamp[1])
+        X0[0], X0[-1] = P0, P1
+    E0 = np.diff(X0, axis=0)
+    T0 = E0 / np.linalg.norm(E0, axis=1)[:, None]
+    if opts.seed is not None:
+        T0 = _perturbed(T0, P0, P1, h, a, np.random.default_rng(opts.seed), _PERTURB_AMP * p.L0)
+    if clamp is not None:
+        T0[0], T0[-1] = clamp
+    tol = opts.tol if opts.tol is not None else 1e-8 * N
+    T, *info = _descend(T0, P0, P1, h, a, tol, opts.max_iters)
+    return _package(_vertices(T, P0, P1, h), info)
 
 
 def minimize_pinned(p: PinnedProblem, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Minimize bending energy over curves of length L0 from P0 to P1 with
     free end tangents (natural boundary condition: end curvature -> 0)."""
-    X, info = _multilevel(p.P0, p.P1, p.L0, p.N, p.dim, opts)
-    return _package(X, info)
+    return _solve(p, opts)
 
 
 def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
@@ -705,8 +660,7 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
             {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N}
         ]
         return _package(X, (0.0, 0.0, 0, "converged", log))
-    X, info = _multilevel(p.P0, p.P1, p.L0, p.N, p.dim, opts, clamp=(p.V0, p.V1))
-    return _package(X, info)
+    return _solve(p, opts, clamp=(p.V0, p.V1))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import MAX_COUNT as MAX_STEPS, DomainError, StepSizeError
 
 __all__ = [
     "ElasticaState",
@@ -43,7 +43,6 @@ __all__ = [
 _LOCAL_ERR_MAX = 1e-6
 _BLOCK = 1024  # full steps per batched error estimate: caps temporaries and waste
 _RANK_TOL = 1e-8  # singular values at most this share of the largest count as zero
-MAX_STEPS = 10**7  # fixed steps one integration may take: its table is allocated up front
 _FIELDS = ("gamma", "d1", "d2", "d3")
 
 

@@ -21,6 +21,7 @@ in `curves.PlanarElastica`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,8 +62,8 @@ class CurvatureProfile:
     def __post_init__(self):
         if not (0.0 <= self.m <= self.w <= 1.0):
             raise DomainError(f"need 0 <= m <= w <= 1, got m={self.m}, w={self.w}")
-        if not self.w > 0.0:
-            raise DomainError("need w > 0")
+        if not self.w * self.w >= sys.float_info.min:  # c divides by w**2
+            raise DomainError("need w > 0 with w**2 a normal float")
         with np.errstate(over="ignore", under="ignore"):
             a6 = np.float64(self.A) ** 6  # every profile constant scales with a power of A
         if not (self.A > 0.0 and 0.0 < a6 < math.inf):

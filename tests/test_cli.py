@@ -1,16 +1,19 @@
 """Command-line front end: artifacts, exit codes, config echo, determinism."""
 
+import argparse
+import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import elastica
-from elastica.cli import main
+from elastica.cli import _build_parser, main
 from elastica.curves import figure_eight_modulus, varpi_star
 from elastica.discrete import (
     FOUR_PI_SQ,
@@ -450,6 +453,30 @@ class TestMinimize:
         code, _, _ = run("minimize", str(problem), "--sweep", "0", "--quiet")
         assert code == 2
 
+    def test_sweep_pool_never_exceeds_the_seed_count(self, run, tmp_path, monkeypatch):
+        # a serial stand-in records the worker count, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, _, _ = run("minimize", str(problem), "--sweep", "2", "--jobs", "10000000000000",
+                         "--quiet", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert sizes == [2]
+
     def test_custom_log_path(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64)
         log = tmp_path / "trace.jsonl"
@@ -625,6 +652,83 @@ class TestClassify:
         rep = json.loads(out)
         assert rep["kind"] == "circle"
         assert rep["fold"] == 1
+
+
+CLI_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+CLI_INTS = ["0", "-1", "10000000000000"]
+
+# (subcommand, option) -> (argv for a value and the input files, {value: exit
+# code} for each value whose documented result is not exit 2).  Values go in
+# as --opt=value, so that "-inf" reaches the program and not argparse.
+CLI_CONTRACTS = {
+    ("sample", "--m"): (
+        lambda v, f: ["sample", "--family", "wavelike", f"--m={v}", "--N", "8"], {}),
+    ("sample", "--N"): (lambda v, f: ["sample", "--family", "circular", f"--N={v}"], {}),
+    ("sample", "--periods"): (
+        lambda v, f: ["sample", "--family", "circular", "--N", "8", f"--periods={v}"], {}),
+    # nargs=2 takes no "=": "-inf" reads as an option, an argparse usage error
+    ("sample", "--range"): (
+        lambda v, f: ["sample", "--family", "wavelike", "--m", "0.5", "--N", "8", "--range", "-2", v],
+        {"0": 0, "-1": 0, "1e308": 0}),
+    # eps beyond the curve's length leaves no pair of points apart in
+    # arclength: the Fenchel bound, which the figure-eight satisfies
+    ("liyau", "--eps"): (lambda v, f: ["liyau", f["eight"], f"--eps={v}"], {"1e308": 0}),
+    ("classify", "--tol"): (lambda v, f: ["classify", f["eight"], f"--tol={v}"], {"1e308": 0}),
+    # without --sweep, --jobs is read only for its sign
+    ("minimize", "--jobs"): (
+        lambda v, f: ["minimize", f["problem"], f"--jobs={v}"], {"10000000000000": 0}),
+    ("minimize", "--sweep"): (lambda v, f: ["minimize", f["problem"], f"--sweep={v}"], {}),
+    ("leafed", "--r"): (lambda v, f: ["leafed", f"--r={v}", "--dim", "2", "--N", "8"], {}),
+    ("leafed", "--dim"): (lambda v, f: ["leafed", "--r", "2", f"--dim={v}", "--N", "8"], {}),
+    ("leafed", "--N"): (lambda v, f: ["leafed", "--r", "2", "--dim", "2", f"--N={v}"], {}),
+}
+
+
+def numeric_options() -> dict:
+    """(subcommand, option) -> type for every int or float option of the CLI."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(name, a.option_strings[0]): a.type
+            for name, sp in sub.choices.items() for a in sp._actions if a.type in (float, int)}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contracts")
+    eight = d / "eight.csv"
+    assert main(["leafed", "--r", "2", "--dim", "2", "--N", "64", "--out", str(eight), "--quiet"]) == 0
+    problem = d / "problem.txt"
+    problem.write_text("P0 = 0 0\nP1 = 0.5 0\nL0 = 1\nN = 16\n")
+    return {"eight": str(eight), "problem": str(problem)}
+
+
+class TestNumericOptionContracts:
+    """Every int or float option, at nan, +-inf, 0, -1 and 1e308 (ints: 0,
+    -1, 10^13): exit 2, or the documented result, and no RuntimeWarning."""
+
+    def test_table_names_every_numeric_option(self):
+        assert set(numeric_options()) == set(CLI_CONTRACTS)
+
+    @pytest.mark.parametrize("key, value", [
+        (key, v) for key, kind in sorted(numeric_options().items())
+        for v in (CLI_INTS if kind is int else CLI_FLOATS)
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+    def test_option_value(self, key, value, contract_files, capsys):
+        argv_of, documented = CLI_CONTRACTS[key]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv_of(value, contract_files) + ["--quiet"])
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
+        expected = documented.get(value, 2)
+        assert code == expected, err
+        if expected == 2:
+            assert out == "" and err.startswith(("error: ", "usage: "))
+        else:
+            assert out != "" and err == ""
 
 
 class TestEntryPoint:

@@ -666,6 +666,21 @@ def test_counts_must_be_integers(count):
         spherical_chain(count, 1.0)
 
 
+@pytest.mark.parametrize("count", [10**13 + 1, np.int64(10**13 + 1)], ids=repr)
+def test_counts_above_the_cap(count):
+    # far above errors.MAX_COUNT: refused before anything is allocated or
+    # looped over, not a MemoryError or a loop over every leaf
+    with pytest.raises(DomainError, match="cap"):
+        sample_leafed(build_leafed(2, 2), count)
+    with pytest.raises(DomainError, match="cap"):
+        build_leaf(count)
+    for dim in (2, 3):
+        with pytest.raises(DomainError, match="cap"):
+            build_leafed(count, dim)
+    with pytest.raises(DomainError, match="cap"):
+        spherical_chain(count, 1.0)
+
+
 WAVE = PlanarElastica("wavelike", 0.5)
 K0 = 2.0 * math.sqrt(0.5)  # wavelike peak curvature 2 sqrt(m)
 SPATIAL = CurvatureProfile(0.3, 0.8, 1.5)

@@ -1,5 +1,6 @@
 """Constrained bending-energy minimization: gradient, descent, multiplier."""
 
+import itertools
 import math
 
 import numpy as np
@@ -216,6 +217,13 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, N, EY, EY)
 
+    def test_problems_reject_N_above_the_cap(self):
+        # the arc start of 10^13 edges would not fit in memory
+        with pytest.raises(DomainError, match="cap"):
+            PinnedProblem(np.zeros(2), 0.5 * EX, 1.0, 10**13)
+        with pytest.raises(DomainError, match="cap"):
+            ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 10**13, EY, EY)
+
     def test_clamped_rejects_taut_non_collinear(self):
         # |P0 - P1| = L0 with a tangent off the chord: no curve exists
         with pytest.raises(DomainError):
@@ -316,8 +324,8 @@ class TestPinnedLeaf:
             assert set(row) == {"iteration", "B", "grad_norm", "max_constraint_residual", "N"}
             assert row["max_constraint_residual"] <= 1e-10
             by_level.setdefault(row["N"], []).append(row["B"])
-        # energy never increases within a refinement level (terminal polish
-        # may wiggle at roundoff scale)
+        # energy never increases along the solve (terminal polish may wiggle
+        # at roundoff scale)
         for Bs in by_level.values():
             slack = 1e-9 * max(1.0, abs(Bs[0]))
             assert all(b1 - b0 <= slack for b0, b1 in zip(Bs, Bs[1:]))
@@ -394,7 +402,7 @@ class TestPinnedOther:
     def test_grad_norm_is_the_projected_vertex_gradient(self, P1):
         # grad_norm: the vertex-space energy gradient projected onto the
         # tangent space of the edge-length constraints (ends fixed)
-        # a loose tol stops at the prolonged start of the fine level
+        # a loose tol stops at the arc start
         p = PinnedProblem(np.zeros(len(P1)), P1, 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(tol=1e3))
         assert r.converged and r.grad_norm > 1.0
@@ -473,7 +481,7 @@ class TestClamped:
         assert np.max(np.abs(edge_lengths(r.curve) - h)) / h <= 1e-10
         assert np.linalg.norm((V[1] - V[0]) / np.linalg.norm(V[1] - V[0]) - V0) <= 1e-8
         assert np.linalg.norm((V[-1] - V[-2]) / np.linalg.norm(V[-1] - V[-2]) - V1) <= 1e-8
-        # on the fine level B never rises by more than its rounding bound
+        # B never rises by more than its rounding bound
         Bs = [row["B"] for row in r.log if row["N"] == 200]
         assert all(b1 - b0 <= _rounding_bound(b0, 200) for b0, b1 in zip(Bs, Bs[1:]))
 
@@ -552,6 +560,44 @@ class TestClamped:
             r = minimize_clamped(p)
             assert r.converged, (solved, r.termination, r.grad_norm)
             solved += 1
+
+
+def seeded_problem(k: int, N: int, clamped: bool, dim: int, d: float):
+    """Chord of length d L0 in a seeded random direction; clamped ends tilt
+    symmetrically off the chord, little enough to leave the inner chain
+    slack at |P1 - P0| = 0.999 L0."""
+    q = np.linalg.qr(default_rng(k).normal(size=(dim, dim)))[0]
+    chord, normal = q[:, 0], q[:, 1]
+    P1 = d * chord
+    if not clamped:
+        return PinnedProblem(np.zeros(dim), P1, 1.0, N)
+    a = 0.1 if d > 0.99 else 0.5
+    V0 = math.cos(a) * chord + math.sin(a) * normal
+    V1 = math.cos(a) * chord - math.sin(a) * normal
+    return ClampedProblem(np.zeros(dim), P1, 1.0, N, V0, V1)
+
+
+SEEDED_GRID = list(itertools.product((16, 64, 200), (False, True), (2, 3), (0.0, 0.5, 0.97, 0.999)))
+
+
+class TestSingleLevel:
+    """The descent runs once, at the problem's N, from the arc start."""
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_log_rows_carry_the_problem_N(self, clamped):
+        p = seeded_problem(3, 128, clamped, 2, 0.3)
+        r = (minimize_clamped if clamped else minimize_pinned)(p, MinimizeOptions(seed=3))
+        assert r.converged
+        assert [row["iteration"] for row in r.log] == list(range(len(r.log)))
+        assert all(row["N"] == 128 for row in r.log)
+        assert len(r.log) == r.iterations + 1  # one row per iterate, the last included
+
+    @pytest.mark.parametrize("k, N, clamped, dim, d",
+                             [(k, *case) for k, case in enumerate(SEEDED_GRID)])
+    def test_seeded_grid_converges(self, k, N, clamped, dim, d):
+        p = seeded_problem(k, N, clamped, dim, d)
+        r = (minimize_clamped if clamped else minimize_pinned)(p, MinimizeOptions(seed=k))
+        assert r.termination == "converged", (r.grad_norm, r.iterations)
 
 
 class TestTermination:

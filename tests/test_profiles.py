@@ -52,6 +52,13 @@ class TestProfileType:
         with pytest.raises(DomainError):
             pr.profile_c(pr.CurvatureProfile(0.3, 0.8, A))
 
+    @pytest.mark.parametrize("w", [1e-200, 1e-160])
+    def test_w_whose_square_is_not_a_normal_float(self, w):
+        # w**2 underflows to 0 (a bare ZeroDivisionError from profile_c) or
+        # to a subnormal (c off by 6e-7 relative): both are input errors
+        with pytest.raises(DomainError):
+            pr.profile_c(pr.CurvatureProfile(0.0, w, 1.0))
+
     @pytest.mark.parametrize("A", [2e51, 1e-51])
     def test_amplitude_inside_the_floats(self, A):
         p = pr.CurvatureProfile(0.3, 0.8, A)

@@ -4,9 +4,10 @@ Point-level parametrizations of the five planar families (canonical pose,
 unit frequency, composed with a similarity), the figure-eight modulus m*
 solving 2E(m) = K(m), the half-leaf energy constant varpi* and the leaf
 spread angle psi, leafed-elastica construction in the plane (even leaf
-count, mirrored leaves) and in space (tangent chains on the sphere),
-curvature/torsion reconstruction by Frenet integration, and a least-squares
-classifier for closed planar curves (circle / figure-eight / neither).
+count, mirrored leaves) and in space (tangent chains on the sphere), the
+elastica of a curvature profile in closed form (planar or spatial), and a
+least-squares classifier for closed planar curves (circle / figure-eight /
+neither).
 
 Canonical curves, arclength-parametrized with curvature kappa:
 
@@ -36,10 +37,11 @@ import numpy as np
 
 from .discrete import DiscreteCurve, curvature_data, length
 from .elliptic import (
-    _cosh, _shape_like, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
+    _cosh, _shape_like, _sn2_pi, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
+    sncndn,
 )
 from .errors import MAX_COUNT, DomainError, InfeasibleError
-from .profiles import CurvatureProfile, kappa_sq, profile_c
+from .profiles import CurvatureProfile
 
 __all__ = [
     "figure_eight_modulus",
@@ -512,7 +514,18 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
 
 
 # ---------------------------------------------------------------------------
-# Frenet reconstruction from a curvature profile
+# an elastica from its curvature profile, in closed form
+
+def _planar_member(p: CurvatureProfile) -> PlanarElastica:
+    """The planar family member whose signed curvature squares to
+    kappa_sq(p), for a planar profile (w = 1 or w = m)."""
+    if p.w < 1.0:  # w = m: kappa = A cn
+        return PlanarElastica("wavelike", p.m, Similarity(scale=2.0 * math.sqrt(p.m) / p.A), p.s0)
+    if p.m == 0.0:  # kappa = A
+        return PlanarElastica("circular", similarity=Similarity(scale=1.0 / p.A), s0=p.s0)
+    fam, m = ("borderline", None) if p.m == 1.0 else ("orbitlike", p.m)  # A sech, A dn
+    return PlanarElastica(fam, m, Similarity(scale=2.0 / p.A), p.s0)
+
 
 def reconstruct_spatial(
     p: CurvatureProfile,
@@ -520,16 +533,20 @@ def reconstruct_spatial(
     s_range: tuple[float, float],
     h: float,
 ) -> DiscreteCurve:
-    """Integrate gamma' = T, T' = kN, N' = -kT + tB, B' = -tN from the
-    profile's curvature k = sqrt(kappa_sq) and torsion t = c/k^2.
-
-    Classical 4th-order stepping with per-step Gram-Schmidt
-    re-orthonormalization of the frame; planar profiles (c = 0) freeze the
-    binormal and integrate the unsigned curvature.  The k and t tables are
-    evaluated up front over arrays; each step is one straight-line kernel
-    on named Python floats (_frame_step).  frame0
-    holds rows (T0, N0, B0), orthonormal to 1e-12; the curve starts at the
-    origin.  (s_max - s_min) / h may not exceed errors.MAX_COUNT.
+    """The elastica with curvature k = sqrt(kappa_sq) and torsion t = c/k^2
+    that starts at the origin with Frenet frame frame0 (rows T0, N0, B0,
+    orthonormal to 1e-12; a left-handed one is (T0, N0, T0 x N0) with
+    c -> -c), at s_min + h' i, h' = (s_max - s_min) / n, n = round((s_max -
+    s_min) / h) <= errors.MAX_COUNT.  Planar profiles (c = 0) give their
+    planar family member laid onto (T0, N0), signed curvature included.
+    Spatial ones (Langer and Singer 1984) are in cylindrical coordinates
+    about the constant force J = (u - lam) T + 2k' N + 2kt B, u = k^2,
+    |J|^2 = lam^2 + 4a: with d = u - lam, the height along J is the
+    integral of d / |J|, and the position across J is, as a complex number,
+    2 (u' - 2i c d / |J|) exp(i psi) / (|J| sqrt(Q)), Q = (u'^2 + 4c^2) / u,
+    where psi, the angle of T across J, has psi' = c/(|J| - d) + c/(|J| + d):
+    two integrals of the third kind.  Unlike the angle of the position, psi
+    stays regular where the curve crosses its axis.
     """
     from .odeint import _step_count  # local import: most callers never integrate
 
@@ -542,81 +559,43 @@ def reconstruct_spatial(
     if not (s_max > s_min and math.isfinite(s_max - s_min)):
         raise DomainError("need a finite s_range with s_max > s_min")
     n = _step_count(s_max - s_min, h)
-    c = profile_c(p)
-
-    def rates(svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = np.sqrt(np.maximum(kappa_sq(p, svals), 0.0))
-        if c == 0.0:
-            return k, np.zeros_like(k)
-        return k, c / (k * k)
-
     h = (s_max - s_min) / n
-    svals = s_min + h * np.arange(n + 1)
-    k_all, t_all = rates(np.repeat(svals, 2)[: 2 * n + 1] + np.tile([0.0, 0.5 * h], n + 1)[: 2 * n + 1])
-
-    ks, ts = k_all.tolist(), t_all.tolist()
-    y = [0.0, 0.0, 0.0] + F.ravel().tolist()
-    out = [y[:3]]
-    for k0, km, k1, t0, tm, t1 in zip(ks[0:-1:2], ks[1::2], ks[2::2],
-                                      ts[0:-1:2], ts[1::2], ts[2::2]):
-        y = _frame_step(y, h, k0, km, k1, t0, tm, t1)
-        out.append(y[:3])
-    return DiscreteCurve(np.array(out), closed=False)
-
-
-def _frame_step(y, h: float, k0: float, km: float, k1: float, t0: float, tm: float,
-                t1: float) -> tuple[float, ...]:
-    """One classical 4th-order step of the flat (gamma, T, N, B) state,
-    written out on named Python floats, then Gram-Schmidt on the frame.
-    The rates are gamma' = T, T' = kN, N' = tB - kT, B' = -tN, with k and t
-    at the step's start (k0, t0), middle (km, tm) and end (k1, t1); u, v, w,
-    z hold the frame rates of stages 1-4 and T2..T4, N2..N4, B2..B4 the
-    stage frames.  gamma feeds no rate, so its stage values are never
-    formed."""
-    g0, g1, g2, T0, T1, T2, N0, N1, N2, B0, B1, B2 = y
-    hh = 0.5 * h
-    uT0, uT1, uT2 = k0 * N0, k0 * N1, k0 * N2
-    uN0, uN1, uN2 = t0 * B0 - k0 * T0, t0 * B1 - k0 * T1, t0 * B2 - k0 * T2
-    uB0, uB1, uB2 = -t0 * N0, -t0 * N1, -t0 * N2
-    T20, T21, T22 = T0 + hh * uT0, T1 + hh * uT1, T2 + hh * uT2
-    N20, N21, N22 = N0 + hh * uN0, N1 + hh * uN1, N2 + hh * uN2
-    B20, B21, B22 = B0 + hh * uB0, B1 + hh * uB1, B2 + hh * uB2
-    vT0, vT1, vT2 = km * N20, km * N21, km * N22
-    vN0, vN1, vN2 = tm * B20 - km * T20, tm * B21 - km * T21, tm * B22 - km * T22
-    vB0, vB1, vB2 = -tm * N20, -tm * N21, -tm * N22
-    T30, T31, T32 = T0 + hh * vT0, T1 + hh * vT1, T2 + hh * vT2
-    N30, N31, N32 = N0 + hh * vN0, N1 + hh * vN1, N2 + hh * vN2
-    B30, B31, B32 = B0 + hh * vB0, B1 + hh * vB1, B2 + hh * vB2
-    wT0, wT1, wT2 = km * N30, km * N31, km * N32
-    wN0, wN1, wN2 = tm * B30 - km * T30, tm * B31 - km * T31, tm * B32 - km * T32
-    wB0, wB1, wB2 = -tm * N30, -tm * N31, -tm * N32
-    T40, T41, T42 = T0 + h * wT0, T1 + h * wT1, T2 + h * wT2
-    N40, N41, N42 = N0 + h * wN0, N1 + h * wN1, N2 + h * wN2
-    B40, B41, B42 = B0 + h * wB0, B1 + h * wB1, B2 + h * wB2
-    zT0, zT1, zT2 = k1 * N40, k1 * N41, k1 * N42
-    zN0, zN1, zN2 = t1 * B40 - k1 * T40, t1 * B41 - k1 * T41, t1 * B42 - k1 * T42
-    zB0, zB1, zB2 = -t1 * N40, -t1 * N41, -t1 * N42
-    h6 = h / 6.0
-    g0 += h6 * (T0 + 2.0 * T20 + 2.0 * T30 + T40)
-    g1 += h6 * (T1 + 2.0 * T21 + 2.0 * T31 + T41)
-    g2 += h6 * (T2 + 2.0 * T22 + 2.0 * T32 + T42)
-    T0 += h6 * (uT0 + 2.0 * vT0 + 2.0 * wT0 + zT0)
-    T1 += h6 * (uT1 + 2.0 * vT1 + 2.0 * wT1 + zT1)
-    T2 += h6 * (uT2 + 2.0 * vT2 + 2.0 * wT2 + zT2)
-    N0 += h6 * (uN0 + 2.0 * vN0 + 2.0 * wN0 + zN0)
-    N1 += h6 * (uN1 + 2.0 * vN1 + 2.0 * wN1 + zN1)
-    N2 += h6 * (uN2 + 2.0 * vN2 + 2.0 * wN2 + zN2)
-    B0 += h6 * (uB0 + 2.0 * vB0 + 2.0 * wB0 + zB0)
-    B1 += h6 * (uB1 + 2.0 * vB1 + 2.0 * wB1 + zB1)
-    B2 += h6 * (uB2 + 2.0 * vB2 + 2.0 * wB2 + zB2)
-    # Gram-Schmidt the frame; the frame is the product here, keep it clean
-    r = math.sqrt(T0 * T0 + T1 * T1 + T2 * T2)
-    T0, T1, T2 = T0 / r, T1 / r, T2 / r
-    p = N0 * T0 + N1 * T1 + N2 * T2
-    N0, N1, N2 = N0 - p * T0, N1 - p * T1, N2 - p * T2
-    r = math.sqrt(N0 * N0 + N1 * N1 + N2 * N2)
-    N0, N1, N2 = N0 / r, N1 / r, N2 / r
-    p, q = B0 * T0 + B1 * T1 + B2 * T2, B0 * N0 + B1 * N1 + B2 * N2
-    B0, B1, B2 = B0 - p * T0 - q * N0, B1 - p * T1 - q * N1, B2 - p * T2 - q * N2
-    r = math.sqrt(B0 * B0 + B1 * B1 + B2 * B2)
-    return g0, g1, g2, T0, T1, T2, N0, N1, N2, B0 / r, B1 / r, B2 / r
+    s = s_min + h * np.arange(n + 1)
+    T0, N0 = F[0], F[1]
+    if p.w == 1.0 or p.w == p.m:
+        e = _planar_member(p)
+        x, y = eval_planar(e, s)
+        x, y = x - x[0], y - y[0]
+        th = eval_theta(e, s_min)
+        ct, st = math.cos(th), math.sin(th)
+        side = -1.0 if eval_k(e, s_min) < 0.0 else 1.0  # N0 is where the curve bends
+        pts = np.outer(ct * x + st * y, T0) + np.outer(side * (ct * y - st * x), N0)
+        return DiscreteCurve(pts, closed=False)
+    # in units of A: u = kappa_sq / A^2, c / A^3, lam / A^2, arclength A s
+    m, w = p.m, p.w
+    mw = m / w  # a3 - a2, the range of u
+    c = math.copysign(math.sqrt(1.0 - w) * math.sqrt(w - m) / (2.0 * w), np.linalg.det(F))
+    a3l, a2l = (1.0 - w + m) / (2.0 * w), (1.0 - w - m) / (2.0 * w)  # a3 - lam, a2 - lam
+    J = math.sqrt((1.0 - w) * (1.0 + 3.0 * w - 2.0 * m) + m * m) / (2.0 * w)
+    # |J| - d = P1 (1 - n1 sn^2) > 0 and |J| + d = P2 (1 - n2 sn^2) > 0; at a root
+    # a of the cubic, J - a = (4c^2 / a) / (J + a) keeps the digits J - a loses
+    P1, P2 = (1.0 - w) * (w - m) / (w * w) / (J + a3l), J + a3l
+    low = J + a2l if a2l >= 0.0 else (1.0 - w) / w / (J - a2l)  # |J| + d at u = a2
+    v = p.A / (2.0 * math.sqrt(w)) * s + p.s0  # kappa_sq's sn argument
+    i1, i2, i0 = _sn2_pi(v, np.array([[1.0 + mw / P1], [low / P2], [1.0]]), m)
+    psi = 2.0 * math.sqrt(w) * c * ((v - mw / P1 * i1) / P1 + (v + mw / P2 * i2) / P2)
+    height = 2.0 * math.sqrt(w) / J * (a3l * v - mw * i0)
+    sn, cn, dn = sncndn(v, m)
+    u = 1.0 - mw * sn * sn
+    d = a3l - mw * sn * sn
+    du = -mw * sn * cn * dn / math.sqrt(w)
+    across = 2.0 * (du - 2j * c * d / J) * np.exp(1j * (psi - psi[0])) \
+        / (J * np.sqrt((du * du + 4.0 * c * c) / u))
+    across -= across[0]
+    ez = (d[0] * T0 + du[0] / math.sqrt(u[0]) * N0 + 2.0 * abs(c) / math.sqrt(u[0]) * F[2]) / J
+    e1 = T0 - (d[0] / J) * ez
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(ez, e1)
+    pts = np.outer(across.real, e1) + np.outer(across.imag, e2) \
+        + np.outer(height - height[0], ez)
+    return DiscreteCurve(pts / p.A, closed=False)

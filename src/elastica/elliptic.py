@@ -16,7 +16,9 @@ trigonometric base case.  Incomplete integrals are Carlson symmetric-form
 duplication (R_F, R_D) on the principal branch |x| <= pi/2, plus 2n K or
 2n E for x = x0 + n pi.  The amplitude is am = atan2(sn, cn) on the branch
 nearest pi x / (2K), and the Jacobi epsilon function is Carlson's E(am, m)
-written in sn/cn/dn after reducing x by the period 2K.  All are
+written in sn/cn/dn after reducing x by the period 2K.  The integral of
+the third kind in the Jacobi argument (`_sn2_pi`) is Carlson's R_J on
+the same branch, plus its complete value per period 2K.  All are
 quadratically convergent and well-conditioned as m -> 1.
 
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
@@ -186,6 +188,46 @@ def _rd(x, y, z):
     return 3.0 * total + fac * s / (ave * np.sqrt(ave))
 
 
+def _rj(x, y, z, p):
+    """Carlson R_J(x, y, z, p); x, y, z >= 0 (at most one zero), p > 0, by
+    Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast, and
+    several p against one (x, y, z) share its square roots."""
+    xt, yt, zt, pt = x, y, z, p
+    ave = 0.2 * (xt + yt + zt + pt + pt)
+    # step k scales every |ave - arg| by 4^-k (DLMF 19.36.ii)
+    spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
+                        np.maximum(np.abs(ave - zt), np.abs(ave - pt)))
+    delta = (pt - xt) * (pt - yt) * (pt - zt)
+    total, fac = 0.0, 1.0
+    while True:
+        sx, sy, sz, sp = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt), np.sqrt(pt)
+        lam = sx * (sy + sz) + sy * sz
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        e = fac**3 * delta / (d * d)
+        if _max_dev(e) <= 1e-3:  # R_C(1, 1 + e) by its series, to e^4
+            rc = 1.0 + e * (-1.0 / 3.0 + e * (0.2 + e * (-1.0 / 7.0 + e / 9.0)))
+        else:
+            t = np.sqrt(np.abs(e))
+            with np.errstate(divide="ignore", invalid="ignore"):  # atan or atanh
+                rc = np.where(t == 0.0, 1.0, np.where(e > 0.0, np.arctan(t), np.arctanh(t)) / t)
+        total = total + fac * rc / d
+        fac *= 0.25
+        xt, yt, zt, pt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam), 0.25 * (pt + lam)
+        ave = 0.2 * (xt + yt + zt + pt + pt)
+        if fac * _max_dev(spread / ave) <= 0.0015:
+            break
+    dx, dy, dz, dp = ((ave - t) / ave for t in (xt, yt, zt, pt))
+    ea = dx * (dy + dz) + dy * dz
+    eb = dx * dy * dz
+    ec = dp * dp
+    ed = ea - 3.0 * ec
+    ee = eb + 2.0 * dp * (ea - ec)
+    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 3.0, 3.0 / 22.0, 3.0 / 26.0
+    s = 1.0 + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee) \
+        + eb * (0.5 * c2 + dp * (-2.0 * c3 + dp * c4)) + dp * ea * (c2 - dp * c3) - c2 * dp * ec
+    return 6.0 * total + fac * s / (ave * np.sqrt(ave))
+
+
 # ---------------------------------------------------------------------------
 # Complete integrals (AGM)
 
@@ -334,15 +376,35 @@ def am(x, m: float):
     return _shape_like(u, phi + 2.0 * math.pi * n)
 
 
+def _reduce_2K(x, m: float):
+    """(x0, n, K) with x = x0 + 2K n and |x0| <= K: am(x0) lies in
+    [-pi/2, pi/2], the Carlson forms' principal branch."""
+    u = _require_finite(x)
+    K = comp_K(m)
+    n = np.floor(u / (2.0 * K) + 0.5)
+    return u - 2.0 * K * n, n, K
+
+
 def jacobi_epsilon(x, m: float):
     """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse)."""
-    u = _require_finite(x)
-    m = _require_m_for_K(m)
-    twoK = 2.0 * comp_K(m)
-    n = np.floor(u / twoK + 0.5)
-    # |x0| <= K puts am(x0) in [-pi/2, pi/2], where cos(am) = cn >= 0
-    s, c, d = sncndn(u - twoK * n, m)
-    return _shape_like(u, _E_sc(s, c, d * d, m) + 2.0 * comp_E(m) * n)
+    x0, n, _ = _reduce_2K(x, m)
+    s, c, d = sncndn(x0, m)
+    return _shape_like(x, _E_sc(s, c, d * d, m) + 2.0 * comp_E(m) * n)
+
+
+def _sn2_pi(x, nc, m: float):
+    """integral_0^x sn^2 / (1 - n sn^2) dv, n = 1 - nc < 1: Pi(n; am x | m)
+    is x + n * this, and nc = 1 gives the integral of sn^2.  With nc given,
+    1 - n sn^2 = cn^2 + nc sn^2 keeps every digit as n -> 1.  On the branch
+    x = x0 + 2K k, |x0| <= K, it is sn^3/3 R_J(cn^2, dn^2, 1, 1 - n sn^2)
+    at x0, plus k times twice that at x0 = K.  x is 1-D; nc is a scalar or
+    a column (r, 1), one output row each.
+    """
+    x0, k, K = _reduce_2K(x, m)
+    s, c, d = sncndn(np.append(x0, K), m)  # the last point, K, gives the complete value
+    cc = c * c
+    r = s * s * s / 3.0 * _rj(cc, d * d, 1.0, cc + nc * s * s)
+    return r[..., :-1] + 2.0 * r[..., -1:] * k
 
 
 def sn(x, m: float):

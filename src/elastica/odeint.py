@@ -195,13 +195,16 @@ def _step3(y, h: float, lam: float) -> tuple[float, ...]:
 
 
 def _rates_batch(y: np.ndarray, lam: float) -> np.ndarray:
-    """The system's right-hand side for a stack of states y (block, 4, dim)."""
-    d1, d2, d3 = y[:, 1], y[:, 2], y[:, 3]
+    """The system's right-hand side for states stacked as coordinate rows,
+    y[f, i] the i-th coordinate of field f (gamma, d1, d2, d3) of every
+    state: shape (4, dim, block).  Each dot product is summed from 0,
+    coordinate by coordinate, in _step3's order."""
+    d1, d2, d3 = y[1], y[2], y[3]
     out = np.empty_like(y)
-    out[:, :3] = y[:, 1:]
-    p = np.einsum("ij,ij->i", d2, d3)[:, None]
-    q = np.einsum("ij,ij->i", d2, d2)[:, None]
-    out[:, 3] = 0.5 * (lam * d2 - 6.0 * p * d1 - 3.0 * q * d2)
+    out[:3] = y[1:]
+    p = 6.0 * sum(d2 * d3)
+    q = 3.0 * sum(d2 * d2)
+    out[3] = 0.5 * (lam * d2 - p * d1 - q * d2)
     return out
 
 
@@ -215,11 +218,11 @@ def _rk4_batch(y: np.ndarray, h: float, lam: float) -> np.ndarray:
 
 def _half_step_error(y0: np.ndarray, y1: np.ndarray, h: float, lam: float) -> np.ndarray:
     """|y1 - y_{h/2}| / 15 per step, where y1 is the kept full step from y0
-    and y_{h/2} takes two half steps from y0; NaN or inf where the
-    trajectory has left the floats."""
+    and y_{h/2} takes two half steps from y0, both as coordinate rows
+    (4, dim, block); NaN or inf where the trajectory has left the floats."""
     with np.errstate(all="ignore"):
         y_half = _rk4_batch(_rk4_batch(y0, 0.5 * h, lam), 0.5 * h, lam)
-        return np.max(np.abs(y1 - y_half), axis=(1, 2)) / 15.0
+        return np.max(np.abs(y1 - y_half), axis=(0, 1)) / 15.0
 
 
 def _step_count(span: float, h: float) -> int:
@@ -267,7 +270,8 @@ def integrate_elastica(
             rows.append(y)
         block = np.fromiter(chain.from_iterable(rows), float, 12 * (c1 - c0))
         data[c0 + 1 : c1 + 1] = block.reshape(-1, 4, 3)[:, :, :dim]
-        err = _half_step_error(data[c0:c1], data[c0 + 1 : c1 + 1], h, lam)
+        rows = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1], 0, -1))
+        err = _half_step_error(rows[..., :-1], rows[..., 1:], h, lam)
         bad = np.flatnonzero(~(err <= _LOCAL_ERR_MAX))
         if bad.size:
             i, e = c0 + int(bad[0]), float(err[bad[0]])

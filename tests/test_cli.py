@@ -670,9 +670,9 @@ CLI_CONTRACTS = {
     ("sample", "--range"): (
         lambda v, f: ["sample", "--family", "wavelike", "--m", "0.5", "--N", "8", "--range", "-2", v],
         {"0": 0, "-1": 0, "1e308": 0}),
-    # eps beyond the curve's length leaves no pair of points apart in
-    # arclength: the Fenchel bound, which the figure-eight satisfies
-    ("liyau", "--eps"): (lambda v, f: ["liyau", f["eight"], f"--eps={v}"], {"1e308": 0}),
+    # eps above L / 6 leaves no two visits 3 eps apart on the curve: an
+    # input error, not a pass on the Fenchel bound
+    ("liyau", "--eps"): (lambda v, f: ["liyau", f["eight"], f"--eps={v}"], {}),
     ("classify", "--tol"): (lambda v, f: ["classify", f["eight"], f"--tol={v}"], {"1e308": 0}),
     # without --sweep, --jobs is read only for its sign
     ("minimize", "--jobs"): (

@@ -542,36 +542,65 @@ class TestReconstruct:
     def test_det_constant_along_reconstruction(self):
         p = CurvatureProfile(m=0.2, w=0.6, A=1.5)
         c_exp = profile_c(p)
-        h = 1e-3
-        cur = reconstruct_spatial(p, self.F0, (0.0, 2 * profile_period(p)), h)
-        v = cur.vertices
-        d1 = (v[3:-1] - v[1:-3]) / (2 * h)
-        d2 = (v[3:-1] - 2 * v[2:-2] + v[1:-3]) / h**2
-        d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * h**3)
+        s_end = 2 * profile_period(p)
+        cur = reconstruct_spatial(p, self.F0, (0.0, s_end), 1e-3)
+        # fourth-order central stencils on every 4th vertex, at the curve's
+        # own spacing: a third-derivative stencil at spacing H amplifies the
+        # positions' rounding by about 1/H^3, which at H = 1e-3 already
+        # spreads det by 1e-6 for a correctly rounded curve
+        v = cur.vertices[::4]
+        H = 4 * s_end / (cur.n_vertices - 1)
+        a = lambda j: v[3 + j : len(v) - 3 + j]
+        d1 = (a(-2) - 8 * a(-1) + 8 * a(1) - a(2)) / (12 * H)
+        d2 = (-a(-2) + 16 * a(-1) - 30 * a(0) + 16 * a(1) - a(2)) / (12 * H**2)
+        d3 = (a(-3) - 8 * a(-2) + 13 * a(-1) - 13 * a(1) + 8 * a(2) - a(3)) / (8 * H**3)
         dets = np.linalg.det(np.stack([d1, d2, d3], axis=-1))
-        # constant along the curve to integrator accuracy; the absolute
-        # level is limited by the h^2 bias of the third-derivative stencil
         assert np.max(dets) - np.min(dets) < 1e-6
-        assert np.mean(dets) == pytest.approx(c_exp, abs=1e-3)
+        assert np.mean(dets) == pytest.approx(c_exp, abs=1e-8)
 
     @pytest.mark.parametrize("m, w, A", [
         (0.2, 0.6, 1.5),  # spatial
         (0.0, 0.5, 1.0),  # helix
-        (0.0, 1.0, 1.0),  # planar circle: binormal frozen
+        (0.0, 1.0, 1.0),  # planar circle
         (0.7, 0.7, 2 * math.sqrt(0.7)),  # planar wavelike, k through zero
         (0.5, 0.9, 2.0),
     ])
     def test_matches_reference_loop(self, m, w, A):
+        # the closed form is what the RK4 reference converges to: the gap
+        # falls about 16x per halving of h, for both handednesses of frame0
         p = CurvatureProfile(m=m, w=w, A=A)
         F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
-        # the last range spans several periods in 3750 steps, so a wrong
-        # component of the frame step cannot hide behind a short range
-        for s_range, h in [((0.0, 3.0), 2e-3), ((-1.0, 2.0), 0.05), ((0.0, 0.1), 0.05),
-                           ((-7.0, 23.0), 8e-3)]:
-            got = reconstruct_spatial(p, F, s_range, h).vertices
-            want = reference_reconstruct(p, F, s_range, h)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12
+        for frame in (F, F * [[1.0], [1.0], [-1.0]]):
+            if w == m:
+                self.assert_signed_wavelike(p, frame)
+                continue
+            gaps = []
+            for h in (8e-3, 4e-3, 2e-3, 1e-3):
+                got = reconstruct_spatial(p, frame, (-1.0, 5.0), h).vertices
+                want = reference_reconstruct(p, frame, (-1.0, 5.0), h)
+                assert got.shape == want.shape
+                gaps.append(np.max(np.abs(got - want)))
+            ratios = np.divide(gaps[:-1], gaps[1:])
+            assert np.all((12.0 <= ratios) & (ratios <= 20.0)), gaps
+            assert gaps[2] <= 1e-9
+
+    @staticmethod
+    def assert_signed_wavelike(p, frame):
+        # the planar wavelike profile is the wavelike elastica (its curvature
+        # changes sign; a Frenet curve of |k| would not be an elastica),
+        # moved so that it starts at the origin with tangent T0, bending
+        # towards N0: equal to eval_planar up to a rigid motion
+        h = 1e-3
+        got = reconstruct_spatial(p, frame, (-1.0, 5.0), h).vertices
+        x, y = eval_planar(PlanarElastica("wavelike", p.m), np.linspace(-1.0, 5.0, len(got)))
+        want = np.column_stack([x, y, np.zeros_like(x)])
+        g, w = got - got.mean(axis=0), want - want.mean(axis=0)
+        U, _, Vt = np.linalg.svd(w.T @ g)
+        R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+        assert np.max(np.abs(w @ R - g)) <= 1e-12
+        assert np.all(got[0] == 0.0)
+        assert np.max(np.abs((got[1] - got[0]) / h - frame[0])) <= h
+        assert np.dot(got[2] - 2.0 * got[1] + got[0], frame[1]) > 0.0
 
     def test_domain(self):
         p = CurvatureProfile(m=0.0, w=1.0, A=1.0)

@@ -612,7 +612,7 @@ class TestNarrowPhaseReference:
     """detect_multiplicity gives the reference implementation's report."""
 
     @settings(max_examples=200, deadline=None)
-    @given(c=polylines(), frac=st.one_of(st.none(), st.floats(2e-3, 0.3)))
+    @given(c=polylines(), frac=st.one_of(st.none(), st.floats(2e-3, 0.16)))
     def test_random_polylines(self, c, frac):
         assert_same_report(c, None if frac is None else frac * length(c))
 
@@ -708,6 +708,17 @@ class TestInputContracts:
                 detect_multiplicity(c, frac * length(c))
             with pytest.raises(DomainError):
                 liyau_check(c, eps=frac * length(c))
+
+    @pytest.mark.parametrize("frac", [0.17, 1.0, 1e300])
+    def test_eps_above_a_sixth_of_the_length(self, frac):
+        # visits more than 3 eps apart need more than 6 eps of arclength: a
+        # larger eps would read the 4-leafed curve as visited once
+        c = sample_leafed(build_leafed(4, 2), 256)
+        with pytest.raises(DomainError):
+            detect_multiplicity(c, frac * length(c))
+        with pytest.raises(DomainError):
+            liyau_check(c, eps=frac * length(c))
+        assert detect_multiplicity(c, length(c) / 6.0).eps == length(c) / 6.0
 
     def test_eps_at_the_sampling_floor(self):
         c = regular_polygon(1024, folds=2)

@@ -345,6 +345,18 @@ class TestReferenceLoop:
         assert tr.err_max_s == pytest.approx(int(np.argmax(errs)) * tr.h, abs=1e-9)
         assert tr.err_max_s > odeint._BLOCK * tr.h
 
+    @pytest.mark.parametrize("case", ["spatial", "tilted", "wavelike2d"])
+    def test_batch_step_is_the_float_step(self, case):
+        # the error estimate's array step and the kept float step are one
+        # formula: equal bit for bit on one state, in 3-D and in 2-D at z = 0
+        s0, lam, _, h = REFERENCE_CASES[case]
+        y = s0.as_array()
+        y3 = np.zeros((4, 3))
+        y3[:, : s0.dim] = y
+        want = np.array(odeint._step3(y3.ravel().tolist(), h, lam)).reshape(4, 3)
+        got = odeint._rk4_batch(y[:, :, None], h, lam)[:, :, 0]
+        assert got.tobytes() == want[:, : s0.dim].tobytes()
+
     def test_default_fields(self):
         tr = Trajectory(h=0.1, lam=1.0, data=np.zeros((2, 4, 2)))
         assert math.isnan(tr.err_max) and math.isnan(tr.err_max_s)

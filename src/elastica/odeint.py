@@ -12,9 +12,11 @@ R^3.  Planar states go through it at z = 0: every z-rate is then an exact
 zero, so the x/y values are those two coordinates would give, and the z
 columns are dropped again.  Each step's embedded error estimate
 |y_h - y_{h/2}| / 15 depends only on the kept state the step starts at,
-so its two half steps run afterwards in NumPy, for up to _BLOCK steps at
-once.  The two right-hand sides (float and array) check each other: if
-they disagreed, the estimate would fail.  No quantity is projected or
+so its two half steps run afterwards in NumPy, on coordinate rows of up
+to _BLOCK steps at once.  The two right-hand sides (float and array) sum
+each dot product in one order, so one step of either gives the same
+floats, and they check each other: if they disagreed, the estimate would
+fail.  No quantity is projected or
 re-normalized during integration: the unit-speed and determinant
 conservation checks stay honest monitors of the integrator, not
 constraints imposed on it.
@@ -270,8 +272,8 @@ def integrate_elastica(
             rows.append(y)
         block = np.fromiter(chain.from_iterable(rows), float, 12 * (c1 - c0))
         data[c0 + 1 : c1 + 1] = block.reshape(-1, 4, 3)[:, :, :dim]
-        rows = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1], 0, -1))
-        err = _half_step_error(rows[..., :-1], rows[..., 1:], h, lam)
+        coords = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1], 0, -1))
+        err = _half_step_error(coords[..., :-1], coords[..., 1:], h, lam)
         bad = np.flatnonzero(~(err <= _LOCAL_ERR_MAX))
         if bad.size:
             i, e = c0 + int(bad[0]), float(err[bad[0]])

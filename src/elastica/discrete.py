@@ -342,9 +342,10 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     the sorted arclengths of x and of the nearest point of each visit,
     which lie more than 3 eps apart.  Default eps = 1e-3 * L; eps must be
     at least 2L / 2^16 (at most 2^16 + 1 samples), else DomainError: a
-    coarser sampling could miss a crossing; and at most L / 6, else
-    DomainError: two visits more than 3 eps apart need an arclength circle
-    longer than 6 eps.
+    coarser sampling could miss a crossing; and at most L / 6 on a closed
+    curve (L / 3 on an open one), else DomainError: two visits more than
+    3 eps apart need an arclength circle longer than 6 eps (a segment
+    longer than 3 eps).
 
     Edges are hashed into a uniform grid, so for curves whose edges are
     short against their extent the cost grows linearly in the number of
@@ -356,8 +357,10 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
     e, ell, L = c.edges, c.edge_lengths, length(c)
     if eps is None:
         eps = 1e-3 * L
-    if not 2.0 * L / 2**16 <= eps <= L / 6.0:
-        raise DomainError(f"need eps in [2 L / 2^16, L / 6] = [{2.0 * L / 2**16:.17g}, {L / 6.0:.17g}]")
+    top = L / 6.0 if c.closed else L / 3.0
+    if not 2.0 * L / 2**16 <= eps <= top:
+        raise DomainError(f"need eps in [2 L / 2^16, L / {6 if c.closed else 3}] = "
+                          f"[{2.0 * L / 2**16:.17g}, {top:.17g}]")
     p = c.vertices[: len(e)]
     a = vertex_arclengths(c)[: len(e)]
     steps = math.ceil(2.0 * L / eps)

@@ -190,8 +190,7 @@ def _rd(x, y, z):
 
 def _rj(x, y, z, p):
     """Carlson R_J(x, y, z, p); x, y, z >= 0 (at most one zero), p > 0, by
-    Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast, and
-    several p against one (x, y, z) share its square roots."""
+    Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast."""
     xt, yt, zt, pt = x, y, z, p
     ave = 0.2 * (xt + yt + zt + pt + pt)
     # step k scales every |ave - arg| by 4^-k (DLMF 19.36.ii)

@@ -612,9 +612,14 @@ class TestNarrowPhaseReference:
     """detect_multiplicity gives the reference implementation's report."""
 
     @settings(max_examples=200, deadline=None)
-    @given(c=polylines(), frac=st.one_of(st.none(), st.floats(2e-3, 0.16)))
+    @given(c=polylines(), frac=st.one_of(st.none(), st.floats(2e-3, 0.3)))
     def test_random_polylines(self, c, frac):
-        assert_same_report(c, None if frac is None else frac * length(c))
+        eps = None if frac is None else frac * length(c)
+        if c.closed and eps is not None and eps > length(c) / 6.0:
+            with pytest.raises(DomainError):  # no two visits 3 eps apart on the circle
+                detect_multiplicity(c, eps)
+            return
+        assert_same_report(c, eps)
 
     @pytest.mark.parametrize("npl", [256, 1024, 4096])
     @pytest.mark.parametrize("kind", list(EXACT_CLOSED))
@@ -719,6 +724,16 @@ class TestInputContracts:
         with pytest.raises(DomainError):
             liyau_check(c, eps=frac * length(c))
         assert detect_multiplicity(c, length(c) / 6.0).eps == length(c) / 6.0
+
+    @pytest.mark.parametrize("frac", [0.34, 1.0, 1e300])
+    def test_eps_above_a_third_of_an_open_length(self, frac):
+        # an open curve's arclength does not wrap: its two ends lie L apart,
+        # so eps up to L / 3 is valid and above it an input error
+        c = DiscreteCurve(sample_leafed(build_leafed(4, 2), 256).vertices, closed=False)
+        with pytest.raises(DomainError):
+            detect_multiplicity(c, frac * length(c))
+        assert detect_multiplicity(c, 0.3 * length(c)).eps == 0.3 * length(c)
+        assert detect_multiplicity(c, length(c) / 3.0).eps == length(c) / 3.0
 
     def test_eps_at_the_sampling_floor(self):
         c = regular_polygon(1024, folds=2)

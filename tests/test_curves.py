@@ -580,6 +580,24 @@ class TestReconstruct:
             assert np.all((12.0 <= ratios) & (ratios <= 20.0)), gaps
             assert gaps[2] <= 1e-9
 
+    def test_blocks_join_smoothly(self):
+        # 22000 steps are three evaluation blocks; each is pinned to the
+        # closed form at its end, with no jump in the third differences
+        p = CurvatureProfile(m=0.2, w=0.6, A=1.5)
+        F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
+        got = reconstruct_spatial(p, F, (-1.0, 21.0), 1e-3).vertices
+        gap = got - reference_reconstruct(p, F, (-1.0, 21.0), 1e-3)
+        assert np.max(np.abs(gap)) <= 1e-11
+        assert np.max(np.abs(np.diff(gap, 3, axis=0))) <= 5e-14
+
+    def test_coarse_steps_take_the_closed_form(self):
+        # at A h = 0.6 summed Hermite increments would end 1e-6 off; every
+        # vertex is the closed form, as the reference at a 400x finer step
+        p = CurvatureProfile(m=0.2, w=0.6, A=1.5)
+        F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
+        got = reconstruct_spatial(p, F, (-1.0, 5.0), 0.4).vertices
+        assert np.max(np.abs(got - reference_reconstruct(p, F, (-1.0, 5.0), 1e-3)[::400])) <= 1e-11
+
     @pytest.mark.parametrize("m", [5e-324, 1e-20, 1e-12, 1e-3, 0.3, 0.7])
     def test_orbitlike_as_m_vanishes(self, m):
         # the canonical orbitlike curve lies about 2/m from its origin, so

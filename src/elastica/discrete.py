@@ -4,8 +4,10 @@ A curve is a polyline (open or closed) with at least 3 vertices in R^2 or
 R^3 and strictly positive edge lengths.  Edge i runs from vertex i to
 vertex i + 1, and a closed curve's last edge runs back to vertex 0.
 DiscreteCurve computes its edges and their lengths once, while checking
-them, and stores them read-only beside the vertices; every quantity below
-(L, B, TC, multiplicity) reads them from there.  Discrete curvature lives on
+them, and stores them read-only beside the vertices; its turning angles and
+vertex arclengths are computed on first use and kept, read-only, for the
+life of the curve.  Every quantity below (L, B, TC, multiplicity, the
+Li-Yau check) reads them from there.  Discrete curvature lives on
 vertices: with turning angle theta_i between consecutive edges and dual
 length lbar_i = (l_{i-1} + l_i)/2,
 
@@ -30,6 +32,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +69,14 @@ _LIYAU_MARGIN = 0.01  # relative discretization margin of Bbar >= varpi* r^2
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Polyline in R^2 or R^3; every array is read-only after construction.
+    """Polyline in R^2 or R^3; every array is read-only.
 
     edges[i] runs from vertex i to vertex i + 1; a closed curve has one
     more edge, from the last vertex back to vertex 0.  edges and
-    edge_lengths are computed once, by the checks of the constructor.
+    edge_lengths are computed once, by the checks of the constructor;
+    edge lengths are summed on coordinate rows, as np.linalg.norm sums
+    them.  turning_angles, signed_turning_angles and vertex_arclengths are
+    computed once, on first use.
     """
 
     vertices: np.ndarray
@@ -90,7 +96,7 @@ class DiscreteCurve:
             e = np.diff(v, axis=0)
             if self.closed:
                 e = np.vstack([e, v[0] - v[-1]])
-            ell = np.linalg.norm(e, axis=1)
+            ell = np.sqrt(sum(x * x for x in e.T))
             if not math.isfinite(ell.sum()):
                 raise DomainError("edge lengths must be finite")
         if np.any(ell == 0.0):
@@ -106,6 +112,33 @@ class DiscreteCurve:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def turning_angles(self) -> np.ndarray:
+        """Turning angle in [0, pi] at each turning vertex (all vertices if
+        closed, interior ones if open)."""
+        if self.dim == 2:  # arctan2 is odd in y: |signed| is the unsigned angle
+            return _frozen(np.abs(self.signed_turning_angles))
+        return _frozen(_turn(*_pairs(self, self.edges))[0])
+
+    @cached_property
+    def signed_turning_angles(self) -> np.ndarray:
+        """Counterclockwise turning angle in [-pi, pi]; planar curves only."""
+        if self.dim != 2:
+            raise DomainError("signed turning angles are only defined in the plane")
+        a, b = _pairs(self, self.edges)
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        return _frozen(np.arctan2(cross, np.einsum("ij,ij->i", a, b)))
+
+    @cached_property
+    def vertex_arclengths(self) -> np.ndarray:
+        """Cumulative arclength of each vertex from vertex 0."""
+        return _frozen(np.concatenate([[0.0], np.cumsum(self.edge_lengths[: self.n_vertices - 1])]))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -175,18 +208,22 @@ def length(c: DiscreteCurve) -> float:
 
 
 def vertex_arclengths(c: DiscreteCurve) -> np.ndarray:
-    """Cumulative arclength of each vertex from vertex 0."""
-    return np.concatenate([[0.0], np.cumsum(c.edge_lengths[: c.n_vertices - 1])])
+    """c.vertex_arclengths (read-only)."""
+    return c.vertex_arclengths
 
 
 def _turn(a: np.ndarray, b: np.ndarray):
     """(theta, a . b, |a x b|) for each pair of rows of a and b: the angle
-    between them, its cosine times |a||b| and its sine times |a||b|."""
+    between them, its cosine times |a||b| and its sine times |a||b|.  In
+    3-D the cross product and its norm are written out on coordinate rows,
+    the same floats as np.linalg.norm(np.cross(a, b), axis=1)."""
     d = np.einsum("ij,ij->i", a, b)
     if a.shape[1] == 2:
         n = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
     else:
-        n = np.linalg.norm(np.cross(a, b), axis=1)
+        (ax, ay, az), (bx, by, bz) = a.T, b.T
+        cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        n = np.sqrt(cx * cx + cy * cy + cz * cz)
     return np.arctan2(n, d), d, n
 
 
@@ -199,13 +236,9 @@ def _turn_ratio(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def turning_angles(c: DiscreteCurve, signed: bool = False) -> np.ndarray:
     """Turning angle at each turning vertex (all vertices if closed,
-    interior ones if open).  signed=True gives the 2D signed angle."""
-    a, b = _pairs(c, c.edges)
-    if not signed:
-        return _turn(a, b)[0]
-    if c.dim != 2:
-        raise DomainError("signed turning angles are only defined in the plane")
-    return np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("ij,ij->i", a, b))
+    interior ones if open), read-only.  signed=True gives the 2D signed
+    angle."""
+    return c.signed_turning_angles if signed else c.turning_angles
 
 
 def curvature_data(c: DiscreteCurve, signed: bool = False):
@@ -217,20 +250,20 @@ def curvature_data(c: DiscreteCurve, signed: bool = False):
     theta = turning_angles(c, signed=signed)
     la, lb = _pairs(c, c.edge_lengths)
     lbar = 0.5 * (la + lb)
-    s = vertex_arclengths(c)
+    s = c.vertex_arclengths
     return theta / lbar, lbar, s if c.closed else s[1:-1]
 
 
 def bending_energy(c: DiscreteCurve) -> float:
     """B = sum kappa_i^2 lbar_i over turning vertices."""
-    theta = turning_angles(c)
+    theta = c.turning_angles
     la, lb = _pairs(c, c.edge_lengths)
     return float(np.sum(2.0 * theta * theta / (la + lb)))
 
 
 def total_curvature(c: DiscreteCurve) -> float:
     """TC = sum |theta_i| (= sum |kappa_i| lbar_i exactly)."""
-    return float(np.sum(turning_angles(c)))
+    return float(np.sum(c.turning_angles))
 
 
 def normalized_energy(c: DiscreteCurve) -> EnergyReport:
@@ -286,11 +319,12 @@ def _near_edges(x, pos, p, e, a, ell, period, eps):
     cells, first, size = np.unique(key[order], return_index=True, return_counts=True)
     qcells, home = np.unique(cell_keys(xt), return_inverse=True)
     # per point cell and offset: where the neighbour cell's edges start in
-    # `order`, and how many there are
-    nb = qcells[:, None] + offsets
-    slot = np.minimum(np.searchsorted(cells, nb), len(cells) - 1)
+    # `order`, and how many there are; each offset's row of keys is sorted,
+    # which searchsorted walks fastest
+    nb = offsets[:, None] + qcells
+    slot = np.minimum(np.searchsorted(cells, nb), len(cells) - 1).T.copy()
     nb_first = first[slot]
-    nb_size = np.where(cells[slot] == nb, size[slot], 0)
+    nb_size = np.where(cells[slot] == nb.T, size[slot], 0)
     del nb, slot
     per_point = nb_size.sum(axis=1)[home]
     total = np.cumsum(per_point)
@@ -362,7 +396,7 @@ def detect_multiplicity(c: DiscreteCurve, eps: float | None = None) -> Multiplic
         raise DomainError(f"need eps in [2 L / 2^16, L / {6 if c.closed else 3}] = "
                           f"[{2.0 * L / 2**16:.17g}, {top:.17g}]")
     p = c.vertices[: len(e)]
-    a = vertex_arclengths(c)[: len(e)]
+    a = c.vertex_arclengths[: len(e)]
     steps = math.ceil(2.0 * L / eps)
     pos = np.arange(steps if c.closed else steps + 1) * (L / steps)
     k = np.searchsorted(a, pos, "right") - 1
@@ -452,7 +486,7 @@ def _csv(header: str, *cols) -> str:
 def curve_to_csv(c: DiscreteCurve) -> str:
     header = "s,x,y" if c.dim == 2 else "s,x,y,z"
     marker = f"# closed={'true' if c.closed else 'false'}\n"
-    return marker + _csv(header, vertex_arclengths(c), *c.vertices.T)
+    return marker + _csv(header, c.vertex_arclengths, *c.vertices.T)
 
 
 def curve_from_csv(text: str) -> DiscreteCurve:

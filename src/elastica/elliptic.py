@@ -141,51 +141,41 @@ def _max_dev(*devs) -> float:
     return max(float(np.max(np.abs(d), initial=0.0)) for d in devs)
 
 
-def _rf(x, y, z):
-    """Carlson R_F(x, y, z); args >= 0, at most one of them zero."""
+def _rf_rd(x, y, z):
+    """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995);
+    x, y >= 0 (at most one zero), z > 0.  Both series run on the same
+    iterates, and each is summed at the step where its own test first
+    passes."""
     xt, yt, zt = x, y, z
-    while True:
+    total, fac = 0.0, 1.0
+    rf = rd = None
+    while rd is None or rf is None:
         sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
         lam = sx * (sy + sz) + sy * sz
+        if rd is None:
+            total += fac / (sz * (zt + lam))
+            fac *= 0.25
         xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        ave = (xt + yt + zt) / 3.0
-        dx = (ave - xt) / ave
-        dy = (ave - yt) / ave
-        dz = (ave - zt) / ave
-        # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-        if _max_dev(dx, dy, dz) <= 0.0025:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-
-
-def _rd(x, y, z):
-    """Carlson R_D(x, y, z); x, y >= 0 (at most one zero), z > 0."""
-    xt, yt, zt = x, y, z
-    total = 0.0
-    fac = 1.0
-    while True:
-        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
-        lam = sx * (sy + sz) + sy * sz
-        total += fac / (sz * (zt + lam))
-        fac *= 0.25
-        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        ave = 0.2 * (xt + yt + 3.0 * zt)
-        dx = (ave - xt) / ave
-        dy = (ave - yt) / ave
-        dz = (ave - zt) / ave
-        if _max_dev(dx, dy, dz) <= 0.0015:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + ec + ec
-    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
-    s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
-        + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-    return 3.0 * total + fac * s / (ave * np.sqrt(ave))
+        if rf is None:
+            ave = (xt + yt + zt) / 3.0
+            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+            # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
+            if _max_dev(dx, dy, dz) <= 0.0025:
+                e2, e3 = dx * dy - dz * dz, dx * dy * dz
+                rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
+        if rd is None:
+            ave = 0.2 * (xt + yt + 3.0 * zt)
+            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+            if _max_dev(dx, dy, dz) <= 0.0015:
+                ea, eb = dx * dy, dz * dz
+                ec = ea - eb
+                ed = ea - 6.0 * eb
+                ee = ed + ec + ec
+                c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
+                s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
+                    + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
+                rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
+    return rf, rd
 
 
 def _rj(x, y, z, p):
@@ -279,14 +269,14 @@ def _reduce_pi(x: float) -> tuple[float, float]:
 def _F_sc(s, c, q, m: float):
     # F(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
     # q = 1 - m s^2 (m unused: the signature is _E_sc's)
-    return s * _rf(c * c, q, 1.0)
+    return s * _rf_rd(c * c, q, 1.0)[0]
 
 
 def _E_sc(s, c, q, m: float):
     # E(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
     # q = 1 - m s^2; elementwise over arrays
-    cc = c * c
-    return s * (_rf(cc, q, 1.0) - (m / 3.0) * s * s * _rd(cc, q, 1.0))
+    rf, rd = _rf_rd(c * c, q, 1.0)
+    return s * (rf - (m / 3.0) * s * s * rd)
 
 
 def _quasi_periodic(x: float, m: float, principal, complete) -> tuple[float, float, float]:

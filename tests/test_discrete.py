@@ -1,9 +1,11 @@
 """Discrete curve model: energies, bounds, multiplicity, CSV interchange."""
 
+import gc
 import inspect
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from elastica.curves import (
     PlanarElastica,
     build_leafed,
     canonical_leaf,
+    classify_closed,
     eval_planar,
     figure_eight_modulus,
     sample_leafed,
@@ -739,3 +742,119 @@ class TestInputContracts:
         c = regular_polygon(1024, folds=2)
         rep = detect_multiplicity(c, 2.0 * length(c) / 2**16)
         assert rep.r == 2 and rep.eps == 2.0 * length(c) / 2**16
+
+
+# every query of a curve, as bytes or text: (name, applies to the curve, call)
+QUERIES = [
+    ("normalized_energy", lambda c: True, lambda c: normalized_energy(c).to_json_line()),
+    ("turning_angles", lambda c: True, lambda c: turning_angles(c).tobytes()),
+    ("signed_turning_angles", lambda c: c.dim == 2, lambda c: turning_angles(c, signed=True).tobytes()),
+    ("curvature_data", lambda c: True, lambda c: [a.tobytes() for a in curvature_data(c)]),
+    ("signed_curvature_data", lambda c: c.dim == 2,
+     lambda c: [a.tobytes() for a in curvature_data(c, signed=True)]),
+    ("vertex_arclengths", lambda c: True, lambda c: vertex_arclengths(c).tobytes()),
+    ("curve_to_csv", lambda c: True, curve_to_csv),
+    ("detect_multiplicity", lambda c: True,
+     lambda c: (lambda r: (r.r, r.witnesses, r.eps, r.point.tobytes()))(detect_multiplicity(c))),
+    ("liyau_check", lambda c: c.closed, lambda c: liyau_check(c).to_json_line()),
+    ("fenchel_floor_check", lambda c: c.closed, lambda c: repr(fenchel_floor_check(c))),
+    ("classify_closed", lambda c: c.closed and c.dim == 2, lambda c: repr(classify_closed(c))),
+]
+
+
+def answer_all(c: DiscreteCurve, order=1) -> dict:
+    return {name: call(c) for name, applies, call in QUERIES[::order] if applies(c)}
+
+
+def cache_cases():
+    rng = default_rng(17)
+    for dim in (2, 3):
+        for closed in (False, True):
+            name = f"random{dim}d-{'closed' if closed else 'open'}"
+            yield name, DiscreteCurve(rng.normal(size=(40, dim)), closed)
+    for kind in EXACT_CLOSED:
+        yield kind, exact_closed_curve(kind, 256)
+
+
+class TestCachedGeometry:
+    """Turning angles and vertex arclengths are computed once per curve: no
+    query may read differently on a curve that has answered the others."""
+
+    @pytest.mark.parametrize("name,c", list(cache_cases()), ids=[n for n, _ in cache_cases()])
+    def test_answers_do_not_depend_on_what_was_asked_before(self, name, c):
+        fresh = {q: call(DiscreteCurve(c.vertices, c.closed)) for q, applies, call in QUERIES if applies(c)}
+        assert answer_all(c) == fresh
+        assert answer_all(c, order=-1) == fresh  # each query after every other one
+
+    @pytest.mark.parametrize("name,c", list(cache_cases()), ids=[n for n, _ in cache_cases()])
+    def test_cached_arrays_are_shared_and_read_only(self, name, c):
+        answer_all(c)
+        cached = [(turning_angles(c), lambda: turning_angles(c)),
+                  (vertex_arclengths(c), lambda: vertex_arclengths(c))]
+        if c.dim == 2:
+            cached.append((turning_angles(c, signed=True), lambda: turning_angles(c, signed=True)))
+        else:
+            with pytest.raises(DomainError):
+                turning_angles(c, signed=True)
+        assert turning_angles(c) is c.turning_angles and vertex_arclengths(c) is c.vertex_arclengths
+        for arr, again in cached:
+            assert again() is arr
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+
+    def test_cache_dies_with_its_curve(self):
+        for _, c in cache_cases():
+            answer_all(c)
+            arrays = [c.turning_angles, c.vertex_arclengths]
+            if c.dim == 2:
+                arrays.append(c.signed_turning_angles)
+            refs = [weakref.ref(a) for a in arrays]
+            del c, arrays
+            gc.collect()
+            assert all(r() is None for r in refs)
+
+
+def signed_zero_vertices(rng, n: int, dim: int) -> np.ndarray:
+    # coordinates from {-1, -0, +0, 1}: edges with signed zero components;
+    # rows equal to their predecessor (a zero-length edge) are dropped
+    v = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, dim))
+    keep = np.r_[True, np.any(v[1:] != v[:-1], axis=1)]
+    return v[keep]
+
+
+def wide_rows(rng, n: int, dim: int) -> np.ndarray:
+    return rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-160.0, 50.0, (n, 1))
+
+
+class TestCoordinateRowKernels:
+    """Edge lengths and the 3-D cross product run on coordinate rows; they
+    must equal the np.linalg.norm / np.cross forms bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_lengths_are_linalg_norm(self, dim, seed):
+        rng = default_rng(seed)
+        for v in (wide_rows(rng, 2048, dim), signed_zero_vertices(rng, 2048, dim)):
+            c = DiscreteCurve(v, closed=False)
+            assert c.edge_lengths.tobytes() == np.linalg.norm(c.edges, axis=1).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cross_norm_is_linalg_norm(self, seed):
+        rng = default_rng(seed)
+        zeros = [signed_zero_vertices(rng, 4096, 3)[:1024] for _ in range(2)]
+        for a, b in [(wide_rows(rng, 2048, 3), wide_rows(rng, 2048, 3)), zeros]:
+            theta, d, n = discrete._turn(a, b)
+            want = np.linalg.norm(np.cross(a, b), axis=1)
+            assert n.tobytes() == want.tobytes()
+            assert theta.tobytes() == np.arctan2(want, np.einsum("ij,ij->i", a, b)).tobytes()
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_planar_angles_are_the_unsigned_kernel(self, closed):
+        # |signed angle| is the unsigned angle bit for bit, signed zeros included
+        rng = default_rng(4)
+        for v in (rng.normal(size=(512, 2)), signed_zero_vertices(rng, 2048, 2)):
+            c = DiscreteCurve(v, closed=closed and np.any(v[0] != v[-1]))
+            a, b = discrete._pairs(c, c.edges)
+            assert turning_angles(c).tobytes() == discrete._turn(a, b)[0].tobytes()

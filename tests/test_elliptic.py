@@ -17,6 +17,7 @@ from elastica import DomainError
 from elastica import elliptic as el
 from elastica.curves import figure_eight_modulus
 
+from carlson_reference import reference_rd, reference_rf
 from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
 
 # frozen oracle values (quadrature / AGM, see module docstring)
@@ -365,6 +366,45 @@ class TestEpsilonFunction:
         assert el.jacobi_epsilon(x + twoK, m) == pytest.approx(
             el.jacobi_epsilon(x, m) + twoE, abs=1e-13
         )
+
+
+class TestCarlsonReference:
+    """_rf_rd runs one duplication for R_F and R_D; each value must equal its
+    own loop in carlson_reference bit for bit, on arrays and on scalars."""
+
+    @staticmethod
+    def assert_same(x, y, z):
+        rf, rd = el._rf_rd(x, y, z)
+        assert np.asarray(rf).tobytes() == np.asarray(reference_rf(x, y, z)).tobytes()
+        assert np.asarray(rd).tobytes() == np.asarray(reference_rd(x, y, z)).tobytes()
+
+    @pytest.mark.parametrize("m", [1e-8, 0.3, 0.8261147659849704, 0.99, el.M_MAX])
+    def test_principal_branch(self, m):
+        # the arguments of F and E: (cos^2, 1 - m sin^2, 1), with cos^2 = 0
+        # and, at m = M_MAX, q = 1 - M_MAX at the ends of the branch
+        phi = np.linspace(-math.pi / 2, math.pi / 2, 257)
+        s, c = np.sin(phi), np.cos(phi)
+        s[[0, -1]], c[[0, -1]] = (-1.0, 1.0), 0.0
+        q = 1.0 - m * s * s
+        self.assert_same(c * c, q, 1.0)
+        for k in (0, 1, 128):
+            self.assert_same(float(c[k] * c[k]), float(q[k]), 1.0)
+
+    def test_q_at_its_floor(self):
+        self.assert_same(0.0, 1.0 - el.M_MAX, 1.0)
+        self.assert_same(np.array([0.0, 1e-3, 0.5]), np.full(3, 1.0 - el.M_MAX), 1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_scales(self, seed):
+        # arguments down to subnormals, one of x, y zero in places; z > 0
+        rng = np.random.default_rng(seed)
+        x, y = 10.0 ** rng.uniform(-323.0, 2.0, (2, 64))
+        x[::9], y[4::9] = 0.0, 0.0
+        z = 10.0 ** rng.uniform(-2.0, 2.0, 64)
+        self.assert_same(x, y, z)
+        self.assert_same(x[x < 1e-300], y[x < 1e-300], 1.0)
+        for k in range(0, 64, 7):
+            self.assert_same(float(x[k]), float(y[k]), float(z[k]))
 
 
 class TestArrayOracle:

@@ -102,8 +102,7 @@ class DiscreteCurve:
         if np.any(ell == 0.0):
             raise DomainError("consecutive vertices must be distinct")
         for name, arr in (("vertices", v), ("edges", e), ("edge_lengths", ell)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def dim(self) -> int:

@@ -141,18 +141,18 @@ def _max_dev(*devs) -> float:
     return max(float(np.max(np.abs(d), initial=0.0)) for d in devs)
 
 
-def _rf_rd(x, y, z):
+def _rf_rd(x, y, z, with_rd: bool = True):
     """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995);
     x, y >= 0 (at most one zero), z > 0.  Both series run on the same
     iterates, and each is summed at the step where its own test first
-    passes."""
+    passes.  with_rd=False stops at R_F and gives (R_F, None)."""
     xt, yt, zt = x, y, z
     total, fac = 0.0, 1.0
     rf = rd = None
-    while rd is None or rf is None:
+    while rf is None or (with_rd and rd is None):
         sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
         lam = sx * (sy + sz) + sy * sz
-        if rd is None:
+        if with_rd and rd is None:
             total += fac / (sz * (zt + lam))
             fac *= 0.25
         xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
@@ -163,7 +163,7 @@ def _rf_rd(x, y, z):
             if _max_dev(dx, dy, dz) <= 0.0025:
                 e2, e3 = dx * dy - dz * dz, dx * dy * dz
                 rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-        if rd is None:
+        if with_rd and rd is None:
             ave = 0.2 * (xt + yt + 3.0 * zt)
             dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
             if _max_dev(dx, dy, dz) <= 0.0015:
@@ -269,7 +269,7 @@ def _reduce_pi(x: float) -> tuple[float, float]:
 def _F_sc(s, c, q, m: float):
     # F(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
     # q = 1 - m s^2 (m unused: the signature is _E_sc's)
-    return s * _rf_rd(c * c, q, 1.0)[0]
+    return s * _rf_rd(c * c, q, 1.0, with_rd=False)[0]
 
 
 def _E_sc(s, c, q, m: float):

@@ -370,13 +370,17 @@ class TestEpsilonFunction:
 
 class TestCarlsonReference:
     """_rf_rd runs one duplication for R_F and R_D; each value must equal its
-    own loop in carlson_reference bit for bit, on arrays and on scalars."""
+    own loop in carlson_reference bit for bit, on arrays and on scalars,
+    and R_F alone (with_rd=False) must too."""
 
     @staticmethod
     def assert_same(x, y, z):
         rf, rd = el._rf_rd(x, y, z)
-        assert np.asarray(rf).tobytes() == np.asarray(reference_rf(x, y, z)).tobytes()
+        want = np.asarray(reference_rf(x, y, z)).tobytes()
+        assert np.asarray(rf).tobytes() == want
         assert np.asarray(rd).tobytes() == np.asarray(reference_rd(x, y, z)).tobytes()
+        rf, rd = el._rf_rd(x, y, z, with_rd=False)
+        assert np.asarray(rf).tobytes() == want and rd is None
 
     @pytest.mark.parametrize("m", [1e-8, 0.3, 0.8261147659849704, 0.99, el.M_MAX])
     def test_principal_branch(self, m):

@@ -104,6 +104,9 @@ class DiscreteCurve:
         for name, arr in (("vertices", v), ("edges", e), ("edge_lengths", ell)):
             object.__setattr__(self, name, _frozen(arr))
 
+    def __reduce__(self):  # rebuilt on unpickling: read-only again, caches not shipped
+        return DiscreteCurve, (self.vertices, self.closed)
+
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -803,6 +804,16 @@ class TestCachedGeometry:
                 arr[0] = 1.0
             with pytest.raises(ValueError):
                 arr += 1.0
+
+    def test_pickled_curve_is_rebuilt(self):
+        # a curve sent to a worker process and back: read-only, no cache
+        # carried along, and every answer byte-identical
+        for _, c in cache_cases():
+            want = answer_all(c)
+            back = pickle.loads(pickle.dumps(c))
+            assert set(vars(back)) == {"vertices", "closed", "edges", "edge_lengths"}
+            assert not any(arr.flags.writeable for arr in (back.vertices, back.edges, back.edge_lengths))
+            assert back.vertices.tobytes() == c.vertices.tobytes() and answer_all(back) == want
 
     def test_cache_dies_with_its_curve(self):
         for _, c in cache_cases():

@@ -488,6 +488,16 @@ class TestClassify:
         res = classify_closed(curve)
         assert (res.kind, res.fold) == (kind, mu)
 
+    def test_classify_after_every_other_query(self):
+        # classify reads the signed angles and arclengths the curve keeps
+        for c in (sample_leafed(build_leafed(2, 2), 512), sample_leafed(build_leafed(4, 2), 256),
+                  self.circle(1024, 2, radius=0.7, rot=0.3, center=(2, 1))):
+            fresh = classify_closed(DiscreteCurve(c.vertices, True))
+            for query in (normalized_energy, liyau_check, curvature_data, turning_angles, vertex_arclengths):
+                query(c)
+            assert repr(classify_closed(c)) == repr(fresh)
+            assert repr(classify_closed(c)) == repr(fresh)
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_bad_tol_rejected(self, tol):
         # a bad tolerance must not read as "not an elastica"
@@ -500,49 +510,6 @@ class TestClassify:
         pts = np.column_stack([np.cos(np.arange(64)), np.sin(np.arange(64)), np.arange(64.0)])
         with pytest.raises(DomainError):
             classify_closed(DiscreteCurve(pts, closed=True))
-
-
-def curve_answers(c: DiscreteCurve) -> list:
-    # every query whose inputs a curve computes once and keeps, as bytes or text
-    out = [normalized_energy(c).to_json_line(), turning_angles(c).tobytes(),
-           vertex_arclengths(c).tobytes(), [a.tobytes() for a in curvature_data(c)]]
-    if c.dim == 2:
-        out += [turning_angles(c, signed=True).tobytes(),
-                [a.tobytes() for a in curvature_data(c, signed=True)]]
-    if c.closed:
-        out.append(liyau_check(c).to_json_line())
-    if c.closed and c.dim == 2:
-        out.append(repr(classify_closed(c)))
-    return out
-
-
-class TestCurveCache:
-    """The curves this module builds answer every query as fresh copies of
-    themselves do, asked once or again after every other query."""
-
-    CURVES = {
-        "figure_eight": lambda: sample_leafed(build_leafed(2, 2), 512),
-        "double_eight": lambda: sample_leafed(build_leafed(4, 2), 256),
-        "propeller": lambda: sample_leafed(build_leafed(3, 3), 256),
-        "leaf": lambda: build_leaf(256),
-        "double_circle": lambda: TestClassify.circle(1024, 2, radius=0.7, rot=0.3, center=(2, 1)),
-        "spatial": lambda: reconstruct_spatial(CurvatureProfile(0.2, 0.6, 1.5), np.eye(3), (0.0, 6.0), 1e-2),
-    }
-
-    @pytest.mark.parametrize("name", list(CURVES))
-    def test_warm_curve_reads_as_fresh(self, name):
-        c = self.CURVES[name]()
-        fresh = curve_answers(DiscreteCurve(c.vertices, c.closed))
-        assert curve_answers(c) == fresh
-        assert curve_answers(c) == fresh
-        assert turning_angles(c) is turning_angles(c) and vertex_arclengths(c) is vertex_arclengths(c)
-
-    def test_classify_after_every_other_query(self):
-        for r in (2, 4):
-            c = sample_leafed(build_leafed(r, 2), 256)
-            fresh = classify_closed(DiscreteCurve(c.vertices, True))
-            curve_answers(c)
-            assert repr(classify_closed(c)) == repr(fresh)
 
 
 class TestRigidMotion:

@@ -22,6 +22,7 @@ from elastica.curves import (
     classify_closed,
     eval_planar,
     figure_eight_modulus,
+    reconstruct_spatial,
     sample_leafed,
     varpi_star,
 )
@@ -47,6 +48,7 @@ from elastica.discrete import (
 )
 from elastica.elliptic import comp_K
 from elastica.errors import DomainError
+from elastica.profiles import CurvatureProfile
 
 from arclength_resample import resample_arclength
 from input_contracts import BAD_FLOATS
@@ -767,28 +769,35 @@ def answer_all(c: DiscreteCurve, order=1) -> dict:
     return {name: call(c) for name, applies, call in QUERIES[::order] if applies(c)}
 
 
-def cache_cases():
-    rng = default_rng(17)
-    for dim in (2, 3):
-        for closed in (False, True):
-            name = f"random{dim}d-{'closed' if closed else 'open'}"
-            yield name, DiscreteCurve(rng.normal(size=(40, dim)), closed)
-    for kind in EXACT_CLOSED:
-        yield kind, exact_closed_curve(kind, 256)
+# random polylines in 2-D and 3-D, open and closed, the open leaf, an open
+# spatial elastica, and every exact_closed kind
+CACHE_CASES = ["2d-open", "2d-closed", "3d-open", "3d-closed", "leaf", "spatial"] + list(EXACT_CLOSED)
+
+
+def cache_case(case: str) -> DiscreteCurve:
+    if case in EXACT_CLOSED:
+        return exact_closed_curve(case, 256)
+    if case == "leaf":
+        return leaf_vertices(256)
+    if case == "spatial":
+        return reconstruct_spatial(CurvatureProfile(0.2, 0.6, 1.5), np.eye(3), (0.0, 6.0), 1e-2)
+    return DiscreteCurve(default_rng(17).normal(size=(40, int(case[0]))), case.endswith("closed"))
 
 
 class TestCachedGeometry:
     """Turning angles and vertex arclengths are computed once per curve: no
     query may read differently on a curve that has answered the others."""
 
-    @pytest.mark.parametrize("name,c", list(cache_cases()), ids=[n for n, _ in cache_cases()])
-    def test_answers_do_not_depend_on_what_was_asked_before(self, name, c):
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    def test_answers_do_not_depend_on_what_was_asked_before(self, case):
+        c = cache_case(case)
         fresh = {q: call(DiscreteCurve(c.vertices, c.closed)) for q, applies, call in QUERIES if applies(c)}
         assert answer_all(c) == fresh
         assert answer_all(c, order=-1) == fresh  # each query after every other one
 
-    @pytest.mark.parametrize("name,c", list(cache_cases()), ids=[n for n, _ in cache_cases()])
-    def test_cached_arrays_are_shared_and_read_only(self, name, c):
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    def test_cached_arrays_are_shared_and_read_only(self, case):
+        c = cache_case(case)
         answer_all(c)
         cached = [(turning_angles(c), lambda: turning_angles(c)),
                   (vertex_arclengths(c), lambda: vertex_arclengths(c))]
@@ -808,7 +817,7 @@ class TestCachedGeometry:
     def test_pickled_curve_is_rebuilt(self):
         # a curve sent to a worker process and back: read-only, no cache
         # carried along, and every answer byte-identical
-        for _, c in cache_cases():
+        for c in map(cache_case, CACHE_CASES):
             want = answer_all(c)
             back = pickle.loads(pickle.dumps(c))
             assert set(vars(back)) == {"vertices", "closed", "edges", "edge_lengths"}
@@ -816,7 +825,7 @@ class TestCachedGeometry:
             assert back.vertices.tobytes() == c.vertices.tobytes() and answer_all(back) == want
 
     def test_cache_dies_with_its_curve(self):
-        for _, c in cache_cases():
+        for c in map(cache_case, CACHE_CASES):
             answer_all(c)
             arrays = [c.turning_angles, c.vertex_arclengths]
             if c.dim == 2:

@@ -107,6 +107,14 @@ class DiscreteCurve:
     def __reduce__(self):  # rebuilt on unpickling: read-only again, caches not shipped
         return DiscreteCurve, (self.vertices, self.closed)
 
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteCurve):
+            return NotImplemented
+        return self.closed == other.closed and np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self):  # + 0.0 turns -0.0 into 0.0, which array_equal calls equal
+        return hash((bool(self.closed), (self.vertices + 0.0).tobytes()))
+
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]

@@ -138,7 +138,9 @@ def _require_m_for_K(m: float) -> float:
 # duplication continues until the worst element meets the threshold
 
 def _max_dev(*devs) -> float:
-    return max(float(np.max(np.abs(d), initial=0.0)) for d in devs)
+    # a 0-d value skips the array reduction, NaN staying NaN in either path
+    return max(abs(float(d)) if np.ndim(d) == 0 else float(np.max(np.abs(d), initial=0.0))
+               for d in devs)
 
 
 def _rf_rd(x, y, z, with_rd: bool = True):

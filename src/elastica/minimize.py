@@ -229,35 +229,42 @@ def energy_gradient(c: DiscreteCurve) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the chain in edge-tangent coordinates
 
-def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S Z = rhs for symmetric banded S, rhs (n, k).
-
-    band[q, i] = S[i, i + q] for q = 0..p.  LDL^T without pivoting on
-    Python floats, which beats per-row NumPy calls at chain sizes; with
-    p = 1 this is the Thomas algorithm.  The elimination is recorded as a
-    flat list of row operations, replayed forward for L and backward for
-    L^T.  A zero pivot gives NaN, which callers reject.
-    """
+def _band_factor(band: np.ndarray):
+    """LDL^T without pivoting of symmetric banded S (band[q, i] = S[i, i + q],
+    q = 0..p) on Python floats, faster than per-row NumPy at chain sizes.
+    Returns the row operations (j, i, l), row j -= l * row i, in elimination
+    order, and the reciprocal pivots; None at a zero pivot."""
     p1, n = band.shape
-    p = p1 - 1
     # p unit rows of padding spare the loops their bounds checks
-    U = [row + [float(q == 0)] * p for q, row in enumerate(band.tolist())]
-    steps = [(q, range(p1 - q)) for q in range(1, p1)]
-    ops = []  # (j, i, l): row j -= l * row i, in elimination order
+    U = [row + [float(q == 0)] * (p1 - 1) for q, row in enumerate(band.tolist())]
+    piv = U[0]
+    steps = [(q, U[q], [(U[m], U[q + m]) for m in range(p1 - q)]) for q in range(1, p1)]
+    ops = []
+    push = ops.append
     try:
         for i in range(n):
-            d = U[0][i]
-            for q, ms in steps:
-                lq = U[q][i] / d
-                ops.append((i + q, i, lq))
-                for m in ms:
-                    U[m][i + q] -= lq * U[q + m][i]
-        inv = [1.0 / d for d in U[0]]
+            d = piv[i]
+            for q, Uq, pairs in steps:
+                lq = Uq[i] / d
+                j = i + q
+                push((j, i, lq))
+                for Um, Uqm in pairs:
+                    Um[j] -= lq * Uqm[i]
+        return ops, [1.0 / d for d in piv]
     except ZeroDivisionError:
+        return None
+
+
+def _band_apply(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve S Z = rhs, rhs (n, k), from S's _band_factor: forward for L, the
+    pivots, backward for L^T.  A zero pivot (None) gives NaN; callers reject it."""
+    if factor is None:
         return np.full(rhs.shape, math.nan)
+    ops, inv = factor
+    n = len(rhs)
     cols = []
     for y in rhs.T.tolist():
-        y += [0.0] * p
+        y += [0.0] * (len(inv) - n)
         for j, i, lq in ops:
             y[j] -= lq * y[i]
         y = [a * b for a, b in zip(y, inv)]
@@ -267,14 +274,19 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(cols).T
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1) of a real 2-D X: the same floats, unwrapped."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
+
+
 def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Move each unit tangent T_i along the great circle in the direction of
     the tangent vector D_i, through the angle |D_i| (the exponential map)."""
-    r = np.linalg.norm(D, axis=1)
+    r = _row_norms(D)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(r > 0.0, np.sin(r) / r, 1.0)
     out = np.cos(r)[:, None] * T + sinc[:, None] * D
-    return out / np.linalg.norm(out, axis=1)[:, None]
+    return out / _row_norms(out)[:, None]
 
 
 def _frames(T: np.ndarray) -> np.ndarray:
@@ -293,7 +305,7 @@ def _frames(T: np.ndarray) -> np.ndarray:
     ref[~polar, 2] = 1.0
     ref[polar, 0] = 1.0
     U = np.cross(ref, T)
-    U /= np.linalg.norm(U, axis=1)[:, None]
+    U /= _row_norms(U)[:, None]
     V = np.cross(T, U)
     # R u = c u + k x u + (k.u) k / (1 + c), k = T_{i-1} x T_i, c = T_{i-1}.T_i
     k = np.cross(T[:-1], T[1:])
@@ -341,10 +353,11 @@ def _projected_gradient_norm(T: np.ndarray, GT: np.ndarray, h: float, a: int, b:
 
     Vertex j sees (GT_{j-1} - GT_j) / h; the edge-length terms of the
     vertex gradient lie along the constraint normals and project out.  The
-    normal equations J J^T of the active edges a..b-1 are tridiagonal.  A
-    second pass projects out what the first left of the constraint forces,
-    which dominate the gradient near a critical point and which the first
-    solve resolves only to cond(J J^T) times the rounding error.
+    normal equations J J^T of the active edges a..b-1 are tridiagonal and
+    factored once.  A second pass, one step of iterative refinement with
+    the same factor, projects out what the first left of the constraint
+    forces, which dominate the gradient near a critical point and which
+    the first solve resolves only to cond(J J^T) times the rounding error.
     """
     Gp = np.zeros((b - a + 1, T.shape[1]))
     Gp[1:-1] = (GT[a : b - 1] - GT[a + 1 : b]) / h
@@ -353,9 +366,10 @@ def _projected_gradient_norm(T: np.ndarray, GT: np.ndarray, h: float, a: int, b:
     band[0] = 2.0 + 1e-12  # ridge: J J^T degenerates on exactly straight chains
     band[0, [0, -1]] -= 1.0  # the end edges touch one free vertex
     band[1, :-1] = -np.einsum("ij,ij->i", Ta[:-1], Ta[1:])
+    factor = _band_factor(band)
     for _ in range(2):
         jg = np.einsum("ij,ij->i", Ta, Gp[1:] - Gp[:-1])
-        corr = _band_solve(band, jg[:, None]) * Ta
+        corr = _band_apply(factor, jg[:, None]) * Ta
         Gp[1:] -= corr
         Gp[:-1] += corr
         Gp[[0, -1]] = 0.0  # fixed vertices
@@ -383,6 +397,7 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | No
     """
     T = T.copy()
     closed = False
+    I = (b - a) * np.eye(T.shape[1])
     for _ in range(30):
         r = _residual(T, target)
         if np.max(np.abs(r)) <= _CLOSURE_TOL:
@@ -390,7 +405,7 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | No
                 return T
             closed = True
         Tf = T[a:b]
-        M = (b - a) * np.eye(T.shape[1]) - Tf.T @ Tf
+        M = I - Tf.T @ Tf
         try:
             lam = np.linalg.solve(M, -r)
         except np.linalg.LinAlgError:
@@ -448,7 +463,7 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
                 band[be - al, al::dm] = D[:, al, be]
             band[dm + be - al, al::dm][: nf - 1] = O[:, al, be]
     Ef = E[a:b].reshape(nf * dm, dim)  # columns of A^T
-    Z = _band_solve((2.0 / h) * band, np.column_stack([r.ravel(), Ef]))
+    Z = _band_apply(_band_factor((2.0 / h) * band), np.column_stack([r.ravel(), Ef]))
     Zg, ZA = Z[:, 0], Z[:, 1:]
     try:
         mu = np.linalg.solve(Ef.T @ ZA, resid - Ef.T @ Zg)
@@ -540,7 +555,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
     for it in range(1, max_iters + 1):
         GT = _tangent_gradient(T, h)
         grad_norm = _projected_gradient_norm(T, GT, h, a, b)
-        el = np.linalg.norm(np.diff(_vertices(T, P0, P1, h), axis=0), axis=1)
+        el = _row_norms(np.diff(_vertices(T, P0, P1, h), axis=0))
         log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
                     "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n})
         if grad_norm < tol:
@@ -568,7 +583,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
             if not slope < 0.0:
                 continue
             D = np.einsum("ia,iad->id", dy, Ef)
-            t = min(1.0, _MAX_TURN / float(np.max(np.linalg.norm(D, axis=1))))
+            t = min(1.0, _MAX_TURN / float(np.max(_row_norms(D))))
             for _ in range(_MAX_TRIALS):
                 Tt = T.copy()
                 Tt[a:b] = _rotate(Tf, t * D)

@@ -122,6 +122,36 @@ class TestValidation:
         DiscreteCurve([[0, 0], [1, 0], [1, 1], [0, 0]], closed=False)
 
 
+class TestEquality:
+    """Curves compare by closedness and vertex values, and hash alike when equal."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_equal_to_its_rebuild(self, dim, closed):
+        c = DiscreteCurve(default_rng(dim).normal(size=(8, dim)), closed=closed)
+        again = DiscreteCurve(c.vertices.copy(), c.closed)
+        assert (c == again) is True and not (c != again)
+        assert hash(c) == hash(again) and len({c, again}) == 1
+        assert c == pickle.loads(pickle.dumps(c))
+
+    def test_unequal(self):
+        c = regular_polygon(8)
+        moved = c.vertices.copy()
+        moved[3, 0] = np.nextafter(moved[3, 0], np.inf)
+        for other in (DiscreteCurve(c.vertices, closed=False), DiscreteCurve(moved, closed=True),
+                      DiscreteCurve(c.vertices[:-1], closed=True)):
+            assert (c == other) is False and c != other
+        assert c != "curve" and c.__eq__(c.vertices) is NotImplemented
+
+    def test_signed_zero(self):
+        # -0.0 == 0.0, so the two curves are equal and must hash alike
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        w = v.copy()
+        w[0] = -0.0
+        assert DiscreteCurve(v) == DiscreteCurve(w)
+        assert hash(DiscreteCurve(v)) == hash(DiscreteCurve(w))
+
+
 class TestLength:
     def test_unit_square(self):
         c = DiscreteCurve([[0, 0], [1, 0], [1, 1], [0, 1]], closed=True)

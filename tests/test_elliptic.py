@@ -410,6 +410,33 @@ class TestCarlsonReference:
         for k in range(0, 64, 7):
             self.assert_same(float(x[k]), float(y[k]), float(z[k]))
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_scalar_path_is_the_one_element_array_path(self, seed):
+        # a 0-d deviation skips the array reduction; a scalar must still take
+        # the duplications of the same value alone in an array, bit for bit
+        rng = np.random.default_rng(seed)
+        x, y = 10.0 ** rng.uniform(-300.0, 2.0, (2, 24))
+        x[::5] = 0.0
+        z, p = 10.0 ** rng.uniform(-2.0, 2.0, (2, 24))
+        for args in zip(x.tolist(), y.tolist(), z.tolist(), p.tolist()):
+            one = [np.array([a]) for a in args]
+            got, want = el._rf_rd(*args[:3]), el._rf_rd(*one[:3])
+            assert [np.float64(g).tobytes() for g in got] == [w.tobytes() for w in want]
+            assert np.float64(el._rf_rd(*args[:3], with_rd=False)[0]).tobytes() == want[0].tobytes()
+            assert np.float64(el._rj(*args)).tobytes() == el._rj(*one).tobytes()
+
+    @pytest.mark.parametrize("d", [0.0, -0.0, 1e-300, -2.5e-3, 3.0, -math.inf])
+    def test_max_dev_scalar_equals_array(self, d):
+        want = el._max_dev(np.array([d]))
+        for v in (d, np.float64(d), np.array(d)):
+            assert el._max_dev(v) == want == abs(d)
+        assert el._max_dev(d, -2.0 * d) == el._max_dev(np.array([d]), np.array([-2.0 * d]))
+
+    def test_max_dev_nan_propagates(self):
+        for v in (math.nan, np.float64(math.nan), np.array(math.nan), np.array([0.1, math.nan])):
+            assert math.isnan(el._max_dev(v))
+        assert math.isnan(el._max_dev(math.nan, math.nan, math.nan))
+
 
 class TestArrayOracle:
     """Array am / jacobi_epsilon against mpmath at 40 digits.

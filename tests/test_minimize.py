@@ -25,8 +25,9 @@ from elastica.minimize import (
     minimize_pinned,
     verify_leaf_minimality,
 )
-from elastica.minimize import _rounding_bound
+from elastica.minimize import _band_apply, _band_factor, _rounding_bound
 
+from band_reference import _band_solve as reference_band_solve
 from input_contracts import BAD_FLOATS, check_contract, contract_cases, float_parameters
 
 EX = np.array([1.0, 0.0])
@@ -598,6 +599,96 @@ class TestSingleLevel:
         p = seeded_problem(k, N, clamped, dim, d)
         r = (minimize_clamped if clamped else minimize_pinned)(p, MinimizeOptions(seed=k))
         assert r.termination == "converged", (r.grad_norm, r.iterations)
+
+
+def random_band(rng, n: int, p: int) -> np.ndarray:
+    """Upper band of a random symmetric, diagonally dominant n x n matrix of
+    half-bandwidth p, pivots of both signs: band[q, i] = S[i, i + q]."""
+    band = np.zeros((p + 1, n))
+    for q in range(1, p + 1):
+        band[q, : n - q] = rng.uniform(-1.0, 1.0, n - q)
+    sign = np.where(rng.random(n) < 0.25, -1.0, 1.0)
+    band[0] = sign * (1.0 + rng.random(n) + 2.0 * np.abs(band[1:]).sum(axis=0))
+    return band
+
+
+def dense(band: np.ndarray) -> np.ndarray:
+    p1, n = band.shape
+    S = np.diag(band[0])
+    for q in range(1, p1):
+        S += np.diag(band[q, : n - q], q) + np.diag(band[q, : n - q], -q)
+    return S
+
+
+def same_floats(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBandSolver:
+    """_band_factor + _band_apply against the one-shot solve they replaced
+    (band_reference) bit for bit, and against a dense solve."""
+
+    @pytest.mark.parametrize("p, k, seed", [(p, k, 10 * p + k) for p in (1, 2, 3) for k in (1, 2, 4)])
+    def test_matches_reference_and_dense(self, p, k, seed):
+        rng = default_rng(seed)
+        for n in (p + 1, 7, 40):
+            band, rhs = random_band(rng, n, p), rng.standard_normal((n, k))
+            Z = _band_apply(_band_factor(band), rhs)
+            assert Z.shape == (n, k)
+            assert same_floats(Z, reference_band_solve(band, rhs))
+            want = np.linalg.solve(dense(band), rhs)
+            assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("band", [
+        [[0.0, 2.0, 2.0], [1.0, 1.0, 0.0]],  # first pivot zero
+        [[1.0, 1.0, 3.0], [1.0, 0.5, 0.0]],  # second pivot 1 - 1 * 1 = 0
+    ])
+    def test_zero_pivot_gives_nan(self, band):
+        band = np.array(band)
+        assert _band_factor(band) is None
+        rhs = np.ones((3, 2))
+        Z = _band_apply(_band_factor(band), rhs)
+        assert Z.shape == rhs.shape and np.all(np.isnan(Z))
+        assert same_floats(Z, reference_band_solve(band, rhs))
+
+    def test_one_factor_applied_twice(self):
+        rng = default_rng(7)
+        band = random_band(rng, 30, 2)
+        r1, r2 = rng.standard_normal((2, 30, 3))
+        factor = _band_factor(band)
+        first, second = _band_apply(factor, r1), _band_apply(factor, r2)
+        assert same_floats(first, _band_apply(_band_factor(band), r1))
+        assert same_floats(second, _band_apply(_band_factor(band), r2))
+        assert same_floats(second, reference_band_solve(band, r2))
+        assert same_floats(_band_apply(factor, r1), first)  # applying leaves the factor as it was
+
+    @pytest.mark.parametrize("problem", [
+        PinnedProblem(np.zeros(2), [0.4, 0.1], 1.0, 48),
+        ClampedProblem(np.zeros(2), [0.5, 0.0], 1.0, 48, [0.6, 0.8], [0.6, -0.8]),
+        PinnedProblem(np.zeros(3), [0.3, 0.2, 0.1], 1.0, 40),
+    ], ids=["pinned2d", "clamped2d", "pinned3d"])
+    def test_solves_identical_with_the_reference(self, problem, monkeypatch):
+        solve = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
+        opts = MinimizeOptions(seed=1)
+        got = solve(problem, opts)
+        # the reference solves from the band itself: it is its own "factor"
+        monkeypatch.setattr(minimize, "_band_factor", lambda band: band)
+        monkeypatch.setattr(minimize, "_band_apply", reference_band_solve)
+        want = solve(problem, opts)
+        assert got.converged and want.converged
+        assert same_floats(got.curve.vertices, want.curve.vertices)
+        assert got.B == want.B and got.grad_norm == want.grad_norm
+        assert got.log == want.log
+
+
+class TestResultEquality:
+    def test_results_compare_by_value(self):
+        # a result holds a DiscreteCurve, which compares by its vertex values
+        p = PinnedProblem(np.zeros(2), 0.4 * EX, 1.0, 32)
+        first, again = minimize_pinned(p), minimize_pinned(p)
+        assert first == again and first.curve is not again.curve
+        other = minimize_pinned(PinnedProblem(np.zeros(2), 0.5 * EX, 1.0, 32))
+        assert first != other and first.curve != other.curve
 
 
 class TestTermination:

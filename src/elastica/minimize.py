@@ -397,7 +397,7 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | No
     """
     T = T.copy()
     closed = False
-    I = (b - a) * np.eye(T.shape[1])
+    nI = (b - a) * np.eye(T.shape[1])
     for _ in range(30):
         r = _residual(T, target)
         if np.max(np.abs(r)) <= _CLOSURE_TOL:
@@ -405,7 +405,7 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | No
                 return T
             closed = True
         Tf = T[a:b]
-        M = I - Tf.T @ Tf
+        M = nI - Tf.T @ Tf
         try:
             lam = np.linalg.solve(M, -r)
         except np.linalg.LinAlgError:

@@ -36,6 +36,7 @@ from .curves import (
 from .discrete import (
     DiscreteCurve,
     _csv,
+    _row_norms,
     curve_to_csv,
     liyau_check,
     load_curve_csv,
@@ -277,7 +278,7 @@ def cmd_integrate(args) -> int:
     _echo(args, lam=lam, s_end=s_end, h=h, dim=state.dim)
     _note(args, "error estimate", {"err_max": t.err_max, "err_max_s": t.err_max_s})
     g = t.data[:, 0, :]
-    kap = np.linalg.norm(t.data[:, 2, :], axis=1)
+    kap = _row_norms(t.data[:, 2, :])
     if t.dim == 3:
         det = monitor_det(t)
         z = g[:, 2]

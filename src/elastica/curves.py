@@ -14,10 +14,12 @@ Canonical curves, arclength-parametrized with curvature kappa:
     linear      (s, 0)                                    kappa = 0
     wavelike    (2 eps(s,m) - s, -2 sqrt(m) cn(s,m))      kappa = 2 sqrt(m) cn
     borderline  (2 tanh s - s, -2 sech s)                 kappa = 2 sech s
-    orbitlike   (1/m)(2 eps(s,m) + (m-2) s, -2 dn(s,m))   kappa = 2 dn
+    orbitlike   (s - 2 int_0^s sn^2, 2 sn^2 / (1 + dn))    kappa = 2 dn
     circular    (sin s, -cos s)                           kappa = 1
 
-where eps(s,m) is the Jacobi epsilon function.  The wavelike tangential
+where eps(s,m) is the Jacobi epsilon function.  The orbitlike row is the
+paper's (1/m)(2 eps + (m-2) s, -2 dn) moved by (0, 2/m), since int_0^s sn^2
+= (s - eps)/m: no 1/m is left to cancel as m -> 0.  The wavelike tangential
 angle is theta_w = 2 arcsin(sqrt(m) sn), the orbitlike one theta_o = 2 am.
 A similarity of scale Lam (and a reflection, for the sign) gives the signed
 curvature +-kappa(s/Lam + s0)/Lam, i.e. +-A cn/sech/dn(alpha s + s0) with
@@ -207,8 +209,9 @@ def _canon_point(tag: str, m, s):
         return 2.0 * jacobi_epsilon(s, m) - s, -2.0 * math.sqrt(m) * cn(s, m)
     if tag == "borderline":
         return 2.0 * np.tanh(s) - s, -2.0 / _cosh(s)
-    if tag == "orbitlike":
-        return (2.0 * jacobi_epsilon(s, m) + (m - 2.0) * s) / m, -2.0 * dn(s, m) / m
+    if tag == "orbitlike":  # the paper's (2 eps + (m-2) s, -2 dn) / m moved by (0, 2/m)
+        sn_, _, dn_ = sncndn(s, m)
+        return s - 2.0 * _sn2_pi(s, 1.0, m), 2.0 * sn_ * sn_ / (1.0 + dn_)
     return np.sin(s), -np.cos(s)  # circular
 
 
@@ -574,18 +577,7 @@ def reconstruct_spatial(
     T0, N0 = F[0], F[1]
     if p.w == 1.0 or p.w == p.m:
         e = _planar_member(p)
-        if e.family == "orbitlike" and e.m < 0.5:
-            # eval_planar's (2 eps + (m - 2) u) / m and -2 dn / m lose 1e-16 / m
-            # as m -> 0; from the start, the same curve is u - 2 int sn^2 and
-            # 2 (sn^2 - sn0^2) / (dn + dn0), with dn + dn0 > 1
-            u = _canon_arg(e, s)
-            sn, _, dn = sncndn(u, e.m)
-            x = u - 2.0 * _sn2_pi(u, 1.0, e.m)
-            x = e.similarity.scale * (x - x[0])
-            y = e.similarity.scale * (2.0 * (sn * sn - sn[0] * sn[0]) / (dn + dn[0]))
-        else:
-            x, y = eval_planar(e, s)
-            x, y = x - x[0], y - y[0]
+        x, y = (v - v[0] for v in eval_planar(e, s))
         th = eval_theta(e, s_min)
         ct, st = math.cos(th), math.sin(th)
         side = -1.0 if eval_k(e, s_min) < 0.0 else 1.0  # N0 is where the curve bends

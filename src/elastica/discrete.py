@@ -73,10 +73,9 @@ class DiscreteCurve:
 
     edges[i] runs from vertex i to vertex i + 1; a closed curve has one
     more edge, from the last vertex back to vertex 0.  edges and
-    edge_lengths are computed once, by the checks of the constructor;
-    edge lengths are summed on coordinate rows, as np.linalg.norm sums
-    them.  turning_angles, signed_turning_angles and vertex_arclengths are
-    computed once, on first use.
+    edge_lengths are computed once, by the checks of the constructor
+    (`_row_norms`).  turning_angles, signed_turning_angles and
+    vertex_arclengths are computed once, on first use.
     """
 
     vertices: np.ndarray
@@ -96,7 +95,7 @@ class DiscreteCurve:
             e = np.diff(v, axis=0)
             if self.closed:
                 e = np.vstack([e, v[0] - v[-1]])
-            ell = np.sqrt(sum(x * x for x in e.T))
+            ell = _row_norms(e)
             if not math.isfinite(ell.sum()):
                 raise DomainError("edge lengths must be finite")
         if np.any(ell == 0.0):
@@ -144,6 +143,11 @@ class DiscreteCurve:
     def vertex_arclengths(self) -> np.ndarray:
         """Cumulative arclength of each vertex from vertex 0."""
         return _frozen(np.concatenate([[0.0], np.cumsum(self.edge_lengths[: self.n_vertices - 1])]))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Norm of each row of a real (n, 2) or (n, 3) X: np.linalg.norm(X, axis=1), bit for bit."""
+    return np.sqrt(sum(x * x for x in X.T))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -534,7 +538,7 @@ def curve_from_csv(text: str) -> DiscreteCurve:
     verts = data[:, 1 : 1 + ncoord]
     closed = closed_marker
     gap = float(np.linalg.norm(verts[0] - verts[-1]))
-    scale = float(np.sum(np.linalg.norm(np.diff(verts, axis=0), axis=1)))
+    scale = float(np.sum(_row_norms(np.diff(verts, axis=0))))
     coincide = gap <= 1e-9 * max(scale, 1.0)
     if closed is None:
         closed = coincide

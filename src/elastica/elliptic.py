@@ -135,7 +135,13 @@ def _require_m_for_K(m: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Carlson symmetric forms (duplication method), elementwise over arrays;
-# duplication continues until the worst element meets the threshold
+# duplication continues until the worst element meets the threshold, or to a
+# cap that only a NaN reaches: step k scales each |ave - arg| by 4^-k (DLMF
+# 19.36.ii) and ave stays a positive float, so every relative deviation starts
+# below 2 * 2^1024 / 2^-1074 and meets a test of 0.0015 by step
+# (2098 + log2(2 / 0.0015)) / 2 < 1055
+_MAX_DUPLICATIONS = 1055
+
 
 def _max_dev(*devs) -> float:
     # a 0-d value skips the array reduction, NaN staying NaN in either path
@@ -149,9 +155,10 @@ def _rf_rd(x, y, z, with_rd: bool = True):
     iterates, and each is summed at the step where its own test first
     passes.  with_rd=False stops at R_F and gives (R_F, None)."""
     xt, yt, zt = x, y, z
-    total, fac = 0.0, 1.0
+    total, fac, k = 0.0, 1.0, 0
     rf = rd = None
     while rf is None or (with_rd and rd is None):
+        k += 1  # at the cap both series are summed as they stand
         sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
         lam = sx * (sy + sz) + sy * sz
         if with_rd and rd is None:
@@ -162,13 +169,13 @@ def _rf_rd(x, y, z, with_rd: bool = True):
             ave = (xt + yt + zt) / 3.0
             dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
             # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-            if _max_dev(dx, dy, dz) <= 0.0025:
+            if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
                 e2, e3 = dx * dy - dz * dz, dx * dy * dz
                 rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
         if with_rd and rd is None:
             ave = 0.2 * (xt + yt + 3.0 * zt)
             dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-            if _max_dev(dx, dy, dz) <= 0.0015:
+            if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
                 ea, eb = dx * dy, dz * dz
                 ec = ea - eb
                 ed = ea - 6.0 * eb
@@ -185,12 +192,11 @@ def _rj(x, y, z, p):
     Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast."""
     xt, yt, zt, pt = x, y, z, p
     ave = 0.2 * (xt + yt + zt + pt + pt)
-    # step k scales every |ave - arg| by 4^-k (DLMF 19.36.ii)
     spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
                         np.maximum(np.abs(ave - zt), np.abs(ave - pt)))
     delta = (pt - xt) * (pt - yt) * (pt - zt)
     total, fac = 0.0, 1.0
-    while True:
+    for _ in range(_MAX_DUPLICATIONS):
         sx, sy, sz, sp = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt), np.sqrt(pt)
         lam = sx * (sy + sz) + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
@@ -388,14 +394,15 @@ def _sn2_pi(x, nc, m: float):
     is x + n * this, and nc = 1 gives the integral of sn^2.  With nc given,
     1 - n sn^2 = cn^2 + nc sn^2 keeps every digit as n -> 1.  On the branch
     x = x0 + 2K k, |x0| <= K, it is sn^3/3 R_J(cn^2, dn^2, 1, 1 - n sn^2)
-    at x0, plus k times twice that at x0 = K.  x is 1-D; nc is a scalar or
-    a column (r, 1), one output row each.
+    at x0, plus k times twice that at x0 = K.  x has any shape (the broadcast
+    rule); nc is a scalar, or for a 1-D x a column (r, 1), one row each.
     """
     x0, k, K = _reduce_2K(x, m)
     s, c, d = sncndn(np.append(x0, K), m)  # the last point, K, gives the complete value
     cc = c * c
     r = s * s * s / 3.0 * _rj(cc, d * d, 1.0, cc + nc * s * s)
-    return r[..., :-1] + 2.0 * r[..., -1:] * k
+    whole = 2.0 * r[..., -1].reshape(np.shape(nc))  # per period 2K, one per nc row
+    return _shape_like(x, r[..., :-1].reshape(r.shape[:-1] + k.shape) + whole * k)
 
 
 def sn(x, m: float):

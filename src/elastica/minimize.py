@@ -12,12 +12,12 @@ Each free edge moves in dim - 1 coordinates of a parallel-transported
 quadratic with Hessian (2/h) times the path Laplacian.  The step is Newton's
 SQP step: the Hessian of B plus the curvature term nu . T_i of the
 least-squares closure multiplier nu, block-tridiagonal in these
-coordinates, so one banded solve with 1 + dim right-hand sides (Thomas in
-the plane) and a dim x dim Schur complement give it.  In space B's Hessian
-adds, per turning vertex, terms along its binormal; without them the step
-converges only linearly.  When the Newton step does not descend, the
-positive definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that
-always does.  Each trial is restored onto closure by Gauss-Newton (a
+coordinates, so one banded LDL^T solve with 1 + dim right-hand sides and
+a dim x dim Schur complement give it.  In space B's Hessian adds, per
+turning vertex, terms along its binormal; without them the step converges
+only linearly.  When the Newton step does not descend, the positive
+definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that always
+does.  Each trial is restored onto closure by Gauss-Newton (a
 dim x dim normal matrix) and accepted on Armijo decrease of B, with one
 exception at B's floating-point floor: once a step changes B by no more
 than the rounding bound n eps |B| of the n-term energy sum, the sign of
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _require_count, varpi_star
-from .discrete import DiscreteCurve, _pairs, _turn, _turn_ratio, curvature_data, length
+from .discrete import DiscreteCurve, _pairs, _row_norms, _turn, _turn_ratio, curvature_data, length
 from .errors import MAX_COUNT, DomainError
 
 __all__ = [
@@ -274,11 +274,6 @@ def _band_apply(factor, rhs: np.ndarray) -> np.ndarray:
     return np.array(cols).T
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=1) of a real 2-D X: the same floats, unwrapped."""
-    return np.sqrt(np.add.reduce(X * X, axis=1))
-
-
 def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Move each unit tangent T_i along the great circle in the direction of
     the tangent vector D_i, through the angle |D_i| (the exponential map)."""
@@ -497,7 +492,7 @@ def _perturbed(T, P0, P1, h, a, rng, amp):
     if a:
         pert[[1, -2]] = 0.0
     E = np.diff(_vertices(T, P0, P1, h) + pert, axis=0)
-    Tp = E / np.linalg.norm(E, axis=1)[:, None]
+    Tp = E / _row_norms(E)[:, None]
     if a:
         Tp[[0, -1]] = T[[0, -1]]
     return Tp
@@ -648,7 +643,7 @@ def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
                                 clamp[0] - clamp[1])
         X0[0], X0[-1] = P0, P1
     E0 = np.diff(X0, axis=0)
-    T0 = E0 / np.linalg.norm(E0, axis=1)[:, None]
+    T0 = E0 / _row_norms(E0)[:, None]
     if opts.seed is not None:
         T0 = _perturbed(T0, P0, P1, h, a, np.random.default_rng(opts.seed), _PERTURB_AMP * p.L0)
     if clamp is not None:

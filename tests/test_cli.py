@@ -148,6 +148,21 @@ class TestSample:
         span = (xy.max(axis=0) - xy.min(axis=0)).max()
         assert np.hypot(*(xy[-1] - xy[0])) < 5e-6 * span
 
+    def test_orbitlike_at_the_smallest_m(self, run):
+        # m = 5e-324: the pose has no 1/m, so every row is finite, with no
+        # warning; the curve is the circle (sin 2s / 2, sin^2 s) of radius 1/2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run("sample", "--family", "orbitlike", "--m", "5e-324", "--N", "8",
+                                 "--quiet")
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught] == []
+        _, a = csv_rows(out)
+        assert a.shape == (9, 4) and np.all(np.isfinite(a))
+        s = a[:, 0]
+        assert np.allclose(a[:, 1:3], np.column_stack([np.sin(2 * s) / 2, np.sin(s) ** 2]),
+                           rtol=0, atol=1e-15)
+
     def test_borderline_default_window(self, run):
         code, out, _ = run("sample", "--family", "borderline", "--quiet")
         assert code == 0

@@ -163,6 +163,38 @@ class TestEvalPlanar:
         x, y = eval_planar(PlanarElastica("wavelike", m), 0.0)
         assert (x, y) == pytest.approx((0.0, -2 * math.sqrt(m)), abs=1e-15)
 
+    @pytest.mark.parametrize("m", [1e-300, 1e-20, 1e-12, 1e-8, 1e-4, 0.3, 0.7, 0.99])
+    def test_orbitlike_against_mpmath(self, m):
+        # the pose is (s - 2 int_0^s sn^2, 2 sn^2 / (1 + dn)), the paper's
+        # (2 eps + (m - 2) s, -2 dn) / m moved by (0, 2/m); the reference
+        # integrates sn^2 by quadrature at 25 digits, so no 1/m cancels there
+        mpmath = pytest.importorskip("mpmath")
+        s = np.linspace(0.0, 12.0, 49)
+        ref = [(0.0, 0.0)]
+        with mpmath.workdps(25):
+            mm = mpmath.mpf(m)
+            sn = lambda v: mpmath.ellipfun("sn", v, m=mm)
+            area = mpmath.mpf(0)
+            for a, b in zip(s[:-1], s[1:]):
+                area += mpmath.quad(lambda v: sn(v) ** 2, [a, b], method="gauss-legendre")
+                q, d = sn(b), mpmath.ellipfun("dn", b, m=mm)
+                ref.append((float(b - 2 * area), float(2 * q * q / (1 + d))))
+        ref = np.array(ref)
+        diameter = np.max(np.linalg.norm(ref[:, None] - ref[None], axis=2))
+        got = np.column_stack(eval_planar(PlanarElastica("orbitlike", m), s))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * diameter
+
+    def test_orbitlike_state_at_tiny_m(self):
+        # at m = 1e-300 the orbitlike curve is the circle of radius 1/2
+        # (sin 2s / 2, sin^2 s) to 1e-15, and its state is finite
+        s = 0.7
+        gamma, d1, d2, d3 = planar_state(PlanarElastica("orbitlike", 1e-300), s)
+        assert np.all(np.isfinite(np.concatenate([gamma, d1, d2, d3])))
+        assert np.allclose(gamma, [math.sin(2 * s) / 2, math.sin(s) ** 2], rtol=0, atol=1e-15)
+        assert np.allclose(d1, [math.cos(2 * s), math.sin(2 * s)], rtol=0, atol=1e-15)
+        assert np.allclose(d2, 2.0 * np.array([-math.sin(2 * s), math.cos(2 * s)]), rtol=0,
+                           atol=1e-15)
+
     def test_theta_borderline(self):
         e = PlanarElastica("borderline")
         assert eval_theta(e, 0.0) == 0.0
@@ -614,8 +646,9 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("m", [5e-324, 1e-20, 1e-12, 1e-3, 0.3, 0.7])
     def test_orbitlike_as_m_vanishes(self, m):
-        # the canonical orbitlike curve lies about 2/m from its origin, so
-        # eval_planar's coordinates minus their start would lose 1e-16 / m
+        # the paper's orbitlike pose lies 2/m from its origin, so its
+        # coordinates minus their start would lose 1e-16 / m; the canonical
+        # pose of eval_planar has no 1/m
         p = CurvatureProfile(m=m, w=1.0, A=1.0)
         F = np.linalg.qr(default_rng(7).normal(size=(3, 3)))[0].T
         got = reconstruct_spatial(p, F, (-1.0, 5.0), 1e-3).vertices

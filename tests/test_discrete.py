@@ -890,6 +890,17 @@ class TestCoordinateRowKernels:
             c = DiscreteCurve(v, closed=False)
             assert c.edge_lengths.tobytes() == np.linalg.norm(c.edges, axis=1).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+    def test_row_norms_are_linalg_norm(self, dim, scale):
+        # the one row-norm kernel (edge lengths, the minimizer, the CLI's
+        # kappa column), also on a strided view such as a trajectory's d2
+        rng = default_rng(dim)
+        X = rng.normal(size=(4096, dim)) * scale
+        strided = np.stack([X, -X], axis=1)[:, 1, :]
+        for A in (X, strided, signed_zero_vertices(rng, 512, dim)):
+            assert discrete._row_norms(A).tobytes() == np.linalg.norm(A, axis=1).tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_cross_norm_is_linalg_norm(self, seed):
         rng = default_rng(seed)

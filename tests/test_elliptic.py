@@ -8,11 +8,15 @@ Frozen constants in this file were produced by those oracles.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import elastica
 from elastica import DomainError
 from elastica import elliptic as el
 from elastica.curves import figure_eight_modulus
@@ -275,7 +279,7 @@ class TestJacobiFunctions:
     @pytest.mark.parametrize("m", [0.3, 0.826, el.M_MAX])
     def test_tiny_arguments(self, m):
         # the descent starts from cot(x), which overflows below |x| ~ 1e-154;
-        # a nan dn keeps jacobi_epsilon's duplication from ever converging
+        # a nan dn would run jacobi_epsilon's duplication to its step cap
         # (1 - x^2/2 and x - x^3 agree with 1 and x to within one ulp here)
         x = np.array([5e-324, -1e-300, 1e-160, 3e-9, -1e-8])
         ulp = np.spacing(1.0)
@@ -437,6 +441,35 @@ class TestCarlsonReference:
             assert math.isnan(el._max_dev(v))
         assert math.isnan(el._max_dev(math.nan, math.nan, math.nan))
 
+    def test_nan_stops_at_the_step_cap(self):
+        # a NaN never meets a duplication test: the loops stop after
+        # _MAX_DUPLICATIONS steps with NaN there and the other elements
+        # converged.  Run in a child process, so that a loop without the cap
+        # fails by the timeout instead of hanging the suite
+        script = (
+            "import math\n"
+            "import numpy as np\n"
+            "from elastica import elliptic as el\n"
+            "nan, a = math.nan, np.array\n"
+            "rf, rd = el._rf_rd(a([nan]), a([1.0]), 1.0)\n"
+            "assert np.isnan(rf).all() and np.isnan(rd).all()\n"
+            "assert all(math.isnan(v) for v in el._rf_rd(nan, 1.0, 1.0))\n"
+            "assert math.isnan(el._rf_rd(nan, 1.0, 1.0, with_rd=False)[0])\n"
+            "rf, rd = el._rf_rd(a([nan, 0.5]), a([1.0, 0.3]), 1.0)\n"
+            "want = el._rf_rd(0.5, 0.3, 1.0)\n"
+            "assert math.isnan(rf[0]) and math.isnan(rd[0])\n"
+            "assert np.allclose([rf[1], rd[1]], want, rtol=1e-15, atol=0.0)\n"
+            "rj = el._rj(a([nan, 0.5]), 1.0, 1.0, 1.0)\n"
+            "assert math.isnan(rj[0]) and np.isclose(rj[1], el._rj(0.5, 1.0, 1.0, 1.0), rtol=1e-15)\n"
+            "assert math.isnan(el._rj(0.5, 1.0, nan, 1.0))\n"
+        )
+        src = os.path.dirname(os.path.dirname(elastica.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestArrayOracle:
     """Array am / jacobi_epsilon against mpmath at 40 digits.
@@ -523,6 +556,21 @@ class TestThirdKind:
         with mpmath.workdps(40):
             for g, a in zip(got, args):
                 assert self.close(g, mpmath.elliprj(*a)), a
+
+    def test_sn2_pi_broadcast_rule(self):
+        # a scalar x gives a float, an array x its own shape; an array's
+        # duplication runs to its slowest element, so a scalar may differ in
+        # the last bits
+        m = 0.6
+        xs = np.linspace(-5.0, 9.0, 12)
+        flat = el._sn2_pi(xs, 1.0, m)
+        assert flat.shape == (12,)
+        assert np.array_equal(el._sn2_pi(xs.reshape(3, 4), 1.0, m), flat.reshape(3, 4))
+        for x in (1.3, np.float64(1.3), np.array(1.3)):
+            assert type(el._sn2_pi(x, 1.0, m)) is float
+        assert el._sn2_pi(float(xs[7]), 1.0, m) == pytest.approx(flat[7], rel=1e-15)
+        rows = el._sn2_pi(xs, np.array([[1.0], [0.5]]), m)
+        assert rows.shape == (2, 12) and np.allclose(rows[0], flat, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("m", [0.0, 0.5, 0.99])
     def test_pi_against_mpmath(self, m):

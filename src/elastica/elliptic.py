@@ -149,58 +149,117 @@ def _max_dev(*devs) -> float:
                for d in devs)
 
 
+# Arguments whose largest one lies outside a band where every step of the
+# duplication stays in the normal floats are first scaled by a power of 4:
+# R_F is homogeneous of degree -1/2 and R_D, R_J of -3/2, so the values
+# come back multiplied by 2^j and 8^j for a scale of 4^j.  Scaling by 4^j
+# commutes with every rounding of the duplication, so a rescaled value
+# differs from an unscaled one only where the latter over- or underflows.
+# Above 2^hi the largest argument lands just below 2^hi, which leaves the
+# smaller ones as far from underflow as it can; below 2^lo it lands just
+# below 2^up.  The band of R_F and R_D ends where the sums x + lam
+# overflow, and R_J's where (p - x)(p - y)(p - z) and d^2 do.
+_RF_BAND = (-600, 1022, 600)
+_RJ_BAND = (-320, 320, 320)
+
+
+def _some_floor(args, bound: float) -> bool:
+    """Whether some argument is >= bound throughout: then so is every
+    element's largest one.  Floats are tried first, array minima after."""
+    return (any(isinstance(a, float) and a >= bound for a in args)
+            or any(not isinstance(a, float) and a.min(initial=math.inf) >= bound for a in args))
+
+
+def _scale4(args, lo: int, hi: int, up: int):
+    """(j, the arguments times 4^j): j an int, or an int array broadcast over
+    the arguments; (None, the arguments) where the largest one lies in
+    [2^(lo-1), 2^hi) or is NaN or inf."""
+    if all(isinstance(a, float) for a in args):
+        e = math.frexp(max(args))[1]  # max in [2^(e-1), 2^e); e = 0 at NaN and inf
+        if lo <= e <= hi:
+            return None, args
+        j = ((hi if e > hi else up) - e) // 2
+        return j, tuple(math.ldexp(a, 2 * j) for a in args)
+    if (all((a if isinstance(a, float) else a.max(initial=-math.inf)) < 2.0**hi for a in args)
+            and _some_floor(args, 2.0 ** (lo - 1))):  # NaN fails this quick test
+        return None, args
+    top = args[0]
+    for a in args[1:]:
+        top = np.maximum(top, a)
+    e = np.frexp(top)[1]
+    j = np.where(e > hi, (hi - e) // 2, np.where(e < lo, (up - e) // 2, 0))
+    if not j.any():
+        return None, args
+    return j, tuple(np.ldexp(a, 2 * j) for a in args)
+
+
 def _rf_rd(x, y, z, with_rd: bool = True):
     """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995);
     x, y >= 0 (at most one zero), z > 0.  Both series run on the same
     iterates, and each is summed at the step where its own test first
     passes.  with_rd=False stops at R_F and gives (R_F, None)."""
-    xt, yt, zt = x, y, z
+    j, (xt, yt, zt) = _scale4((x, y, z), *_RF_BAND)
     total, fac, k = 0.0, 1.0, 0
     rf = rd = None
-    while rf is None or (with_rd and rd is None):
-        k += 1  # at the cap both series are summed as they stand
-        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
-        lam = sx * (sy + sz) + sy * sz
-        if with_rd and rd is None:
-            total += fac / (sz * (zt + lam))
-            fac *= 0.25
-        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        if rf is None:
-            ave = (xt + yt + zt) / 3.0
-            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-            # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-            if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
-                e2, e3 = dx * dy - dz * dz, dx * dy * dz
-                rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-        if with_rd and rd is None:
-            ave = 0.2 * (xt + yt + 3.0 * zt)
-            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-            if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
-                ea, eb = dx * dy, dz * dz
-                ec = ea - eb
-                ed = ea - 6.0 * eb
-                ee = ed + ec + ec
-                c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
-                s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
-                    + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-                rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
+    with np.errstate(over="ignore"):  # only R_D's denominators: R_D < 2^-1020 there
+        while rf is None or (with_rd and rd is None):
+            k += 1  # at the cap both series are summed as they stand
+            sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
+            lam = sx * (sy + sz) + sy * sz
+            if with_rd and rd is None:
+                total += fac / (sz * (zt + lam))
+                fac *= 0.25
+            xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
+            if rf is None:
+                ave = (xt + yt + zt) / 3.0
+                dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+                # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
+                if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
+                    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+                    rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
+            if with_rd and rd is None:
+                ave = 0.2 * (xt + yt + 3.0 * zt)
+                dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+                if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
+                    ea, eb = dx * dy, dz * dz
+                    ec = ea - eb
+                    ed = ea - 6.0 * eb
+                    ee = ed + ec + ec
+                    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
+                    s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
+                        + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
+                    rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
+    if j is not None:
+        rf, rd = np.ldexp(rf, j), (None if rd is None else np.ldexp(rd, 3 * j))
     return rf, rd
+
+
+# Beyond p = 2^400 max(x, y, z) the duplication would need cubes outside
+# the floats, and R_J = (3 / p) R_F(x, y, z) (1 + O(sqrt(max(x, y, z) / p)))
+# from 1 / (t + p) = 1 / p - t / (p (t + p)) under the integral: 2^-200 there
+_RJ_FAR = 2.0**-400
 
 
 def _rj(x, y, z, p):
     """Carlson R_J(x, y, z, p); x, y, z >= 0 (at most one zero), p > 0, by
     Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast."""
-    xt, yt, zt, pt = x, y, z, p
+    if not _some_floor((x, y, z), (p if isinstance(p, float) else p.max(initial=0.0)) * _RJ_FAR):
+        top = np.maximum(np.maximum(x, y), z)
+        far = p * _RJ_FAR > top
+        if np.any(far):  # 3 R_F / p, and the duplication on the rest
+            near = _rj(x, y, z, np.where(far, top, p))
+            return np.where(far, 3.0 * _rf_rd(x, y, z, with_rd=False)[0] / p, near)[()]
+    j, (xt, yt, zt, pt) = _scale4((x, y, z, p), *_RJ_BAND)
     ave = 0.2 * (xt + yt + zt + pt + pt)
     spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
                         np.maximum(np.abs(ave - zt), np.abs(ave - pt)))
-    delta = (pt - xt) * (pt - yt) * (pt - zt)
+    delta = (pt - xt) * (pt - yt) * (pt - zt)  # times 4^-3 per step, exactly
     total, fac = 0.0, 1.0
     for _ in range(_MAX_DUPLICATIONS):
         sx, sy, sz, sp = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt), np.sqrt(pt)
         lam = sx * (sy + sz) + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
-        e = fac**3 * delta / (d * d)
+        e = delta / (d * d)
         if _max_dev(e) <= 1e-3:  # R_C(1, 1 + e) by its series, to e^4
             rc = 1.0 + e * (-1.0 / 3.0 + e * (0.2 + e * (-1.0 / 7.0 + e / 9.0)))
         else:
@@ -209,6 +268,7 @@ def _rj(x, y, z, p):
                 rc = np.where(t == 0.0, 1.0, np.where(e > 0.0, np.arctan(t), np.arctanh(t)) / t)
         total = total + fac * rc / d
         fac *= 0.25
+        delta = delta * 0.015625
         xt, yt, zt, pt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam), 0.25 * (pt + lam)
         ave = 0.2 * (xt + yt + zt + pt + pt)
         if fac * _max_dev(spread / ave) <= 0.0015:
@@ -222,7 +282,8 @@ def _rj(x, y, z, p):
     c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 3.0, 3.0 / 22.0, 3.0 / 26.0
     s = 1.0 + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee) \
         + eb * (0.5 * c2 + dp * (-2.0 * c3 + dp * c4)) + dp * ea * (c2 - dp * c3) - c2 * dp * ec
-    return 6.0 * total + fac * s / (ave * np.sqrt(ave))
+    rj = 6.0 * total + fac * s / (ave * np.sqrt(ave))
+    return rj if j is None else np.ldexp(rj, 3 * j)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,20 @@ The fourth-order equation
 
 is integrated as the first-order system in (gamma, d1, d2, d3) with
 classical fixed-step 4th-order stepping.  The full step is the one kept,
-so halving h cuts the closed-form deviation by about 16x; it is advanced
-one step at a time by one straight-line kernel on named Python floats in
-R^3.  Planar states go through it at z = 0: every z-rate is then an exact
-zero, so the x/y values are those two coordinates would give, and the z
-columns are dropped again.  Each step's embedded error estimate
-|y_h - y_{h/2}| / 15 depends only on the kept state the step starts at,
-so its two half steps run afterwards in NumPy, on coordinate rows of up
-to _BLOCK steps at once.  The two right-hand sides (float and array) sum
-each dot product in one order, so one step of either gives the same
-floats, and they check each other: if they disagreed, the estimate would
-fail.  No quantity is projected or
+so halving h cuts the closed-form deviation by about 16x.  gamma feeds no
+rate, so the kept steps advance (d1, d2, d3) alone, one at a time, in a
+straight-line kernel on named Python floats: _step3 in R^3, and _step2 on
+the x/y floats of a planar state (2-D, or 3-D with every z entry +0.0,
+whose z entries the R^3 kernel would keep at +0.0 bit for bit).  After
+each block of _BLOCK steps the position increments are computed from the
+kept frames in NumPy, in the kernel's operation order, and added in
+sequence by a cumulative sum, so gamma is the float loop's, bit for bit.
+Each step's embedded error estimate |y_h - y_{h/2}| / 15 depends only on
+the kept state the step starts at, so its two half steps run afterwards
+in NumPy, on the coordinate rows that carry data.  The two right-hand
+sides (float and array) sum each dot product in one order, so one step of
+either gives the same floats, and they check each other: if they
+disagreed, the estimate would fail.  No quantity is projected or
 re-normalized during integration: the unit-speed and determinant
 conservation checks stay honest monitors of the integrator, not
 constraints imposed on it.
@@ -142,16 +145,16 @@ class Trajectory:
 
 
 def _step3(y, h: float, lam: float) -> tuple[float, ...]:
-    """One classical 4th-order step of the flat state y = (gamma, d1, d2, d3)
-    in R^3, written out on named Python floats: the kept step, advanced one
-    at a time.  The rates are gamma' = d1, d1' = d2, d2' = d3 and
+    """One classical 4th-order step of the flat frame y = (d1, d2, d3) in
+    R^3, written out on named Python floats: the kept step, advanced one at
+    a time.  The rates are d1' = d2, d2' = d3 and
     d3' = (lam d2 - p d1 - q d2) / 2 with p = 6 <d2, d3>, q = 3 |d2|^2;
     a2..a4, b2..b4, c2..c4 are d1, d2, d3 at stages 2-4 and e1..e4 the
-    d3-rates.  gamma feeds no rate, so its stage values are never formed.
+    d3-rates.  gamma feeds no rate; its increments are _gamma_increments.
     Each <d2, d3> is summed from 0.0, left to right, as sum() does, so it
     is never -0.0 and the floats match a generic per-component loop, signed
     zeros included."""
-    gx, gy, gz, ax, ay, az, bx, by, bz, cx, cy, cz = y
+    ax, ay, az, bx, by, bz, cx, cy, cz = y
     hh = 0.5 * h
     p = 6.0 * (0.0 + bx * cx + by * cy + bz * cz)
     q = 3.0 * (bx * bx + by * by + bz * bz)
@@ -181,9 +184,6 @@ def _step3(y, h: float, lam: float) -> tuple[float, ...]:
     q = 3.0 * (b4x * b4x + b4y * b4y + b4z * b4z)
     h6 = h / 6.0
     return (
-        gx + h6 * (ax + 2.0 * a2x + 2.0 * a3x + a4x),
-        gy + h6 * (ay + 2.0 * a2y + 2.0 * a3y + a4y),
-        gz + h6 * (az + 2.0 * a2z + 2.0 * a3z + a4z),
         ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
         ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
         az + h6 * (bz + 2.0 * b2z + 2.0 * b3z + b4z),
@@ -194,6 +194,60 @@ def _step3(y, h: float, lam: float) -> tuple[float, ...]:
         cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
         cz + h6 * (e1z + 2.0 * e2z + 2.0 * e3z + 0.5 * (lam * b4z - p * a4z - q * b4z)),
     )
+
+
+def _step2(y, h: float, lam: float) -> tuple[float, ...]:
+    """_step3 on the x/y floats of (d1, d2, d3), for states whose z entries
+    are all +0.0.  There every z-rate is +-0.0 and +0.0 + +-0.0 = +0.0, so
+    the z entries stay +0.0 and add +0.0 to each dot product, which leaves
+    it unchanged: these are _step3's x/y floats, bit for bit.  (Once p or q
+    overflows, _step3's z entries turn NaN, but its x/y floats are then
+    non-finite too, and the run stops at that step either way.)"""
+    ax, ay, bx, by, cx, cy = y
+    hh = 0.5 * h
+    p = 6.0 * (0.0 + bx * cx + by * cy)
+    q = 3.0 * (bx * bx + by * by)
+    e1x = 0.5 * (lam * bx - p * ax - q * bx)
+    e1y = 0.5 * (lam * by - p * ay - q * by)
+    a2x, a2y = ax + hh * bx, ay + hh * by
+    b2x, b2y = bx + hh * cx, by + hh * cy
+    c2x, c2y = cx + hh * e1x, cy + hh * e1y
+    p = 6.0 * (0.0 + b2x * c2x + b2y * c2y)
+    q = 3.0 * (b2x * b2x + b2y * b2y)
+    e2x = 0.5 * (lam * b2x - p * a2x - q * b2x)
+    e2y = 0.5 * (lam * b2y - p * a2y - q * b2y)
+    a3x, a3y = ax + hh * b2x, ay + hh * b2y
+    b3x, b3y = bx + hh * c2x, by + hh * c2y
+    c3x, c3y = cx + hh * e2x, cy + hh * e2y
+    p = 6.0 * (0.0 + b3x * c3x + b3y * c3y)
+    q = 3.0 * (b3x * b3x + b3y * b3y)
+    e3x = 0.5 * (lam * b3x - p * a3x - q * b3x)
+    e3y = 0.5 * (lam * b3y - p * a3y - q * b3y)
+    a4x, a4y = ax + h * b3x, ay + h * b3y
+    b4x, b4y = bx + h * c3x, by + h * c3y
+    c4x, c4y = cx + h * e3x, cy + h * e3y
+    p = 6.0 * (0.0 + b4x * c4x + b4y * c4y)
+    q = 3.0 * (b4x * b4x + b4y * b4y)
+    h6 = h / 6.0
+    return (
+        ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
+        ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
+        bx + h6 * (cx + 2.0 * c2x + 2.0 * c3x + c4x),
+        by + h6 * (cy + 2.0 * c2y + 2.0 * c3y + c4y),
+        cx + h6 * (e1x + 2.0 * e2x + 2.0 * e3x + 0.5 * (lam * b4x - p * a4x - q * b4x)),
+        cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
+    )
+
+
+def _gamma_increments(d: np.ndarray, h: float, lam: float) -> np.ndarray:
+    """h/6 (a + 2 a2 + 2 a3 + a4) per step: the position increment of the
+    kept step from each (d1, d2, d3) = (a, b, c), stacked as coordinate
+    rows (3, k, block), in _step3's operation order."""
+    a, b, c = d
+    hh = 0.5 * h
+    e = 0.5 * (lam * b - 6.0 * sum(b * c) * a - 3.0 * sum(b * b) * b)
+    return (h / 6.0) * (a + 2.0 * (a + hh * b) + 2.0 * (a + hh * (b + hh * c))
+                        + (a + h * (b + hh * (c + hh * e))))
 
 
 def _rates_batch(y: np.ndarray, lam: float) -> np.ndarray:
@@ -243,12 +297,13 @@ def integrate_elastica(
     """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h),
     at most MAX_STEPS).
 
-    The steps run in the float kernel _step3, planar states at z = 0; data
-    keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
+    The frames advance in the float kernel _step2 when the state is planar
+    (2-D, or 3-D with every z entry +0.0) and _step3 otherwise; data keeps
+    the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
     Raises StepSizeError at the first step whose half-step error estimate
-    exceeds 1e-6 or is not finite; the estimates come after each block of
-    _BLOCK steps, so at most one block is wasted.  The trajectory carries the worst estimate and
-    where it occurred.
+    exceeds 1e-6 or is not finite; the positions and the estimates come
+    after each block of _BLOCK steps, so at most one block is wasted.  The
+    trajectory carries the worst estimate and where it occurred.
     """
     if not (np.isfinite(lam) and np.isfinite(s_end) and s_end > 0.0):
         raise DomainError("need finite lam and s_end > 0")
@@ -257,22 +312,27 @@ def integrate_elastica(
     n = _step_count(s_end, h)
     h = float(s_end) / n  # NumPy scalars would slow the float loop
     lam = float(lam)
-    dim = s0.dim
-    data = np.empty((n + 1, 4, dim))
+    data = np.empty((n + 1, 4, s0.dim))
     data[0] = s0.as_array()
-    y3 = np.zeros((4, 3))
-    y3[:, :dim] = data[0]
-    y = y3.ravel().tolist()
+    z = data[0, :, 2:]
+    k = 2 if not (z.any() or np.signbit(z).any()) else 3
+    step = _step2 if k == 2 else _step3
+    data[1:, :, k:] = 0.0  # the z columns of a planar 3-D state stay +0.0
+    y = data[0, 1:, :k].ravel().tolist()
     err_max, err_max_s = 0.0, 0.0
     for c0 in range(0, n, _BLOCK):
         c1 = min(n, c0 + _BLOCK)
-        rows = []
-        for _ in range(c0, c1):
-            y = _step3(y, h, lam)
-            rows.append(y)
-        block = np.fromiter(chain.from_iterable(rows), float, 12 * (c1 - c0))
-        data[c0 + 1 : c1 + 1] = block.reshape(-1, 4, 3)[:, :, :dim]
-        coords = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1], 0, -1))
+        rows = [y := step(y, h, lam) for _ in range(c0, c1)]
+        block = np.fromiter(chain.from_iterable(rows), float, 3 * k * (c1 - c0))
+        data[c0 + 1 : c1 + 1, 1:, :k] = block.reshape(-1, 3, k)
+        coords = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1, :, :k], 0, -1))
+        with np.errstate(all="ignore"):
+            # gamma_{i+1} = gamma_i + increment_i, added in sequence as the
+            # float loop would: accumulate adds strictly left to right
+            inc = _gamma_increments(coords[1:, :, :-1], h, lam)
+            inc[:, 0] += coords[0, :, 0]
+            np.cumsum(inc, axis=1, out=coords[0, :, 1:])
+        data[c0 + 1 : c1 + 1, 0, :k] = coords[0, :, 1:].T
         err = _half_step_error(coords[..., :-1], coords[..., 1:], h, lam)
         bad = np.flatnonzero(~(err <= _LOCAL_ERR_MAX))
         if bad.size:

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -535,6 +536,73 @@ class TestArrayOracle:
                 fn(np.array([0.0, math.nan]), 0.5)
             with pytest.raises(DomainError):
                 fn(np.array([0.0, 1.0]), 1.0)
+
+
+class TestCarlsonRange:
+    """R_F, R_D and R_J at both ends of the float range against mpmath at 40
+    digits, with every warning an error: arguments outside the band of the
+    duplication are scaled by a power of 4 first, and R_J with p beyond
+    2^400 max(x, y, z) is 3 R_F / p."""
+
+    RF = [(5e-324, 1e308, 1e308), (0.0, 1e308, 1.7e308), (1e-310, 1e-310, 1e300), (0.0, 7e-323, 1e300),
+          (1e308, 1e308, 1e308), (0.0, 5e-324, 1e-320), (1e-320, 2e-320, 3e-320), (0.0, 1e-300, 1.0)]
+    # R_D ~ max^(-3/2): representable from about 1e-205 up to 1e205, and 0 above
+    RD = [(0.0, 1e-300, 1e-200), (1e-200, 2e-200, 3e-200), (0.0, 1e-250, 1e-203), (1e200, 1e200, 1e200),
+          (5e-324, 1e308, 1e308), (0.0, 1e300, 1.7e308)]
+    RJ = [(0.0, 1e-300, 1.0, 1e300), (0.5, 0.5, 1.0, 1e300), (0.5, 0.8, 1.0, 1e200), (0.5, 0.8, 1.0, 1e110),
+          (1e-200, 2e-200, 3e-200, 4e-200), (0.0, 1e-250, 1e-205, 1e-200), (1e200, 2e200, 3e200, 4e200),
+          (1e300, 2e300, 3e300, 4e300), (0.0, 0.3, 1.0, 1e-300), (1e-100, 0.0, 1e-250, 1e250)]
+
+    @staticmethod
+    def close(got, want) -> bool:
+        want = float(want)
+        return math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in self.RF:
+                assert self.close(el._rf_rd(*a, with_rd=False)[0], mpmath.elliprf(*a)), a
+            for a in self.RD:
+                assert self.close(el._rf_rd(*a)[1], mpmath.elliprd(*a)), a
+            for a in self.RF[:4]:  # R_D below the floats: 0, and R_F as alone
+                assert el._rf_rd(*a) == (el._rf_rd(*a, with_rd=False)[0], 0.0), a
+            for a in self.RJ:
+                assert self.close(el._rj(*a), mpmath.elliprj(*a)), a
+
+    def test_arrays_mix_far_and_near(self):
+        # an array takes each element's own route: scaled, unscaled or
+        # 3 R_F / p (and runs to its slowest element, so last bits may differ)
+        mpmath = pytest.importorskip("mpmath")
+        x, y, z, p = np.array(self.RJ).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rj = el._rj(x, y, z, p)
+            rf = el._rf_rd(*np.array(self.RF).T, with_rd=False)[0]
+        with mpmath.workdps(40):
+            assert all(self.close(g, mpmath.elliprj(*a)) for g, a in zip(rj, self.RJ))
+            assert all(self.close(g, mpmath.elliprf(*a)) for g, a in zip(rf, self.RF))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaling_is_bit_neutral(self, seed):
+        # 4^k commutes with every rounding of the duplication: arguments
+        # pushed out of the band give the in-band floats times 2^-k, 8^-k
+        rng = np.random.default_rng(seed)
+        x, y, z, p = 10.0 ** rng.uniform(-1.0, 1.0, (4, 32))
+        x[::5] = 0.0
+        rf, rd = el._rf_rd(x, y, z)
+        k = -310  # R_F and R_D below their band
+        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)))
+        assert got[0].tobytes() == np.ldexp(rf, -k).tobytes()
+        assert got[1].tobytes() == np.ldexp(rd, -3 * k).tobytes()
+        k = 509  # R_F alone above its band
+        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)), with_rd=False)[0]
+        assert got.tobytes() == np.ldexp(rf, -k).tobytes()
+        rj = el._rj(x, y, z, p)
+        for k in (-165, 165):  # R_J below and above its band
+            got = el._rj(*(np.ldexp(a, 2 * k) for a in (x, y, z, p)))
+            assert got.tobytes() == np.ldexp(rj, -3 * k).tobytes()
 
 
 class TestThirdKind:

@@ -1,5 +1,6 @@
 """Position-form elastica ODE: integration accuracy and conservation laws."""
 
+import itertools
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from elastica.odeint import (
 )
 from elastica.profiles import CurvatureProfile, first_integral_coeffs, profile_c, profile_period
 
+import odeint_reference
 from input_contracts import check_contract, contract_cases, float_parameters, is_
 
 
@@ -224,8 +226,8 @@ class TestIntegrate:
         emb = integrate_elastica(s3, lam, s_end, h)
         assert emb.data.shape == flat.data.shape[:2] + (3,)
         assert np.array_equal(emb.data[:, :, :2], flat.data)
-        assert np.all(emb.data[:, :, 2] == 0.0)
-        assert emb.err_max == pytest.approx(flat.err_max, rel=1e-12)
+        assert np.all(emb.data[:, :, 2] == 0.0) and not np.signbit(emb.data[:, :, 2]).any()
+        assert (emb.err_max, emb.err_max_s) == (flat.err_max, flat.err_max_s)
 
 
 class TestDetMonitor:
@@ -321,6 +323,18 @@ REFERENCE_CASES = {
 }
 
 
+def assert_same_run(s0, lam, s_end, h):
+    """integrate_elastica and the 12-float loop it replaced
+    (tests/odeint_reference.py) give the same bytes or the same error."""
+    def run(f):
+        try:
+            t = f(s0, lam, s_end, h)
+        except StepSizeError as exc:
+            return str(exc)
+        return t.data.tobytes(), np.float64([t.err_max, t.err_max_s]).tobytes()
+    assert run(integrate_elastica) == run(odeint_reference.integrate_elastica)
+
+
 class TestReferenceLoop:
     """integrate_elastica against the per-step NumPy loop it replaced."""
 
@@ -345,17 +359,63 @@ class TestReferenceLoop:
         assert tr.err_max_s == pytest.approx(int(np.argmax(errs)) * tr.h, abs=1e-9)
         assert tr.err_max_s > odeint._BLOCK * tr.h
 
-    @pytest.mark.parametrize("case", ["spatial", "tilted", "wavelike2d"])
+    @pytest.mark.parametrize("case", ["spatial", "tilted", "wavelike2d", "wavelike3d"])
     def test_batch_step_is_the_float_step(self, case):
-        # the error estimate's array step and the kept float step are one
-        # formula: equal bit for bit on one state, in 3-D and in 2-D at z = 0
+        # the error estimate's array step and the kept float steps are one
+        # formula: equal bit for bit on one state, in 3-D and in 2-D at
+        # z = 0, for d1, d2, d3 (_step3, and _step2 on planar states) and
+        # for the position (_gamma_increments)
         s0, lam, _, h = REFERENCE_CASES[case]
         y = s0.as_array()
-        y3 = np.zeros((4, 3))
-        y3[:, : s0.dim] = y
-        want = np.array(odeint._step3(y3.ravel().tolist(), h, lam)).reshape(4, 3)
-        got = odeint._rk4_batch(y[:, :, None], h, lam)[:, :, 0]
-        assert got.tobytes() == want[:, : s0.dim].tobytes()
+        want = odeint._rk4_batch(y[:, :, None], h, lam)[:, :, 0]
+        y3 = np.zeros((3, 3))
+        y3[:, : s0.dim] = y[1:]
+        got3 = np.array(odeint._step3(y3.ravel().tolist(), h, lam)).reshape(3, 3)
+        assert got3[:, : s0.dim].tobytes() == want[1:].tobytes()
+        if s0.dim == 2 or not y[:, 2].any():
+            got2 = np.array(odeint._step2(y[1:, :2].ravel().tolist(), h, lam)).reshape(3, 2)
+            assert got2.tobytes() == want[1:, :2].tobytes()
+        inc = odeint._gamma_increments(y[1:, :, None], h, lam)[:, 0]
+        assert (y[0] + inc).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_float_loop(self, case):
+        # the two-coordinate kernel and the summed positions against the
+        # 12-float loop they replaced: the same bytes, signed zeros included
+        assert_same_run(*REFERENCE_CASES[case])
+
+    @pytest.mark.parametrize("kind", ["2d", "3d_zero_z", "negative_zero_z", "tilted", "spatial"])
+    @pytest.mark.parametrize("n", [1, 2, odeint._BLOCK + 3])
+    def test_random_states_match_float_loop(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        for scale in (0.5, 0.5, 4.0):  # the last one often fails its error estimate
+            g, d2, d3 = rng.normal(size=(3, 3)) * [[1.0], [scale], [scale]]
+            t = rng.uniform(0.0, 7.0)
+            d1 = np.array([math.cos(t), math.sin(t), 0.0])
+            d2 -= np.dot(d1, d2) * d1
+            vs = [g, d1, d2, d3]
+            if kind != "spatial":
+                for v in vs:
+                    v[2] = 0.0
+            if kind == "negative_zero_z":
+                vs[rng.integers(4)][2] = -0.0
+            elif kind == "tilted":
+                R = rotation_3d(*rng.uniform(0.0, 7.0, size=2))
+                vs = [R @ v for v in vs]
+            elif kind == "2d":
+                vs = [v[:2] for v in vs]
+            h = float(rng.uniform(1e-3, 1e-2))
+            assert_same_run(ElasticaState(*vs), float(rng.normal()), n * h, h)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_signed_zero_lines_match_float_loop(self, dim):
+        # a straight line whose d2, d3 are zeros of every sign: the dot
+        # products start from 0.0, so a -0.0 product cannot flip a rate's sign
+        for signs in itertools.product([0.0, -0.0], repeat=4):
+            d2, d3 = np.zeros((2, dim))
+            d2[:2], d3[:2] = signs[:2], signs[2:]
+            for lam in (1.3, -1.3):
+                assert_same_run(ElasticaState(np.zeros(dim), np.eye(dim)[0], d2, d3), lam, 0.3, 0.1)
 
     def test_default_fields(self):
         tr = Trajectory(h=0.1, lam=1.0, data=np.zeros((2, 4, 2)))

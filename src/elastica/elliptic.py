@@ -149,48 +149,36 @@ def _max_dev(*devs) -> float:
                for d in devs)
 
 
-# Arguments whose largest one lies outside a band where every step of the
-# duplication stays in the normal floats are first scaled by a power of 4:
-# R_F is homogeneous of degree -1/2 and R_D, R_J of -3/2, so the values
-# come back multiplied by 2^j and 8^j for a scale of 4^j.  Scaling by 4^j
-# commutes with every rounding of the duplication, so a rescaled value
-# differs from an unscaled one only where the latter over- or underflows.
-# Above 2^hi the largest argument lands just below 2^hi, which leaves the
-# smaller ones as far from underflow as it can; below 2^lo it lands just
-# below 2^up.  The band of R_F and R_D ends where the sums x + lam
-# overflow, and R_J's where (p - x)(p - y)(p - z) and d^2 do.
-_RF_BAND = (-600, 1022, 600)
-_RJ_BAND = (-320, 320, 320)
+# Arguments that would take the duplication out of the normal floats are
+# first scaled by a power of 4: R_F is homogeneous of degree -1/2 and R_D,
+# R_J of -3/2, so the values come back multiplied by 2^j and 8^j for a
+# scale of 4^j.  Scaling by 4^j commutes with every rounding of the
+# duplication, so a rescaled value differs from an unscaled one only where
+# the latter over- or underflows.  Where the largest argument lies below
+# 2^(lo-1), it is brought just below 2^up.  R_F and R_D are scaled by 4^-1
+# only where the first step's sums x + lam overflow: then the two largest
+# arguments exceed 2^900, and the scale rounds at most the smallest.  R_J's
+# cubes (p - x)(p - y)(p - z) and d^2 fit while the largest lies below
+# 2^320, where a larger one is brought; that rounds the arguments below
+# about max 2^-1342, and the value is NaN where it matters (_rj).
+_RF_BAND = (-600, 600)
+_RJ_BAND = (-320, 320)
+# Below 2^-969 = 2^53 2^-1022, an argument beside one rounded to a
+# subnormal or 0 leaves it an influence beyond the last bit of the value
+_TINY = 2.0**-969
 
 
-def _some_floor(args, bound: float) -> bool:
-    """Whether some argument is >= bound throughout: then so is every
-    element's largest one.  Floats are tried first, array minima after."""
-    return (any(isinstance(a, float) and a >= bound for a in args)
-            or any(not isinstance(a, float) and a.min(initial=math.inf) >= bound for a in args))
-
-
-def _scale4(args, lo: int, hi: int, up: int):
-    """(j, the arguments times 4^j): j an int, or an int array broadcast over
-    the arguments; (None, the arguments) where the largest one lies in
-    [2^(lo-1), 2^hi) or is NaN or inf."""
-    if all(isinstance(a, float) for a in args):
-        e = math.frexp(max(args))[1]  # max in [2^(e-1), 2^e); e = 0 at NaN and inf
-        if lo <= e <= hi:
-            return None, args
-        j = ((hi if e > hi else up) - e) // 2
-        return j, tuple(math.ldexp(a, 2 * j) for a in args)
-    if (all((a if isinstance(a, float) else a.max(initial=-math.inf)) < 2.0**hi for a in args)
-            and _some_floor(args, 2.0 ** (lo - 1))):  # NaN fails this quick test
-        return None, args
-    top = args[0]
-    for a in args[1:]:
-        top = np.maximum(top, a)
-    e = np.frexp(top)[1]
-    j = np.where(e > hi, (hi - e) // 2, np.where(e < lo, (up - e) // 2, 0))
+def _scale4(args, j):
+    """(j, the arguments times 4^j), or (None, the arguments) where j, an
+    int array broadcast over them, is 0 throughout."""
     if not j.any():
         return None, args
     return j, tuple(np.ldexp(a, 2 * j) for a in args)
+
+
+def _rounded(j, a, scaled):
+    """Where the scale 4^j rounded the argument a (only a downscale can)."""
+    return np.ldexp(scaled, -2 * j) != a
 
 
 def _rf_rd(x, y, z, with_rd: bool = True):
@@ -198,10 +186,19 @@ def _rf_rd(x, y, z, with_rd: bool = True):
     x, y >= 0 (at most one zero), z > 0.  Both series run on the same
     iterates, and each is summed at the step where its own test first
     passes.  with_rd=False stops at R_F and gives (R_F, None)."""
-    j, (xt, yt, zt) = _scale4((x, y, z), *_RF_BAND)
+    top = np.maximum(np.maximum(x, y), z)
+    sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+    with np.errstate(over="ignore"):
+        over = np.isinf(top + (sx * (sy + sz) + sy * sz))
+    e = np.frexp(top)[1]  # top in [2^(e-1), 2^e); e = 0 at NaN and inf
+    lo, up = _RF_BAND
+    j, (xt, yt, zt) = _scale4((x, y, z), np.where(over, -1, np.where(e < lo, (up - e) // 2, 0)))
+    z_lost = j is not None and _rounded(j, z, zt)  # R_D is singular at z = 0
     total, fac, k = 0.0, 1.0, 0
     rf = rd = None
-    with np.errstate(over="ignore"):  # only R_D's denominators: R_D < 2^-1020 there
+    # only R_D's denominators overflow, where R_D < 2^-1020, or vanish, at
+    # z = 0 (given, R_D = inf, or a rounded z, NaN)
+    with np.errstate(over="ignore", divide="ignore"):
         while rf is None or (with_rd and rd is None):
             k += 1  # at the cap both series are summed as they stand
             sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
@@ -230,7 +227,8 @@ def _rf_rd(x, y, z, with_rd: bool = True):
                         + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
                     rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
     if j is not None:
-        rf, rd = np.ldexp(rf, j), (None if rd is None else np.ldexp(rd, 3 * j))
+        rf = np.ldexp(rf, j)
+        rd = None if rd is None else np.where(z_lost, np.nan, np.ldexp(rd, 3 * j))[()]
     return rf, rd
 
 
@@ -243,13 +241,25 @@ _RJ_FAR = 2.0**-400
 def _rj(x, y, z, p):
     """Carlson R_J(x, y, z, p); x, y, z >= 0 (at most one zero), p > 0, by
     Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast."""
-    if not _some_floor((x, y, z), (p if isinstance(p, float) else p.max(initial=0.0)) * _RJ_FAR):
-        top = np.maximum(np.maximum(x, y), z)
-        far = p * _RJ_FAR > top
-        if np.any(far):  # 3 R_F / p, and the duplication on the rest
-            near = _rj(x, y, z, np.where(far, top, p))
-            return np.where(far, 3.0 * _rf_rd(x, y, z, with_rd=False)[0] / p, near)[()]
-    j, (xt, yt, zt, pt) = _scale4((x, y, z, p), *_RJ_BAND)
+    top = np.maximum(np.maximum(x, y), z)
+    far = p * _RJ_FAR > top
+    if np.any(far):  # 3 R_F / p, and the duplication on the rest
+        near = _rj(x, y, z, np.where(far, top, p))
+        return np.where(far, 3.0 * _rf_rd(x, y, z, with_rd=False)[0] / p, near)[()]
+    args = (x, y, z, p)
+    e = np.frexp(np.maximum(top, p))[1]
+    lo, up = _RJ_BAND
+    j, scaled = _scale4(args, np.where((e < lo) | (e > up), (up - e) // 2, 0))
+    lost = False
+    if j is not None:
+        # R_J is singular at p = 0 and logarithmic in two small ones of x, y,
+        # z, p: where the scale rounded p, or one of two below _TINY, the
+        # arguments no longer fix the value, which is NaN (and the
+        # duplication runs on 1.0 there)
+        rounded = [_rounded(j, a, b) for a, b in zip(args, scaled)]
+        lost = rounded[3] | ((sum(b < _TINY for b in scaled) >= 2) & np.logical_or.reduce(rounded))
+        scaled = tuple(np.where(lost, 1.0, b) for b in scaled)
+    xt, yt, zt, pt = scaled
     ave = 0.2 * (xt + yt + zt + pt + pt)
     spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
                         np.maximum(np.abs(ave - zt), np.abs(ave - pt)))
@@ -283,7 +293,7 @@ def _rj(x, y, z, p):
     s = 1.0 + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee) \
         + eb * (0.5 * c2 + dp * (-2.0 * c3 + dp * c4)) + dp * ea * (c2 - dp * c3) - c2 * dp * ec
     rj = 6.0 * total + fac * s / (ave * np.sqrt(ave))
-    return rj if j is None else np.ldexp(rj, 3 * j)
+    return rj if j is None else np.where(lost, np.nan, np.ldexp(rj, 3 * j))[()]
 
 
 # ---------------------------------------------------------------------------

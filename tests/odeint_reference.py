@@ -5,7 +5,9 @@ every z entry +0.0) in a two-coordinate kernel and sums the positions
 after each block of steps.  This is the loop it replaced: every state goes
 through one 12-float kernel in R^3 (a 2-D state padded with z = 0), which
 also advances the position.  The tests require `data`, `err_max`,
-`err_max_s` and every StepSizeError message to match it bit for bit.
+`err_max_s` and every StepSizeError message to match it bit for bit.  The
+error estimate is the library's own: its array step is checked against
+this kernel separately (test_batch_step_is_the_float_step).
 """
 
 import math
@@ -14,7 +16,8 @@ from itertools import chain
 import numpy as np
 
 from elastica.errors import DomainError, StepSizeError
-from elastica.odeint import _BLOCK, _LOCAL_ERR_MAX, ElasticaState, Trajectory, _step_count
+from elastica.odeint import (_BLOCK, _LOCAL_ERR_MAX, ElasticaState, Trajectory, _half_step_error,
+                             _step_count)
 
 
 def _step3(y, h: float, lam: float) -> tuple[float, ...]:
@@ -70,37 +73,6 @@ def _step3(y, h: float, lam: float) -> tuple[float, ...]:
         cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
         cz + h6 * (e1z + 2.0 * e2z + 2.0 * e3z + 0.5 * (lam * b4z - p * a4z - q * b4z)),
     )
-
-
-def _rates_batch(y: np.ndarray, lam: float) -> np.ndarray:
-    """The system's right-hand side for states stacked as coordinate rows,
-    y[f, i] the i-th coordinate of field f (gamma, d1, d2, d3) of every
-    state: shape (4, dim, block).  Each dot product is summed from 0,
-    coordinate by coordinate, in _step3's order."""
-    d1, d2, d3 = y[1], y[2], y[3]
-    out = np.empty_like(y)
-    out[:3] = y[1:]
-    p = 6.0 * sum(d2 * d3)
-    q = 3.0 * sum(d2 * d2)
-    out[3] = 0.5 * (lam * d2 - p * d1 - q * d2)
-    return out
-
-
-def _rk4_batch(y: np.ndarray, h: float, lam: float) -> np.ndarray:
-    k1 = _rates_batch(y, lam)
-    k2 = _rates_batch(y + (0.5 * h) * k1, lam)
-    k3 = _rates_batch(y + (0.5 * h) * k2, lam)
-    k4 = _rates_batch(y + h * k3, lam)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _half_step_error(y0: np.ndarray, y1: np.ndarray, h: float, lam: float) -> np.ndarray:
-    """|y1 - y_{h/2}| / 15 per step, where y1 is the kept full step from y0
-    and y_{h/2} takes two half steps from y0, both as coordinate rows
-    (4, dim, block); NaN or inf where the trajectory has left the floats."""
-    with np.errstate(all="ignore"):
-        y_half = _rk4_batch(_rk4_batch(y0, 0.5 * h, lam), 0.5 * h, lam)
-        return np.max(np.abs(y1 - y_half), axis=(0, 1)) / 15.0
 
 
 def integrate_elastica(

@@ -545,13 +545,18 @@ class TestCarlsonRange:
     2^400 max(x, y, z) is 3 R_F / p."""
 
     RF = [(5e-324, 1e308, 1e308), (0.0, 1e308, 1.7e308), (1e-310, 1e-310, 1e300), (0.0, 7e-323, 1e300),
-          (1e308, 1e308, 1e308), (0.0, 5e-324, 1e-320), (1e-320, 2e-320, 3e-320), (0.0, 1e-300, 1.0)]
+          (1e308, 1e308, 1e308), (0.0, 5e-324, 1e-320), (1e-320, 2e-320, 3e-320), (0.0, 1e-300, 1.0),
+          (1e-323, 1e-323, 1e308), (0.0, 1.5e-323, 1.7e308), (0.0, 7e-323, 1e308)]
     # R_D ~ max^(-3/2): representable from about 1e-205 up to 1e205, and 0 above
     RD = [(0.0, 1e-300, 1e-200), (1e-200, 2e-200, 3e-200), (0.0, 1e-250, 1e-203), (1e200, 1e200, 1e200),
-          (5e-324, 1e308, 1e308), (0.0, 1e300, 1.7e308)]
+          (5e-324, 1e308, 1e308), (0.0, 1e300, 1.7e308), (1e308, 1e308, 1e-300)]
     RJ = [(0.0, 1e-300, 1.0, 1e300), (0.5, 0.5, 1.0, 1e300), (0.5, 0.8, 1.0, 1e200), (0.5, 0.8, 1.0, 1e110),
           (1e-200, 2e-200, 3e-200, 4e-200), (0.0, 1e-250, 1e-205, 1e-200), (1e200, 2e200, 3e200, 4e200),
-          (1e300, 2e300, 3e300, 4e300), (0.0, 0.3, 1.0, 1e-300), (1e-100, 0.0, 1e-250, 1e250)]
+          (1e300, 2e300, 3e300, 4e300), (0.0, 0.3, 1.0, 1e-300), (1e-100, 0.0, 1e-250, 1e250),
+          (1e-310, 1.0, 1e200, 4e200), (1e-100, 2e-100, 1e200, 4e200)]
+    # scaled below 2^320, these lose two small arguments, or p, to rounding
+    RJ_LOST = [(1e-300, 2e-300, 1e200, 4e200), (1e-240, 2e-240, 1e200, 4e200),
+               (0.0, 1e-290, 1e200, 4e200), (1.0, 1.0, 1e200, 1e-320)]
 
     @staticmethod
     def close(got, want) -> bool:
@@ -583,6 +588,22 @@ class TestCarlsonRange:
         with mpmath.workdps(40):
             assert all(self.close(g, mpmath.elliprj(*a)) for g, a in zip(rj, self.RJ))
             assert all(self.close(g, mpmath.elliprf(*a)) for g, a in zip(rf, self.RF))
+
+    def test_lost_arguments_give_nan(self):
+        # where the scale rounds what the value depends on, the finite value
+        # mpmath gives is not attempted: NaN, alone and beside a good element
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in self.RJ_LOST:
+                assert math.isnan(el._rj(*a)) and 0.0 < float(mpmath.elliprj(*a)) < math.inf, a
+            x, y, z, p = np.array(self.RJ_LOST + self.RJ[-2:]).T
+            rj = el._rj(x, y, z, p)
+            assert np.isnan(rj[:-2]).all() and all(self.close(g, mpmath.elliprj(*a))
+                                                   for g, a in zip(rj[-2:], self.RJ[-2:]))
+            a = (1e308, 1e308, 5e-324)  # z rounded to 0: R_D is NaN, R_F stays
+            rf, rd = el._rf_rd(*a)
+            assert self.close(rf, mpmath.elliprf(*a)) and math.isnan(rd)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scaling_is_bit_neutral(self, seed):

@@ -364,19 +364,22 @@ class TestReferenceLoop:
         # the error estimate's array step and the kept float steps are one
         # formula: equal bit for bit on one state, in 3-D and in 2-D at
         # z = 0, for d1, d2, d3 (_step3, and _step2 on planar states) and
-        # for the position (_gamma_increments)
+        # for the position (_gamma_increments), and the array step is the
+        # 12-float kernel that advanced the position in the loop
         s0, lam, _, h = REFERENCE_CASES[case]
         y = s0.as_array()
         want = odeint._rk4_batch(y[:, :, None], h, lam)[:, :, 0]
-        y3 = np.zeros((3, 3))
-        y3[:, : s0.dim] = y[1:]
-        got3 = np.array(odeint._step3(y3.ravel().tolist(), h, lam)).reshape(3, 3)
+        y3 = np.zeros((4, 3))
+        y3[:, : s0.dim] = y
+        got3 = np.array(odeint._step3(y3[1:].ravel().tolist(), h, lam)).reshape(3, 3)
         assert got3[:, : s0.dim].tobytes() == want[1:].tobytes()
         if s0.dim == 2 or not y[:, 2].any():
             got2 = np.array(odeint._step2(y[1:, :2].ravel().tolist(), h, lam)).reshape(3, 2)
             assert got2.tobytes() == want[1:, :2].tobytes()
         inc = odeint._gamma_increments(y[1:, :, None], h, lam)[:, 0]
         assert (y[0] + inc).tobytes() == want[0].tobytes()
+        got12 = np.array(odeint_reference._step3(y3.ravel().tolist(), h, lam)).reshape(4, 3)
+        assert got12[:, : s0.dim].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_float_loop(self, case):

@@ -27,9 +27,15 @@ merit function there).  Such a step may raise B by at most that bound.
 When no step is accepted the solve ends with termination "floor".
 
 The descent runs once, at the problem's N, from the circular arc of length
-L0 through the endpoints (clamped: the two end edges along V0 and V1 joined
-by an arc), optionally perturbed by a seeded smooth field; the always
-descending Laplacian step is its globalization.
+L0 through the endpoints, optionally perturbed by a seeded smooth field;
+the always descending Laplacian step is its globalization.  A clamped start
+joins the two end edges along V0 and V1 by such an arc, which meets them at
+a kink of up to pi; the free tangents next to each end turn toward its
+clamped tangent, the nearest most, and closure is restored, until no
+clamped joint turns more than the sharpest free one.  Each log row
+holds an iterate's B, grad_norm and constraint residual, and the step
+taken from it: its length t and its direction, "newton" or "laplacian"
+(both None where no step followed).
 
 grad_norm (compared against tol) is the norm of the vertex-space energy
 gradient projected onto the tangent space of the edge-length constraints.
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _require_count, varpi_star
+from .curves import _require_count
 from .discrete import DiscreteCurve, _pairs, _row_norms, _turn, _turn_ratio, curvature_data, length
 from .errors import MAX_COUNT, DomainError
 
@@ -59,8 +65,6 @@ __all__ = [
     "minimize_pinned",
     "minimize_clamped",
     "estimate_multiplier",
-    "verify_leaf_minimality",
-    "LeafMinimalityReport",
 ]
 
 _ARMIJO_C = 1e-4
@@ -71,6 +75,7 @@ _CLOSURE_TOL = 1e-12  # closure residual target, in edge lengths
 _RIDGE = 1e-10  # relative shift keeping the free-end Laplacian invertible
 _FLOOR_GRAD_FACTOR = 0.5  # projected-gradient cut a floor step must achieve
 _PERTURB_AMP = 0.03  # seeded perturbation of the initial arc, relative to L0
+_KINK_SPREAD = 0.15  # share of the free edges over which each clamped end's kink is spread
 
 
 def _rounding_bound(B: float, n_terms: int) -> float:
@@ -534,6 +539,43 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
     return mid_pt + np.outer(R * np.sin(t), chord) + np.outer(R * np.cos(t) - R + sag, normal)
 
 
+def _unkink(T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Turn the m tangents T (T[0] next to a clamped end of tangent V) about
+    T[0] x V by Rodrigues' formula: T[j] through (m - j)/(m + 1) of the kink
+    angle between T[0] and V, which leaves m + 1 equal kinks in its place.
+    A plane chain is padded to 3-D and stays in its plane."""
+    m, dim = T.shape
+    T3, V3 = np.zeros((m, 3)), np.zeros(3)
+    T3[:, :dim], V3[:dim] = T, V
+    k = np.cross(T3[0], V3)
+    s = float(np.linalg.norm(k))
+    if s == 0.0:  # no kink, or a reversal with no axis: left as it is
+        return T
+    k /= s
+    phi = math.atan2(s, float(T3[0] @ V3)) * (m - np.arange(m)) / (m + 1)
+    c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    return (c * T3 + sn * np.cross(k, T3) + (1.0 - c) * (T3 @ k)[:, None] * k)[:, :dim]
+
+
+def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
+    """The clamped chain T with the kink at each clamped joint spread over
+    the m free tangents next to it (_unkink) and closure restored (_close),
+    repeated while a clamped joint still turns more than the sharpest free
+    joint: closure moves the free tangents next to the ends too."""
+    for _ in range(8):
+        theta = _turning(T)[0]
+        if max(theta[0], theta[-1]) <= np.max(theta[1:-1]):
+            break
+        Tk = T.copy()
+        Tk[1 : m + 1] = _unkink(T[1 : m + 1], T[0])
+        Tk[-m - 1 : -1] = _unkink(T[-m - 1 : -1][::-1], T[-1])[::-1]
+        Tk = _close(Tk, target, 1, len(T) - 1)
+        if Tk is None:
+            break
+        T = Tk
+    return T
+
+
 def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent from the tangents T of a chain of n edges.  The free
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
@@ -552,7 +594,8 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         grad_norm = _projected_gradient_norm(T, GT, h, a, b)
         el = _row_norms(np.diff(_vertices(T, P0, P1, h), axis=0))
         log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
-                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n})
+                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n,
+                    "t": None, "direction": None})
         if grad_norm < tol:
             return T, B, grad_norm, it - 1, "converged", log
         Tf = T[a:b]
@@ -598,6 +641,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
                 t *= _BACKTRACK
             if accepted:
                 T, B = Tt, Bt
+                log[-1].update(t=t, direction="laplacian" if curved is None else "newton")
                 break
         if not accepted:
             return T, B, grad_norm, it, "floor", log
@@ -631,7 +675,8 @@ def _package(X, info):
 def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
     """One descent at the problem's N from the circular arc: the whole arc
     when pinned; when clamped, the clamped end edges joined by the arc from
-    P0 + h V0 to P1 - h V1."""
+    P0 + h V0 to P1 - h V1, with each end's kink spread over the
+    ceil(_KINK_SPREAD (N - 2)) free tangents next to it (_unkinked)."""
     P0, P1, N, dim = p.P0, p.P1, p.N, p.dim
     h = p.L0 / N
     a = 0 if clamp is None else 1
@@ -648,6 +693,7 @@ def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
         T0 = _perturbed(T0, P0, P1, h, a, np.random.default_rng(opts.seed), _PERTURB_AMP * p.L0)
     if clamp is not None:
         T0[0], T0[-1] = clamp
+        T0 = _unkinked(T0, (P1 - P0) / h, math.ceil(_KINK_SPREAD * (N - 2)))
     tol = opts.tol if opts.tol is not None else 1e-8 * N
     T, *info = _descend(T0, P0, P1, h, a, tol, opts.max_iters)
     return _package(_vertices(T, P0, P1, h), info)
@@ -667,14 +713,15 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
         t = np.linspace(0.0, 1.0, p.N + 1)[:, None]
         X = (1.0 - t) * p.P0 + t * p.P1
         log = [
-            {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N}
+            {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N,
+             "t": None, "direction": None}
         ]
         return _package(X, (0.0, 0.0, 0, "converged", log))
     return _solve(p, opts, clamp=(p.V0, p.V1))
 
 
 # ---------------------------------------------------------------------------
-# multiplier recovery and the leaf experiment
+# multiplier recovery
 
 def estimate_multiplier(c: DiscreteCurve) -> float:
     """Least-squares lambda in 2 k_ss + k^3 = lam k over interior vertices.
@@ -700,42 +747,3 @@ def estimate_multiplier(c: DiscreteCurve) -> float:
     if denom < 1e-12 * len(k_in):
         return math.nan
     return float(np.sum((2.0 * k_ss + k_in**3) * k_in)) / denom
-
-
-@dataclass(frozen=True)
-class LeafMinimalityReport:
-    N: int
-    seeds: int
-    min_Bbar: float
-    median_Bbar: float
-    deviation: float  # min_Bbar / varpi* - 1
-    passed: bool
-    results: tuple[MinimizeResult, ...] = field(repr=False, default=())
-
-
-def verify_leaf_minimality(N: int, seeds: int) -> LeafMinimalityReport:
-    """Pinned minimization with P0 = P1 from several random starts, each
-    with the default MinimizeOptions budget.
-
-    The minimum normalized energy over seeds should land on the leaf value
-    varpi* (within 1%); no seed may end below it by more than the same
-    discretization margin.
-    """
-    _require_count(N, 100, "N")
-    _require_count(seeds, 1, "seeds")
-    results = []
-    for seed in range(seeds):
-        prob = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, N)
-        results.append(minimize_pinned(prob, MinimizeOptions(seed=seed)))
-    bbars = np.array([r.Bbar for r in results])
-    vp = varpi_star()
-    min_b = float(np.min(bbars))
-    return LeafMinimalityReport(
-        N=N,
-        seeds=seeds,
-        min_Bbar=min_b,
-        median_Bbar=float(np.median(bbars)),
-        deviation=min_b / vp - 1.0,
-        passed=bool(abs(min_b / vp - 1.0) <= 0.01 and np.all(bbars >= vp * (1 - 0.01))),
-        results=tuple(results),
-    )

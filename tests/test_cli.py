@@ -361,7 +361,10 @@ class TestMinimize:
         rows = [json.loads(ln) for ln in (tmp_path / "sol.csv.log").read_text().splitlines()]
         assert [r["iteration"] for r in rows] == list(range(len(rows)))
         for r in rows:
-            assert {"iteration", "B", "grad_norm", "max_constraint_residual", "N"} <= set(r)
+            assert {"iteration", "B", "grad_norm", "max_constraint_residual", "N",
+                    "t", "direction"} <= set(r)
+        assert all(r["direction"] in ("newton", "laplacian") and r["t"] > 0.0 for r in rows[:-1])
+        assert rows[-1]["t"] is None and rows[-1]["direction"] is None  # JSON null
         assert rows[-1]["B"] <= rows[0]["B"]
 
         result = json.loads(next(

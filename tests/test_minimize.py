@@ -23,12 +23,12 @@ from elastica.minimize import (
     estimate_multiplier,
     minimize_clamped,
     minimize_pinned,
-    verify_leaf_minimality,
 )
 from elastica.minimize import _band_apply, _band_factor, _rounding_bound
 
 from band_reference import _band_solve as reference_band_solve
 from input_contracts import BAD_FLOATS, check_contract, contract_cases, float_parameters
+from leaf_minimality import verify_leaf_minimality
 
 EX = np.array([1.0, 0.0])
 EY = np.array([0.0, 1.0])
@@ -278,6 +278,12 @@ def teardrop_result():
     return minimize_clamped(p, MinimizeOptions(max_iters=3000))
 
 
+def stalling_arch() -> ClampedProblem:
+    V0 = np.array([0.37389661194311186, 0.9274703895960571])
+    V1 = np.array([0.37389661194311186, -0.9274703895960571])
+    return ClampedProblem(np.zeros(2), 0.2622612116383645 * EX, 1.0, 200, V0, V1)
+
+
 class TestPinnedLeaf:
     def test_converges(self, leaf_result):
         assert leaf_result.converged
@@ -322,9 +328,15 @@ class TestPinnedLeaf:
         assert [row["iteration"] for row in log] == list(range(len(log)))
         by_level: dict[int, list[float]] = {}
         for row in log:
-            assert set(row) == {"iteration", "B", "grad_norm", "max_constraint_residual", "N"}
+            assert set(row) == {"iteration", "B", "grad_norm", "max_constraint_residual", "N",
+                                "t", "direction"}
             assert row["max_constraint_residual"] <= 1e-10
             by_level.setdefault(row["N"], []).append(row["B"])
+        # each row but the last records the step accepted from its iterate
+        for row in log[:-1]:
+            assert row["direction"] in ("newton", "laplacian")
+            assert 0.0 < row["t"] <= 1.0
+        assert log[-1]["t"] is None and log[-1]["direction"] is None
         # energy never increases along the solve (terminal polish may wiggle
         # at roundoff scale)
         for Bs in by_level.values():
@@ -471,9 +483,8 @@ class TestClamped:
         # a clamped arch whose last Newton steps change B by less than the
         # rounding of B itself; an energy-only test rejects them and the
         # solve stalls unconverged at grad ~2e-4
-        V0 = np.array([0.37389661194311186, 0.9274703895960571])
-        V1 = np.array([0.37389661194311186, -0.9274703895960571])
-        p = ClampedProblem(np.zeros(2), 0.2622612116383645 * EX, 1.0, 200, V0, V1)
+        p = stalling_arch()
+        V0, V1 = p.V0, p.V1
         r = minimize_clamped(p, MinimizeOptions(seed=1989225659))
         assert r.converged
         assert r.grad_norm < 1e-8 * 200
@@ -561,6 +572,52 @@ class TestClamped:
             r = minimize_clamped(p)
             assert r.converged, (solved, r.termination, r.grad_norm)
             solved += 1
+
+
+class TestClampedStart:
+    """The initial arc meets each clamped end edge at a kink; the start
+    spreads it over the free tangents next to the end, so the descent does
+    not spend its first iterations on it."""
+
+    def test_teardrop_converges_in_five_iterations(self, teardrop_result):
+        assert teardrop_result.converged
+        assert teardrop_result.iterations <= 5  # 6 from the kinked arc
+        assert teardrop_result.B == pytest.approx(36.84994315542176, rel=1e-9)
+
+    def test_stalling_arch_converges_in_five_iterations(self):
+        r = minimize_clamped(stalling_arch(), MinimizeOptions(seed=1989225659))
+        assert r.converged
+        assert r.iterations <= 5  # 10 from the kinked arc
+        assert r.B == pytest.approx(26.791561471066178, rel=1e-9)
+        assert [row["direction"] for row in r.log] == ["newton"] * r.iterations + [None]
+
+    @pytest.mark.parametrize("problem, seed", [
+        (ClampedProblem(np.zeros(2), np.zeros(2), 1.0, 200, EY, -EY), None),
+        (stalling_arch(), 1989225659),
+        (stalling_arch(), None),
+        (ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, EX, EX), 3),
+        (ClampedProblem(np.zeros(3), [0.3, 0.1, -0.2], 1.0, 100, [0.0, 0.6, 0.8], [0.6, -0.8, 0.0]),
+         None),
+    ], ids=["teardrop", "stalling_arch", "stalling_arch_unseeded", "buckled_N16", "spatial"])
+    def test_start_has_no_kink(self, problem, seed):
+        # a tolerance no gradient reaches stops the solve at its start
+        start = minimize_clamped(problem, MinimizeOptions(tol=1e300, seed=seed))
+        assert start.iterations == 0
+        theta = start.curve.turning_angles  # at vertices 1..N-1
+        assert max(theta[0], theta[-1]) <= np.max(theta[1:-1])
+
+    def test_rotated_and_reflected_spatial_problem(self):
+        # the start is built from cross products and rotations about their
+        # axes: a rotated or a mirrored problem takes the same path
+        P1, V0, V1 = np.array([0.3, 0.1, -0.2]), np.array([0.0, 0.6, 0.8]), np.array([0.6, -0.8, 0.0])
+        Q = np.linalg.qr(default_rng(5).normal(size=(3, 3)))[0]
+        Q *= np.sign(np.linalg.det(Q))
+        runs = [minimize_clamped(ClampedProblem(np.zeros(3), R @ P1, 1.0, 100, R @ V0, R @ V1))
+                for R in (np.eye(3), Q, np.diag([1.0, 1.0, -1.0]) @ Q)]
+        assert all(r.converged for r in runs)
+        assert len({r.iterations for r in runs}) == 1
+        for r in runs:
+            assert r.B == pytest.approx(17.723899956069967, rel=1e-9)
 
 
 def seeded_problem(k: int, N: int, clamped: bool, dim: int, d: float):
@@ -779,9 +836,8 @@ class TestLeafMinimalityReport:
             verify_leaf_minimality(120, 2.5)
 
 
-# every float parameter of minimize.__all__ (MinimizeResult and
-# LeafMinimalityReport are the records it returns): each value of
-# BAD_FLOATS is an input error
+# every float parameter of minimize.__all__ (MinimizeResult is the record
+# it returns): each value of BAD_FLOATS is an input error
 FLOAT_CONTRACTS = {
     ("PinnedProblem", "L0"): (lambda v: PinnedProblem(np.zeros(2), 0.25 * EX, v, 16), {}),
     ("ClampedProblem", "L0"): (lambda v: ClampedProblem(np.zeros(2), 0.25 * EX, v, 16, EY, EY), {}),
@@ -798,8 +854,7 @@ VECTOR_FIELDS = {
 
 class TestInputContracts:
     def test_table_covers_every_float_parameter(self):
-        records = ("MinimizeResult", "LeafMinimalityReport")
-        assert float_parameters(minimize, records=records) == set(FLOAT_CONTRACTS)
+        assert float_parameters(minimize, records=("MinimizeResult",)) == set(FLOAT_CONTRACTS)
 
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):

@@ -28,14 +28,11 @@ When no step is accepted the solve ends with termination "floor".
 
 The descent runs once, at the problem's N, from the circular arc of length
 L0 through the endpoints, optionally perturbed by a seeded smooth field;
-the always descending Laplacian step is its globalization.  A clamped start
-joins the two end edges along V0 and V1 by such an arc, which meets them at
-a kink of up to pi; the free tangents next to each end turn toward its
-clamped tangent, the nearest most, and closure is restored, until no
-clamped joint turns more than the sharpest free one.  Each log row
-holds an iterate's B, grad_norm and constraint residual, and the step
-taken from it: its length t and its direction, "newton" or "laplacian"
-(both None where no step followed).
+the always descending Laplacian step is its globalization.  Clamped, the
+end edges along V0 and V1 are joined by such an arc, and the kinks where
+they meet are spread over the nearest free tangents.  Each log row gives
+an iterate's B, grad_norm and constraint residual, and the step taken
+from it: length t and direction "newton" or "laplacian" (None if none).
 
 grad_norm (compared against tol) is the norm of the vertex-space energy
 gradient projected onto the tangent space of the edge-length constraints.
@@ -539,37 +536,31 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
     return mid_pt + np.outer(R * np.sin(t), chord) + np.outer(R * np.cos(t) - R + sag, normal)
 
 
-def _unkink(T: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Turn the m tangents T (T[0] next to a clamped end of tangent V) about
-    T[0] x V by Rodrigues' formula: T[j] through (m - j)/(m + 1) of the kink
-    angle between T[0] and V, which leaves m + 1 equal kinks in its place.
-    A plane chain is padded to 3-D and stays in its plane."""
-    m, dim = T.shape
-    T3, V3 = np.zeros((m, 3)), np.zeros(3)
-    T3[:, :dim], V3[:dim] = T, V
-    k = np.cross(T3[0], V3)
-    s = float(np.linalg.norm(k))
-    if s == 0.0:  # no kink, or a reversal with no axis: left as it is
-        return T
-    k /= s
-    phi = math.atan2(s, float(T3[0] @ V3)) * (m - np.arange(m)) / (m + 1)
-    c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    return (c * T3 + sn * np.cross(k, T3) + (1.0 - c) * (T3 @ k)[:, None] * k)[:, :dim]
-
-
 def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     """The clamped chain T with the kink at each clamped joint spread over
-    the m free tangents next to it (_unkink) and closure restored (_close),
-    repeated while a clamped joint still turns more than the sharpest free
-    joint: closure moves the free tangents next to the ends too."""
+    the m free tangents next to it, then closed (_close); repeated while a
+    clamped joint turns more than the sharpest free one, since closure
+    turns the tangents next to the ends too.  The j-th free tangent from
+    the end at V0 turns about T[1] x V0 (Rodrigues' formula) through
+    (m - j)/(m + 1) of the kink angle, j = 0..m-1, leaving m + 1 equal
+    kinks; likewise at V1.  A plane chain is padded to 3-D and stays flat."""
+    n, dim = T.shape
+    share = (m - np.arange(m)) / (m + 1)
     for _ in range(8):
         theta = _turning(T)[0]
         if max(theta[0], theta[-1]) <= np.max(theta[1:-1]):
             break
-        Tk = T.copy()
-        Tk[1 : m + 1] = _unkink(T[1 : m + 1], T[0])
-        Tk[-m - 1 : -1] = _unkink(T[-m - 1 : -1][::-1], T[-1])[::-1]
-        Tk = _close(Tk, target, 1, len(T) - 1)
+        T3 = np.zeros((n, 3))
+        T3[:, :dim] = T
+        for F, V in ((T3[1 : m + 1], T3[0]), (T3[-2 : -m - 2 : -1], T3[-1])):
+            k = np.cross(F[0], V)
+            s = float(np.linalg.norm(k))
+            if s > 0.0:  # a reversal has no axis: left as it is
+                k /= s
+                phi = math.atan2(s, float(F[0] @ V)) * share
+                c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
+                F[:] = c * F + sn * np.cross(k, F) + (1.0 - c) * (F @ k)[:, None] * k
+        Tk = _close(T3[:, :dim], target, 1, n - 1)
         if Tk is None:
             break
         T = Tk
@@ -675,8 +666,7 @@ def _package(X, info):
 def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
     """One descent at the problem's N from the circular arc: the whole arc
     when pinned; when clamped, the clamped end edges joined by the arc from
-    P0 + h V0 to P1 - h V1, with each end's kink spread over the
-    ceil(_KINK_SPREAD (N - 2)) free tangents next to it (_unkinked)."""
+    P0 + h V0 to P1 - h V1, its end kinks spread (_unkinked)."""
     P0, P1, N, dim = p.P0, p.P1, p.N, p.dim
     h = p.L0 / N
     a = 0 if clamp is None else 1

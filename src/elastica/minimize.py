@@ -538,12 +538,13 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
 
 def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     """The clamped chain T with the kink at each clamped joint spread over
-    the m free tangents next to it, then closed (_close); repeated while a
-    clamped joint turns more than the sharpest free one, since closure
-    turns the tangents next to the ends too.  The j-th free tangent from
-    the end at V0 turns about T[1] x V0 (Rodrigues' formula) through
-    (m - j)/(m + 1) of the kink angle, j = 0..m-1, leaving m + 1 equal
-    kinks; likewise at V1.  A plane chain is padded to 3-D and stays flat."""
+    the m free tangents next to it, then closed (_close); repeated, at most
+    8 times, while a clamped joint turns more than the sharpest free one,
+    as closure turns the tangents next to the ends too.  The j-th free
+    tangent from the end at V0 turns about T[1] x V0 (Rodrigues' formula)
+    through (m - j)/(m + 1) of the kink angle, j = 0..m-1, leaving m + 1
+    equal kinks; likewise at V1.  A plane chain is padded to 3-D and stays
+    flat."""
     n, dim = T.shape
     share = (m - np.arange(m)) / (m + 1)
     for _ in range(8):
@@ -555,7 +556,7 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
         for F, V in ((T3[1 : m + 1], T3[0]), (T3[-2 : -m - 2 : -1], T3[-1])):
             k = np.cross(F[0], V)
             s = float(np.linalg.norm(k))
-            if s > 0.0:  # a reversal has no axis: left as it is
+            if s > 0.0:  # no kink, or a reversal with no axis: left as it is
                 k /= s
                 phi = math.atan2(s, float(F[0] @ V)) * share
                 c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]

@@ -18,8 +18,11 @@ turning vertex, terms along its binormal; without them the step converges
 only linearly.  When the Newton step does not descend, the positive
 definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that always
 does.  Each trial is restored onto closure by Gauss-Newton (a
-dim x dim normal matrix) and accepted on Armijo decrease of B, with one
-exception at B's floating-point floor: once a step changes B by no more
+dim x dim normal matrix), which stops once the exactly rounded residual
+is at the rounding floor of the n-term tangent sum, 8 sqrt(n) eps edge
+lengths, and hands that residual to the next step.  A trial is accepted
+on Armijo decrease of B, with one exception at B's floating-point
+floor: once a step changes B by no more
 than the rounding bound n eps |B| of the n-term energy sum, the sign of
 that change is noise, and the step is accepted only when it cuts the
 projected gradient by a fixed factor (the stationarity residual is the
@@ -30,8 +33,10 @@ The descent runs once, at the problem's N, from the circular arc of length
 L0 through the endpoints, optionally perturbed by a seeded smooth field;
 the always descending Laplacian step is its globalization.  Clamped, the
 end edges along V0 and V1 are joined by such an arc, and the kinks where
-they meet are spread over the nearest free tangents.  Each log row gives
-an iterate's B, grad_norm and constraint residual, and the step taken
+they meet are spread over the nearest free tangents; that start is closed
+in a metric that moves the tangents next to the clamped ends least, so
+closure keeps the spread.  Each iterate, the last included, has a log
+row with its B, grad_norm and constraint residual, and the step taken
 from it: length t and direction "newton" or "laplacian" (None if none).
 
 grad_norm (compared against tol) is the norm of the vertex-space energy
@@ -383,31 +388,46 @@ def _residual(T: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.array([math.fsum([*col, -t]) for col, t in zip(T.T.tolist(), target.tolist())])
 
 
-def _close(T: np.ndarray, target: np.ndarray, a: int, b: int) -> np.ndarray | None:
-    """Rotate the free tangents a..b-1 until sum(T) = target (closure).
+def _closure_floor(n: int) -> float:
+    """Rounding floor of a closure residual summed over n unit tangents,
+    in edge lengths: 8 sqrt(n) eps.  Each tangent carries rounding of
+    about eps, and n independent errors add up to about sqrt(n) of them: a
+    Gauss-Newton step leaves at most 2.7 sqrt(n) eps for n <= 4096, and
+    steps from below the floor only move that noise.  It passes
+    _CLOSURE_TOL only for n above 3e5."""
+    return 8.0 * math.sqrt(n) * np.finfo(float).eps
 
-    Gauss-Newton with minimal-norm steps; the normal matrix
-    sum (I - T_i T_i^T) is dim x dim.  Once the residual is below
-    _CLOSURE_TOL one more step takes it to rounding level, because B moves
-    with the closure residual times the multiplier, and energies are
-    compared near their rounding floor.  None when it does not converge.
+
+def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | None = None):
+    """Rotate the free tangents a..b-1 until sum(T) = target (closure);
+    returns the tangents and their exactly rounded residual (_residual).
+
+    Gauss-Newton with steps of least weighted norm: tangent i moves by
+    w_i P_i lam, P_i = I - T_i T_i^T, with the dim x dim normal matrix
+    sum w_i P_i (w = 1 when None).  The residual counts as closed at the
+    rounding floor of the n-term sum (_closure_floor): a chain already
+    there takes no step.  Between that floor and _CLOSURE_TOL one more
+    step is taken, because B moves with the closure residual times the
+    multiplier, and energies are compared near their rounding floor.  None
+    when it does not converge.
     """
     T = T.copy()
+    floor = _closure_floor(len(T))
+    w = np.ones((b - a, 1)) if w is None else w[:, None]
+    wI = float(np.sum(w)) * np.eye(T.shape[1])
     closed = False
-    nI = (b - a) * np.eye(T.shape[1])
     for _ in range(30):
         r = _residual(T, target)
-        if np.max(np.abs(r)) <= _CLOSURE_TOL:
-            if closed:
-                return T
-            closed = True
+        err = np.max(np.abs(r))
+        if err <= floor or (closed and err <= _CLOSURE_TOL):
+            return T, r
+        closed = err <= _CLOSURE_TOL
         Tf = T[a:b]
-        M = nI - Tf.T @ Tf
         try:
-            lam = np.linalg.solve(M, -r)
+            lam = np.linalg.solve(wI - (w * Tf).T @ Tf, -r)
         except np.linalg.LinAlgError:
             return None
-        T[a:b] = _rotate(Tf, lam - (Tf @ lam)[:, None] * Tf)
+        T[a:b] = _rotate(Tf, w * (lam - (Tf @ lam)[:, None] * Tf))
     return None
 
 
@@ -538,15 +558,19 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
 
 def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     """The clamped chain T with the kink at each clamped joint spread over
-    the m free tangents next to it, then closed (_close); repeated, at most
-    8 times, while a clamped joint turns more than the sharpest free one,
-    as closure turns the tangents next to the ends too.  The j-th free
-    tangent from the end at V0 turns about T[1] x V0 (Rodrigues' formula)
-    through (m - j)/(m + 1) of the kink angle, j = 0..m-1, leaving m + 1
-    equal kinks; likewise at V1.  A plane chain is padded to 3-D and stays
-    flat."""
+    the m free tangents next to it, then closed (_close) in a metric that
+    keeps the spread: the j-th free tangent from the nearer clamped end,
+    j = 0, 1, ..., moves with weight min(1, j/(m + 1)), so the one next to
+    a clamped edge stays put.  The j-th free tangent from the end at V0
+    turns about T[1] x V0 (Rodrigues' formula) through (m - j)/(m + 1) of
+    the kink angle, j = 0..m-1, leaving m + 1 equal kinks; likewise at V1.
+    A plane chain is padded to 3-D and stays flat.  The pass repeats, at
+    most 8 times, while a clamped joint turns more than the sharpest free
+    one."""
     n, dim = T.shape
     share = (m - np.arange(m)) / (m + 1)
+    j = np.arange(n - 2)
+    w = np.minimum(1.0, np.minimum(j, j[::-1]) / (m + 1))
     for _ in range(8):
         theta = _turning(T)[0]
         if max(theta[0], theta[-1]) <= np.max(theta[1:-1]):
@@ -561,35 +585,38 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
                 phi = math.atan2(s, float(F[0] @ V)) * share
                 c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
                 F[:] = c * F + sn * np.cross(k, F) + (1.0 - c) * (F @ k)[:, None] * k
-        Tk = _close(T3[:, :dim], target, 1, n - 1)
-        if Tk is None:
+        closed = _close(T3[:, :dim], target, 1, n - 1, w)
+        if closed is None:
             break
-        T = Tk
+        T = closed[0]
     return T
 
 
 def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent from the tangents T of a chain of n edges.  The free
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
-    is sum(T) = (P1 - P0) / h."""
+    is sum(T) = (P1 - P0) / h.  Every iterate, the last included, has a log
+    row; iterations counts the accepted steps."""
     n = len(T)
     b = n - a
     target = (P1 - P0) / h
-    T = _close(T, target, a, b)
-    if T is None:
+    closed = _close(T, target, a, b)
+    if closed is None:
         raise DomainError("could not close the initial curve on the endpoints")
+    T, resid = closed
     B = _energy(T, h)
     log = []
-    grad_norm = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(max_iters + 1):
         GT = _tangent_gradient(T, h)
         grad_norm = _projected_gradient_norm(T, GT, h, a, b)
         el = _row_norms(np.diff(_vertices(T, P0, P1, h), axis=0))
-        log.append({"iteration": it - 1, "B": B, "grad_norm": grad_norm,
+        log.append({"iteration": it, "B": B, "grad_norm": grad_norm,
                     "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n,
                     "t": None, "direction": None})
         if grad_norm < tol:
-            return T, B, grad_norm, it - 1, "converged", log
+            return T, B, grad_norm, it, "converged", log
+        if it == max_iters:
+            return T, B, grad_norm, it, "budget", log
         Tf = T[a:b]
         E = _frames(T)
         Ef = E[a:b]
@@ -600,7 +627,6 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         # r, which is all that is left of g near a critical point
         nu = np.linalg.solve((b - a) * np.eye(len(P0)) - Tf.T @ Tf, np.einsum("iaj,ia->j", Ef, g))
         r = g - np.einsum("iaj,j->ia", Ef, nu)
-        resid = _residual(T, target)
         # the Newton step first; when it does not descend, the Laplacian
         # step, which always does
         floor = _rounding_bound(B, n - 1)
@@ -617,8 +643,9 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
             for _ in range(_MAX_TRIALS):
                 Tt = T.copy()
                 Tt[a:b] = _rotate(Tf, t * D)
-                Tt = _close(Tt, target, a, b)
-                if Tt is not None:
+                closed = _close(Tt, target, a, b)
+                if closed is not None:
+                    Tt, rt = closed
                     Bt = _energy(Tt, h)
                     if Bt < B - floor and Bt <= B + _ARMIJO_C * t * slope:
                         accepted = True
@@ -632,12 +659,11 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
                         break
                 t *= _BACKTRACK
             if accepted:
-                T, B = Tt, Bt
+                T, B, resid = Tt, Bt, rt
                 log[-1].update(t=t, direction="laplacian" if curved is None else "newton")
                 break
         if not accepted:
             return T, B, grad_norm, it, "floor", log
-    return T, B, grad_norm, max_iters, "budget", log
 
 
 def _package(X, info):

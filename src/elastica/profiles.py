@@ -39,8 +39,6 @@ __all__ = [
     "kappa_sq",
     "cubic_roots",
     "first_integral_coeffs",
-    "solve_cubic_ode",
-    "cubic_constant_solutions",
     "torsion",
     "residual_planar",
     "residual_spatial",
@@ -121,48 +119,6 @@ def kappa_sq(p: CurvatureProfile, s):
         sn_z = el.sn(z, p.m)
         out = p.A**2 * (1.0 - (p.m / p.w) * sn_z**2)
     return _shape_like(s, out)
-
-
-def solve_cubic_ode(a1: float, a2: float, a3: float, s0: float = 0.0) -> Callable:
-    """Nonconstant solution u of (u')^2 = (a1-u)(a2-u)(a3-u).
-
-    u(s) = a3 - (a3-a2) sn^2(sqrt(a3-a1) s/2 + s0, (a3-a2)/(a3-a1)),
-    taking values in [a2, a3].  Requires a1 <= 0 <= a2 < a3; for a2 == a3
-    use cubic_constant_solutions (the modulus expression degenerates 0/0).
-    """
-    if not all(map(math.isfinite, (a1, a2, a3, s0))):
-        raise DomainError("roots and phase must be finite")
-    if not (a1 <= 0.0 <= a2 < a3):
-        raise DomainError(
-            f"need a1 <= 0 <= a2 < a3, got ({a1}, {a2}, {a3}); "
-            "constant solutions u=a2, u=a3 are exposed separately"
-        )
-    mod = (a3 - a2) / (a3 - a1)
-    if el.M_MAX < mod < 1.0:
-        raise DomainError(f"degenerate modulus {mod} too close to 1")
-    rate = 0.5 * math.sqrt(a3 - a1)
-
-    def u(s):
-        z = rate * np.asarray(s, dtype=float) + s0
-        sn_z = el.sn(z, mod)
-        return _shape_like(s, a3 - (a3 - a2) * sn_z**2)
-
-    return u
-
-
-def cubic_constant_solutions(a1: float, a2: float, a3: float) -> tuple[Callable, Callable]:
-    """The constant solutions u = a2 and u = a3 of the cubic ODE."""
-    if not all(map(math.isfinite, (a1, a2, a3))):
-        raise DomainError("roots must be finite")
-    if not (a1 <= 0.0 <= a2 <= a3):
-        raise DomainError(f"need a1 <= 0 <= a2 <= a3, got ({a1}, {a2}, {a3})")
-
-    def make(val):
-        def u(s):
-            return _shape_like(s, np.full_like(np.asarray(s, dtype=float), val))
-        return u
-
-    return make(a2), make(a3)
 
 
 def torsion(p: CurvatureProfile, s):

@@ -588,17 +588,24 @@ class TestReconstruct:
     def test_det_constant_along_reconstruction(self):
         p = CurvatureProfile(m=0.2, w=0.6, A=1.5)
         c_exp = profile_c(p)
-        h = 1e-3
-        cur = reconstruct_spatial(p, self.F0, (0.0, 2 * profile_period(p)), h)
-        v = cur.vertices
-        d1 = (v[3:-1] - v[1:-3]) / (2 * h)
-        d2 = (v[3:-1] - 2 * v[2:-2] + v[1:-3]) / h**2
-        d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * h**3)
+        span = 2 * profile_period(p)
+        cur = reconstruct_spatial(p, self.F0, (0.0, span), 1e-3)
+        # fourth-order stencils on every 4th vertex, at the grid's own
+        # spacing span/n: rounding of the positions reaches the third
+        # derivative divided by H^3, 64x less than at spacing 1e-3
+        x = cur.vertices[::4]
+        H = 4 * span / (len(cur.vertices) - 1)
+
+        def f(j):
+            return x[3 + j : len(x) - 3 + j]
+
+        d1 = (f(-2) - 8 * f(-1) + 8 * f(1) - f(2)) / (12 * H)
+        d2 = (-f(-2) + 16 * f(-1) - 30 * f(0) + 16 * f(1) - f(2)) / (12 * H**2)
+        d3 = (f(-3) - 8 * f(-2) + 13 * f(-1) - 13 * f(1) + 8 * f(2) - f(3)) / (8 * H**3)
         dets = np.linalg.det(np.stack([d1, d2, d3], axis=-1))
-        # constant along the curve to integrator accuracy; the absolute
-        # level is limited by the h^2 bias of the third-derivative stencil
-        assert np.max(dets) - np.min(dets) < 1e-6
-        assert np.mean(dets) == pytest.approx(c_exp, abs=1e-3)
+        # constant along the curve to the stencils' accuracy (3.6e-8)
+        assert np.max(dets) - np.min(dets) < 3e-7
+        assert np.mean(dets) == pytest.approx(c_exp, abs=1e-8)
 
     @pytest.mark.parametrize("m, w, A", [
         (0.2, 0.6, 1.5),  # spatial

@@ -24,7 +24,15 @@ from elastica.minimize import (
     minimize_clamped,
     minimize_pinned,
 )
-from elastica.minimize import _band_apply, _band_factor, _rounding_bound
+from elastica.minimize import (
+    _CLOSURE_TOL,
+    _band_apply,
+    _band_factor,
+    _close,
+    _closure_floor,
+    _residual,
+    _rounding_bound,
+)
 
 from band_reference import _band_solve as reference_band_solve
 from input_contracts import BAD_FLOATS, check_contract, contract_cases, float_parameters
@@ -620,6 +628,102 @@ class TestClampedStart:
             assert r.B == pytest.approx(17.723899956069967, rel=1e-9)
 
 
+def open_chain(rng, n: int, dim: int) -> np.ndarray:
+    """n unit tangents scattered about the first axis."""
+    T = np.eye(dim)[0] + 0.3 * rng.standard_normal((n, dim))
+    return T / np.linalg.norm(T, axis=1)[:, None]
+
+
+def count_calls(monkeypatch, name: str, keep=lambda *a, **k: True) -> list:
+    """Record the calls of minimize.<name> for which keep(args) holds."""
+    calls, fn = [], getattr(minimize, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(minimize, name, counted)
+    return calls
+
+
+class TestClosure:
+    """_close stops at the rounding floor of the tangent sum, 8 sqrt(n) eps,
+    and returns the exactly rounded residual of the tangents it returns."""
+
+    def test_floor_factor(self):
+        eps = np.finfo(float).eps
+        assert _closure_floor(200) == 8.0 * math.sqrt(200) * eps
+        # the floor decides alone only on chains far longer than any solve
+        assert _closure_floor(10**5) < _CLOSURE_TOL < _closure_floor(10**6)
+
+    @pytest.mark.parametrize("n, dim", [(16, 2), (200, 3), (4096, 2)])
+    def test_closes_to_the_floor_from_a_thousandth(self, n, dim):
+        # one Gauss-Newton step leaves at most 2.7 sqrt(n) eps (measured for
+        # n <= 4096), inside the floor
+        rng = default_rng(n + dim)
+        T = open_chain(rng, n, dim)
+        target = T.sum(axis=0) + 1e-3 * rng.standard_normal(dim)
+        Tc, r = _close(T, target, 0, n)
+        assert np.max(np.abs(r)) <= _closure_floor(n)
+        assert same_floats(r, _residual(Tc, target))
+        assert np.allclose(np.linalg.norm(Tc, axis=1), 1.0, rtol=0.0, atol=4e-16)
+
+    @pytest.mark.parametrize("n, dim", [(16, 2), (200, 3)])
+    def test_closed_chain_takes_no_step(self, n, dim, monkeypatch):
+        rng = default_rng(n * dim)
+        T = open_chain(rng, n, dim)
+        target = T.sum(axis=0) + 1e-3 * rng.standard_normal(dim)
+        Tc, r = _close(T, target, 0, n)
+        steps = count_calls(monkeypatch, "_rotate")
+        again, r2 = _close(Tc, target, 0, n)
+        assert steps == []
+        assert same_floats(again, Tc) and same_floats(r2, r)
+        assert same_floats(r2, _residual(again, target))
+        assert np.max(np.abs(r2)) <= _closure_floor(n)
+
+    def test_one_more_step_above_the_floor(self, monkeypatch):
+        # a residual between the floor and _CLOSURE_TOL takes exactly one step
+        rng = default_rng(3)
+        T = open_chain(rng, 64, 2)
+        target = T.sum(axis=0) + 1e-13 * rng.standard_normal(2)
+        assert _closure_floor(64) < np.max(np.abs(_residual(T, target))) <= _CLOSURE_TOL
+        steps = count_calls(monkeypatch, "_rotate")
+        Tc, r = _close(T, target, 0, 64)
+        assert len(steps) == 1
+        assert np.max(np.abs(r)) <= _closure_floor(64)
+
+    def test_weighted_closure_moves_weighted_tangents_only(self):
+        rng = default_rng(4)
+        n = 40
+        T = open_chain(rng, n, 3)
+        target = T.sum(axis=0) + 1e-3 * rng.standard_normal(3)
+        w = np.minimum(1.0, np.minimum(np.arange(n - 2), np.arange(n - 2)[::-1]) / 7.0)
+        Tc, r = _close(T, target, 1, n - 1, w)
+        assert np.max(np.abs(r)) <= _closure_floor(n)
+        moved = np.linalg.norm(Tc - T, axis=1)
+        # clamped ends and the zero-weight tangents next to them stay put
+        assert np.all(moved[[0, 1, -2, -1]] == 0.0)
+        # the others move by w_i P_i lam, P_i = I - T_i T_i^T, to first order
+        D = (Tc - T)[2:-2] / w[1:-1, None]
+        lam = np.linalg.lstsq(np.vstack([np.eye(3) - np.outer(t, t) for t in T[2:-2]]), D.ravel(),
+                              rcond=None)[0]
+        fit = np.array([lam - (t @ lam) * t for t in T[2:-2]])
+        assert np.max(np.abs(D - fit)) < 1e-2 * np.max(np.abs(D))
+
+    @pytest.mark.parametrize("problem, seed", [
+        (stalling_arch(), 1989225659),
+        (ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, EX, EX), 3),
+    ], ids=["stalling_arch", "buckled_N16"])
+    def test_clamped_start_takes_one_pass(self, problem, seed, monkeypatch):
+        # the weighted closure leaves the spread kinks in place: the first
+        # pass of _unkinked already passes its check (two passes unweighted)
+        passes = count_calls(monkeypatch, "_close", lambda *args: len(args) == 5)
+        start = minimize_clamped(problem, MinimizeOptions(tol=1e300, seed=seed))
+        assert start.iterations == 0
+        assert len(passes) == 1
+
+
 def seeded_problem(k: int, N: int, clamped: bool, dim: int, d: float):
     """Chord of length d L0 in a seeded random direction; clamped ends tilt
     symmetrically off the chord, little enough to leave the inner chain
@@ -758,6 +862,15 @@ class TestTermination:
         r = minimize_pinned(p, MinimizeOptions(max_iters=2))
         assert r.termination == "budget"
         assert not r.converged
+        assert r.iterations == 2
+        # the final iterate has its own row, and grad_norm describes it
+        assert len(r.log) == r.iterations + 1
+        assert [row["direction"] is None for row in r.log] == [False, False, True]
+        assert r.log[-1]["grad_norm"] == r.grad_norm and r.log[-1]["B"] == r.B
+        T = np.diff(r.curve.vertices, axis=0) * 64
+        GT = minimize._tangent_gradient(T, 1.0 / 64)
+        assert r.grad_norm == pytest.approx(
+            minimize._projected_gradient_norm(T, GT, 1.0 / 64, 0, 64), rel=1e-6)
 
     def test_floor(self):
         # the projected gradient cannot reach 1e-15 in double precision:
@@ -769,6 +882,7 @@ class TestTermination:
         assert r.grad_norm >= 1e-15
         assert r.grad_norm < 1e-8 * 64  # well past the default tolerance
         assert r.iterations < 2000
+        assert len(r.log) == r.iterations + 1  # iterations counts the accepted steps
 
     def test_taut_segment_is_converged(self):
         r = minimize_clamped(ClampedProblem(np.zeros(2), EX, 1.0, 16, EX, EX))

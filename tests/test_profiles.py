@@ -15,6 +15,7 @@ from elastica import elliptic as el
 from elastica import profiles as pr
 from elastica.curves import PlanarElastica, Similarity, eval_k
 
+import cubic_ode
 from input_contracts import check_contract, contract_cases, finite, float_parameters, is_, mirrored, small
 
 
@@ -140,7 +141,7 @@ class TestKappaSq:
             p = random_profile(rng)
             if p.m == p.w:  # a2 == a3 handled by the constant branch
                 continue
-            u = pr.solve_cubic_ode(*pr.cubic_roots(p), s0=p.s0)
+            u = cubic_ode.solve_cubic_ode(*pr.cubic_roots(p), s0=p.s0)
             s = rng.uniform(-10, 10, 40)
             assert np.allclose(u(s), pr.kappa_sq(p, s), atol=1e-11, rtol=1e-11)
 
@@ -148,14 +149,14 @@ class TestKappaSq:
 class TestCubicODE:
     def test_ordering_rejected(self):
         with pytest.raises(DomainError):
-            pr.solve_cubic_ode(0.5, 1.0, 2.0)  # a1 > 0
+            cubic_ode.solve_cubic_ode(0.5, 1.0, 2.0)  # a1 > 0
         with pytest.raises(DomainError):
-            pr.solve_cubic_ode(-1.0, 1.0, 1.0)  # a2 == a3
+            cubic_ode.solve_cubic_ode(-1.0, 1.0, 1.0)  # a2 == a3
         with pytest.raises(DomainError):
-            pr.solve_cubic_ode(-1.0, 2.0, 1.0)
+            cubic_ode.solve_cubic_ode(-1.0, 2.0, 1.0)
 
     def test_constant_branch(self):
-        lo, hi = pr.cubic_constant_solutions(-1.0, 0.5, 2.0)
+        lo, hi = cubic_ode.cubic_constant_solutions(-1.0, 0.5, 2.0)
 
         def P(u):
             return (-1.0 - u) * (0.5 - u) * (2.0 - u)
@@ -166,7 +167,7 @@ class TestCubicODE:
 
     def test_against_rk4_oracle(self):
         # (u')^2 = P(u) from u(0) = a3: integrate u'' = P'(u)/2, u'(0) = 0
-        u = pr.solve_cubic_ode(-1.0, 0.0, 1.0)
+        u = cubic_ode.solve_cubic_ode(-1.0, 0.0, 1.0)
 
         def rhs(y):
             uu, v = y
@@ -191,7 +192,7 @@ class TestCubicODE:
             a1 = -rng.uniform(0.2, 1.5)
             a2 = rng.uniform(0.0, 0.8)
             a3 = a2 + rng.uniform(0.3, 1.2)
-            u = pr.solve_cubic_ode(a1, a2, a3, s0=rng.uniform(-1, 1))
+            u = cubic_ode.solve_cubic_ode(a1, a2, a3, s0=rng.uniform(-1, 1))
             s = rng.uniform(-5, 5, 100)
             du = fd4(u, s, 1e-3)
             P = (a1 - u(s)) * (a2 - u(s)) * (a3 - u(s))
@@ -358,7 +359,8 @@ def constants_are(a2, a3):
 
 
 LAM_P, LAM_S, C_S = pr.profile_lambda(PLANAR), pr.profile_lambda(SPATIAL), pr.profile_c(SPATIAL)
-# every float parameter of profiles.__all__; u(0) = a3 when the phase is 0
+# every float parameter of profiles.__all__ and of the cubic_ode helpers;
+# u(0) = a3 when the phase is 0
 FLOAT_CONTRACTS = {
     ("CurvatureProfile", "m"): (lambda v: pr.kappa_sq(pr.CurvatureProfile(v, 0.8, 1.5), 0.7),
                                 {0.0: is_(2.25)}),
@@ -369,18 +371,18 @@ FLOAT_CONTRACTS = {
     }),
     ("kappa_sq", "s"): (lambda v: pr.kappa_sq(CONSTANT, v), {0.0: is_(2.25), -1.0: is_(2.25)}),
     ("torsion", "s"): (lambda v: pr.torsion(SPATIAL, v), {0.0: is_(C_S / 2.25), -1.0: mirrored(1)}),
-    ("solve_cubic_ode", "a1"): (lambda v: pr.solve_cubic_ode(v, 0.5, 2.0),
+    ("solve_cubic_ode", "a1"): (lambda v: cubic_ode.solve_cubic_ode(v, 0.5, 2.0),
                                 {0.0: solution_at(0.0, 2.0), -1.0: solution_at(0.0, 2.0)}),
-    ("solve_cubic_ode", "a2"): (lambda v: pr.solve_cubic_ode(-1.0, v, 2.0), {0.0: solution_at(0.0, 2.0)}),
-    ("solve_cubic_ode", "a3"): (lambda v: pr.solve_cubic_ode(-1.0, 0.5, v), {}),
-    ("solve_cubic_ode", "s0"): (lambda v: pr.solve_cubic_ode(-1.0, 0.5, 2.0, v), {
+    ("solve_cubic_ode", "a2"): (lambda v: cubic_ode.solve_cubic_ode(-1.0, v, 2.0), {0.0: solution_at(0.0, 2.0)}),
+    ("solve_cubic_ode", "a3"): (lambda v: cubic_ode.solve_cubic_ode(-1.0, 0.5, v), {}),
+    ("solve_cubic_ode", "s0"): (lambda v: cubic_ode.solve_cubic_ode(-1.0, 0.5, 2.0, v), {
         0.0: solution_at(0.0, 2.0), -1.0: solution_at(0.0, 2.0 - 1.5 * el.sn(-1.0, 0.5) ** 2),
     }),
-    ("cubic_constant_solutions", "a1"): (lambda v: pr.cubic_constant_solutions(v, 0.5, 2.0),
+    ("cubic_constant_solutions", "a1"): (lambda v: cubic_ode.cubic_constant_solutions(v, 0.5, 2.0),
                                          {0.0: constants_are(0.5, 2.0), -1.0: constants_are(0.5, 2.0)}),
-    ("cubic_constant_solutions", "a2"): (lambda v: pr.cubic_constant_solutions(-1.0, v, 2.0),
+    ("cubic_constant_solutions", "a2"): (lambda v: cubic_ode.cubic_constant_solutions(-1.0, v, 2.0),
                                          {0.0: constants_are(0.0, 2.0)}),
-    ("cubic_constant_solutions", "a3"): (lambda v: pr.cubic_constant_solutions(-1.0, 0.5, v), {}),
+    ("cubic_constant_solutions", "a3"): (lambda v: cubic_ode.cubic_constant_solutions(-1.0, 0.5, v), {}),
     # a wrong lambda gives a finite, nonzero residual
     ("residual_planar", "lam"): (lambda v: pr.residual_planar(k_planar, v, 0.3), {0.0: finite, -1.0: finite}),
     ("residual_planar", "s"): (lambda v: pr.residual_planar(k_planar, LAM_P, v),
@@ -400,7 +402,7 @@ FLOAT_CONTRACTS = {
 
 class TestInputContracts:
     def test_table_covers_every_float_parameter(self):
-        assert float_parameters(pr) == set(FLOAT_CONTRACTS)
+        assert float_parameters(pr) | float_parameters(cubic_ode) == set(FLOAT_CONTRACTS)
 
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):

@@ -716,8 +716,8 @@ class TestClosure:
         (ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, EX, EX), 3),
     ], ids=["stalling_arch", "buckled_N16"])
     def test_clamped_start_takes_one_pass(self, problem, seed, monkeypatch):
-        # the weighted closure leaves the spread kinks in place: the first
-        # pass of _unkinked already passes its check (two passes unweighted)
+        # the weighted closure leaves the spread kinks in place, so the
+        # first pass of _unkinked already passes its check
         passes = count_calls(monkeypatch, "_close", lambda *args: len(args) == 5)
         start = minimize_clamped(problem, MinimizeOptions(tol=1e300, seed=seed))
         assert start.iterations == 0

@@ -1,19 +1,24 @@
 """Command-line front end.
 
 Subcommands: constants, sample, energy, liyau, minimize, integrate, leafed,
-classify.  Every run echoes its resolved configuration to stderr, and
-integrate its worst local error estimate (suppress both with --quiet); the
-artifact goes to --out or stdout.  CSV carries floats at 17 significant
-digits (lossless round-trip), SVG at 6.
+classify.  Each imports the modules it runs when it runs, so a process
+loads and compiles only its own subcommand's code.  Every run echoes its
+resolved configuration to stderr, and integrate its worst local error
+estimate (suppress both with --quiet); the artifact goes to --out or
+stdout.  CSV carries floats at 17 significant digits (lossless
+round-trip), SVG at 6.
 
 Exit codes: 0 success (and, for liyau, bound satisfied); 1 internal error or
-violated bound; 2 input error; 3 infeasible construction.
+violated bound; 2 input error; 3 infeasible construction.  The `elastica`
+script and `python -m elastica.cli` exit through run(); main() is the same
+work without the exit path, for callers in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -33,21 +38,10 @@ from .curves import (
     sample_leafed,
     varpi_star,
 )
-from .discrete import (
-    DiscreteCurve,
-    _csv,
-    _row_norms,
-    curve_to_csv,
-    liyau_check,
-    load_curve_csv,
-    normalized_energy,
-    vertex_arclengths,
-)
 from .elliptic import comp_E, comp_K
 from .errors import MAX_COUNT, DomainError, InfeasibleError, StepSizeError
-from .odeint import ElasticaState, integrate_elastica, monitor_det
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -153,6 +147,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .discrete import _csv
+
     if args.N < 1:
         raise DomainError("--N needs at least 1")
     if args.N > MAX_COUNT:
@@ -183,6 +179,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    from .discrete import load_curve_csv, normalized_energy
+
     rep = normalized_energy(load_curve_csv(args.input))
     _echo(args)
     _emit(rep.to_text() if args.format == "text" else rep.to_json_line() + "\n", args.out)
@@ -190,6 +188,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_liyau(args) -> int:
+    from .discrete import liyau_check, load_curve_csv
+
     rep = liyau_check(load_curve_csv(args.input), eps=args.eps)
     _echo(args)
     _emit(rep.to_json_line() + "\n", args.out)
@@ -229,6 +229,8 @@ def _run_minimize_seeded(payload):
 
 
 def cmd_minimize(args) -> int:
+    from .discrete import curve_to_csv
+
     problem, opts = _parse_problem(args.problem)
     if args.jobs < 1:
         raise DomainError("--jobs needs at least 1")
@@ -271,6 +273,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .discrete import _csv, _row_norms
+    from .odeint import ElasticaState, integrate_elastica, monitor_det
+
     kv = _read_kv(args.ic, "IC", ("gamma", "d1", "d2", "d3", "lam", "s_end", "h"))
     state = ElasticaState(*(_vec(kv, k) for k in ("gamma", "d1", "d2", "d3")))
     lam, s_end, h = (_num(kv, k) for k in ("lam", "s_end", "h"))
@@ -290,6 +295,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_leafed(args) -> int:
+    from .discrete import curve_to_csv
+
     le = build_leafed(args.r, args.dim)
     c = sample_leafed(le, args.N)
     _echo(args, total_vertices=len(c.vertices))
@@ -301,6 +308,8 @@ def cmd_leafed(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .discrete import DiscreteCurve, load_curve_csv, vertex_arclengths
+
     c = load_curve_csv(args.input)
     if c.dim == 3:
         # trajectory CSVs pad planar data with a z column; flatten it when it
@@ -409,5 +418,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """main()'s exit status, after gc.freeze(): the interpreter's collection
+    at shutdown then skips every object alive at exit, numpy's included.
+    Unlike os._exit, this keeps the atexit hooks (the --jobs pool's) and
+    the flush of the standard streams."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

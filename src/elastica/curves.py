@@ -34,22 +34,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discrete import DiscreteCurve, curvature_data, length
 from .elliptic import (
     _cosh, _shape_like, _sn2_pi, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
     sncndn,
 )
 from .errors import MAX_COUNT, DomainError, InfeasibleError
-from .profiles import CurvatureProfile
+
+if TYPE_CHECKING:  # imported where used: loading curves loads neither module
+    from .discrete import DiscreteCurve
+    from .profiles import CurvatureProfile
 
 __all__ = [
     "figure_eight_modulus",
     "varpi_star",
     "leaf_spread_angle",
-    "check_closure",
     "Similarity",
     "PlanarElastica",
     "eval_planar",
@@ -58,7 +60,6 @@ __all__ = [
     "planar_state",
     "Leaf",
     "canonical_leaf",
-    "build_leaf",
     "spherical_chain",
     "LeafedElastica",
     "build_leafed",
@@ -67,8 +68,6 @@ __all__ = [
     "classify_closed",
     "reconstruct_spatial",
 ]
-
-_EIGHT_TOL = 1e-9  # |2E(m) - K(m)| below which a wavelike curve closes (a figure-eight)
 
 # ---------------------------------------------------------------------------
 # figure-eight constants
@@ -108,22 +107,6 @@ def leaf_spread_angle() -> float:
     """Angle psi in (0, pi) between the leaf's start and end unit tangents:
     2 pi - 4 arcsin(sqrt(m*))."""
     return 2.0 * math.pi - 4.0 * math.asin(math.sqrt(figure_eight_modulus()))
-
-
-def check_closure(family: str, m: float) -> bool:
-    """Whether the family closes up at modulus m.
-
-    Wavelike curves close exactly when 2E(m) = K(m), taken as
-    |2E(m) - K(m)| < 1e-9 (_EIGHT_TOL); orbitlike ones never do, since
-    2E(m) + (m-2)K(m) < 0 throughout (0,1).
-    """
-    if family not in ("wavelike", "orbitlike"):
-        raise DomainError(f"closure test applies to wavelike/orbitlike, not {family!r}")
-    if not 0.0 < m < 1.0:
-        raise DomainError("need m in (0,1)")
-    if family == "orbitlike":
-        return False
-    return abs(2.0 * comp_E(m) - comp_K(m)) < _EIGHT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +317,6 @@ def _require_count(n, least: int, name: str, most: float = math.inf) -> None:
         raise DomainError(f"{name} = {n} exceeds the cap of {most}")
 
 
-def build_leaf(N: int) -> DiscreteCurve:
-    """Open polyline with N+1 arclength-uniform samples of the leaf."""
-    _require_count(N, 2, "N", MAX_COUNT)
-    leaf = canonical_leaf()
-    x, y = eval_planar(leaf.elastica, np.linspace(0.0, leaf.length, N + 1))
-    return DiscreteCurve(np.column_stack([x, y]), closed=False)
-
-
 # ---------------------------------------------------------------------------
 # tangent chains on the sphere and leafed elasticae
 
@@ -448,6 +423,8 @@ def build_leafed(r: int, dim: int) -> LeafedElastica:
 
 def sample_leafed(le: LeafedElastica, n_per_leaf: int) -> DiscreteCurve:
     """Closed polyline with n_per_leaf vertices per leaf (junctions shared)."""
+    from .discrete import DiscreteCurve
+
     _require_count(n_per_leaf, 3, "n_per_leaf")
     _require_count(len(le.rotations) * int(n_per_leaf), 3, "r * n_per_leaf", MAX_COUNT)
     leaf = canonical_leaf()
@@ -483,6 +460,8 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     The cost is O(N): one cn evaluation (a single sncndn call) over the
     vertices and one rms misfit.  tol must be finite and positive.
     """
+    from .discrete import curvature_data, length
+
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("need a finite tol > 0")
     if not curve.closed:
@@ -561,6 +540,7 @@ def reconstruct_spatial(
     rounding then accumulates smoothly, as an integrator's does, and finite
     differences of the vertices are as exact as the increments.
     """
+    from .discrete import DiscreteCurve
     from .odeint import _step_count  # local import: most callers never integrate
 
     F = np.array(frame0, dtype=float)

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import gc
 import json
 import math
 import os
@@ -22,8 +23,9 @@ from elastica.discrete import (
     liyau_check,
     load_curve_csv,
     normalized_energy,
-    save_curve_csv,
 )
+
+from curve_helpers import save_curve_csv
 
 TWO_PI = 2.0 * math.pi
 M_STAR_TEXT = f"{figure_eight_modulus():.17g}"
@@ -303,7 +305,8 @@ class TestLiyau:
         write_polygon(path)
         fake = LiYauReport(r=2, Bbar=50.0, bound=4.0 * varpi_star(), satisfied=False,
                            slack=50.0 - 4.0 * varpi_star(), bound_kind="liyau")
-        monkeypatch.setattr("elastica.cli.liyau_check", lambda curve, eps=None: fake)
+        # cmd_liyau imports liyau_check from elastica.discrete when it runs
+        monkeypatch.setattr("elastica.discrete.liyau_check", lambda curve, eps=None: fake)
         code, out, _ = run("liyau", str(path), "--quiet")
         assert code == 1
         assert json.loads(out)["satisfied"] is False
@@ -779,26 +782,74 @@ class TestEntryPoint:
                               timeout=120, env=self.env())
         assert proc.returncode == 0, proc.stderr
 
-    def test_only_minimize_imports_minimizer(self, tmp_path):
-        # compiling elastica.minimize costs every process that loads it
-        # about 20 ms when no bytecode cache is written
+    # The elastica modules each subcommand loads, read from -X importtime in
+    # a fresh process without a bytecode cache, where every module loaded is
+    # compiled: no subcommand loads profiles, only integrate loads odeint,
+    # only minimize loads minimize, and constants loads no discrete.
+    BASE = {"elastica", "elastica.errors", "elastica.elliptic", "elastica.curves"}
+    CURVES = BASE | {"elastica.discrete"}
+    MODULE_SETS = {
+        "constants": BASE,
+        "sample": CURVES,
+        "energy": CURVES,
+        "liyau": CURVES,
+        "minimize": CURVES | {"elastica.minimize"},
+        "integrate": CURVES | {"elastica.odeint"},
+        "leafed": CURVES,
+        "classify": CURVES,
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(MODULE_SETS))
+    def test_subcommand_loads_only_its_modules(self, subcommand, tmp_path):
         curve = tmp_path / "circle.csv"
         write_polygon(curve)
         ic = tmp_path / "ic.txt"
         ic.write_text("gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\n"
                       "lam = 1\ns_end = 1\nh = 1e-2\n")
-        out = str(tmp_path / "out")
-        calls = [["constants"], ["integrate", str(ic)], ["liyau", str(curve)]]
+        problem = tmp_path / "leaf.txt"
+        problem.write_text("P0 = 0 0\nP1 = 0 0\nL0 = 1\nN = 16\nseed = 0\n")
+        argv = {
+            "constants": [],
+            "sample": ["--family", "wavelike", "--m", "0.5", "--N", "64"],
+            "energy": [str(curve)],
+            "liyau": [str(curve)],
+            "minimize": [str(problem)],
+            "integrate": [str(ic)],
+            "leafed": ["--r", "3", "--dim", "3", "--N", "64"],
+            "classify": [str(curve)],
+        }[subcommand]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "elastica.cli", subcommand, *argv,
+             "--quiet", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**self.env(), "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        loaded = {ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
+                  if ln.startswith("import time:")}
+        assert {m for m in loaded if m.split(".")[0] == "elastica"} == self.MODULE_SETS[subcommand]
+
+    def test_main_freezes_nothing(self, run):
+        # only the process exit path freezes the heap; tests and benchmark
+        # probes call main() and keep collecting as before
+        before = gc.get_freeze_count()
+        assert run("constants", "--quiet")[0] == 0
+        assert run("leafed", "--r", "3", "--dim", "2", "--quiet")[0] == 3
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_the_heap_and_returns_the_status(self):
         script = (
-            "import sys\n"
-            "from elastica.cli import main\n"
-            f"for argv in {calls!r}:\n"
-            f"    assert main(argv + ['--quiet', '--out', {out!r}]) == 0, argv\n"
-            "    assert 'elastica.minimize' not in sys.modules, argv\n"
+            "import gc, sys\n"
+            "from elastica.cli import run\n"
+            "sys.argv = ['elastica', 'leafed', '--r', '3', '--dim', '2', '--quiet']\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "status = run()\n"
+            "assert gc.get_freeze_count() > 0\n"
+            "sys.exit(status)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env=self.env())
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("infeasible: ")
 
     def test_minimize_runs_without_scipy(self, tmp_path):
         # the library is NumPy only: a None entry makes any SciPy import

@@ -14,10 +14,8 @@ from elastica.curves import (
     Leaf,
     PlanarElastica,
     Similarity,
-    build_leaf,
     build_leafed,
     canonical_leaf,
-    check_closure,
     classify_closed,
     eval_k,
     eval_planar,
@@ -46,7 +44,9 @@ from elastica.elliptic import comp_E, comp_K
 from elastica.errors import DomainError, InfeasibleError
 from elastica.profiles import CurvatureProfile, kappa_sq, profile_c, profile_period
 
+import curve_helpers
 from arclength_resample import resample_arclength
+from curve_helpers import build_leaf, check_closure
 from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
 
 # oracle values (bisection + Newton on 2E-K; entire downstream chain hangs
@@ -790,8 +790,8 @@ def test_counts_above_the_cap(count):
 WAVE = PlanarElastica("wavelike", 0.5)
 K0 = 2.0 * math.sqrt(0.5)  # wavelike peak curvature 2 sqrt(m)
 SPATIAL = CurvatureProfile(0.3, 0.8, 1.5)
-# every float parameter of curves.__all__ (Leaf and ClassifyResult are
-# records the module returns)
+# every float parameter of curves.__all__ and of the curve_helpers (Leaf,
+# ClassifyResult and FenchelReport are records the modules return)
 FLOAT_CONTRACTS = {
     ("check_closure", "m"): (lambda v: check_closure("wavelike", v), {}),
     ("Similarity", "rotation"): (lambda v: Similarity(rotation=v).apply(1.0, 0.0),
@@ -819,7 +819,8 @@ FLOAT_CONTRACTS = {
 
 class TestInputContracts:
     def test_table_covers_every_float_parameter(self):
-        assert float_parameters(curves, records=("Leaf", "ClassifyResult")) == set(FLOAT_CONTRACTS)
+        assert float_parameters(curves, records=("Leaf", "ClassifyResult")) \
+            | float_parameters(curve_helpers, records=("FenchelReport",)) == set(FLOAT_CONTRACTS)
 
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):

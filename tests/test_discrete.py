@@ -30,18 +30,17 @@ from elastica.discrete import (
     FOUR_PI_SQ,
     DiscreteCurve,
     EnergyReport,
+    _csv,
     bending_energy,
     curvature_data,
     curve_from_csv,
     curve_to_csv,
     detect_multiplicity,
     edge_lengths,
-    fenchel_floor_check,
     length,
     liyau_check,
     load_curve_csv,
     normalized_energy,
-    save_curve_csv,
     total_curvature,
     turning_angles,
     vertex_arclengths,
@@ -51,6 +50,7 @@ from elastica.errors import DomainError
 from elastica.profiles import CurvatureProfile
 
 from arclength_resample import resample_arclength
+from curve_helpers import fenchel_floor_check, save_curve_csv
 from input_contracts import BAD_FLOATS
 from multiplicity_reference import narrow_phase_args, reference_detect_multiplicity, reference_near_edges
 
@@ -546,6 +546,18 @@ class TestCsv:
         text = curve_to_csv(regular_polygon(5))
         assert text.splitlines()[0] == "# closed=true"
         assert text.splitlines()[1] == "s,x,y"
+
+    def test_writer_prints_python_floats_as_numpy_scalars(self):
+        # _csv formats Python floats; the reference formats the float64
+        # scalars themselves, as the writer did before
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                -1.7976931348623157e308, 1.0, -3.0, 4096.0, 2.0**53, 1e22, 0.1, math.pi,
+                math.inf, -math.inf, math.nan]
+        rng = default_rng(4)
+        wide = rng.standard_normal(4097) * 10.0 ** rng.integers(-300, 300, 4097)
+        for cols in ([np.array(edge), np.array(edge[::-1])], [wide, wide[::-1], -wide, wide * 0.5]):
+            rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
+            assert _csv("h", *cols) == "\n".join(["h", *rows]) + "\n"
 
     def test_endpoint_coincidence_detected(self):
         # no marker: duplicated seam vertex implies a closed curve

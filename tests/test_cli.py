@@ -829,8 +829,8 @@ class TestEntryPoint:
         assert {m for m in loaded if m.split(".")[0] == "elastica"} == self.MODULE_SETS[subcommand]
 
     def test_main_freezes_nothing(self, run):
-        # only the process exit path freezes the heap; tests and benchmark
-        # probes call main() and keep collecting as before
+        # only the process exit path freezes the heap: tests and benchmark
+        # probes call main() in processes that go on
         before = gc.get_freeze_count()
         assert run("constants", "--quiet")[0] == 0
         assert run("leafed", "--r", "3", "--dim", "2", "--quiet")[0] == 3

@@ -548,8 +548,7 @@ class TestCsv:
         assert text.splitlines()[1] == "s,x,y"
 
     def test_writer_prints_python_floats_as_numpy_scalars(self):
-        # _csv formats Python floats; the reference formats the float64
-        # scalars themselves, as the writer did before
+        # _csv formats Python floats; the reference formats the float64 scalars
         edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                 -1.7976931348623157e308, 1.0, -3.0, 4096.0, 2.0**53, 1e22, 0.1, math.pi,
                 math.inf, -math.inf, math.nan]

@@ -9,9 +9,10 @@ stdout.  CSV carries floats at 17 significant digits (lossless
 round-trip), SVG at 6.
 
 Exit codes: 0 success (and, for liyau, bound satisfied); 1 internal error or
-violated bound; 2 input error; 3 infeasible construction.  The `elastica`
-script and `python -m elastica.cli` exit through run(); main() is the same
-work without the exit path, for callers in the same process.
+violated bound; 2 input error, a non-ASCII byte in an input file included;
+3 infeasible construction.  The `elastica` script and `python -m
+elastica.cli` exit through run(); main() is the same work without the exit
+path, for callers in the same process.
 """
 
 from __future__ import annotations
@@ -308,14 +309,14 @@ def cmd_leafed(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .discrete import DiscreteCurve, load_curve_csv, vertex_arclengths
+    from .discrete import DiscreteCurve, load_curve_csv
 
     c = load_curve_csv(args.input)
     if c.dim == 3:
         # trajectory CSVs pad planar data with a z column; flatten it when it
         # carries no geometry (classification itself is a planar notion)
         z = c.vertices[:, 2]
-        scale = max(float(vertex_arclengths(c)[-1]), 1.0)
+        scale = max(float(c.vertex_arclengths[-1]), 1.0)
         if np.max(np.abs(z - z[0])) <= 1e-9 * scale:
             c = DiscreteCurve(c.vertices[:, :2], closed=c.closed)
     res = classify_closed(c, tol=args.tol)
@@ -407,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (DomainError, StepSizeError, OSError) as exc:
+    except (DomainError, StepSizeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

@@ -372,10 +372,6 @@ class LeafedElastica:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def total_length(self) -> float:
-        return self.r * canonical_leaf().length
-
 
 def _leaf_end_tangents(dim: int) -> tuple[np.ndarray, np.ndarray]:
     a = 2.0 * math.asin(math.sqrt(figure_eight_modulus()))

@@ -4,10 +4,11 @@ A curve is a polyline (open or closed) with at least 3 vertices in R^2 or
 R^3 and strictly positive edge lengths.  Edge i runs from vertex i to
 vertex i + 1, and a closed curve's last edge runs back to vertex 0.
 DiscreteCurve computes its edges and their lengths once, while checking
-them, and stores them read-only beside the vertices; its turning angles and
-vertex arclengths are computed on first use and kept, read-only, for the
-life of the curve.  Every quantity below (L, B, TC, multiplicity, the
-Li-Yau check) reads them from there.  Discrete curvature lives on
+them, and stores them read-only beside the vertices; its turning angles
+(signed ones in the plane) and vertex arclengths are computed on first use
+and kept, read-only, for the life of the curve.  These attributes are the
+one spelling of a curve's geometry: every quantity below (L, B, TC,
+multiplicity, the Li-Yau check) reads them from there.  Discrete curvature lives on
 vertices: with turning angle theta_i between consecutive edges and dual
 length lbar_i = (l_{i-1} + l_i)/2,
 
@@ -46,9 +47,6 @@ __all__ = [
     "LiYauReport",
     "FOUR_PI_SQ",
     "length",
-    "edge_lengths",
-    "turning_angles",
-    "vertex_arclengths",
     "curvature_data",
     "bending_energy",
     "total_curvature",
@@ -202,18 +200,8 @@ def _pairs(c: DiscreteCurve, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[:-1], x[1:]
 
 
-def edge_lengths(c: DiscreteCurve) -> np.ndarray:
-    """c.edge_lengths (read-only)."""
-    return c.edge_lengths
-
-
 def length(c: DiscreteCurve) -> float:
     return float(c.edge_lengths.sum())
-
-
-def vertex_arclengths(c: DiscreteCurve) -> np.ndarray:
-    """c.vertex_arclengths (read-only)."""
-    return c.vertex_arclengths
 
 
 def _turn(a: np.ndarray, b: np.ndarray):
@@ -238,20 +226,13 @@ def _turn_ratio(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
         return np.where(n > 1e-300, theta / n, 1.0)
 
 
-def turning_angles(c: DiscreteCurve, signed: bool = False) -> np.ndarray:
-    """Turning angle at each turning vertex (all vertices if closed,
-    interior ones if open), read-only.  signed=True gives the 2D signed
-    angle."""
-    return c.signed_turning_angles if signed else c.turning_angles
-
-
 def curvature_data(c: DiscreteCurve, signed: bool = False):
     """(kappa, lbar, s) at the turning vertices.
 
     kappa = theta / lbar with lbar the dual length; s is the arclength of
     each turning vertex (closed: all vertices; open: interior vertices).
     """
-    theta = turning_angles(c, signed=signed)
+    theta = c.signed_turning_angles if signed else c.turning_angles
     la, lb = _pairs(c, c.edge_lengths)
     lbar = 0.5 * (la + lb)
     s = c.vertex_arclengths

@@ -7,25 +7,24 @@ modulus k).  Definitions:
     E(x, m) = integral_0^x (1 - m sin^2 t)^(+1/2) dt      (second kind)
     K(m) = F(pi/2, m),   E(m) = E(pi/2, m)                (complete)
     am(x, m) = inverse of F(., m),  sn = sin(am),  cn = cos(am),
-    dn = sqrt(1 - m sn^2)
+    dn = sqrt(1 - m sn^2),  epsilon(x, m) = E(am(x, m), m)
 
 Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`)
 serves K, E and sn/cn/dn: K and E come from its limit and its gap sum, and
 sn/cn/dn from a descending Landen transformation through its legs with a
-trigonometric base case.  Incomplete integrals are Carlson symmetric-form
-duplication (R_F, R_D) on the principal branch |x| <= pi/2, plus 2n K or
-2n E for x = x0 + n pi.  The amplitude is am = atan2(sn, cn) on the branch
-nearest pi x / (2K), and the Jacobi epsilon function is Carlson's E(am, m)
-written in sn/cn/dn after reducing x by the period 2K.  The integral of
-the third kind in the Jacobi argument (`_sn2_pi`) is Carlson's R_J on
-the same branch, plus its complete value per period 2K.  All are
-quadratically convergent and well-conditioned as m -> 1.
+trigonometric base case.  The amplitude is am = atan2(sn, cn) on the branch
+nearest pi x / (2K).  The Jacobi epsilon function is Carlson's E(am, m),
+written in sn/cn/dn on the branch |x0| <= K of x = x0 + 2K n: one
+duplication (`_rf_rd`) gives its R_F and R_D, and each period adds 2E.
+The integral of the third kind in the Jacobi argument (`_sn2_pi`) is
+Carlson's R_J on the same branch, plus its complete value per period 2K.
+All are quadratically convergent and well-conditioned as m -> 1.
 
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
-Operations built on K (F, K, am, and sn/cn/dn away from m = 1) refuse
-parameters beyond that cutoff instead of silently degrading; comp_E accepts
-all of [0, 1], and sn/cn/dn additionally accept m = 1 exactly (hyperbolic
-closed forms).
+Operations built on K (K, am, jacobi_epsilon, and sn/cn/dn away from
+m = 1) refuse parameters beyond that cutoff instead of silently degrading;
+comp_E accepts all of [0, 1], and sn/cn/dn additionally accept m = 1
+exactly (hyperbolic closed forms).
 
 All functions are pure and take a scalar parameter m.  `sncndn`, `sn`,
 `cn`, `dn`, `am` and `jacobi_epsilon` broadcast over x: a scalar x gives
@@ -36,7 +35,6 @@ are scalar in, scalar out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +42,6 @@ from .errors import DomainError
 
 __all__ = [
     "M_MAX",
-    "DK_DM_AT_ZERO",
-    "DE_DM_AT_ZERO",
-    "EllipticValue",
-    "ellint_F",
-    "ellint_E_inc",
     "comp_K",
     "comp_E",
     "am",
@@ -59,35 +52,15 @@ __all__ = [
     "jacobi_epsilon",
     "dK_dm",
     "dE_dm",
-    "ellint_F_with_error",
-    "ellint_E_inc_with_error",
-    "comp_K_with_error",
-    "comp_E_with_error",
 ]
 
 #: K-type operations reject m above this (K has a log singularity at m = 1).
 M_MAX = 1.0 - 1e-9
 
-#: limits of dK_dm / dE_dm as m -> 0+ (the closed forms are 0/0 there)
-DK_DM_AT_ZERO = math.pi / 8.0
-DE_DM_AT_ZERO = -math.pi / 8.0
-
 _EPS = float(np.finfo(float).eps)
-
-# pi = fl(pi) + _PI_TAIL; needed to reduce x mod pi without losing the
-# ~1e-16 tail, which the (1 - m sin^2)^(-1/2) weight can amplify near m -> 1
-_PI_TAIL = 1.2246467991473532e-16
 
 # AGM chain truncation for sn/cn/dn; resulting error ~ _CA^2
 _CA = 1.0e-8
-
-
-@dataclass(frozen=True)
-class EllipticValue:
-    """A computed value together with an a-priori absolute error bound."""
-
-    value: float
-    est_abs_error: float
 
 
 def _require_finite(x) -> np.ndarray:
@@ -334,56 +307,6 @@ def comp_E(m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Incomplete integrals (Carlson) with quasi-period reduction
-
-def _reduce_pi(x: float) -> tuple[float, float]:
-    """Write x = x0 + n*pi with x0 in [-pi/2, pi/2]; returns (x0, n)."""
-    if abs(x) <= math.pi / 2.0:
-        return x, 0.0
-    r = math.remainder(x, math.pi)  # exact: x - n*fl(pi)
-    n = round((x - r) / math.pi)
-    return r - n * _PI_TAIL, float(n)
-
-
-def _F_sc(s, c, q, m: float):
-    # F(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
-    # q = 1 - m s^2 (m unused: the signature is _E_sc's)
-    return s * _rf_rd(c * c, q, 1.0, with_rd=False)[0]
-
-
-def _E_sc(s, c, q, m: float):
-    # E(phi, m) for |phi| <= pi/2 from s = sin phi, c = cos phi and
-    # q = 1 - m s^2; elementwise over arrays
-    rf, rd = _rf_rd(c * c, q, 1.0)
-    return s * (rf - (m / 3.0) * s * s * rd)
-
-
-def _quasi_periodic(x: float, m: float, principal, complete) -> tuple[float, float, float]:
-    """(v, n, P) for F (principal _F_sc, complete comp_K) or E (_E_sc,
-    comp_E): x = x0 + n pi with |x0| <= pi/2, P = complete(m) (0 when
-    n = 0), and v = principal(x0) + 2 n P."""
-    x = float(_require_finite(x))
-    m = _require_m_for_K(m)
-    x0, n = _reduce_pi(x)
-    s, c = math.sin(x0), math.cos(x0)
-    v = 0.0 if s == 0.0 else float(principal(s, c, 1.0 - m * s * s, m))
-    if n == 0.0:
-        return v, n, 0.0
-    P = complete(m)
-    return v + 2.0 * n * P, n, P
-
-
-def ellint_F(x: float, m: float) -> float:
-    """Incomplete elliptic integral of the first kind F(x, m)."""
-    return _quasi_periodic(x, m, _F_sc, comp_K)[0]
-
-
-def ellint_E_inc(x: float, m: float) -> float:
-    """Incomplete elliptic integral of the second kind E(x, m)."""
-    return _quasi_periodic(x, m, _E_sc, comp_E)[0]
-
-
-# ---------------------------------------------------------------------------
 # sn / cn / dn (descending Landen transformation on the AGM legs), and am
 # and epsilon from them
 
@@ -454,10 +377,12 @@ def _reduce_2K(x, m: float):
 
 
 def jacobi_epsilon(x, m: float):
-    """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse)."""
+    """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse):
+    sn (R_F - (m/3) sn^2 R_D) at (cn^2, dn^2, 1) on the principal branch."""
     x0, n, _ = _reduce_2K(x, m)
     s, c, d = sncndn(x0, m)
-    return _shape_like(x, _E_sc(s, c, d * d, m) + 2.0 * comp_E(m) * n)
+    rf, rd = _rf_rd(c * c, d * d, 1.0)
+    return _shape_like(x, s * (rf - (m / 3.0) * s * s * rd) + 2.0 * comp_E(m) * n)
 
 
 def _sn2_pi(x, nc, m: float):
@@ -497,7 +422,7 @@ def dn(x, m: float):
 def dK_dm(m: float) -> float:
     """dK/dm = (E - (1-m)K) / (2m(1-m)) for m in (0, 1).
 
-    The closed form is 0/0 at m = 0 (limit pi/8, see DK_DM_AT_ZERO) and
+    The closed form is 0/0 at m = 0 (limit pi/8) and
     singular at m = 1; both endpoints raise.  For m below ~1e-6 the numerator
     cancellation costs a few digits (relative error ~1e-10).
     """
@@ -518,35 +443,3 @@ def dE_dm(m: float) -> float:
     if m > M_MAX:
         raise DomainError(f"dE_dm not supported above m = {M_MAX}")
     return (comp_E(m) - comp_K(m)) / (2.0 * m)
-
-
-# ---------------------------------------------------------------------------
-# Error-estimating variants
-#
-# The estimates are a-priori bounds: Carlson duplication truncates at
-# ~2e-16 relative, the AGM terminates at machine epsilon, and quasi-period
-# assembly rounds once per term — eps*(2|v| + 4|n|*period + 2) covers the
-# principal evaluation, the |2n| period multiples, and the final additions,
-# and stays below 1e-12 over the whole contract domain (|x| <= 100,
-# m <= 1 - 1e-9, where |n| <= 32 and K <= 11.75).
-
-def comp_K_with_error(m: float) -> EllipticValue:
-    v = comp_K(m)
-    return EllipticValue(v, 8.0 * _EPS * max(1.0, v))
-
-
-def comp_E_with_error(m: float) -> EllipticValue:
-    v = comp_E(m)
-    return EllipticValue(v, 8.0 * _EPS * max(1.0, v))
-
-
-def _with_error(v: float, n: float, P: float) -> EllipticValue:
-    return EllipticValue(v, _EPS * (2.0 * abs(v) + 4.0 * abs(n) * P + 2.0))
-
-
-def ellint_F_with_error(x: float, m: float) -> EllipticValue:
-    return _with_error(*_quasi_periodic(x, m, _F_sc, comp_K))
-
-
-def ellint_E_inc_with_error(x: float, m: float) -> EllipticValue:
-    return _with_error(*_quasi_periodic(x, m, _E_sc, comp_E))

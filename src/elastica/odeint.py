@@ -109,8 +109,8 @@ class ElasticaState:
 class Trajectory:
     """States h apart in arclength, starting at the initial condition.
 
-    data[i] stacks (gamma, d1, d2, d3) of state i; `state(i)` and `states`
-    materialize ElasticaState objects on demand, checked for shape and
+    data[i] stacks (gamma, d1, d2, d3) of state i; `state(i)` materializes
+    it as an ElasticaState on demand, checked for shape and
     finiteness only: along the trajectory |d1| = 1 and <d1, d2> = 0 hold
     to the integrator's accuracy, not to the 1e-9 asked of an initial
     condition.  err_max is the worst half-step error
@@ -138,10 +138,6 @@ class Trajectory:
 
     def state(self, i: int) -> ElasticaState:
         return ElasticaState._along(*self.data[i])
-
-    @property
-    def states(self) -> list[ElasticaState]:
-        return [self.state(i) for i in range(self.n_states)]
 
 
 def _step3(y, h: float, lam: float) -> tuple[float, ...]:

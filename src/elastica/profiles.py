@@ -39,7 +39,6 @@ __all__ = [
     "kappa_sq",
     "cubic_roots",
     "first_integral_coeffs",
-    "torsion",
     "residual_planar",
     "residual_spatial",
     "residual_first_integral",
@@ -119,15 +118,6 @@ def kappa_sq(p: CurvatureProfile, s):
         sn_z = el.sn(z, p.m)
         out = p.A**2 * (1.0 - (p.m / p.w) * sn_z**2)
     return _shape_like(s, out)
-
-
-def torsion(p: CurvatureProfile, s):
-    """Torsion t(s) = c / |kappa|^2(s); only defined for spatial profiles."""
-    c = profile_c(p)
-    if c == 0.0:
-        raise DomainError("torsion undefined for planar profiles (c = 0)")
-    u = kappa_sq(p, s)
-    return c / u
 
 
 def residual_planar(k: Callable, lam: float, s):

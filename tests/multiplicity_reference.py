@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from elastica.discrete import DiscreteCurve, MultiplicityReport, length, vertex_arclengths
+from elastica.discrete import DiscreteCurve, MultiplicityReport, length
 
 PAIR_BLOCK = 1 << 12
 
@@ -71,7 +71,7 @@ def narrow_phase_args(c: DiscreteCurve, eps: float | None = None) -> tuple:
     if eps is None:
         eps = 1e-3 * L
     p = c.vertices[: len(e)]
-    a = vertex_arclengths(c)[: len(e)]
+    a = c.vertex_arclengths[: len(e)]
     steps = min(math.ceil(2.0 * L / eps), 2**16)
     pos = np.arange(steps if c.closed else steps + 1) * (L / steps)
     k = np.searchsorted(a, pos, "right") - 1

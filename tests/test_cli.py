@@ -675,7 +675,35 @@ class TestClassify:
         assert rep["fold"] == 1
 
 
-CLI_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+class TestNonAsciiInput:
+    """Input files are ASCII.  A non-ASCII byte, here in a comment, is an
+    input error (exit 2), not an internal error, which for liyau would read
+    as a violated bound (exit 1)."""
+
+    INPUTS = {
+        "minimize": "P0 = 0 0\nP1 = 0.5 0\nL0 = 1\nN = 16\n",
+        "integrate": "gamma = 0 -1\nd1 = 1 0\nd2 = 0 1\nd3 = -1 0\nlam = 1\ns_end = 1\nh = 1e-2\n",
+    }
+
+    @pytest.mark.parametrize("subcommand", ["energy", "liyau", "classify", "minimize", "integrate"])
+    def test_exits_2(self, run, tmp_path, subcommand):
+        if subcommand in self.INPUTS:
+            text = self.INPUTS[subcommand]
+        else:
+            write_polygon(tmp_path / "circle.csv")
+            text = (tmp_path / "circle.csv").read_text()
+        plain, accented = tmp_path / "plain", tmp_path / "accented"
+        plain.write_text(text, encoding="ascii")
+        accented.write_text("# café\n" + text, encoding="utf-8")
+        # the same input without the comment runs
+        assert run(subcommand, str(plain), "--quiet", "--out", str(tmp_path / "out"))[0] == 0
+        code, out, err = run(subcommand, str(accented), "--out", str(tmp_path / "out2"))
+        assert code == 2 and out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+        assert not (tmp_path / "out2").exists()
+
+
+CLI_FLOATS =["nan", "inf", "-inf", "0", "-1", "1e308"]
 CLI_INTS = ["0", "-1", "10000000000000"]
 
 # (subcommand, option) -> (argv for a value and the input files, {value: exit

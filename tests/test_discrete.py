@@ -36,14 +36,11 @@ from elastica.discrete import (
     curve_from_csv,
     curve_to_csv,
     detect_multiplicity,
-    edge_lengths,
     length,
     liyau_check,
     load_curve_csv,
     normalized_energy,
     total_curvature,
-    turning_angles,
-    vertex_arclengths,
 )
 from elastica.elliptic import comp_K
 from elastica.errors import DomainError
@@ -112,7 +109,6 @@ class TestValidation:
             e = np.vstack([e, v[0] - v[-1]])  # the closing edge runs back to vertex 0
         assert np.array_equal(c.edges, e)
         assert np.array_equal(c.edge_lengths, np.linalg.norm(e, axis=1))
-        assert edge_lengths(c) is c.edge_lengths
         for arr in (c.edges, c.edge_lengths):
             with pytest.raises(ValueError):
                 arr[0] = 5.0
@@ -175,7 +171,7 @@ class TestLength:
 
     def test_vertex_arclengths(self):
         c = DiscreteCurve([[0, 0], [3, 0], [3, 4]], closed=False)
-        assert vertex_arclengths(c) == pytest.approx([0.0, 3.0, 7.0])
+        assert c.vertex_arclengths == pytest.approx([0.0, 3.0, 7.0])
 
 
 class TestBendingEnergy:
@@ -262,12 +258,12 @@ class TestTotalCurvature:
     def test_signed_angles_planar_only(self):
         c = DiscreteCurve(np.eye(3), closed=True)
         with pytest.raises(DomainError):
-            turning_angles(c, signed=True)
+            c.signed_turning_angles
 
     def test_signed_sum_counts_winding(self):
         for folds in (1, 2, 3):
             c = regular_polygon(1200, folds=folds)
-            signed = turning_angles(c, signed=True)
+            signed = c.signed_turning_angles
             assert np.sum(signed) == pytest.approx(TWO_PI * folds, abs=1e-9)
 
 
@@ -508,7 +504,7 @@ class TestMultiplicityReport:
     def test_witnesses_lie_on_the_curve_near_the_point(self):
         c = sample_leafed(build_leafed(3, 3), 1024)
         rep = detect_multiplicity(c)
-        s = np.append(vertex_arclengths(c), length(c))
+        s = np.append(c.vertex_arclengths, length(c))
         v = np.vstack([c.vertices, c.vertices[:1]])
         for w in rep.witnesses:
             x = [np.interp(w, s, v[:, k]) for k in range(3)]
@@ -601,7 +597,7 @@ class TestCurvatureData:
 
     def test_edge_lengths_roll(self):
         c = DiscreteCurve([[0, 0], [2, 0], [2, 1]], closed=True)
-        assert edge_lengths(c) == pytest.approx([2.0, 1.0, math.sqrt(5)])
+        assert c.edge_lengths == pytest.approx([2.0, 1.0, math.sqrt(5)])
 
 
 def assert_same_report(c: DiscreteCurve, eps=None):
@@ -791,12 +787,12 @@ class TestInputContracts:
 # every query of a curve, as bytes or text: (name, applies to the curve, call)
 QUERIES = [
     ("normalized_energy", lambda c: True, lambda c: normalized_energy(c).to_json_line()),
-    ("turning_angles", lambda c: True, lambda c: turning_angles(c).tobytes()),
-    ("signed_turning_angles", lambda c: c.dim == 2, lambda c: turning_angles(c, signed=True).tobytes()),
+    ("turning_angles", lambda c: True, lambda c: c.turning_angles.tobytes()),
+    ("signed_turning_angles", lambda c: c.dim == 2, lambda c: c.signed_turning_angles.tobytes()),
     ("curvature_data", lambda c: True, lambda c: [a.tobytes() for a in curvature_data(c)]),
     ("signed_curvature_data", lambda c: c.dim == 2,
      lambda c: [a.tobytes() for a in curvature_data(c, signed=True)]),
-    ("vertex_arclengths", lambda c: True, lambda c: vertex_arclengths(c).tobytes()),
+    ("vertex_arclengths", lambda c: True, lambda c: c.vertex_arclengths.tobytes()),
     ("curve_to_csv", lambda c: True, curve_to_csv),
     ("detect_multiplicity", lambda c: True,
      lambda c: (lambda r: (r.r, r.witnesses, r.eps, r.point.tobytes()))(detect_multiplicity(c))),
@@ -840,14 +836,13 @@ class TestCachedGeometry:
     def test_cached_arrays_are_shared_and_read_only(self, case):
         c = cache_case(case)
         answer_all(c)
-        cached = [(turning_angles(c), lambda: turning_angles(c)),
-                  (vertex_arclengths(c), lambda: vertex_arclengths(c))]
+        cached = [(c.turning_angles, lambda: c.turning_angles),
+                  (c.vertex_arclengths, lambda: c.vertex_arclengths)]
         if c.dim == 2:
-            cached.append((turning_angles(c, signed=True), lambda: turning_angles(c, signed=True)))
+            cached.append((c.signed_turning_angles, lambda: c.signed_turning_angles))
         else:
             with pytest.raises(DomainError):
-                turning_angles(c, signed=True)
-        assert turning_angles(c) is c.turning_angles and vertex_arclengths(c) is c.vertex_arclengths
+                c.signed_turning_angles
         for arr, again in cached:
             assert again() is arr
             with pytest.raises(ValueError):
@@ -929,4 +924,4 @@ class TestCoordinateRowKernels:
         for v in (rng.normal(size=(512, 2)), signed_zero_vertices(rng, 2048, 2)):
             c = DiscreteCurve(v, closed=closed and np.any(v[0] != v[-1]))
             a, b = discrete._pairs(c, c.edges)
-            assert turning_angles(c).tobytes() == discrete._turn(a, b)[0].tobytes()
+            assert c.turning_angles.tobytes() == discrete._turn(a, b)[0].tobytes()

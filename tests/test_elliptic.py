@@ -28,8 +28,6 @@ from input_contracts import check_contract, contract_cases, float_parameters, is
 # frozen oracle values (quadrature / AGM, see module docstring)
 K_HALF = 1.8540746773013719
 E_HALF = 1.3506438810476755
-F_1_HALF = 1.0832167728451689  # F(1.0, 0.5)
-E_INC_1_HALF = 0.9273298836244401  # E(1.0, 0.5)
 
 
 def agm_K(m: float) -> float:
@@ -122,87 +120,6 @@ class TestComplete:
             el.comp_E(1.0 + 1e-12)
 
 
-class TestIncomplete:
-    def test_zero_parameter_is_identity(self):
-        assert el.ellint_F(0.7, 0.0) == pytest.approx(0.7, abs=1e-15)
-        assert el.ellint_E_inc(0.7, 0.0) == pytest.approx(0.7, abs=1e-15)
-
-    def test_quarter_period_is_K(self):
-        assert el.ellint_F(math.pi / 2, 0.5) == pytest.approx(K_HALF, abs=1e-13)
-
-    def test_frozen_point_values(self):
-        assert el.ellint_F(1.0, 0.5) == pytest.approx(F_1_HALF, abs=1e-13)
-        assert el.ellint_E_inc(1.0, 0.5) == pytest.approx(E_INC_1_HALF, abs=1e-13)
-
-    @pytest.mark.parametrize("m", [0.0, 0.3, 0.7, 0.95])
-    @pytest.mark.parametrize("x", [0.3, 1.0, 1.5, 2.9, 7.1, -4.4])
-    def test_vs_quadrature(self, m, x):
-        assert abs(el.ellint_F(x, m) - quad_F(x, m)) < 1e-12
-        assert abs(el.ellint_E_inc(x, m) - quad_E(x, m)) < 1e-12
-
-    def test_vs_scipy_dense_grid(self):
-        rng = np.random.default_rng(42)
-        for m in [0.0, 0.2, 0.5, 0.8, 0.95, 0.999]:
-            xs = np.concatenate([rng.uniform(-100, 100, 80), [0.0, math.pi, -math.pi / 2]])
-            for x in xs:
-                x = float(x)
-                assert abs(el.ellint_F(x, m) - special.ellipkinc(x, m)) < 1e-12
-                assert abs(el.ellint_E_inc(x, m) - special.ellipeinc(x, m)) < 1e-12
-
-    def test_odd(self):
-        for x, m in [(1.1, 0.3), (2.7, 0.8), (0.4, 0.99)]:
-            assert el.ellint_F(-x, m) == pytest.approx(-el.ellint_F(x, m), abs=1e-14)
-            assert el.ellint_E_inc(-x, m) == pytest.approx(-el.ellint_E_inc(x, m), abs=1e-14)
-
-    def test_quasi_periodicity(self):
-        rng = np.random.default_rng(3)
-        for m in [0.1, 0.5, 0.9, 0.99]:
-            twoK, twoE = 2 * el.comp_K(m), 2 * el.comp_E(m)
-            for x in rng.uniform(-40, 40, 40):
-                x = float(x)
-                f = el.ellint_F(x, m)
-                e = el.ellint_E_inc(x, m)
-                assert abs(el.ellint_F(x + math.pi, m) - f - twoK) < 1e-12 * (1 + abs(f))
-                assert abs(el.ellint_E_inc(x + math.pi, m) - e - twoE) < 1e-12 * (1 + abs(e))
-
-    def test_E_at_multiples_of_half_pi(self):
-        # E(l*pi/2, m) = l*E(m)
-        for ell in (1, 2, 3, -2, 8):
-            got = el.ellint_E_inc(ell * math.pi / 2, 0.5)
-            assert got == pytest.approx(ell * E_HALF, abs=1e-12)
-
-    def test_F_dominates_E(self):
-        for m in [0.1, 0.6, 0.9]:
-            for x in [0.2, 1.0, 3.0]:
-                assert el.ellint_F(x, m) > el.ellint_E_inc(x, m)
-        # equality iff x = 0 or m = 0
-        assert el.ellint_F(0.0, 0.7) == el.ellint_E_inc(0.0, 0.7) == 0.0
-        assert el.ellint_F(1.3, 0.0) == pytest.approx(el.ellint_E_inc(1.3, 0.0), abs=1e-15)
-
-    def test_monotone_in_parameter(self):
-        x = 1.2
-        ms = np.linspace(0.0, 0.95, 20)
-        F = [el.ellint_F(x, m) for m in ms]
-        E = [el.ellint_E_inc(x, m) for m in ms]
-        assert np.all(np.diff(F) > 0)
-        assert np.all(np.diff(E) < 0)
-
-    def test_strictly_increasing_in_x(self):
-        xs = np.linspace(-7, 7, 200)
-        for m in [0.2, 0.9]:
-            vals = [el.ellint_F(float(x), m) for x in xs]
-            assert np.all(np.diff(vals) > 0)
-
-    def test_domain(self):
-        for bad in (1.0, -0.2, 2.0, 1.0 - 1e-10):
-            with pytest.raises(DomainError):
-                el.ellint_F(0.5, bad)
-            with pytest.raises(DomainError):
-                el.ellint_E_inc(0.5, bad)
-        with pytest.raises(DomainError):
-            el.ellint_F(math.inf, 0.5)
-
-
 class TestAmplitude:
     def test_zero(self):
         assert el.am(0.0, 0.8) == 0.0
@@ -215,14 +132,14 @@ class TestAmplitude:
 
     def test_round_trip_frozen_example(self):
         a = el.am(1.3, 0.7)
-        assert abs(el.ellint_F(a, 0.7) - 1.3) < 1e-12
+        assert abs(special.ellipkinc(a, 0.7) - 1.3) < 1e-12
 
     def test_round_trip_grid(self):
         rng = np.random.default_rng(11)
         for m in [1e-8, 0.2, 0.5, 0.9, 0.99]:
             for x in rng.uniform(-100, 100, 60):
                 x = float(x)
-                assert abs(el.ellint_F(el.am(x, m), m) - x) < 1e-12 * max(1.0, abs(x))
+                assert abs(special.ellipkinc(el.am(x, m), m) - x) < 1e-12 * max(1.0, abs(x))
 
     def test_vs_scipy_amplitude(self):
         # includes extreme m, where the F round trip is ill-conditioned but
@@ -389,7 +306,7 @@ class TestCarlsonReference:
 
     @pytest.mark.parametrize("m", [1e-8, 0.3, 0.8261147659849704, 0.99, el.M_MAX])
     def test_principal_branch(self, m):
-        # the arguments of F and E: (cos^2, 1 - m sin^2, 1), with cos^2 = 0
+        # the arguments of E(phi, m) in jacobi_epsilon: (cos^2, 1 - m sin^2, 1), with cos^2 = 0
         # and, at m = M_MAX, q = 1 - M_MAX at the ends of the branch
         phi = np.linspace(-math.pi / 2, math.pi / 2, 257)
         s, c = np.sin(phi), np.cos(phi)
@@ -704,9 +621,7 @@ class TestParameterDerivatives:
             assert el.dE_dm(m) == pytest.approx(fd_E, rel=1e-6)
 
     def test_limits_documented(self):
-        assert el.DK_DM_AT_ZERO == pytest.approx(math.pi / 8)
-        assert el.DE_DM_AT_ZERO == pytest.approx(-math.pi / 8)
-        # closed forms approach the documented limits
+        # closed forms approach the documented limits pi/8 and -pi/8
         assert el.dK_dm(1e-7) == pytest.approx(math.pi / 8, rel=1e-6)
         assert el.dE_dm(1e-7) == pytest.approx(-math.pi / 8, rel=1e-6)
 
@@ -716,38 +631,6 @@ class TestParameterDerivatives:
                 el.dK_dm(bad)
             with pytest.raises(DomainError):
                 el.dE_dm(bad)
-
-    def test_incomplete_parameter_derivative(self):
-        # dE(x,m)/dm = (E(x,m) - F(x,m)) / (2m), checked by finite differences
-        h = 1e-6
-        for x, m in [(1.0, 0.4), (2.3, 0.75)]:
-            closed = (el.ellint_E_inc(x, m) - el.ellint_F(x, m)) / (2 * m)
-            fd = (el.ellint_E_inc(x, m + h) - el.ellint_E_inc(x, m - h)) / (2 * h)
-            assert closed == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
-class TestErrorEstimates:
-    def test_contract_bound(self):
-        rng = np.random.default_rng(9)
-        for m in [0.0, 0.3, 0.9, 0.999, el.M_MAX]:
-            assert el.comp_K_with_error(m).est_abs_error <= 1e-12
-            assert el.comp_E_with_error(m).est_abs_error <= 1e-12
-            for x in rng.uniform(-100, 100, 20):
-                x = float(x)
-                assert el.ellint_F_with_error(x, m).est_abs_error <= 1e-12
-                assert el.ellint_E_inc_with_error(x, m).est_abs_error <= 1e-12
-
-    def test_estimate_covers_cross_check(self):
-        # away from the m->1 sliver scipy agrees to ~1e-15; the a-priori
-        # estimate plus scipy's own budget must cover the discrepancy
-        rng = np.random.default_rng(10)
-        for m in [0.1, 0.5, 0.9, 0.99]:
-            r = el.comp_K_with_error(m)
-            assert abs(r.value - special.ellipk(m)) <= r.est_abs_error + 1e-13
-            for x in rng.uniform(-30, 30, 15):
-                x = float(x)
-                rf = el.ellint_F_with_error(x, m)
-                assert abs(rf.value - special.ellipkinc(x, m)) <= rf.est_abs_error + 1e-12
 
 
 def landen_chain(m: float) -> list[tuple[float, float]]:
@@ -803,22 +686,20 @@ class TestOneAGM:
 
 
 M, X = 0.7, 0.6
-# every float parameter of elliptic.__all__ (EllipticValue is an output record)
+# every float parameter of elliptic.__all__
 FLOAT_CONTRACTS = {
     **{
         (f.__name__, "x"): (lambda v, f=f: f(v, M), {0.0: is_(zero), -1.0: mirrored(*signs)})
         for f, zero, signs in [
-            (el.ellint_F, 0.0, (-1,)), (el.ellint_E_inc, 0.0, (-1,)), (el.am, 0.0, (-1,)),
-            (el.sn, 0.0, (-1,)), (el.cn, 1.0, (1,)), (el.dn, 1.0, (1,)),
+            (el.am, 0.0, (-1,)), (el.sn, 0.0, (-1,)), (el.cn, 1.0, (1,)), (el.dn, 1.0, (1,)),
             (el.sncndn, (0.0, 1.0, 1.0), (-1, 1, 1)), (el.jacobi_epsilon, 0.0, (-1,)),
         ]
     },
     **{
         (f.__name__, "m"): (lambda v, f=f: f(X, v), {0.0: is_(at_zero, rtol=1e-15)})
         for f, at_zero in [
-            (el.ellint_F, X), (el.ellint_E_inc, X), (el.am, X), (el.sn, math.sin(X)),
-            (el.cn, math.cos(X)), (el.dn, 1.0), (el.sncndn, (math.sin(X), math.cos(X), 1.0)),
-            (el.jacobi_epsilon, X),
+            (el.am, X), (el.sn, math.sin(X)), (el.cn, math.cos(X)), (el.dn, 1.0),
+            (el.sncndn, (math.sin(X), math.cos(X), 1.0)), (el.jacobi_epsilon, X),
         ]
     },
     ("comp_K", "m"): (el.comp_K, {0.0: is_(math.pi / 2)}),
@@ -826,21 +707,12 @@ FLOAT_CONTRACTS = {
     # the closed forms are 0/0 at m = 0: documented to raise
     ("dK_dm", "m"): (el.dK_dm, {}),
     ("dE_dm", "m"): (el.dE_dm, {}),
-    ("ellint_F_with_error", "x"): (lambda v: el.ellint_F_with_error(v, M).value,
-                                   {0.0: is_(0.0), -1.0: mirrored(-1)}),
-    ("ellint_F_with_error", "m"): (lambda v: el.ellint_F_with_error(X, v).value, {0.0: is_(X)}),
-    ("ellint_E_inc_with_error", "x"): (lambda v: el.ellint_E_inc_with_error(v, M).value,
-                                       {0.0: is_(0.0), -1.0: mirrored(-1)}),
-    ("ellint_E_inc_with_error", "m"): (lambda v: el.ellint_E_inc_with_error(X, v).value,
-                                       {0.0: is_(X)}),
-    ("comp_K_with_error", "m"): (lambda v: el.comp_K_with_error(v).value, {0.0: is_(math.pi / 2)}),
-    ("comp_E_with_error", "m"): (lambda v: el.comp_E_with_error(v).value, {0.0: is_(math.pi / 2)}),
 }
 
 
 class TestInputContracts:
     def test_table_covers_every_float_parameter(self):
-        assert float_parameters(el, records=("EllipticValue",)) == set(FLOAT_CONTRACTS)
+        assert float_parameters(el) == set(FLOAT_CONTRACTS)
 
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 import elastica.minimize as minimize
 from elastica.curves import canonical_leaf, eval_planar, figure_eight_modulus, varpi_star
-from elastica.discrete import DiscreteCurve, _pairs, bending_energy, curvature_data, edge_lengths
+from elastica.discrete import DiscreteCurve, _pairs, bending_energy, curvature_data
 from elastica.elliptic import cn, comp_E, comp_K
 from elastica.errors import DomainError
 from elastica.minimize import (
@@ -326,7 +326,7 @@ class TestPinnedLeaf:
     def test_constraints_at_solution(self, leaf_result):
         c = leaf_result.curve
         h = 1.0 / 200
-        assert np.max(np.abs(edge_lengths(c) - h)) / h <= 1e-10
+        assert np.max(np.abs(c.edge_lengths - h)) / h <= 1e-10
         assert np.array_equal(c.vertices[0], np.zeros(2))
         assert np.array_equal(c.vertices[-1], np.zeros(2))
 
@@ -417,7 +417,7 @@ class TestPinnedOther:
         assert r3.iterations < 200
         assert r3.B == pytest.approx(r2.B, rel=1e-10)
         assert r3.B == pytest.approx(12.4266241906, rel=1e-10)
-        assert np.max(np.abs(edge_lengths(r3.curve) - 0.01)) <= 1e-12
+        assert np.max(np.abs(r3.curve.edge_lengths - 0.01)) <= 1e-12
 
     @pytest.mark.parametrize("P1", [0.4 * EX, np.array([0.3, 0.2, 0.1])])
     def test_grad_norm_is_the_projected_vertex_gradient(self, P1):
@@ -482,7 +482,7 @@ class TestClamped:
     def test_teardrop_constraints(self, teardrop_result):
         c = teardrop_result.curve
         h = 1.0 / 200
-        assert np.max(np.abs(edge_lengths(c) - h)) / h <= 1e-10
+        assert np.max(np.abs(c.edge_lengths - h)) / h <= 1e-10
         V = c.vertices
         assert np.linalg.norm((V[1] - V[0]) / np.linalg.norm(V[1] - V[0]) - EY) <= 1e-8
         assert np.linalg.norm((V[-1] - V[-2]) / np.linalg.norm(V[-1] - V[-2]) + EY) <= 1e-8
@@ -498,7 +498,7 @@ class TestClamped:
         assert r.grad_norm < 1e-8 * 200
         h = 1.0 / 200
         V = r.curve.vertices
-        assert np.max(np.abs(edge_lengths(r.curve) - h)) / h <= 1e-10
+        assert np.max(np.abs(r.curve.edge_lengths - h)) / h <= 1e-10
         assert np.linalg.norm((V[1] - V[0]) / np.linalg.norm(V[1] - V[0]) - V0) <= 1e-8
         assert np.linalg.norm((V[-1] - V[-2]) / np.linalg.norm(V[-1] - V[-2]) - V1) <= 1e-8
         # B never rises by more than its rounding bound

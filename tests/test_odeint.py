@@ -196,7 +196,7 @@ class TestIntegrate:
         assert tr.s[-1] == pytest.approx(0.1)
         st = tr.state(5)
         assert isinstance(st, ElasticaState)
-        assert len(tr.states) == 11
+        assert len([tr.state(i) for i in range(tr.n_states)]) == 11
 
     def test_numpy_scalars_run_as_floats(self):
         # a NumPy scalar h would run every step of the float loop at NumPy speed
@@ -208,7 +208,7 @@ class TestIntegrate:
         # (<d1, d2> reaches 2.6e-5); every state must still be readable
         tr = integrate_elastica(wavelike_state(0.95, dim=3), 2 * (2 * 0.95 - 1),
                                 4 * comp_K(0.95), 4e-3)
-        states = tr.states
+        states = [tr.state(i) for i in range(tr.n_states)]
         assert len(states) == tr.n_states
         assert max(abs(float(np.dot(st.d1, st.d2))) for st in states) > 1e-9
         np.testing.assert_array_equal(states[-1].as_array(), tr.data[-1])

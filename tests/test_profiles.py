@@ -64,7 +64,7 @@ class TestProfileType:
     def test_amplitude_inside_the_floats(self, A):
         p = pr.CurvatureProfile(0.3, 0.8, A)
         assert 0.0 < pr.profile_c(p) < math.inf
-        assert pr.torsion(p, 0.0) > 0.0
+        assert pr.profile_c(p) / pr.kappa_sq(p, 0.0) > 0.0  # the torsion c / kappa^2
 
 
 class TestLambdaAndC:
@@ -241,25 +241,6 @@ class TestPlanarFamilies:
         assert np.max(np.abs(eval_k(e, s) ** 2 - pr.kappa_sq(pr.CurvatureProfile(m, w, A), s))) < 1e-12
 
 
-class TestTorsion:
-    def test_constant_curvature_helix(self):
-        p = pr.CurvatureProfile(0.0, 0.6, 1.5)
-        c = pr.profile_c(p)
-        t = pr.torsion(p, np.linspace(0, 5, 9))
-        assert np.allclose(t, c / 1.5**2, atol=1e-14)
-
-    def test_k_sq_times_t_is_c(self):
-        p = pr.CurvatureProfile(0.2, 0.6, 1.5)
-        c = pr.profile_c(p)
-        rng = np.random.default_rng(5)
-        s = rng.uniform(-20, 20, 50)
-        assert np.allclose(pr.kappa_sq(p, s) * pr.torsion(p, s), c, rtol=1e-12)
-
-    def test_planar_rejected(self):
-        with pytest.raises(DomainError):
-            pr.torsion(pr.CurvatureProfile(0.4, 1.0, 1.0), 0.0)
-
-
 class TestResiduals:
     def test_wavelike(self):
         m = 0.7
@@ -370,7 +351,6 @@ FLOAT_CONTRACTS = {
         0.0: is_(2.25), -1.0: is_(2.25 * (1.0 - 0.375 * el.sn(-1.0, 0.3) ** 2)),
     }),
     ("kappa_sq", "s"): (lambda v: pr.kappa_sq(CONSTANT, v), {0.0: is_(2.25), -1.0: is_(2.25)}),
-    ("torsion", "s"): (lambda v: pr.torsion(SPATIAL, v), {0.0: is_(C_S / 2.25), -1.0: mirrored(1)}),
     ("solve_cubic_ode", "a1"): (lambda v: cubic_ode.solve_cubic_ode(v, 0.5, 2.0),
                                 {0.0: solution_at(0.0, 2.0), -1.0: solution_at(0.0, 2.0)}),
     ("solve_cubic_ode", "a2"): (lambda v: cubic_ode.solve_cubic_ode(-1.0, v, 2.0), {0.0: solution_at(0.0, 2.0)}),

@@ -8,9 +8,9 @@ them, and stores them read-only beside the vertices; its turning angles
 (signed ones in the plane) and vertex arclengths are computed on first use
 and kept, read-only, for the life of the curve.  These attributes are the
 one spelling of a curve's geometry: every quantity below (L, B, TC,
-multiplicity, the Li-Yau check) reads them from there.  Discrete curvature lives on
-vertices: with turning angle theta_i between consecutive edges and dual
-length lbar_i = (l_{i-1} + l_i)/2,
+multiplicity, the Li-Yau check) reads them from there.  Discrete
+curvature lives on vertices: with turning angle theta_i between
+consecutive edges and dual length lbar_i = (l_{i-1} + l_i)/2,
 
     kappa_i = 2 theta_i / (l_{i-1} + l_i) = theta_i / lbar_i,
 

@@ -703,7 +703,7 @@ class TestNonAsciiInput:
         assert not (tmp_path / "out2").exists()
 
 
-CLI_FLOATS =["nan", "inf", "-inf", "0", "-1", "1e308"]
+CLI_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308"]
 CLI_INTS = ["0", "-1", "10000000000000"]
 
 # (subcommand, option) -> (argv for a value and the input files, {value: exit

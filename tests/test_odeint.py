@@ -196,7 +196,7 @@ class TestIntegrate:
         assert tr.s[-1] == pytest.approx(0.1)
         st = tr.state(5)
         assert isinstance(st, ElasticaState)
-        assert len([tr.state(i) for i in range(tr.n_states)]) == 11
+        assert [tr.state(i).as_array().tobytes() for i in range(11)] == [row.tobytes() for row in tr.data]
 
     def test_numpy_scalars_run_as_floats(self):
         # a NumPy scalar h would run every step of the float loop at NumPy speed

@@ -89,16 +89,17 @@ def _svg_polyline(xy: np.ndarray, size: int = 512, margin: int = 16) -> str:
 def _read_kv(path: str, what: str, required: tuple, optional: tuple = ()) -> dict[str, str]:
     """key = value per line; '#' starts a comment; later keys win.  Keys
     outside required + optional, and missing required keys, are errors."""
+    from .discrete import _read_ascii
+
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(_read_ascii(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key = value")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     unknown = set(out) - set(required) - set(optional)
     if unknown:
         raise DomainError(f"unknown {what} keys: {sorted(unknown)}")
@@ -408,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (DomainError, StepSizeError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, StepSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

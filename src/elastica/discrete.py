@@ -508,6 +508,17 @@ def curve_from_csv(text: str) -> DiscreteCurve:
     return DiscreteCurve(verts, closed=bool(closed))
 
 
+def _read_ascii(path) -> str:
+    """An ASCII input file's text, CRLF and CR read as LF as open() reads
+    them; a non-ASCII byte is a DomainError naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:  # exc.start is the offset in data
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DomainError(f"{path}:{line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def load_curve_csv(path) -> DiscreteCurve:
-    with open(path, "r", encoding="ascii") as fh:
-        return curve_from_csv(fh.read())
+    return curve_from_csv(_read_ascii(path))

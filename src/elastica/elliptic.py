@@ -154,11 +154,11 @@ def _rounded(j, a, scaled):
     return np.ldexp(scaled, -2 * j) != a
 
 
-def _rf_rd(x, y, z, with_rd: bool = True):
+def _rf_rd(x, y, z):
     """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995);
     x, y >= 0 (at most one zero), z > 0.  Both series run on the same
     iterates, and each is summed at the step where its own test first
-    passes.  with_rd=False stops at R_F and gives (R_F, None)."""
+    passes."""
     top = np.maximum(np.maximum(x, y), z)
     sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
     with np.errstate(over="ignore"):
@@ -170,13 +170,13 @@ def _rf_rd(x, y, z, with_rd: bool = True):
     total, fac, k = 0.0, 1.0, 0
     rf = rd = None
     # only R_D's denominators overflow, where R_D < 2^-1020, or vanish, at
-    # z = 0 (given, R_D = inf, or a rounded z, NaN)
+    # z = 0 (given, R_D = inf, or a rounded z, NaN); R_D above the floats is inf
     with np.errstate(over="ignore", divide="ignore"):
-        while rf is None or (with_rd and rd is None):
+        while rf is None or rd is None:
             k += 1  # at the cap both series are summed as they stand
             sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
             lam = sx * (sy + sz) + sy * sz
-            if with_rd and rd is None:
+            if rd is None:
                 total += fac / (sz * (zt + lam))
                 fac *= 0.25
             xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
@@ -187,7 +187,7 @@ def _rf_rd(x, y, z, with_rd: bool = True):
                 if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
                     e2, e3 = dx * dy - dz * dz, dx * dy * dz
                     rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-            if with_rd and rd is None:
+            if rd is None:
                 ave = 0.2 * (xt + yt + 3.0 * zt)
                 dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
                 if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
@@ -199,9 +199,9 @@ def _rf_rd(x, y, z, with_rd: bool = True):
                     s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
                         + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
                     rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
-    if j is not None:
-        rf = np.ldexp(rf, j)
-        rd = None if rd is None else np.where(z_lost, np.nan, np.ldexp(rd, 3 * j))[()]
+        if j is not None:
+            rf = np.ldexp(rf, j)
+            rd = np.where(z_lost, np.nan, np.ldexp(rd, 3 * j))[()]
     return rf, rd
 
 
@@ -218,7 +218,7 @@ def _rj(x, y, z, p):
     far = p * _RJ_FAR > top
     if np.any(far):  # 3 R_F / p, and the duplication on the rest
         near = _rj(x, y, z, np.where(far, top, p))
-        return np.where(far, 3.0 * _rf_rd(x, y, z, with_rd=False)[0] / p, near)[()]
+        return np.where(far, 3.0 * _rf_rd(x, y, z)[0] / p, near)[()]
     args = (x, y, z, p)
     e = np.frexp(np.maximum(top, p))[1]
     lo, up = _RJ_BAND

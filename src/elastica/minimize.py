@@ -42,9 +42,9 @@ from it: length t and direction "newton" or "laplacian" (None if none).
 grad_norm (compared against tol) is the norm of the vertex-space energy
 gradient projected onto the tangent space of the edge-length constraints.
 
-The multiplier lambda of the elastica equation 2 k_ss + k^3 - lam k = 0 is
-recovered from converged planar curves by a least-squares fit over
-interior vertices.
+The multiplier lam of the elastica equation 2 k_ss + k^3 - lam k = 0 comes
+from the closure multiplier of the last iterate (_multiplier), in the plane
+and in space; the taut clamped segment has none (NaN).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _require_count
-from .discrete import DiscreteCurve, _pairs, _row_norms, _turn, _turn_ratio, curvature_data, length
+from .discrete import DiscreteCurve, _pairs, _row_norms, _turn, _turn_ratio, length
 from .errors import MAX_COUNT, DomainError
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "energy_gradient",
     "minimize_pinned",
     "minimize_clamped",
-    "estimate_multiplier",
 ]
 
 _ARMIJO_C = 1e-4
@@ -78,6 +77,7 @@ _RIDGE = 1e-10  # relative shift keeping the free-end Laplacian invertible
 _FLOOR_GRAD_FACTOR = 0.5  # projected-gradient cut a floor step must achieve
 _PERTURB_AMP = 0.03  # seeded perturbation of the initial arc, relative to L0
 _KINK_SPREAD = 0.15  # share of the free edges over which each clamped end's kink is spread
+_SCALE = (2.0**-240, 2.0**510)  # least h, largest length: N (8 pi / h^2)^2 and squares stay finite
 
 
 def _rounding_bound(B: float, n_terms: int) -> float:
@@ -99,6 +99,8 @@ def _check_endpoints(P0, P1, L0, N):
     if not (np.isfinite(L0) and L0 > 0):
         raise DomainError("need L0 > 0")
     _require_count(N, 8, "N", MAX_COUNT)
+    if not (L0 / N >= _SCALE[0] and max(L0, *np.abs(P0), *np.abs(P1)) <= _SCALE[1]):
+        raise DomainError("problem scale outside the floats: L0/N < 2^-240 or L0, |P| > 2^510")
     P0.setflags(write=False)
     P1.setflags(write=False)
     return P0, P1
@@ -490,14 +492,6 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     return dy.reshape(nf, dm) if np.all(np.isfinite(dy)) else None
 
 
-def _smooth_perturbation(n: int, dim: int, rng, amp: float) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n)[:, None]
-    delta = np.zeros((n, dim))
-    for k in range(2, 7):
-        delta += (rng.standard_normal(dim) / k**2) * np.sin(k * math.pi * t)
-    return amp * delta
-
-
 def _vertices(T: np.ndarray, P0: np.ndarray, P1: np.ndarray, h: float) -> np.ndarray:
     X = np.empty((len(T) + 1, len(P0)))
     X[0] = P0
@@ -507,9 +501,11 @@ def _vertices(T: np.ndarray, P0: np.ndarray, P1: np.ndarray, h: float) -> np.nda
 
 
 def _perturbed(T, P0, P1, h, a, rng, amp):
-    """Tangents of the chain with a smooth vertex perturbation added; the
-    ends and, when clamped (a = 1), the end tangents stay put."""
-    pert = _smooth_perturbation(len(T) + 1, len(P0), rng, amp)
+    """Tangents of the chain with a smooth perturbation of its vertices (sine
+    modes 2..6) added; the ends and, when clamped, the end tangents stay put."""
+    t = np.linspace(0.0, 1.0, len(T) + 1)[:, None]
+    modes = (rng.standard_normal(len(P0)) / k**2 * np.sin(k * math.pi * t) for k in range(2, 7))
+    pert = amp * sum(modes)
     pert[[0, -1]] = 0.0
     if a:
         pert[[1, -2]] = 0.0
@@ -592,6 +588,15 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     return T
 
 
+def _multiplier(T: np.ndarray, nu: np.ndarray, h: float) -> float:
+    """lam from the closure multiplier nu: the force (k^2 - lam) T + 2 k_s N +
+    2 k tau B is constant along an elastica (Langer and Singer) and -nu / h
+    on the chain, so lam = k^2 + nu . T / h, averaged over the interior
+    edges, with k^2 the mean of (theta / h)^2 at the edge's two vertices."""
+    k2 = (_turning(T)[0] / h) ** 2
+    return float(np.mean(0.5 * (k2[:-1] + k2[1:]) + (T[1:-1] @ nu) / h))
+
+
 def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent from the tangents T of a chain of n edges.  The free
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
@@ -613,10 +618,6 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         log.append({"iteration": it, "B": B, "grad_norm": grad_norm,
                     "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n,
                     "t": None, "direction": None})
-        if grad_norm < tol:
-            return T, B, grad_norm, it, "converged", log
-        if it == max_iters:
-            return T, B, grad_norm, it, "budget", log
         Tf = T[a:b]
         E = _frames(T)
         Ef = E[a:b]
@@ -626,6 +627,9 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         # solving with r instead of g keeps the step accurate relative to
         # r, which is all that is left of g near a critical point
         nu = np.linalg.solve((b - a) * np.eye(len(P0)) - Tf.T @ Tf, np.einsum("iaj,ia->j", Ef, g))
+        if grad_norm < tol or it == max_iters:
+            end = "converged" if grad_norm < tol else "budget"
+            return T, B, _multiplier(T, nu, h), grad_norm, it, end, log
         r = g - np.einsum("iaj,j->ia", Ef, nu)
         # the Newton step first; when it does not descend, the Laplacian
         # step, which always does
@@ -663,23 +667,16 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
                 log[-1].update(t=t, direction="laplacian" if curved is None else "newton")
                 break
         if not accepted:
-            return T, B, grad_norm, it, "floor", log
+            return T, B, _multiplier(T, nu, h), grad_norm, it, "floor", log
 
 
 def _package(X, info):
-    B, grad_norm, iters, termination, log = info
+    B, lam, grad_norm, iters, termination, log = info
     curve = DiscreteCurve(X, closed=False)
-    L = length(curve)
-    lam = math.nan
-    if curve.dim == 2:
-        try:
-            lam = estimate_multiplier(curve)
-        except DomainError:
-            pass
     return MinimizeResult(
         curve=curve,
         B=B,
-        Bbar=L * B,
+        Bbar=length(curve) * B,
         lambda_est=lam,
         grad_norm=grad_norm,
         iterations=iters,
@@ -733,34 +730,6 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
             {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N,
              "t": None, "direction": None}
         ]
-        return _package(X, (0.0, 0.0, 0, "converged", log))
+        return _package(X, (0.0, math.nan, 0.0, 0, "converged", log))
     return _solve(p, opts, clamp=(p.V0, p.V1))
 
-
-# ---------------------------------------------------------------------------
-# multiplier recovery
-
-def estimate_multiplier(c: DiscreteCurve) -> float:
-    """Least-squares lambda in 2 k_ss + k^3 = lam k over interior vertices.
-
-    Planar curves only (the scalar signed-curvature form).  Returns NaN
-    when the fit is indeterminate (k ~ 0 everywhere, e.g. straight lines).
-    """
-    if c.dim != 2:
-        raise DomainError("multiplier estimation uses the planar scalar form")
-    kappa, lbar, s = curvature_data(c, signed=True)
-    if len(kappa) < 16:
-        raise DomainError("need at least 16 interior vertices")
-    # second derivative on (possibly) non-uniform arclength samples
-    d0 = s[1:-1] - s[:-2]
-    d1 = s[2:] - s[1:-1]
-    k_ss = 2.0 * (
-        kappa[:-2] / (d0 * (d0 + d1))
-        - kappa[1:-1] / (d0 * d1)
-        + kappa[2:] / (d1 * (d0 + d1))
-    )
-    k_in = kappa[1:-1]
-    denom = float(np.sum(k_in * k_in))
-    if denom < 1e-12 * len(k_in):
-        return math.nan
-    return float(np.sum((2.0 * k_ss + k_in**3) * k_in)) / denom

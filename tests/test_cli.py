@@ -701,6 +701,35 @@ class TestNonAsciiInput:
         assert code == 2 and out == ""
         assert any(line.startswith("error: ") for line in err.splitlines()), err
         assert not (tmp_path / "out2").exists()
+        # the message names the file, the line and the byte
+        assert f"error: {accented}:1: non-ASCII byte 0xc3" in err.splitlines(), err
+
+    def test_names_the_line_of_the_byte(self, run, tmp_path):
+        path = tmp_path / "ic.txt"
+        text = self.INPUTS["integrate"].replace("lam = 1\n", "lam = 1 # \xb5\n")
+        path.write_bytes(text.replace("\n", "\r\n").encode("latin-1"))
+        code, out, err = run("integrate", str(path), "--quiet")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:5: non-ASCII byte 0xb5\n"
+
+
+class TestExtremeScales:
+    """Problems whose lengths square outside the floats exit 2 with the
+    scale as the reason, also when every warning is an error."""
+
+    @pytest.mark.parametrize("text", [
+        "P0 = 0 0\nP1 = 0.5 0\nL0 = 1e308\nN = 16\n",
+        "P0 = 1e300 0\nP1 = -1e300 0\nL0 = 1\nN = 16\n",
+        "P0 = 0 0\nP1 = 0 0\nL0 = 1e-300\nN = 16\n",
+    ], ids=["huge_L0", "far_endpoints", "tiny_L0"])
+    def test_exits_2(self, run, tmp_path, text):
+        problem = tmp_path / "p.txt"
+        problem.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("minimize", str(problem), "--quiet")
+        assert code == 2 and out == ""
+        assert err.startswith("error: problem scale outside the floats"), err
 
 
 CLI_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308"]

@@ -292,8 +292,7 @@ class TestEpsilonFunction:
 
 class TestCarlsonReference:
     """_rf_rd runs one duplication for R_F and R_D; each value must equal its
-    own loop in carlson_reference bit for bit, on arrays and on scalars,
-    and R_F alone (with_rd=False) must too."""
+    own loop in carlson_reference bit for bit, on arrays and on scalars."""
 
     @staticmethod
     def assert_same(x, y, z):
@@ -301,8 +300,6 @@ class TestCarlsonReference:
         want = np.asarray(reference_rf(x, y, z)).tobytes()
         assert np.asarray(rf).tobytes() == want
         assert np.asarray(rd).tobytes() == np.asarray(reference_rd(x, y, z)).tobytes()
-        rf, rd = el._rf_rd(x, y, z, with_rd=False)
-        assert np.asarray(rf).tobytes() == want and rd is None
 
     @pytest.mark.parametrize("m", [1e-8, 0.3, 0.8261147659849704, 0.99, el.M_MAX])
     def test_principal_branch(self, m):
@@ -344,7 +341,6 @@ class TestCarlsonReference:
             one = [np.array([a]) for a in args]
             got, want = el._rf_rd(*args[:3]), el._rf_rd(*one[:3])
             assert [np.float64(g).tobytes() for g in got] == [w.tobytes() for w in want]
-            assert np.float64(el._rf_rd(*args[:3], with_rd=False)[0]).tobytes() == want[0].tobytes()
             assert np.float64(el._rj(*args)).tobytes() == el._rj(*one).tobytes()
 
     @pytest.mark.parametrize("d", [0.0, -0.0, 1e-300, -2.5e-3, 3.0, -math.inf])
@@ -372,7 +368,6 @@ class TestCarlsonReference:
             "rf, rd = el._rf_rd(a([nan]), a([1.0]), 1.0)\n"
             "assert np.isnan(rf).all() and np.isnan(rd).all()\n"
             "assert all(math.isnan(v) for v in el._rf_rd(nan, 1.0, 1.0))\n"
-            "assert math.isnan(el._rf_rd(nan, 1.0, 1.0, with_rd=False)[0])\n"
             "rf, rd = el._rf_rd(a([nan, 0.5]), a([1.0, 0.3]), 1.0)\n"
             "want = el._rf_rd(0.5, 0.3, 1.0)\n"
             "assert math.isnan(rf[0]) and math.isnan(rd[0])\n"
@@ -485,11 +480,11 @@ class TestCarlsonRange:
         with mpmath.workdps(40), warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in self.RF:
-                assert self.close(el._rf_rd(*a, with_rd=False)[0], mpmath.elliprf(*a)), a
+                assert self.close(el._rf_rd(*a)[0], mpmath.elliprf(*a)), a
             for a in self.RD:
                 assert self.close(el._rf_rd(*a)[1], mpmath.elliprd(*a)), a
-            for a in self.RF[:4]:  # R_D below the floats: 0, and R_F as alone
-                assert el._rf_rd(*a) == (el._rf_rd(*a, with_rd=False)[0], 0.0), a
+            for a in self.RF[:4]:  # R_D below the floats: 0
+                assert el._rf_rd(*a)[1] == 0.0, a
             for a in self.RJ:
                 assert self.close(el._rj(*a), mpmath.elliprj(*a)), a
 
@@ -501,7 +496,7 @@ class TestCarlsonRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rj = el._rj(x, y, z, p)
-            rf = el._rf_rd(*np.array(self.RF).T, with_rd=False)[0]
+            rf = el._rf_rd(*np.array(self.RF).T)[0]
         with mpmath.workdps(40):
             assert all(self.close(g, mpmath.elliprj(*a)) for g, a in zip(rj, self.RJ))
             assert all(self.close(g, mpmath.elliprf(*a)) for g, a in zip(rf, self.RF))
@@ -534,8 +529,8 @@ class TestCarlsonRange:
         got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)))
         assert got[0].tobytes() == np.ldexp(rf, -k).tobytes()
         assert got[1].tobytes() == np.ldexp(rd, -3 * k).tobytes()
-        k = 509  # R_F alone above its band
-        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)), with_rd=False)[0]
+        k = 509  # R_F above its band
+        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)))[0]
         assert got.tobytes() == np.ldexp(rf, -k).tobytes()
         rj = el._rj(x, y, z, p)
         for k in (-165, 165):  # R_J below and above its band

@@ -20,7 +20,6 @@ from elastica.minimize import (
     MinimizeOptions,
     PinnedProblem,
     energy_gradient,
-    estimate_multiplier,
     minimize_clamped,
     minimize_pinned,
 )
@@ -233,6 +232,26 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="cap"):
             ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 10**13, EY, EY)
 
+    @pytest.mark.parametrize("P0, P1, L0", [
+        ([0.0, 0.0], [0.5, 0.0], 1e308), ([1e300, 0.0], [-1e300, 0.0], 1.0),
+        ([0.0, 0.0], [0.0, 0.0], 1e-300), ([0.0, 0.0], [0.0, 0.0], 16 * 2.0**-241),
+        ([2.0**511, 0.0], [2.0**511, 0.5], 1.0),
+    ])
+    def test_problems_reject_scales_outside_the_floats(self, P0, P1, L0):
+        # squared lengths, or the vertex gradient ~ 1/h^2, overflowed there
+        with pytest.raises(DomainError, match="scale"):
+            PinnedProblem(P0, P1, L0, 16)
+        with pytest.raises(DomainError, match="scale"):
+            ClampedProblem(P0, P1, L0, 16, EY, -EY)
+
+    @pytest.mark.parametrize("L0", [16 * 2.0**-240, 2.0**510])
+    def test_problems_at_the_scale_bounds_solve(self, L0):
+        # a RuntimeWarning (an overflow) fails the suite
+        r = minimize_pinned(PinnedProblem(np.zeros(2), 0.5 * L0 * EX, L0, 16))
+        assert math.isfinite(r.Bbar) and math.isfinite(r.lambda_est)
+        r = minimize_clamped(ClampedProblem(np.zeros(2), np.zeros(2), L0, 16, EY, -EY))
+        assert math.isfinite(r.Bbar) and math.isfinite(r.lambda_est)
+
     def test_clamped_rejects_taut_non_collinear(self):
         # |P0 - P1| = L0 with a tangent off the chord: no curve exists
         with pytest.raises(DomainError):
@@ -404,7 +423,10 @@ class TestPinnedOther:
         p = PinnedProblem(np.zeros(3), np.array([0.3, 0.2, 0.1]), 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(max_iters=2000))
         assert r.converged
-        assert math.isnan(r.lambda_est)  # planar scalar fit does not apply
+        # the minimizer is planar: lam is that of the same chord in the plane
+        r2 = minimize_pinned(PinnedProblem(np.zeros(2), np.linalg.norm(p.P1) * EX, 1.0, 64),
+                             MinimizeOptions(max_iters=2000))
+        assert r.lambda_est == pytest.approx(r2.lambda_est, rel=1e-12)
 
     def test_3d_chord_converges_to_planar_energy(self):
         # without a quasi-Newton candidate in 3-D this chord exhausted 2000
@@ -867,6 +889,7 @@ class TestTermination:
         assert len(r.log) == r.iterations + 1
         assert [row["direction"] is None for row in r.log] == [False, False, True]
         assert r.log[-1]["grad_norm"] == r.grad_norm and r.log[-1]["B"] == r.B
+        assert math.isfinite(r.lambda_est)  # lam of the last iterate
         T = np.diff(r.curve.vertices, axis=0) * 64
         GT = minimize._tangent_gradient(T, 1.0 / 64)
         assert r.grad_norm == pytest.approx(
@@ -883,45 +906,40 @@ class TestTermination:
         assert r.grad_norm < 1e-8 * 64  # well past the default tolerance
         assert r.iterations < 2000
         assert len(r.log) == r.iterations + 1  # iterations counts the accepted steps
+        assert math.isfinite(r.lambda_est)
 
     def test_taut_segment_is_converged(self):
         r = minimize_clamped(ClampedProblem(np.zeros(2), EX, 1.0, 16, EX, EX))
         assert r.termination == "converged"
 
 
-class TestEstimateMultiplier:
-    def test_unit_circle(self):
-        assert abs(estimate_multiplier(circle_polygon(256)) - 1.0) < 1e-3
+class TestMultiplier:
+    """lambda_est is lam of 2 k_ss + k^3 - lam k = 0 from the closure
+    multiplier of the last iterate: the force -nu / h is constant along an
+    elastica, in the plane and in space."""
 
-    def test_figure_eight_modulus_curve(self):
-        from elastica.curves import PlanarElastica, eval_planar
+    @pytest.mark.parametrize("N", [100, 200, 400])
+    def test_pinned_leaf_follows_the_law_of_bbar(self, N):
+        # the leaf's lam is varpi*, and the discrete lam misses it by Bbar's
+        # own -0.918 / N^2 (sampled leafed curves), closer to Bbar than that
+        r = minimize_pinned(PinnedProblem(np.zeros(2), np.zeros(2), 1.0, N), MinimizeOptions(seed=0))
+        assert r.converged
+        vp = varpi_star()
+        assert abs((r.lambda_est / vp - 1.0) * N**2 + 0.918) <= 0.05
+        assert abs(r.lambda_est - r.Bbar) / vp <= 4.0 / N**3
 
-        m = figure_eight_modulus()
-        s = np.linspace(0.0, 4.0 * comp_K(m), 801)
-        x, y = eval_planar(PlanarElastica("wavelike", m=m), s)
-        lam = estimate_multiplier(DiscreteCurve(np.column_stack([x, y]), closed=False))
-        assert abs(lam / (2.0 * (2.0 * m - 1.0)) - 1.0) < 1e-3
+    def test_stalling_arch_matches_the_finite_difference_fit(self):
+        # the least-squares fit of a finite-difference k_ss that lambda_est
+        # was before: 8.821414741419238
+        r = minimize_clamped(stalling_arch())
+        assert r.lambda_est == pytest.approx(8.821414741419238, rel=1e-3)
 
-    @pytest.mark.parametrize("scale", [0.5, 2.5, 10.0])
-    def test_dilation_scaling_is_exact(self, scale):
-        c = circle_polygon(128)
-        lam = estimate_multiplier(c)
-        lam_s = estimate_multiplier(DiscreteCurve(scale * c.vertices, closed=True))
-        assert abs(lam_s - lam / scale**2) <= 1e-10 * abs(lam)
+    def test_teardrop_matches_the_finite_difference_fit(self, teardrop_result):
+        assert teardrop_result.lambda_est == pytest.approx(37.03954526921313, rel=1e-3)
 
-    def test_straight_line_indeterminate(self):
-        c = DiscreteCurve(np.linspace(0.0, 1.0, 33)[:, None] * EX)
-        assert math.isnan(estimate_multiplier(c))
-
-    def test_rejects_spatial_curves(self):
-        rng = default_rng(0)
-        c = DiscreteCurve(np.cumsum(rng.normal(size=(40, 3)), axis=0))
-        with pytest.raises(DomainError):
-            estimate_multiplier(c)
-
-    def test_rejects_short_curves(self):
-        with pytest.raises(DomainError):
-            estimate_multiplier(DiscreteCurve(np.linspace(0.0, 1.0, 10)[:, None] * EX))
+    def test_taut_segment_has_no_multiplier(self):
+        r = minimize_clamped(ClampedProblem(np.zeros(2), EX, 1.0, 16, EX, EX))
+        assert math.isnan(r.lambda_est)
 
 
 class TestLeafMinimalityReport:

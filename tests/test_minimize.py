@@ -107,6 +107,25 @@ def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
     return max(cKDTree(A).query(B)[0].max(), cKDTree(B).query(A)[0].max())
 
 
+def dense_grad_norm(c: DiscreteCurve) -> float:
+    """grad_norm of a pinned chain of equal edges, densely: L0 |P (G - nu)|.
+
+    Edge i moves every vertex after it, so B's gradient in its tangent T_i
+    is G_i = h sum_{j > i} (vertex gradient)_j; P_i = I - T_i T_i^T keeps
+    its part on the sphere, and the closure multiplier nu is the least
+    squares fit of the stacked P_i G_i by the stacked P_i (the closure
+    Jacobian h sum(T) in any orthonormal frame of each tangent).
+    """
+    h = c.edge_lengths
+    T = c.edges / h[:, None]
+    G = h[:, None] * np.cumsum(energy_gradient(c)[:0:-1], axis=0)[::-1]
+    P = np.eye(c.dim) - T[:, :, None] * T[:, None, :]
+    M = P.reshape(-1, c.dim)
+    PG = np.einsum("ijk,ik->ij", P, G).ravel()
+    nu = np.linalg.lstsq(M, PG, rcond=None)[0]
+    return float(np.linalg.norm(PG - M @ nu) * np.sum(h))
+
+
 def rotate_to_match(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Rotate B about the origin so its centroid direction matches A's.
 
@@ -442,32 +461,44 @@ class TestPinnedOther:
         assert np.max(np.abs(r3.curve.edge_lengths - 0.01)) <= 1e-12
 
     @pytest.mark.parametrize("P1", [0.4 * EX, np.array([0.3, 0.2, 0.1])])
-    def test_grad_norm_is_the_projected_vertex_gradient(self, P1):
-        # grad_norm: the vertex-space energy gradient projected onto the
-        # tangent space of the edge-length constraints (ends fixed)
+    def test_grad_norm_is_the_reduced_gradient(self, P1):
         # a loose tol stops at the arc start
         p = PinnedProblem(np.zeros(len(P1)), P1, 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(tol=1e3))
-        assert r.converged and r.grad_norm > 1.0
-        X = r.curve.vertices
-        G = energy_gradient(r.curve)[1:-1].ravel()
-        e = np.diff(X, axis=0)
-        e /= np.linalg.norm(e, axis=1)[:, None]
-        d = len(P1)
-        J = np.zeros((64, 63 * d))
-        for k in range(64):
-            if k < 63:
-                J[k, k * d : (k + 1) * d] = e[k]  # vertex k + 1 is the edge's head
-            if k > 0:
-                J[k, (k - 1) * d : k * d] = -e[k]
-        Gt = G - J.T @ np.linalg.lstsq(J.T, G, rcond=None)[0]
-        assert np.linalg.norm(Gt) == pytest.approx(r.grad_norm, rel=1e-6)
+        assert r.converged and r.iterations == 0 and r.grad_norm > 1.0
+        assert dense_grad_norm(r.curve) == pytest.approx(r.grad_norm, rel=1e-6)
 
     def test_tol_option_honored(self):
         p = PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64)
         r = minimize_pinned(p, MinimizeOptions(tol=1e-3, max_iters=2000))
         assert r.converged
         assert r.grad_norm < 1e-3
+
+
+class TestScaleInvariance:
+    """The solve is the same at every length: B-bar, lam L0^2, the verdict
+    and the step count do not depend on L0 (grad_norm and tol are
+    dimensionless)."""
+
+    @pytest.mark.parametrize("make, Bbar", [
+        (lambda L: PinnedProblem(np.zeros(2), [0.5 * L, 0.0], L, 16), 11.364114081),
+        (lambda L: PinnedProblem(np.zeros(2), [0.5 * L, 0.0], L, 100), 11.400233554),
+        (lambda L: ClampedProblem(np.zeros(3), [0.5 * L, 0.0, 0.0], L, 64, [0.6, 0.0, 0.8],
+                                  [0.6, 0.8, 0.0]), 19.965108610),
+    ], ids=["chord16", "chord100", "arch3d"])
+    def test_same_solve_at_every_length(self, make, Bbar):
+        results = []
+        for L0 in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            p = make(L0)
+            r = (minimize_clamped if isinstance(p, ClampedProblem) else minimize_pinned)(p)
+            assert r.termination == "converged", (L0, r.grad_norm, r.iterations)
+            results.append((r.Bbar, r.lambda_est * L0**2, r.iterations))
+        ref = results[2]
+        assert ref[0] == pytest.approx(Bbar, rel=1e-9)
+        for got in results:
+            assert got[0] == pytest.approx(ref[0], rel=1e-9)
+            assert got[1] == pytest.approx(ref[1], rel=1e-8)
+            assert got[2] == ref[2]
 
 
 class TestClamped:
@@ -891,10 +922,7 @@ class TestTermination:
         assert [row["direction"] is None for row in r.log] == [False, False, True]
         assert r.log[-1]["grad_norm"] == r.grad_norm and r.log[-1]["B"] == r.B
         assert math.isfinite(r.lambda_est)  # lam of the last iterate
-        T = np.diff(r.curve.vertices, axis=0) * 64
-        GT = minimize._tangent_gradient(T, 1.0 / 64)
-        assert r.grad_norm == pytest.approx(
-            minimize._projected_gradient_norm(T, GT, 1.0 / 64, 0, 64), rel=1e-6)
+        assert r.grad_norm == pytest.approx(dense_grad_norm(r.curve), rel=1e-6)
 
     def test_floor(self):
         # the projected gradient cannot reach 1e-15 in double precision:

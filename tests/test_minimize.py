@@ -112,9 +112,9 @@ def dense_grad_norm(c: DiscreteCurve) -> float:
 
     Edge i moves every vertex after it, so B's gradient in its tangent T_i
     is G_i = h sum_{j > i} (vertex gradient)_j; P_i = I - T_i T_i^T keeps
-    its part on the sphere, and the closure multiplier nu is the least
-    squares fit of the stacked P_i G_i by the stacked P_i (the closure
-    Jacobian h sum(T) in any orthonormal frame of each tangent).
+    its part on the sphere.  Closure, sum(T) = const, moves T_i by P_i, so
+    the closure multiplier nu is the least-squares fit of the stacked
+    P_i G_i by the stacked P_i; the norm needs no frame of the tangents.
     """
     h = c.edge_lengths
     T = c.edges / h[:, None]

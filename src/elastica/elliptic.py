@@ -20,6 +20,12 @@ The integral of the third kind in the Jacobi argument (`_sn2_pi`) is
 Carlson's R_J on the same branch, plus its complete value per period 2K.
 All are quadratically convergent and well-conditioned as m -> 1.
 
+The Carlson forms are evaluated on their two callers' domain only:
+(x, y, z) = (cn^2, dn^2, 1) and p = cn^2 + nc sn^2 with nc > 0.  So the
+largest of x, y, z is 1, 1 - M_MAX <= y <= 1, and p >= x lies between nc
+and 1; the tests cover nc from 2^-60 to 2^120.  Outside that domain the
+arguments are not checked, and the duplication may over- or underflow.
+
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
 Operations built on K (K, am, jacobi_epsilon, and sn/cn/dn away from
 m = 1) refuse parameters beyond that cutoff instead of silently degrading;
@@ -122,117 +128,51 @@ def _max_dev(*devs) -> float:
                for d in devs)
 
 
-# Arguments that would take the duplication out of the normal floats are
-# first scaled by a power of 4: R_F is homogeneous of degree -1/2 and R_D,
-# R_J of -3/2, so the values come back multiplied by 2^j and 8^j for a
-# scale of 4^j.  Scaling by 4^j commutes with every rounding of the
-# duplication, so a rescaled value differs from an unscaled one only where
-# the latter over- or underflows.  Where the largest argument lies below
-# 2^(lo-1), it is brought just below 2^up.  R_F and R_D are scaled by 4^-1
-# only where the first step's sums x + lam overflow: then the two largest
-# arguments exceed 2^900, and the scale rounds at most the smallest.  R_J's
-# cubes (p - x)(p - y)(p - z) and d^2 fit while the largest lies below
-# 2^320, where a larger one is brought; that rounds the arguments below
-# about max 2^-1342, and the value is NaN where it matters (_rj).
-_RF_BAND = (-600, 600)
-_RJ_BAND = (-320, 320)
-# Below 2^-969 = 2^53 2^-1022, an argument beside one rounded to a
-# subnormal or 0 leaves it an influence beyond the last bit of the value
-_TINY = 2.0**-969
-
-
-def _scale4(args, j):
-    """(j, the arguments times 4^j), or (None, the arguments) where j, an
-    int array broadcast over them, is 0 throughout."""
-    if not j.any():
-        return None, args
-    return j, tuple(np.ldexp(a, 2 * j) for a in args)
-
-
-def _rounded(j, a, scaled):
-    """Where the scale 4^j rounded the argument a (only a downscale can)."""
-    return np.ldexp(scaled, -2 * j) != a
-
-
 def _rf_rd(x, y, z):
-    """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995);
-    x, y >= 0 (at most one zero), z > 0.  Both series run on the same
-    iterates, and each is summed at the step where its own test first
-    passes."""
-    top = np.maximum(np.maximum(x, y), z)
-    sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-    with np.errstate(over="ignore"):
-        over = np.isinf(top + (sx * (sy + sz) + sy * sz))
-    e = np.frexp(top)[1]  # top in [2^(e-1), 2^e); e = 0 at NaN and inf
-    lo, up = _RF_BAND
-    j, (xt, yt, zt) = _scale4((x, y, z), np.where(over, -1, np.where(e < lo, (up - e) // 2, 0)))
-    z_lost = j is not None and _rounded(j, z, zt)  # R_D is singular at z = 0
+    """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995), on
+    the domain of its caller jacobi_epsilon: (cn^2, dn^2, 1), so z = 1 is the
+    largest argument, 1 - M_MAX <= y <= 1 and x >= 0.  Both series run on
+    the same iterates, and each is summed at the step where its own test
+    first passes."""
+    xt, yt, zt = x, y, z
     total, fac, k = 0.0, 1.0, 0
     rf = rd = None
-    # only R_D's denominators overflow, where R_D < 2^-1020, or vanish, at
-    # z = 0 (given, R_D = inf, or a rounded z, NaN); R_D above the floats is inf
-    with np.errstate(over="ignore", divide="ignore"):
-        while rf is None or rd is None:
-            k += 1  # at the cap both series are summed as they stand
-            sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
-            lam = sx * (sy + sz) + sy * sz
-            if rd is None:
-                total += fac / (sz * (zt + lam))
-                fac *= 0.25
-            xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-            if rf is None:
-                ave = (xt + yt + zt) / 3.0
-                dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-                # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-                if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
-                    e2, e3 = dx * dy - dz * dz, dx * dy * dz
-                    rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-            if rd is None:
-                ave = 0.2 * (xt + yt + 3.0 * zt)
-                dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-                if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
-                    ea, eb = dx * dy, dz * dz
-                    ec = ea - eb
-                    ed = ea - 6.0 * eb
-                    ee = ed + ec + ec
-                    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
-                    s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
-                        + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-                    rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
-        if j is not None:
-            rf = np.ldexp(rf, j)
-            rd = np.where(z_lost, np.nan, np.ldexp(rd, 3 * j))[()]
+    while rf is None or rd is None:
+        k += 1  # at the cap both series are summed as they stand
+        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
+        lam = sx * (sy + sz) + sy * sz
+        if rd is None:
+            total += fac / (sz * (zt + lam))
+            fac *= 0.25
+        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
+        if rf is None:
+            ave = (xt + yt + zt) / 3.0
+            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+            # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
+            if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
+                e2, e3 = dx * dy - dz * dz, dx * dy * dz
+                rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
+        if rd is None:
+            ave = 0.2 * (xt + yt + 3.0 * zt)
+            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
+            if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
+                ea, eb = dx * dy, dz * dz
+                ec = ea - eb
+                ed = ea - 6.0 * eb
+                ee = ed + ec + ec
+                c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
+                s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
+                    + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
+                rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
     return rf, rd
 
 
-# Beyond p = 2^400 max(x, y, z) the duplication would need cubes outside
-# the floats, and R_J = (3 / p) R_F(x, y, z) (1 + O(sqrt(max(x, y, z) / p)))
-# from 1 / (t + p) = 1 / p - t / (p (t + p)) under the integral: 2^-200 there
-_RJ_FAR = 2.0**-400
-
-
 def _rj(x, y, z, p):
-    """Carlson R_J(x, y, z, p); x, y, z >= 0 (at most one zero), p > 0, by
-    Carlson's 1995 duplication (DLMF 19.36.ii).  Arguments broadcast."""
-    top = np.maximum(np.maximum(x, y), z)
-    far = p * _RJ_FAR > top
-    if np.any(far):  # 3 R_F / p, and the duplication on the rest
-        near = _rj(x, y, z, np.where(far, top, p))
-        return np.where(far, 3.0 * _rf_rd(x, y, z)[0] / p, near)[()]
-    args = (x, y, z, p)
-    e = np.frexp(np.maximum(top, p))[1]
-    lo, up = _RJ_BAND
-    j, scaled = _scale4(args, np.where((e < lo) | (e > up), (up - e) // 2, 0))
-    lost = False
-    if j is not None:
-        # R_J is singular at p = 0 and logarithmic in two small ones of x, y,
-        # z, p: where the scale rounded p, or one of two below _TINY, the
-        # arguments no longer fix the value, which is NaN (and the
-        # duplication runs on 1.0 there)
-        rounded = [_rounded(j, a, b) for a, b in zip(args, scaled)]
-        lost = rounded[3] | ((sum(b < _TINY for b in scaled) >= 2) & np.logical_or.reduce(rounded))
-        scaled = tuple(np.where(lost, 1.0, b) for b in scaled)
-    xt, yt, zt, pt = scaled
+    """Carlson R_J(x, y, z, p) by Carlson's 1995 duplication (DLMF 19.36.ii),
+    on the domain of its caller _sn2_pi: (cn^2, dn^2, 1, cn^2 + nc sn^2) with
+    nc > 0, so z = 1 is the largest of x, y, z, 1 - M_MAX <= y <= 1, and
+    p >= x lies between nc and 1.  Arguments broadcast."""
+    xt, yt, zt, pt = x, y, z, p
     ave = 0.2 * (xt + yt + zt + pt + pt)
     spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
                         np.maximum(np.abs(ave - zt), np.abs(ave - pt)))
@@ -265,8 +205,7 @@ def _rj(x, y, z, p):
     c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 3.0, 3.0 / 22.0, 3.0 / 26.0
     s = 1.0 + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee) \
         + eb * (0.5 * c2 + dp * (-2.0 * c3 + dp * c4)) + dp * ea * (c2 - dp * c3) - c2 * dp * ec
-    rj = 6.0 * total + fac * s / (ave * np.sqrt(ave))
-    return rj if j is None else np.where(lost, np.nan, np.ldexp(rj, 3 * j))[()]
+    return 6.0 * total + fac * s / (ave * np.sqrt(ave))
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ gradient that the step solves with: B's gradient g in the frame coordinates
 of the free edges less the closure forces A^T nu, nu the least-squares
 multiplier.  r scales as 1/L0, so grad_norm and tol are dimensionless, and
 a problem scaled by any length takes the same steps.  The default tol,
-3e-10 N, is calibrated so that the benchmark's solves take no fewer steps
-than under the vertex-space test it replaced (1e-8 N against the projected
-vertex gradient, which scaled as 1/L0^2): 3.61 accepted steps per solve
-against 3.55 over the first 8 rounds of minimize_solve at seed 424242,
-where 1e-8 N would give 3.27.
+_TOL_PER_EDGE N, is calibrated so that the benchmark's solves take no fewer
+steps than under the vertex-space test it replaced (1e-8 N against the
+projected vertex gradient, which scaled as 1/L0^2): 3.61 accepted steps
+per solve against 3.55 over the first 8 rounds of minimize_solve at seed
+424242, where 1e-8 N would give 3.27.
 
 The multiplier lam of the elastica equation 2 k_ss + k^3 - lam k = 0 comes
 from the closure multiplier of the last iterate (_multiplier), in the plane
@@ -82,6 +82,7 @@ _MAX_TRIALS = 30
 _MAX_TURN = 0.5  # largest rotation of any tangent in a trial step, radians
 _CLOSURE_TOL = 1e-12  # closure residual target, in edge lengths
 _RIDGE = 1e-10  # relative shift keeping the free-end Laplacian invertible
+_TOL_PER_EDGE = 3e-10  # default tol per edge, on the dimensionless grad_norm
 _FLOOR_GRAD_FACTOR = 0.5  # grad_norm cut a floor step must achieve
 _PERTURB_AMP = 0.03  # seeded perturbation of the initial arc, relative to L0
 _KINK_SPREAD = 0.15  # share of the free edges over which each clamped end's kink is spread
@@ -183,7 +184,7 @@ class ClampedProblem:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    tol: float | None = None  # dimensionless (on grad_norm = |r| L0); default 3e-10 * N
+    tol: float | None = None  # dimensionless (on grad_norm = |r| L0); default _TOL_PER_EDGE * N
     max_iters: int = 2000
     seed: int | None = None  # smooth random perturbation (_PERTURB_AMP) of the initial arc
 
@@ -692,7 +693,7 @@ def _solve(p, opts: MinimizeOptions, clamp=None) -> MinimizeResult:
     if clamp is not None:
         T0[0], T0[-1] = clamp
         T0 = _unkinked(T0, (P1 - P0) / h, math.ceil(_KINK_SPREAD * (N - 2)))
-    tol = opts.tol if opts.tol is not None else 3e-10 * N
+    tol = opts.tol if opts.tol is not None else _TOL_PER_EDGE * N
     T, *info = _descend(T0, P0, P1, h, a, tol, opts.max_iters)
     return _package(_vertices(T, P0, P1, h), info)
 

@@ -7,6 +7,7 @@ cross-check, and mpmath at 40 digits for the array amplitude/epsilon.
 Frozen constants in this file were produced by those oracles.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -20,7 +21,8 @@ from scipy import integrate, special
 import elastica
 from elastica import DomainError
 from elastica import elliptic as el
-from elastica.curves import figure_eight_modulus
+from elastica.curves import PlanarElastica, eval_planar, figure_eight_modulus, reconstruct_spatial
+from elastica.profiles import CurvatureProfile, profile_period
 
 from carlson_reference import reference_rd, reference_rf
 from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
@@ -450,92 +452,95 @@ class TestArrayOracle:
                 fn(np.array([0.0, 1.0]), 1.0)
 
 
-class TestCarlsonRange:
-    """R_F, R_D and R_J at both ends of the float range against mpmath at 40
-    digits, with every warning an error: arguments outside the band of the
-    duplication are scaled by a power of 4 first, and R_J with p beyond
-    2^400 max(x, y, z) is 3 R_F / p."""
+class TestCarlsonDomain:
+    """R_F, R_D and R_J at the ends of their callers' domain against mpmath at
+    40 digits, with every warning an error: (x, y, 1) with x = cn^2 down to 0
+    and subnormal and y = dn^2 down to 1 - M_MAX, and for R_J p = x + nc (1 - x),
+    nc = 2^k with k from -60 to 120 in steps of 5.  TestCallerDomain holds
+    the callers to this domain."""
 
-    RF = [(5e-324, 1e308, 1e308), (0.0, 1e308, 1.7e308), (1e-310, 1e-310, 1e300), (0.0, 7e-323, 1e300),
-          (1e308, 1e308, 1e308), (0.0, 5e-324, 1e-320), (1e-320, 2e-320, 3e-320), (0.0, 1e-300, 1.0),
-          (1e-323, 1e-323, 1e308), (0.0, 1.5e-323, 1.7e308), (0.0, 7e-323, 1e308)]
-    # R_D ~ max^(-3/2): representable from about 1e-205 up to 1e205, and 0 above
-    RD = [(0.0, 1e-300, 1e-200), (1e-200, 2e-200, 3e-200), (0.0, 1e-250, 1e-203), (1e200, 1e200, 1e200),
-          (5e-324, 1e308, 1e308), (0.0, 1e300, 1.7e308), (1e308, 1e308, 1e-300)]
-    RJ = [(0.0, 1e-300, 1.0, 1e300), (0.5, 0.5, 1.0, 1e300), (0.5, 0.8, 1.0, 1e200), (0.5, 0.8, 1.0, 1e110),
-          (1e-200, 2e-200, 3e-200, 4e-200), (0.0, 1e-250, 1e-205, 1e-200), (1e200, 2e200, 3e200, 4e200),
-          (1e300, 2e300, 3e300, 4e300), (0.0, 0.3, 1.0, 1e-300), (1e-100, 0.0, 1e-250, 1e250),
-          (1e-310, 1.0, 1e200, 4e200), (1e-100, 2e-100, 1e200, 4e200)]
-    # scaled below 2^320, these lose two small arguments, or p, to rounding
-    RJ_LOST = [(1e-300, 2e-300, 1e200, 4e200), (1e-240, 2e-240, 1e200, 4e200),
-               (0.0, 1e-290, 1e200, 4e200), (1.0, 1.0, 1e200, 1e-320)]
+    X = (0.0, 5e-324, 1e-300, 1e-20, 0.3, 1.0)
+    Y = (1.0 - el.M_MAX, 1e-4, 0.5, 1.0)
+    NC = np.ldexp(1.0, np.arange(-60, 121, 5))
+    P_RANGE = (2.0**-60, 2.0**120)  # the p of x = 0, the widest
 
     @staticmethod
     def close(got, want) -> bool:
         want = float(want)
         return math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
 
-    def test_against_mpmath(self):
+    def test_rf_rd_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
+        x, y = np.array(list(itertools.product(self.X, self.Y))).T
         with mpmath.workdps(40), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in self.RF:
-                assert self.close(el._rf_rd(*a)[0], mpmath.elliprf(*a)), a
-            for a in self.RD:
-                assert self.close(el._rf_rd(*a)[1], mpmath.elliprd(*a)), a
-            for a in self.RF[:4]:  # R_D below the floats: 0
-                assert el._rf_rd(*a)[1] == 0.0, a
-            for a in self.RJ:
-                assert self.close(el._rj(*a), mpmath.elliprj(*a)), a
+            rf, rd = el._rf_rd(x, y, 1.0)  # an array, as jacobi_epsilon calls it
+            for k, a in enumerate(zip(x.tolist(), y.tolist(), [1.0] * len(x))):
+                want_f, want_d = mpmath.elliprf(*a), mpmath.elliprd(*a)
+                assert self.close(rf[k], want_f) and self.close(rd[k], want_d), a
+                got_f, got_d = el._rf_rd(*a)
+                assert self.close(got_f, want_f) and self.close(got_d, want_d), a
 
-    def test_arrays_mix_far_and_near(self):
-        # an array takes each element's own route: scaled, unscaled or
-        # 3 R_F / p (and runs to its slowest element, so last bits may differ)
+    @pytest.mark.parametrize("x", X)
+    def test_rj_against_mpmath(self, x):
         mpmath = pytest.importorskip("mpmath")
-        x, y, z, p = np.array(self.RJ).T
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rj = el._rj(x, y, z, p)
-            rf = el._rf_rd(*np.array(self.RF).T)[0]
-        with mpmath.workdps(40):
-            assert all(self.close(g, mpmath.elliprj(*a)) for g, a in zip(rj, self.RJ))
-            assert all(self.close(g, mpmath.elliprf(*a)) for g, a in zip(rf, self.RF))
-
-    def test_lost_arguments_give_nan(self):
-        # where the scale rounds what the value depends on, the finite value
-        # mpmath gives is not attempted: NaN, alone and beside a good element
-        mpmath = pytest.importorskip("mpmath")
+        p = x + self.NC * (1.0 - x)
         with mpmath.workdps(40), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in self.RJ_LOST:
-                assert math.isnan(el._rj(*a)) and 0.0 < float(mpmath.elliprj(*a)) < math.inf, a
-            x, y, z, p = np.array(self.RJ_LOST + self.RJ[-2:]).T
-            rj = el._rj(x, y, z, p)
-            assert np.isnan(rj[:-2]).all() and all(self.close(g, mpmath.elliprj(*a))
-                                                   for g, a in zip(rj[-2:], self.RJ[-2:]))
-            a = (1e308, 1e308, 5e-324)  # z rounded to 0: R_D is NaN, R_F stays
-            rf, rd = el._rf_rd(*a)
-            assert self.close(rf, mpmath.elliprf(*a)) and math.isnan(rd)
+            for y in self.Y:
+                rj = el._rj(x, y, 1.0, p)  # an array, as _sn2_pi calls it
+                for g, pk in zip(rj, p.tolist()):
+                    assert self.close(g, mpmath.elliprj(x, y, 1.0, pk)), (x, y, pk)
+                for pk in p[[0, -1]].tolist():
+                    assert self.close(el._rj(x, y, 1.0, pk), mpmath.elliprj(x, y, 1.0, pk)), (x, y, pk)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_scaling_is_bit_neutral(self, seed):
-        # 4^k commutes with every rounding of the duplication: arguments
-        # pushed out of the band give the in-band floats times 2^-k, 8^-k
-        rng = np.random.default_rng(seed)
-        x, y, z, p = 10.0 ** rng.uniform(-1.0, 1.0, (4, 32))
-        x[::5] = 0.0
-        rf, rd = el._rf_rd(x, y, z)
-        k = -310  # R_F and R_D below their band
-        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)))
-        assert got[0].tobytes() == np.ldexp(rf, -k).tobytes()
-        assert got[1].tobytes() == np.ldexp(rd, -3 * k).tobytes()
-        k = 509  # R_F above its band
-        got = el._rf_rd(*(np.ldexp(a, 2 * k) for a in (x, y, z)))[0]
-        assert got.tobytes() == np.ldexp(rf, -k).tobytes()
-        rj = el._rj(x, y, z, p)
-        for k in (-165, 165):  # R_J below and above its band
-            got = el._rj(*(np.ldexp(a, 2 * k) for a in (x, y, z, p)))
-            assert got.tobytes() == np.ldexp(rj, -3 * k).tobytes()
+
+class TestCallerDomain:
+    """Every argument that jacobi_epsilon and _sn2_pi pass to _rf_rd and _rj
+    lies in the domain TestCarlsonDomain covers, at the ends of the
+    parameters: a caller that leaves it fails here."""
+
+    M_VALUES = (5e-324, 1e-8, 0.5, el.M_MAX)
+    # (m, w, A): near-planar, near-circular, tiny and huge A, a torus-knot
+    # candidate, w within ulps of m and of 1
+    PROFILES = [(0.1, 0.9, 1.0), (0.8, 0.95, 1.0), (1e-300, 0.5, 1e-3), (0.5, 0.5 + 4e-16, 1e3),
+                (0.686214, 0.902272, 1.0), (0.3, 1.0 - 4e-16, 2.0), (0.1, 1.0 - 1e-10, 1.0)]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"_rf_rd": [], "_rj": []}
+        for name, log in seen.items():
+            def spy(*args, f=getattr(el, name), log=log):
+                log.append([np.asarray(a, dtype=float) for a in np.broadcast_arrays(*args)])
+                return f(*args)
+            monkeypatch.setattr(el, name, spy)
+        return seen
+
+    @staticmethod
+    def check(seen):
+        assert seen
+        lo, hi = TestCarlsonDomain.P_RANGE
+        for x, y, z, *rest in seen:
+            assert (np.maximum(np.maximum(x, y), z) == 1.0).all()
+            assert (y >= 1.0 - el.M_MAX).all()
+            for p in rest:
+                assert (x <= p).all() and (lo <= p).all() and (p <= hi).all()
+
+    def test_jacobi_epsilon_and_orbitlike(self, calls):
+        xs = np.linspace(-30.0, 30.0, 241)
+        for m in self.M_VALUES:
+            el.jacobi_epsilon(xs, m)
+            eval_planar(PlanarElastica("orbitlike", m), xs)
+        self.check(calls["_rf_rd"])
+        self.check(calls["_rj"])
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_reconstruct_spatial(self, calls, profile):
+        p = CurvatureProfile(*profile)
+        period = profile_period(p)
+        c = reconstruct_spatial(p, np.eye(3), (-period, 2.0 * period), period / 256)
+        assert np.isfinite(c.vertices).all()
+        self.check(calls["_rj"])
 
 
 class TestThirdKind:

@@ -25,6 +25,7 @@ from elastica.minimize import (
 )
 from elastica.minimize import (
     _CLOSURE_TOL,
+    _TOL_PER_EDGE,
     _band_apply,
     _band_factor,
     _close,
@@ -333,7 +334,7 @@ def stalling_arch() -> ClampedProblem:
 class TestPinnedLeaf:
     def test_converges(self, leaf_result):
         assert leaf_result.converged
-        assert leaf_result.grad_norm < 1e-8 * 200
+        assert leaf_result.grad_norm < _TOL_PER_EDGE * 200
 
     def test_energy_within_one_percent_of_leaf_constant(self, leaf_result):
         assert abs(leaf_result.Bbar / varpi_star() - 1.0) < 0.01
@@ -436,7 +437,7 @@ class TestPinnedOther:
             PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64), MinimizeOptions(max_iters=2)
         )
         assert not r.converged
-        assert r.grad_norm >= 1e-8 * 64
+        assert r.grad_norm >= _TOL_PER_EDGE * 64
 
     def test_3d_pinned_converges(self):
         p = PinnedProblem(np.zeros(3), np.array([0.3, 0.2, 0.1]), 1.0, 64)
@@ -549,7 +550,7 @@ class TestClamped:
         V0, V1 = p.V0, p.V1
         r = minimize_clamped(p, MinimizeOptions(seed=1989225659))
         assert r.converged
-        assert r.grad_norm < 1e-8 * 200
+        assert r.grad_norm < _TOL_PER_EDGE * 200
         h = 1.0 / 200
         V = r.curve.vertices
         assert np.max(np.abs(r.curve.edge_lengths - h)) / h <= 1e-10
@@ -571,7 +572,7 @@ class TestClamped:
         )
         r2, r3 = minimize_clamped(p2), minimize_clamped(p3)
         assert r2.converged and r3.converged
-        assert r3.grad_norm < 1e-8 * 100
+        assert r3.grad_norm < _TOL_PER_EDGE * 100
         assert r3.B == pytest.approx(r2.B, rel=1e-12)
         assert r3.B == pytest.approx(20.476339258960, rel=1e-12)
         assert np.max(np.abs(r3.curve.vertices[:, 2])) == 0.0
@@ -932,7 +933,7 @@ class TestTermination:
         assert r.termination == "floor"
         assert not r.converged
         assert r.grad_norm >= 1e-15
-        assert r.grad_norm < 1e-8 * 64  # well past the default tolerance
+        assert r.grad_norm < _TOL_PER_EDGE * 64  # well past the default tolerance
         assert r.iterations < 2000
         assert len(r.log) == r.iterations + 1  # iterations counts the accepted steps
         assert math.isfinite(r.lambda_est)

@@ -212,7 +212,7 @@ def _parse_problem(path: str):
         problem = PinnedProblem(P0, P1, L0, N)
     opts = MinimizeOptions(
         tol=_num(kv, "tol"),
-        max_iters=_num(kv, "max_iters", int, 2000),
+        max_iters=_num(kv, "max_iters", int, MinimizeOptions.max_iters),
         seed=_num(kv, "seed", int),
     )
     return problem, opts
@@ -228,6 +228,13 @@ def _run_minimize(problem, opts):
 def _run_minimize_seeded(payload):
     problem, opts, seed = payload
     return seed, _run_minimize(problem, dataclasses.replace(opts, seed=seed))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_minimize(args) -> int:
@@ -246,8 +253,8 @@ def cmd_minimize(args) -> int:
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            # workers beyond the seed count would sit idle
-            with ProcessPoolExecutor(max_workers=min(args.jobs, args.sweep)) as pool:
+            # workers beyond the seed count or the usable cores would sit idle
+            with ProcessPoolExecutor(max_workers=min(args.jobs, args.sweep, _usable_cores())) as pool:
                 runs = dict(pool.map(_run_minimize_seeded, payloads))
         else:
             runs = dict(map(_run_minimize_seeded, payloads))

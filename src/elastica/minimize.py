@@ -12,8 +12,9 @@ Each free edge moves in dim - 1 coordinates of a parallel-transported
 quadratic with Hessian (2/h) times the path Laplacian.  The step is Newton's
 SQP step: the Hessian of B plus the curvature term nu . T_i of the
 least-squares closure multiplier nu, block-tridiagonal in these
-coordinates, so one banded LDL^T solve with 1 + dim right-hand sides and
-a dim x dim Schur complement give it.  In space B's Hessian adds, per
+coordinates, so one banded LDL^T factorization gives it by the range-space
+method: forward sweeps on the 1 + dim right-hand sides, a dim x dim Schur
+complement from them, and one backward sweep.  In space B's Hessian adds, per
 turning vertex, terms along its binormal; without them the step converges
 only linearly.  When the Newton step does not descend, the positive
 definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that always
@@ -37,7 +38,9 @@ they meet are spread over the nearest free tangents; that start is closed
 in a metric that moves the tangents next to the clamped ends least, so
 closure keeps the spread.  Each iterate, the last included, has a log
 row with its B, grad_norm and constraint residual, and the step taken
-from it: length t and direction "newton" or "laplacian" (None if none).
+from it: length t and direction "newton" or "laplacian" (None if none),
+the trials rejected before it (backtracks) and the Gauss-Newton steps of
+all its trials' closures (closure_steps).
 
 grad_norm (compared against tol) is |r| L0, with r = g - A^T nu the reduced
 gradient that the step solves with: B's gradient g in the frame coordinates
@@ -273,33 +276,53 @@ def _band_factor(band: np.ndarray):
         return None
 
 
-def _band_apply(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve S Z = rhs, rhs (n, k), from S's _band_factor: forward for L, the
-    pivots, backward for L^T.  A zero pivot (None) gives NaN; callers reject it."""
+def _band_kkt(factor, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
+    """The step dy of the KKT system S dy + Ef mu = -r, Ef^T dy = -resid,
+    from S = L D L^T (_band_factor) by the range-space method (Nocedal and
+    Wright, Numerical Optimization, 2nd ed., 16.2): forward sweeps give
+    W = L^-1 [r, Ef], the Schur complement Ef^T S^-1 Ef is W_A^T D^-1 W_A,
+    and a single backward sweep gives dy = -L^-T D^-1 (W_g + W_A mu).  D may
+    hold pivots of both signs.  None at a zero pivot (factor None) or a
+    singular Schur matrix."""
     if factor is None:
-        return np.full(rhs.shape, math.nan)
+        return None
     ops, inv = factor
-    n = len(rhs)
-    cols = []
-    for y in rhs.T.tolist():
-        y += [0.0] * (len(inv) - n)
+    n = len(r)
+    pad = [0.0] * (len(inv) - n)
+    W = []
+    for y in [r.tolist(), *Ef.T.tolist()]:
+        y += pad
         for j, i, lq in ops:
             y[j] -= lq * y[i]
-        y = [a * b for a, b in zip(y, inv)]
-        for j, i, lq in reversed(ops):
-            y[i] -= lq * y[j]
-        cols.append(y[:n])
-    return np.array(cols).T
+        W.append(y)
+    W, inv = np.array(W), np.array(inv)
+    Wg, WA = W[0], W[1:]
+    DWA = WA * inv
+    try:
+        mu = np.linalg.solve(DWA @ WA.T, resid - DWA @ Wg)
+    except np.linalg.LinAlgError:
+        return None
+    z = (inv * (Wg + mu @ WA)).tolist()
+    for j, i, lq in reversed(ops):
+        z[i] -= lq * z[j]
+    return -np.array(z[:n])
 
 
 def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Move each unit tangent T_i along the great circle in the direction of
     the tangent vector D_i, through the angle |D_i| (the exponential map)."""
     r = _row_norms(D)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinc = np.where(r > 0.0, np.sin(r) / r, 1.0)
+    sinc = np.sin(r) / np.where(r > 0.0, r, 1.0)  # rows with r = 0 are zero: any factor does
     out = np.cos(r)[:, None] * T + sinc[:, None] * D
     return out / _row_norms(out)[:, None]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for each pair of rows of 3-D a and b, written out on coordinate
+    rows as in discrete._turn: the floats of np.cross(a, b) without its
+    axis moves."""
+    (ax, ay, az), (bx, by, bz) = a.T, b.T
+    return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
 def _frames(T: np.ndarray) -> np.ndarray:
@@ -317,15 +340,15 @@ def _frames(T: np.ndarray) -> np.ndarray:
     polar = np.abs(T[:, 2]) >= 0.9
     ref[~polar, 2] = 1.0
     ref[polar, 0] = 1.0
-    U = np.cross(ref, T)
+    U = _cross(ref, T)
     U /= _row_norms(U)[:, None]
-    V = np.cross(T, U)
+    V = _cross(T, U)
     # R u = c u + k x u + (k.u) k / (1 + c), k = T_{i-1} x T_i, c = T_{i-1}.T_i
-    k = np.cross(T[:-1], T[1:])
+    k = _cross(T[:-1], T[1:])
     c = np.einsum("ij,ij->i", T[:-1], T[1:])
     Up = U[:-1]
     ku = np.einsum("ij,ij->i", k, Up) / (1.0 + c)
-    PU = c[:, None] * Up + np.cross(k, Up) + ku[:, None] * k
+    PU = c[:, None] * Up + _cross(k, Up) + ku[:, None] * k
     tau = np.arctan2(np.einsum("ij,ij->i", PU, V[1:]), np.einsum("ij,ij->i", PU, U[1:]))
     beta = np.concatenate([[0.0], np.cumsum(tau)])
     cb, sb = np.cos(beta)[:, None], np.sin(beta)[:, None]
@@ -360,14 +383,14 @@ def _tangent_gradient(T: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def _residual(T: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Closure residual sum(T) - target, exactly rounded.
+def _residual(T: np.ndarray, target: np.ndarray) -> list[float]:
+    """Closure residual sum(T) - target, exactly rounded, as a list.
 
     A plain float sum of N tangents toward a target of size up to N is off
     by ~N eps |target|; the energy moves with that error times the closure
     multiplier, well above its own rounding bound on tightly bent chains.
     """
-    return np.array([math.fsum([*col, -t]) for col, t in zip(T.T.tolist(), target.tolist())])
+    return [math.fsum([*col, -t]) for col, t in zip(T.T.tolist(), target.tolist())]
 
 
 def _closure_floor(n: int) -> float:
@@ -382,7 +405,8 @@ def _closure_floor(n: int) -> float:
 
 def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | None = None):
     """Rotate the free tangents a..b-1 until sum(T) = target (closure);
-    returns the tangents and their exactly rounded residual (_residual).
+    returns the tangents, their exactly rounded residual (_residual) and
+    the number of Gauss-Newton steps taken.
 
     Gauss-Newton with steps of least weighted norm: tangent i moves by
     w_i P_i lam, P_i = I - T_i T_i^T, with the dim x dim normal matrix
@@ -390,27 +414,32 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | No
     rounding floor of the n-term sum (_closure_floor): a chain already
     there takes no step.  Between that floor and _CLOSURE_TOL one more
     step is taken, because B moves with the closure residual times the
-    multiplier, and energies are compared near their rounding floor.  None
-    when it does not converge.
+    multiplier, and energies are compared near their rounding floor.  The
+    tangents and residual are None when it does not converge.
     """
     T = T.copy()
     floor = _closure_floor(len(T))
-    w = np.ones((b - a, 1)) if w is None else w[:, None]
-    wI = float(np.sum(w)) * np.eye(T.shape[1])
+    if w is None:
+        wI = (b - a) * np.eye(T.shape[1])
+    else:
+        w = w[:, None]
+        wI = float(np.sum(w)) * np.eye(T.shape[1])
     closed = False
-    for _ in range(30):
-        r = _residual(T, target)
-        err = np.max(np.abs(r))
+    for steps in range(30):
+        rl = _residual(T, target)
+        r = np.array(rl)
+        err = max(map(abs, rl))
         if err <= floor or (closed and err <= _CLOSURE_TOL):
-            return T, r
+            return T, r, steps
         closed = err <= _CLOSURE_TOL
         Tf = T[a:b]
         try:
-            lam = np.linalg.solve(wI - (w * Tf).T @ Tf, -r)
+            lam = np.linalg.solve(wI - (Tf if w is None else w * Tf).T @ Tf, -r)
         except np.linalg.LinAlgError:
-            return None
-        T[a:b] = _rotate(Tf, w * (lam - (Tf @ lam)[:, None] * Tf))
-    return None
+            return None, None, steps
+        move = lam - (Tf @ lam)[:, None] * Tf
+        T[a:b] = _rotate(Tf, move if w is None else w * move)
+    return None, None, 30
 
 
 def _direction(T, E, r, resid, h, a, b, nu=None):
@@ -426,8 +455,8 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     |da - db|^2 / h, exactly so in the plane, and in space by a further
     ((theta / sin theta - 1)(k . (da - db))^2 - (theta / sin theta)
     (1 - cos theta)((k . da)^2 + (k . db)^2)) / h along its binormal k.
-    One banded solve with 1 + dim right-hand sides, then a dim x dim Schur
-    complement.
+    One banded LDL^T factorization of H, then _band_kkt: 1 + dim forward
+    sweeps, a dim x dim Schur complement and one backward sweep.
     """
     n, dm, dim = E.shape
     nf = b - a
@@ -442,7 +471,7 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
         if dm == 2:
             theta, c, sn = _turn(T[:-1], T[1:])
             ratio = _turn_ratio(theta, sn)
-            k = np.cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
+            k = _cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
             kap = np.einsum("jad,jd->ja", E[1:], k)  # vertex j's binormal in edge j's frame
             # per vertex 0..n, zero at the two ends, which do not turn
             kk = np.zeros((n + 1, dm, dm))
@@ -462,14 +491,8 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
                 band[be - al, al::dm] = D[:, al, be]
             band[dm + be - al, al::dm][: nf - 1] = O[:, al, be]
     Ef = E[a:b].reshape(nf * dm, dim)  # columns of A^T
-    Z = _band_apply(_band_factor((2.0 / h) * band), np.column_stack([r.ravel(), Ef]))
-    Zg, ZA = Z[:, 0], Z[:, 1:]
-    try:
-        mu = np.linalg.solve(Ef.T @ ZA, resid - Ef.T @ Zg)
-    except np.linalg.LinAlgError:
-        return None
-    dy = -(Zg + ZA @ mu)
-    return dy.reshape(nf, dm) if np.all(np.isfinite(dy)) else None
+    dy = _band_kkt(_band_factor((2.0 / h) * band), r.ravel(), Ef, resid)
+    return None if dy is None or not np.all(np.isfinite(dy)) else dy.reshape(nf, dm)
 
 
 def _vertices(T: np.ndarray, P0: np.ndarray, P1: np.ndarray, h: float) -> np.ndarray:
@@ -561,10 +584,10 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
                 phi = math.atan2(s, float(F[0] @ V)) * share
                 c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
                 F[:] = c * F + sn * np.cross(k, F) + (1.0 - c) * (F @ k)[:, None] * k
-        closed = _close(T3[:, :dim], target, 1, n - 1, w)
+        closed = _close(T3[:, :dim], target, 1, n - 1, w)[0]
         if closed is None:
             break
-        T = closed[0]
+        T = closed
     return T
 
 
@@ -594,14 +617,15 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent from the tangents T of a chain of n edges.  The free
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
     is sum(T) = (P1 - P0) / h.  Every iterate, the last included, has a log
-    row; iterations counts the accepted steps."""
+    row; iterations counts the accepted steps.  A row's backtracks counts
+    the trials rejected from its iterate and closure_steps the Gauss-Newton
+    steps of their closures (the start's closure is in no row)."""
     n = len(T)
     b = n - a
     target = (P1 - P0) / h
-    closed = _close(T, target, a, b)
-    if closed is None:
+    T, resid, _ = _close(T, target, a, b)
+    if T is None:
         raise DomainError("could not close the initial curve on the endpoints")
-    T, resid = closed
     B = _energy(T, h)
     log = []
     for it in range(max_iters + 1):
@@ -611,7 +635,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         el = _row_norms(np.diff(_vertices(T, P0, P1, h), axis=0))
         log.append({"iteration": it, "B": B, "grad_norm": grad_norm,
                     "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n,
-                    "t": None, "direction": None})
+                    "t": None, "direction": None, "backtracks": 0, "closure_steps": 0})
         if grad_norm < tol or it == max_iters:
             end = "converged" if grad_norm < tol else "budget"
             return T, B, _multiplier(T, nu, h), grad_norm, it, end, log
@@ -620,6 +644,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         # step, which always does
         floor = _rounding_bound(B, n - 1)
         accepted = False
+        trials = steps = 0
         for curved in (nu, None):
             dy = _direction(T, E, r, resid, h, a, b, curved)
             if dy is None:
@@ -630,11 +655,12 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
             D = np.einsum("ia,iad->id", dy, Ef)
             t = min(1.0, _MAX_TURN / float(np.max(_row_norms(D))))
             for _ in range(_MAX_TRIALS):
+                trials += 1
                 Tt = T.copy()
                 Tt[a:b] = _rotate(Tf, t * D)
-                closed = _close(Tt, target, a, b)
-                if closed is not None:
-                    Tt, rt = closed
+                Tt, rt, k = _close(Tt, target, a, b)
+                steps += k
+                if Tt is not None:
                     Bt = _energy(Tt, h)
                     if Bt < B - floor and Bt <= B + _ARMIJO_C * t * slope:
                         accepted = True
@@ -651,6 +677,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
                 T, B, resid = Tt, Bt, rt
                 log[-1].update(t=t, direction="laplacian" if curved is None else "newton")
                 break
+        log[-1].update(backtracks=trials - accepted, closure_steps=steps)
         if not accepted:
             return T, B, _multiplier(T, nu, h), grad_norm, it, "floor", log
 
@@ -713,7 +740,7 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
         X = (1.0 - t) * p.P0 + t * p.P1
         log = [
             {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N,
-             "t": None, "direction": None}
+             "t": None, "direction": None, "backtracks": 0, "closure_steps": 0}
         ]
         return _package(X, (0.0, math.nan, 0.0, 0, "converged", log))
     return _solve(p, opts, clamp=(p.V0, p.V1))

@@ -1,9 +1,11 @@
 """The minimizer's banded solve as the library first wrote it, for tests.
 
-`elastica.minimize` splits it into `_band_factor`, which keeps the LDL^T
-elimination, and `_band_apply`, which replays it on right-hand sides, so
-one factorization serves several solves.  The tests require the split to
-give the floats of this one-shot routine bit for bit.
+`elastica.minimize` keeps this routine's LDL^T elimination in
+`_band_factor`, and `_band_kkt` solves the Newton step's KKT system from it
+with forward sweeps, a Schur complement and a single backward sweep,
+instead of solving every right-hand side in full as here.  The tests use
+this routine, with the Schur complement formed in NumPy, as the oracle for
+that step: the same solution to rounding, the same solver steps.
 """
 
 import math

@@ -365,7 +365,7 @@ class TestMinimize:
         assert [r["iteration"] for r in rows] == list(range(len(rows)))
         for r in rows:
             assert {"iteration", "B", "grad_norm", "max_constraint_residual", "N",
-                    "t", "direction"} <= set(r)
+                    "t", "direction", "backtracks", "closure_steps"} <= set(r)
         assert all(r["direction"] in ("newton", "laplacian") and r["t"] > 0.0 for r in rows[:-1])
         assert rows[-1]["t"] is None and rows[-1]["direction"] is None  # JSON null
         assert rows[-1]["B"] <= rows[0]["B"]
@@ -474,8 +474,18 @@ class TestMinimize:
         code, _, _ = run("minimize", str(problem), "--sweep", "0", "--quiet")
         assert code == 2
 
-    def test_sweep_pool_never_exceeds_the_seed_count(self, run, tmp_path, monkeypatch):
-        # a serial stand-in records the worker count, so no process starts
+    def test_problem_defaults_are_the_options_defaults(self, tmp_path):
+        from elastica.cli import _parse_problem
+        from elastica.minimize import MinimizeOptions
+
+        path = tmp_path / "bare.txt"
+        path.write_text("P0 = 0 0\nP1 = 0.5 0\nL0 = 1\nN = 16\n")
+        assert _parse_problem(str(path))[1] == MinimizeOptions()
+
+    @staticmethod
+    def serial_pool(monkeypatch, cores: int) -> list:
+        """Swap the process pool for a serial stand-in that records its worker
+        count, so no process starts, on a machine of `cores` usable cores."""
         sizes = []
 
         class SerialPool:
@@ -492,11 +502,35 @@ class TestMinimize:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        return sizes
+
+    def test_sweep_pool_never_exceeds_the_seed_count(self, run, tmp_path, monkeypatch):
+        sizes = self.serial_pool(monkeypatch, cores=8)
         problem = self.leaf_problem(tmp_path, n=64)
         code, _, _ = run("minimize", str(problem), "--sweep", "2", "--jobs", "10000000000000",
                          "--quiet", "--out", str(tmp_path / "s.csv"))
         assert code == 0
         assert sizes == [2]
+
+    def test_sweep_pool_never_exceeds_the_usable_cores(self, run, tmp_path, monkeypatch):
+        sizes = self.serial_pool(monkeypatch, cores=2)
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, _, _ = run("minimize", str(problem), "--sweep", "64", "--jobs", "64",
+                         "--quiet", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert sizes == [2]
+
+    def test_sweep_pool_falls_back_to_the_cpu_count(self, run, tmp_path, monkeypatch):
+        # platforms without sched_getaffinity (macOS, Windows)
+        sizes = self.serial_pool(monkeypatch, cores=8)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, _, _ = run("minimize", str(problem), "--sweep", "8", "--jobs", "8",
+                         "--quiet", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert sizes == [3]
 
     def test_custom_log_path(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64)

@@ -26,10 +26,11 @@ from elastica.minimize import (
 from elastica.minimize import (
     _CLOSURE_TOL,
     _TOL_PER_EDGE,
-    _band_apply,
     _band_factor,
+    _band_kkt,
     _close,
     _closure_floor,
+    _cross,
     _residual,
     _rounding_bound,
 )
@@ -376,7 +377,7 @@ class TestPinnedLeaf:
         by_level: dict[int, list[float]] = {}
         for row in log:
             assert set(row) == {"iteration", "B", "grad_norm", "max_constraint_residual", "N",
-                                "t", "direction"}
+                                "t", "direction", "backtracks", "closure_steps"}
             assert row["max_constraint_residual"] <= 1e-10
             by_level.setdefault(row["N"], []).append(row["B"])
         # each row but the last records the step accepted from its iterate
@@ -384,6 +385,7 @@ class TestPinnedLeaf:
             assert row["direction"] in ("newton", "laplacian")
             assert 0.0 < row["t"] <= 1.0
         assert log[-1]["t"] is None and log[-1]["direction"] is None
+        assert log[-1]["backtracks"] == 0 and log[-1]["closure_steps"] == 0
         # energy never increases along the solve (terminal polish may wiggle
         # at roundoff scale)
         for Bs in by_level.values():
@@ -719,20 +721,27 @@ class TestClosure:
         rng = default_rng(n + dim)
         T = open_chain(rng, n, dim)
         target = T.sum(axis=0) + 1e-3 * rng.standard_normal(dim)
-        Tc, r = _close(T, target, 0, n)
+        Tc, r, steps = _close(T, target, 0, n)
         assert np.max(np.abs(r)) <= _closure_floor(n)
         assert same_floats(r, _residual(Tc, target))
+        assert steps >= 1
         assert np.allclose(np.linalg.norm(Tc, axis=1), 1.0, rtol=0.0, atol=4e-16)
+
+    def test_unreachable_target_gives_none(self):
+        rng = default_rng(6)
+        T = open_chain(rng, 16, 2)
+        Tc, r, steps = _close(T, np.array([17.0, 0.0]), 0, 16)  # longer than the chain
+        assert Tc is None and r is None and 1 <= steps <= 30
 
     @pytest.mark.parametrize("n, dim", [(16, 2), (200, 3)])
     def test_closed_chain_takes_no_step(self, n, dim, monkeypatch):
         rng = default_rng(n * dim)
         T = open_chain(rng, n, dim)
         target = T.sum(axis=0) + 1e-3 * rng.standard_normal(dim)
-        Tc, r = _close(T, target, 0, n)
+        Tc, r, _ = _close(T, target, 0, n)
         steps = count_calls(monkeypatch, "_rotate")
-        again, r2 = _close(Tc, target, 0, n)
-        assert steps == []
+        again, r2, taken = _close(Tc, target, 0, n)
+        assert steps == [] and taken == 0
         assert same_floats(again, Tc) and same_floats(r2, r)
         assert same_floats(r2, _residual(again, target))
         assert np.max(np.abs(r2)) <= _closure_floor(n)
@@ -744,8 +753,8 @@ class TestClosure:
         target = T.sum(axis=0) + 1e-13 * rng.standard_normal(2)
         assert _closure_floor(64) < np.max(np.abs(_residual(T, target))) <= _CLOSURE_TOL
         steps = count_calls(monkeypatch, "_rotate")
-        Tc, r = _close(T, target, 0, 64)
-        assert len(steps) == 1
+        Tc, r, taken = _close(T, target, 0, 64)
+        assert len(steps) == 1 == taken
         assert np.max(np.abs(r)) <= _closure_floor(64)
 
     def test_weighted_closure_moves_weighted_tangents_only(self):
@@ -754,7 +763,7 @@ class TestClosure:
         T = open_chain(rng, n, 3)
         target = T.sum(axis=0) + 1e-3 * rng.standard_normal(3)
         w = np.minimum(1.0, np.minimum(np.arange(n - 2), np.arange(n - 2)[::-1]) / 7.0)
-        Tc, r = _close(T, target, 1, n - 1, w)
+        Tc, r, _ = _close(T, target, 1, n - 1, w)
         assert np.max(np.abs(r)) <= _closure_floor(n)
         moved = np.linalg.norm(Tc - T, axis=1)
         # clamped ends and the zero-weight tangents next to them stay put
@@ -840,61 +849,86 @@ def same_floats(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-class TestBandSolver:
-    """_band_factor + _band_apply against the one-shot solve they replaced
-    (band_reference) bit for bit, and against a dense solve."""
+def parent_kkt(band, r, Ef, resid):
+    """The Newton step as the library wrote it before the one-sweep KKT
+    solve: S^-1 [r, Ef] fully solved (band_reference), then the Schur
+    complement Ef^T S^-1 Ef in NumPy."""
+    Z = reference_band_solve(band, np.column_stack([r, Ef]))
+    Zg, ZA = Z[:, 0], Z[:, 1:]
+    try:
+        mu = np.linalg.solve(Ef.T @ ZA, resid - Ef.T @ Zg)
+    except np.linalg.LinAlgError:
+        return None
+    return -(Zg + ZA @ mu)
 
-    @pytest.mark.parametrize("p, k, seed", [(p, k, 10 * p + k) for p in (1, 2, 3) for k in (1, 2, 4)])
+
+class TestBandSolver:
+    """_band_kkt on _band_factor against a dense solve of the KKT system
+    and against the formula it replaced (parent_kkt)."""
+
+    @pytest.mark.parametrize("p, k, seed", [(p, k, 10 * p + k) for p in (1, 2, 3) for k in (1, 2, 3, 4)])
     def test_matches_reference_and_dense(self, p, k, seed):
+        # k constraints: [[S, Ef], [Ef^T, 0]] [dy; mu] = [-r; -resid]
         rng = default_rng(seed)
         for n in (p + 1, 7, 40):
-            band, rhs = random_band(rng, n, p), rng.standard_normal((n, k))
-            Z = _band_apply(_band_factor(band), rhs)
-            assert Z.shape == (n, k)
-            assert same_floats(Z, reference_band_solve(band, rhs))
-            want = np.linalg.solve(dense(band), rhs)
-            assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
+            if n < k:  # Ef would have dependent columns
+                continue
+            band = random_band(rng, n, p)
+            r, Ef, resid = rng.standard_normal(n), rng.standard_normal((n, k)), rng.standard_normal(k)
+            dy = _band_kkt(_band_factor(band), r, Ef, resid)
+            assert dy.shape == (n,)
+            K = np.block([[dense(band), Ef], [Ef.T, np.zeros((k, k))]])
+            want = np.linalg.solve(K, -np.concatenate([r, resid]))[:n]
+            assert np.linalg.norm(dy - want) <= 1e-12 * np.linalg.norm(want)
+            old = parent_kkt(band, r, Ef, resid)
+            assert np.linalg.norm(dy - old) <= 1e-12 * np.linalg.norm(old)
 
     @pytest.mark.parametrize("band", [
         [[0.0, 2.0, 2.0], [1.0, 1.0, 0.0]],  # first pivot zero
         [[1.0, 1.0, 3.0], [1.0, 0.5, 0.0]],  # second pivot 1 - 1 * 1 = 0
     ])
     def test_zero_pivot_gives_nan(self, band):
+        # the full solve gave NaN at a zero pivot; the KKT solve gives None
         band = np.array(band)
         assert _band_factor(band) is None
-        rhs = np.ones((3, 2))
-        Z = _band_apply(_band_factor(band), rhs)
-        assert Z.shape == rhs.shape and np.all(np.isnan(Z))
-        assert same_floats(Z, reference_band_solve(band, rhs))
+        assert np.all(np.isnan(reference_band_solve(band, np.ones((3, 2)))))
+        assert _band_kkt(_band_factor(band), np.ones(3), np.ones((3, 2)), np.ones(2)) is None
 
-    def test_one_factor_applied_twice(self):
-        rng = default_rng(7)
-        band = random_band(rng, 30, 2)
-        r1, r2 = rng.standard_normal((2, 30, 3))
-        factor = _band_factor(band)
-        first, second = _band_apply(factor, r1), _band_apply(factor, r2)
-        assert same_floats(first, _band_apply(_band_factor(band), r1))
-        assert same_floats(second, _band_apply(_band_factor(band), r2))
-        assert same_floats(second, reference_band_solve(band, r2))
-        assert same_floats(_band_apply(factor, r1), first)  # applying leaves the factor as it was
+    def test_singular_schur_gives_none(self):
+        rng = default_rng(5)
+        band = random_band(rng, 20, 2)
+        Ef = np.repeat(rng.standard_normal((20, 1)), 2, axis=1)  # two equal constraint columns
+        assert _band_kkt(_band_factor(band), rng.standard_normal(20), Ef, np.ones(2)) is None
+
+    def test_cross_is_numpys(self):
+        rng = default_rng(9)
+        a, b = (rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, (500, 3))
+                for _ in range(2))
+        assert same_floats(_cross(a, b), np.cross(a, b))
 
     @pytest.mark.parametrize("problem", [
         PinnedProblem(np.zeros(2), [0.4, 0.1], 1.0, 48),
         ClampedProblem(np.zeros(2), [0.5, 0.0], 1.0, 48, [0.6, 0.8], [0.6, -0.8]),
         PinnedProblem(np.zeros(3), [0.3, 0.2, 0.1], 1.0, 40),
     ], ids=["pinned2d", "clamped2d", "pinned3d"])
-    def test_solves_identical_with_the_reference(self, problem, monkeypatch):
+    def test_solves_match_the_parent_formula(self, problem, monkeypatch):
+        # the KKT solve moves the step's floats at rounding level only: the
+        # same steps, and the same curve up to the 3-D chord's gauge mode
+        # (a rotation about the chord), which the rounding moves by ~1e-11
         solve = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
         opts = MinimizeOptions(seed=1)
         got = solve(problem, opts)
         # the reference solves from the band itself: it is its own "factor"
         monkeypatch.setattr(minimize, "_band_factor", lambda band: band)
-        monkeypatch.setattr(minimize, "_band_apply", reference_band_solve)
+        monkeypatch.setattr(minimize, "_band_kkt", parent_kkt)
         want = solve(problem, opts)
         assert got.converged and want.converged
-        assert same_floats(got.curve.vertices, want.curve.vertices)
-        assert got.B == want.B and got.grad_norm == want.grad_norm
-        assert got.log == want.log
+        assert (got.termination, got.iterations) == (want.termination, want.iterations)
+        steps = ("iteration", "N", "direction", "backtracks", "closure_steps")
+        assert [[row[f] for f in steps] for row in got.log] == [[row[f] for f in steps] for row in want.log]
+        assert got.B == pytest.approx(want.B, rel=1e-12, abs=0.0)
+        assert got.Bbar == pytest.approx(want.Bbar, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(got.curve.vertices - want.curve.vertices)) <= 1e-9
 
 
 class TestResultEquality:
@@ -937,6 +971,28 @@ class TestTermination:
         assert r.iterations < 2000
         assert len(r.log) == r.iterations + 1  # iterations counts the accepted steps
         assert math.isfinite(r.lambda_est)
+
+    @pytest.mark.parametrize("problem", [
+        PinnedProblem(np.zeros(2), np.zeros(2), 1.0, 64),
+        PinnedProblem(np.zeros(3), [0.3, 0.2, 0.1], 1.0, 40),
+    ], ids=["loop", "chord3d"])
+    def test_log_counts_trials_and_closure_steps(self, problem, monkeypatch):
+        # every _close after the start's closes one trial; each row counts its
+        # iterate's rejected trials and the Gauss-Newton steps of all its trials
+        steps, close = [], minimize._close
+
+        def counted(*args):
+            out = close(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(minimize, "_close", counted)
+        r = minimize_pinned(problem, MinimizeOptions(seed=2))
+        assert r.converged
+        log = r.log
+        assert len(steps) - 1 == r.iterations + sum(row["backtracks"] for row in log)
+        assert sum(row["closure_steps"] for row in log) == sum(steps[1:])
+        assert log[-1]["backtracks"] == log[-1]["closure_steps"] == 0
 
     def test_taut_segment_is_converged(self):
         r = minimize_clamped(ClampedProblem(np.zeros(2), EX, 1.0, 16, EX, EX))

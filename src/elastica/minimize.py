@@ -618,8 +618,8 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
     is sum(T) = (P1 - P0) / h.  Every iterate, the last included, has a log
     row; iterations counts the accepted steps.  A row's backtracks counts
-    the trials rejected from its iterate and closure_steps the Gauss-Newton
-    steps of their closures (the start's closure is in no row)."""
+    the trials rejected from its iterate, and closure_steps the Gauss-Newton
+    steps of all its trials' closures (the start's closure is in no row)."""
     n = len(T)
     b = n - a
     target = (P1 - P0) / h

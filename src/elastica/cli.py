@@ -239,6 +239,7 @@ def _usable_cores() -> int:
 
 def cmd_minimize(args) -> int:
     from .discrete import curve_to_csv
+    from .minimize import _rounding_bound
 
     problem, opts = _parse_problem(args.problem)
     if args.jobs < 1:
@@ -263,11 +264,17 @@ def cmd_minimize(args) -> int:
             _note(args, f"seed {seed}", {
                 "Bbar": r.Bbar, "converged": r.converged, "iterations": r.iterations,
             })
-        result = min(runs.values(), key=lambda r: (not r.converged, r.Bbar))
+        # seeds that reach the same minimum tie at rounding level: of the runs
+        # within the rounding bound of the best B-bar, the lowest seed wins
+        best = min(runs.values(), key=lambda r: (not r.converged, r.Bbar))
+        tie = _rounding_bound(best.Bbar, problem.N)
+        seed = min(s for s, r in runs.items()
+                   if r.converged == best.converged and r.Bbar - best.Bbar <= tie)
+        result = runs[seed]
     else:
-        result = _run_minimize(problem, opts)
+        seed, result = opts.seed, _run_minimize(problem, opts)
     _note(args, "result", {
-        "B": result.B, "Bbar": result.Bbar, "grad_norm": result.grad_norm,
+        "seed": seed, "B": result.B, "Bbar": result.Bbar, "grad_norm": result.grad_norm,
         "iterations": result.iterations, "converged": result.converged,
         "termination": result.termination,
         "lambda_est": None if math.isnan(result.lambda_est) else result.lambda_est,

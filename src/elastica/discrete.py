@@ -142,7 +142,11 @@ class DiscreteCurve:
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Norm of each row of a real (n, 2) or (n, 3) X: np.linalg.norm(X, axis=1), bit for bit."""
-    return np.sqrt(sum(x * x for x in X.T))
+    x = X.T
+    s = x[0] * x[0] + x[1] * x[1]
+    if len(x) == 3:
+        s += x[2] * x[2]
+    return np.sqrt(s)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -222,8 +226,7 @@ def _turn(a: np.ndarray, b: np.ndarray):
 def _turn_ratio(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
     """theta / n, and 1 where n is not above 1e-300: theta / sin(theta) for
     unit rows, the factor that keeps grad(theta^2) smooth through 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(n > 1e-300, theta / n, 1.0)
+    return np.where(n > 1e-300, theta / np.maximum(n, 1e-300), 1.0)
 
 
 def curvature_data(c: DiscreteCurve, signed: bool = False):

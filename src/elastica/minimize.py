@@ -12,16 +12,20 @@ Each free edge moves in dim - 1 coordinates of a parallel-transported
 quadratic with Hessian (2/h) times the path Laplacian.  The step is Newton's
 SQP step: the Hessian of B plus the curvature term nu . T_i of the
 least-squares closure multiplier nu, block-tridiagonal in these
-coordinates, so one banded LDL^T factorization gives it by the range-space
-method: forward sweeps on the 1 + dim right-hand sides, a dim x dim Schur
-complement from them, and one backward sweep.  In space B's Hessian adds, per
-turning vertex, terms along its binormal; without them the step converges
-only linearly.  When the Newton step does not descend, the positive
-definite (2/h) Laplacian (x) I_{dim-1} alone gives a step that always
-does.  Each trial is restored onto closure by Gauss-Newton (a
-dim x dim normal matrix), which stops once the exactly rounded residual
-is at the rounding floor of the n-term tangent sum, 8 sqrt(n) eps edge
-lengths, and hands that residual to the next step.  A trial is accepted
+coordinates, so its LDL^T factorization gives it by the range-space method:
+forward sweeps on the 1 + dim right-hand sides, a dim x dim Schur
+complement from them, and one backward sweep.  In the plane the band is
+tridiagonal, and one pass over its rows factors it and sweeps the three
+right-hand sides together (_tri_kkt); in space the factorization records
+its row operations, which each sweep replays (_band_factor, _band_kkt).
+In space B's Hessian also adds, per turning vertex, terms along its
+binormal; without them the step converges only linearly.  When the Newton
+step does not descend, the positive definite (2/h) Laplacian
+(x) I_{dim-1} alone gives a step that always does.  Each trial is
+restored onto closure by Gauss-Newton (a dim x dim normal matrix), which
+stops once the exactly rounded residual is at the rounding floor of the
+n-term tangent sum, 8 sqrt(n) eps edge lengths, and hands that residual
+to the next step.  A trial is accepted
 on Armijo decrease of B, with one exception at B's floating-point
 floor: once a step changes B by no more
 than the rounding bound n eps |B| of the n-term energy sum, the sign of
@@ -276,6 +280,20 @@ def _band_factor(band: np.ndarray):
         return None
 
 
+def _schur(W: list, inv: list, resid: np.ndarray):
+    """D^-1 (W_g + W_A mu) as a list, mu from the Schur system
+    W_A D^-1 W_A^T mu = resid - W_A D^-1 W_g of the forward sweeps W =
+    [W_g, *W_A] and reciprocal pivots inv; None when it is singular."""
+    W, inv = np.array(W), np.array(inv)
+    Wg, WA = W[0], W[1:]
+    DWA = WA * inv
+    try:
+        mu = np.linalg.solve(DWA @ WA.T, resid - DWA @ Wg)
+    except np.linalg.LinAlgError:
+        return None
+    return (inv * (Wg + mu @ WA)).tolist()
+
+
 def _band_kkt(factor, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
     """The step dy of the KKT system S dy + Ef mu = -r, Ef^T dy = -resid,
     from S = L D L^T (_band_factor) by the range-space method (Nocedal and
@@ -295,17 +313,47 @@ def _band_kkt(factor, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
         for j, i, lq in ops:
             y[j] -= lq * y[i]
         W.append(y)
-    W, inv = np.array(W), np.array(inv)
-    Wg, WA = W[0], W[1:]
-    DWA = WA * inv
-    try:
-        mu = np.linalg.solve(DWA @ WA.T, resid - DWA @ Wg)
-    except np.linalg.LinAlgError:
+    z = _schur(W, inv, resid)
+    if z is None:
         return None
-    z = (inv * (Wg + mu @ WA)).tolist()
     for j, i, lq in reversed(ops):
         z[i] -= lq * z[j]
     return -np.array(z[:n])
+
+
+def _tri_kkt(band: np.ndarray, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
+    """_band_kkt(_band_factor(band), r, Ef, resid) for a tridiagonal band
+    (2, n) and two constraint columns Ef (n, 2), the floats included, in
+    one pass over the rows: each row's pivot and multiplier l are applied
+    at once to the three right-hand sides [r, Ef], and the multipliers are
+    kept for the backward sweep z_i -= l_i z_{i+1}."""
+    dg, off = band.tolist()
+    dg.append(1.0)  # _band_factor's row of padding: pivot 1, right-hand sides 0
+    g, ea, eb = (y + [0.0] for y in [r.tolist(), *Ef.T.tolist()])
+    d, wg, wa, wb = dg[0], g[0], ea[0], eb[0]
+    Wg, Wa, Wb, inv, ls = [wg], [wa], [wb], [], []
+    try:
+        for o, dn, gn, an, bn in zip(off, dg[1:], g[1:], ea[1:], eb[1:]):
+            l = o / d
+            inv.append(1.0 / d)
+            ls.append(l)
+            d = dn - l * o
+            wg = gn - l * wg
+            wa = an - l * wa
+            wb = bn - l * wb
+            Wg.append(wg)
+            Wa.append(wa)
+            Wb.append(wb)
+        inv.append(1.0 / d)
+    except ZeroDivisionError:
+        return None
+    z = _schur([Wg, Wa, Wb], inv, resid)
+    if z is None:
+        return None
+    zi = z.pop()
+    for i in range(len(z) - 1, -1, -1):
+        z[i] = zi = z[i] - ls[i] * zi
+    return -np.array(z)
 
 
 def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -355,16 +403,9 @@ def _frames(T: np.ndarray) -> np.ndarray:
     return np.stack([cb * U + sb * V, cb * V - sb * U], axis=1)
 
 
-def _turning(T: np.ndarray):
-    """Turning angles between consecutive tangents, with their cosines and
-    theta / sin(theta) (1 at theta = 0)."""
-    theta, d, n = _turn(T[:-1], T[1:])
-    return theta, d, _turn_ratio(theta, n)
-
-
 def _energy(T: np.ndarray, h: float) -> float:
     """B = sum theta_i^2 / h, the bending energy of the equal-edge chain."""
-    theta = _turning(T)[0]
+    theta = _turn(T[:-1], T[1:])[0]
     return float(np.dot(theta, theta)) / h
 
 
@@ -374,9 +415,9 @@ def _tangent_gradient(T: np.ndarray, h: float) -> np.ndarray:
     On the sphere grad_b theta^2 = -2 (theta / sin theta)(a - cos(theta) b)
     for theta the angle between unit vectors a and b.
     """
-    theta, d, ratio = _turning(T)
     a, b = T[:-1], T[1:]
-    w = (-2.0 / h) * ratio[:, None]
+    theta, d, n = _turn(a, b)
+    w = (-2.0 / h) * _turn_ratio(theta, n)[:, None]
     G = np.zeros_like(T)
     G[1:] += w * (a - d[:, None] * b)
     G[:-1] += w * (b - d[:, None] * a)
@@ -455,34 +496,45 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     |da - db|^2 / h, exactly so in the plane, and in space by a further
     ((theta / sin theta - 1)(k . (da - db))^2 - (theta / sin theta)
     (1 - cos theta)((k . da)^2 + (k . db)^2)) / h along its binormal k.
-    One banded LDL^T factorization of H, then _band_kkt: 1 + dim forward
-    sweeps, a dim x dim Schur complement and one backward sweep.
+    The KKT system is solved from the LDL^T factorization of H by 1 + dim
+    forward sweeps, a dim x dim Schur complement and one backward sweep: in
+    the plane H is tridiagonal and _tri_kkt factors it and sweeps in one
+    pass over the rows; in space (half-bandwidth 3) _band_factor records
+    the elimination and _band_kkt replays it on each right-hand side.
     """
     n, dm, dim = E.shape
     nf = b - a
-    eye = np.eye(dm)
     deg = np.full(nf, 2.0)
     if a == 0:
         deg[[0, -1]] = 1.0  # the end edges touch one turning vertex
-    D = (deg + _RIDGE)[:, None, None] * eye  # in units of 2/h
+    diag = deg + _RIDGE  # in units of 2/h
+    if dm == 1:
+        if nu is not None:
+            diag += (0.5 * h) * (T[a:b] @ nu)
+        band = np.zeros((2, nf))
+        band[0] = diag
+        band[1, :-1] = -1.0
+        dy = _tri_kkt((2.0 / h) * band, r.ravel(), E[a:b, 0], resid)
+        return None if dy is None or not np.all(np.isfinite(dy)) else dy[:, None]
+    eye = np.eye(dm)
+    D = diag[:, None, None] * eye
     O = np.broadcast_to(-eye, (nf - 1, dm, dm)).copy()
     if nu is not None:
         D += ((0.5 * h) * (T[a:b] @ nu))[:, None, None] * eye
-        if dm == 2:
-            theta, c, sn = _turn(T[:-1], T[1:])
-            ratio = _turn_ratio(theta, sn)
-            k = _cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
-            kap = np.einsum("jad,jd->ja", E[1:], k)  # vertex j's binormal in edge j's frame
-            # per vertex 0..n, zero at the two ends, which do not turn
-            kk = np.zeros((n + 1, dm, dm))
-            kk[1:-1] = kap[:, :, None] * kap[:, None, :]
-            eps = np.zeros(n + 1)
-            eps[1:-1] = ratio - 1.0
-            dlt = np.zeros(n + 1)
-            dlt[1:-1] = ratio * (1.0 - c)
-            Dv = (eps - dlt)[:, None, None] * kk
-            D += Dv[a:b] + Dv[a + 1 : b + 1]  # edge i touches vertices i and i + 1
-            O -= eps[a + 1 : b, None, None] * kk[a + 1 : b]
+        theta, c, sn = _turn(T[:-1], T[1:])
+        ratio = _turn_ratio(theta, sn)
+        k = _cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
+        kap = np.einsum("jad,jd->ja", E[1:], k)  # vertex j's binormal in edge j's frame
+        # per vertex 0..n, zero at the two ends, which do not turn
+        kk = np.zeros((n + 1, dm, dm))
+        kk[1:-1] = kap[:, :, None] * kap[:, None, :]
+        eps = np.zeros(n + 1)
+        eps[1:-1] = ratio - 1.0
+        dlt = np.zeros(n + 1)
+        dlt[1:-1] = ratio * (1.0 - c)
+        Dv = (eps - dlt)[:, None, None] * kk
+        D += Dv[a:b] + Dv[a + 1 : b + 1]  # edge i touches vertices i and i + 1
+        O -= eps[a + 1 : b, None, None] * kk[a + 1 : b]
     # upper band of the interleaved ordering dm * i + alpha
     band = np.zeros((2 * dm, nf * dm))
     for al in range(dm):
@@ -571,7 +623,7 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     j = np.arange(n - 2)
     w = np.minimum(1.0, np.minimum(j, j[::-1]) / (m + 1))
     for _ in range(8):
-        theta = _turning(T)[0]
+        theta = _turn(T[:-1], T[1:])[0]
         if max(theta[0], theta[-1]) <= np.max(theta[1:-1]):
             break
         T3 = np.zeros((n, 3))
@@ -609,7 +661,7 @@ def _multiplier(T: np.ndarray, nu: np.ndarray, h: float) -> float:
     2 k tau B is constant along an elastica (Langer and Singer) and -nu / h
     on the chain, so lam = k^2 + nu . T / h, averaged over the interior
     edges, with k^2 the mean of (theta / h)^2 at the edge's two vertices."""
-    k2 = (_turning(T)[0] / h) ** 2
+    k2 = (_turn(T[:-1], T[1:])[0] / h) ** 2
     return float(np.mean(0.5 * (k2[:-1] + k2[1:]) + (T[1:-1] @ nu) / h))
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import dataclasses
 import gc
 import json
 import math
@@ -412,6 +413,35 @@ class TestMinimize:
                          "--quiet", "--out", str(two))
         assert code == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("lower, want", [(np.nextafter(20.0, 0.0), 0), (20.0 - 1e-9, 1)],
+                             ids=["one_ulp", "beyond_rounding"])
+    def test_sweep_ties_go_to_the_lowest_seed(self, run, tmp_path, monkeypatch, lower, want):
+        # two converged seeds, seed 1 lower in B-bar: by one ulp it ties with
+        # seed 0 (within the rounding bound of the N-term energy sum) and the
+        # lower seed is kept; by 1e-9 it wins
+        solve = elastica.cli._run_minimize_seeded
+
+        def ranked(payload):
+            seed, r = solve(payload)
+            return seed, dataclasses.replace(r, Bbar=lower if seed else 20.0)
+
+        monkeypatch.setattr(elastica.cli, "_run_minimize_seeded", ranked)
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, _, err = run("minimize", str(problem), "--sweep", "2", "--jobs", "1")
+        assert code == 0
+        result = json.loads(next(
+            ln for ln in err.splitlines() if ln.startswith("result: "))[len("result: "):])
+        assert result["converged"] is True
+        assert (result["seed"], result["Bbar"]) == (want, lower if want else 20.0)
+
+    def test_single_run_names_its_seed(self, run, tmp_path):
+        problem = self.leaf_problem(tmp_path, n=64, seed=3)
+        code, _, err = run("minimize", str(problem), "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        result = json.loads(next(
+            ln for ln in err.splitlines() if ln.startswith("result: "))[len("result: "):])
+        assert result["seed"] == 3
 
     def test_taut_clamped_is_straight(self, run, tmp_path):
         problem = tmp_path / "taut.txt"

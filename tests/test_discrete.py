@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -916,6 +917,20 @@ class TestCoordinateRowKernels:
             want = np.linalg.norm(np.cross(a, b), axis=1)
             assert n.tobytes() == want.tobytes()
             assert theta.tobytes() == np.arctan2(want, np.einsum("ij,ij->i", a, b)).tobytes()
+
+    def test_turn_ratio_at_tiny_sines(self):
+        # theta / n where n > 1e-300, else 1: the values of the masked
+        # division, with no division by zero (or overflow, 0.5 / 5e-324)
+        # left to warn about
+        n = np.repeat([0.0, 5e-324, 1e-300, 2e-300], 3)
+        theta = np.tile([0.0, 1e-300, 0.5], 4)
+        with np.errstate(all="ignore"):
+            want = np.where(n > 1e-300, theta / n, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = discrete._turn_ratio(theta, n)
+        assert got.tobytes() == want.tobytes()
+        assert got.tolist() == [1.0] * 9 + [0.0, 0.5, 0.5 / 2e-300]
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_planar_angles_are_the_unsigned_kernel(self, closed):

@@ -33,6 +33,7 @@ from elastica.minimize import (
     _cross,
     _residual,
     _rounding_bound,
+    _tri_kkt,
 )
 
 from band_reference import _band_solve as reference_band_solve
@@ -864,7 +865,8 @@ def parent_kkt(band, r, Ef, resid):
 
 class TestBandSolver:
     """_band_kkt on _band_factor against a dense solve of the KKT system
-    and against the formula it replaced (parent_kkt)."""
+    and against the formula it replaced (parent_kkt); the planar kernel
+    _tri_kkt against _band_kkt, float for float."""
 
     @pytest.mark.parametrize("p, k, seed", [(p, k, 10 * p + k) for p in (1, 2, 3) for k in (1, 2, 3, 4)])
     def test_matches_reference_and_dense(self, p, k, seed):
@@ -900,6 +902,33 @@ class TestBandSolver:
         Ef = np.repeat(rng.standard_normal((20, 1)), 2, axis=1)  # two equal constraint columns
         assert _band_kkt(_band_factor(band), rng.standard_normal(20), Ef, np.ones(2)) is None
 
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    def test_planar_kernel_is_the_band_solve(self, n):
+        # the one-pass tridiagonal kernel takes the band solve's operations
+        # in its order: the same floats, on pivots of both signs
+        rng = default_rng(n)
+        for _ in range(5):
+            band = random_band(rng, n, 1)
+            r, Ef, resid = rng.standard_normal(n), rng.standard_normal((n, 2)), rng.standard_normal(2)
+            want = _band_kkt(_band_factor(band), r, Ef, resid)
+            assert want is not None
+            assert same_floats(_tri_kkt(band, r, Ef, resid), want)
+
+    @pytest.mark.parametrize("band", [
+        [[0.0, 2.0, 2.0], [1.0, 1.0, 0.0]],  # first pivot zero
+        [[1.0, 1.0, 3.0], [1.0, 0.5, 0.0]],  # second pivot 1 - 1 * 1 = 0
+    ])
+    def test_planar_kernel_zero_pivot_gives_none(self, band):
+        assert _tri_kkt(np.array(band), np.ones(3), np.ones((3, 2)), np.ones(2)) is None
+
+    def test_planar_kernel_singular_schur_gives_none(self):
+        rng = default_rng(5)
+        band = random_band(rng, 20, 1)
+        Ef = np.repeat(rng.standard_normal((20, 1)), 2, axis=1)  # two equal constraint columns
+        r = rng.standard_normal(20)
+        assert _band_kkt(_band_factor(band), r, Ef, np.ones(2)) is None
+        assert _tri_kkt(band, r, Ef, np.ones(2)) is None
+
     def test_cross_is_numpys(self):
         rng = default_rng(9)
         a, b = (rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, (500, 3))
@@ -918,9 +947,11 @@ class TestBandSolver:
         solve = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
         opts = MinimizeOptions(seed=1)
         got = solve(problem, opts)
-        # the reference solves from the band itself: it is its own "factor"
+        # the reference solves from the band itself: it is its own "factor";
+        # the plane's one-pass kernel takes the band too
         monkeypatch.setattr(minimize, "_band_factor", lambda band: band)
         monkeypatch.setattr(minimize, "_band_kkt", parent_kkt)
+        monkeypatch.setattr(minimize, "_tri_kkt", parent_kkt)
         want = solve(problem, opts)
         assert got.converged and want.converged
         assert (got.termination, got.iterations) == (want.termination, want.iterations)

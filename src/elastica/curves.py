@@ -39,8 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .elliptic import (
-    _cosh, _shape_like, _sn2_pi, am, cn, comp_E, comp_K, dE_dm, dK_dm, dn, jacobi_epsilon, sn,
-    sncndn,
+    _cosh, _shape_like, _sn2_pi, am, cn, comp_E, comp_K, dn, jacobi_epsilon, sn, sncndn,
 )
 from .errors import MAX_COUNT, DomainError, InfeasibleError
 
@@ -74,25 +73,23 @@ __all__ = [
 
 @lru_cache(maxsize=1)
 def figure_eight_modulus() -> float:
-    """The unique m* in (0,1) with 2E(m*) = K(m*).
+    """The unique m* in (0,1) with 2E(m*) = K(m*): the least float at which
+    2E - K <= 0.
 
     m -> 2E(m) - K(m) decreases strictly from pi/2 to -inf, so bisection
-    brackets the root; a Newton polish lands |2E - K| below 1e-13.
+    brackets the root; it runs until the midpoint rounds to an end, when
+    lo and hi are adjacent floats with 2E - K > 0 at lo and <= 0 at hi.
     """
     f = lambda m: 2.0 * comp_E(m) - comp_K(m)
-    lo, hi = 0.5, 0.95  # f(0.5) > 0 > f(0.95)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
+    lo, hi = 0.5, 0.95  # f(0.5) > 0 >= f(0.95)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    m = 0.5 * (lo + hi)
-    for _ in range(4):
-        m -= f(m) / (2.0 * dE_dm(m) - dK_dm(m))
-    if not abs(f(m)) < 1e-13:
+    if not abs(f(hi)) < 1e-13:
         raise RuntimeError("figure-eight modulus did not converge")
-    return m
+    return hi
 
 
 @lru_cache(maxsize=1)

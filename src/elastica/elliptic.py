@@ -13,18 +13,20 @@ Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`)
 serves K, E and sn/cn/dn: K and E come from its limit and its gap sum, and
 sn/cn/dn from a descending Landen transformation through its legs with a
 trigonometric base case.  The amplitude is am = atan2(sn, cn) on the branch
-nearest pi x / (2K).  The Jacobi epsilon function is Carlson's E(am, m),
-written in sn/cn/dn on the branch |x0| <= K of x = x0 + 2K n: one
-duplication (`_rf_rd`) gives its R_F and R_D, and each period adds 2E.
-The integral of the third kind in the Jacobi argument (`_sn2_pi`) is
-Carlson's R_J on the same branch, plus its complete value per period 2K.
-All are quadratically convergent and well-conditioned as m -> 1.
+nearest pi x / (2K).  One Carlson duplication (`_rj`, for R_J) serves the
+rest, on the branch |x0| <= K of x = x0 + 2K n.  The Jacobi epsilon
+function is Carlson's E(am, m) = F - (m/3) sn^3 R_D with F(am x0, m) = x0
+exactly and R_D(x, y, z) = R_J(x, y, z, z) (DLMF 19.16.5), and each period
+adds 2E.  The integral of the third kind in the Jacobi argument (`_sn2_pi`)
+is sn^3/3 R_J, plus its complete value per period 2K.  All are
+quadratically convergent and well-conditioned as m -> 1.
 
-The Carlson forms are evaluated on their two callers' domain only:
-(x, y, z) = (cn^2, dn^2, 1) and p = cn^2 + nc sn^2 with nc > 0.  So the
-largest of x, y, z is 1, 1 - M_MAX <= y <= 1, and p >= x lies between nc
-and 1; the tests cover nc from 2^-60 to 2^120.  Outside that domain the
-arguments are not checked, and the duplication may over- or underflow.
+R_J is evaluated on its two callers' domain only: (x, y, z) = (cn^2, dn^2,
+1) and p = cn^2 + nc sn^2 with nc > 0, the epsilon's p = 1 being nc = 1.
+So the largest of x, y, z is 1, 1 - M_MAX <= y <= 1, and p >= x lies
+between nc and 1; the tests cover nc from 2^-60 to 2^120.  Outside that
+domain the arguments are not checked, and the duplication may over- or
+underflow.
 
 Accuracy contract: absolute error <= 1e-12 for m <= 1 - 1e-9 and |x| <= 100.
 Operations built on K (K, am, jacobi_epsilon, and sn/cn/dn away from
@@ -56,8 +58,6 @@ __all__ = [
     "dn",
     "sncndn",
     "jacobi_epsilon",
-    "dK_dm",
-    "dE_dm",
 ]
 
 #: K-type operations reject m above this (K has a log singularity at m = 1).
@@ -113,7 +113,7 @@ def _require_m_for_K(m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Carlson symmetric forms (duplication method), elementwise over arrays;
+# Carlson's symmetric R_J (duplication method), elementwise over arrays;
 # duplication continues until the worst element meets the threshold, or to a
 # cap that only a NaN reaches: step k scales each |ave - arg| by 4^-k (DLMF
 # 19.36.ii) and ave stays a positive float, so every relative deviation starts
@@ -128,50 +128,13 @@ def _max_dev(*devs) -> float:
                for d in devs)
 
 
-def _rf_rd(x, y, z):
-    """(R_F(x, y, z), R_D(x, y, z)) from one duplication (Carlson 1995), on
-    the domain of its caller jacobi_epsilon: (cn^2, dn^2, 1), so z = 1 is the
-    largest argument, 1 - M_MAX <= y <= 1 and x >= 0.  Both series run on
-    the same iterates, and each is summed at the step where its own test
-    first passes."""
-    xt, yt, zt = x, y, z
-    total, fac, k = 0.0, 1.0, 0
-    rf = rd = None
-    while rf is None or rd is None:
-        k += 1  # at the cap both series are summed as they stand
-        sx, sy, sz = np.sqrt(xt), np.sqrt(yt), np.sqrt(zt)
-        lam = sx * (sy + sz) + sy * sz
-        if rd is None:
-            total += fac / (sz * (zt + lam))
-            fac *= 0.25
-        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        if rf is None:
-            ave = (xt + yt + zt) / 3.0
-            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-            # series truncation error ~ ERRTOL^6 ~ 2e-16 relative
-            if _max_dev(dx, dy, dz) <= 0.0025 or k == _MAX_DUPLICATIONS:
-                e2, e3 = dx * dy - dz * dz, dx * dy * dz
-                rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / np.sqrt(ave)
-        if rd is None:
-            ave = 0.2 * (xt + yt + 3.0 * zt)
-            dx, dy, dz = (ave - xt) / ave, (ave - yt) / ave, (ave - zt) / ave
-            if _max_dev(dx, dy, dz) <= 0.0015 or k == _MAX_DUPLICATIONS:
-                ea, eb = dx * dy, dz * dz
-                ec = ea - eb
-                ed = ea - 6.0 * eb
-                ee = ed + ec + ec
-                c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
-                s = 1.0 + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) \
-                    + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-                rd = 3.0 * total + fac * s / (ave * np.sqrt(ave))
-    return rf, rd
-
-
 def _rj(x, y, z, p):
     """Carlson R_J(x, y, z, p) by Carlson's 1995 duplication (DLMF 19.36.ii),
-    on the domain of its caller _sn2_pi: (cn^2, dn^2, 1, cn^2 + nc sn^2) with
-    nc > 0, so z = 1 is the largest of x, y, z, 1 - M_MAX <= y <= 1, and
-    p >= x lies between nc and 1.  Arguments broadcast."""
+    on the domain of its two callers: (cn^2, dn^2, 1, cn^2 + nc sn^2) with
+    nc > 0 from _sn2_pi, and p = z = 1 (nc = 1) from jacobi_epsilon, where
+    it is R_D(cn^2, dn^2, 1): there delta = 0, so every R_C is 1.  So z = 1
+    is the largest of x, y, z, 1 - M_MAX <= y <= 1, and p >= x lies between
+    nc and 1.  Arguments broadcast."""
     xt, yt, zt, pt = x, y, z, p
     ave = 0.2 * (xt + yt + zt + pt + pt)
     spread = np.maximum(np.maximum(np.abs(ave - xt), np.abs(ave - yt)),
@@ -317,11 +280,13 @@ def _reduce_2K(x, m: float):
 
 def jacobi_epsilon(x, m: float):
     """E(am(x, m), m), the Jacobi epsilon function (arclength of the ellipse):
-    sn (R_F - (m/3) sn^2 R_D) at (cn^2, dn^2, 1) on the principal branch."""
+    on the principal branch x0 - (m/3) sn^3 R_D(cn^2, dn^2, 1), since
+    E(phi, m) = sn R_F - (m/3) sn^3 R_D and sn R_F = F(am x0, m) = x0, with
+    R_D(cn^2, dn^2, 1) = R_J(cn^2, dn^2, 1, 1)."""
     x0, n, _ = _reduce_2K(x, m)
     s, c, d = sncndn(x0, m)
-    rf, rd = _rf_rd(c * c, d * d, 1.0)
-    return _shape_like(x, s * (rf - (m / 3.0) * s * s * rd) + 2.0 * comp_E(m) * n)
+    e = x0 - (m / 3.0) * s * s * s * _rj(c * c, d * d, 1.0, 1.0)
+    return _shape_like(x, e + 2.0 * comp_E(m) * n)
 
 
 def _sn2_pi(x, nc, m: float):
@@ -353,32 +318,3 @@ def cn(x, m: float):
 def dn(x, m: float):
     """Jacobi delta amplitude dn(x, m) = sqrt(1 - m sn^2)."""
     return sncndn(x, m)[2]
-
-
-# ---------------------------------------------------------------------------
-# Parameter derivatives
-
-def dK_dm(m: float) -> float:
-    """dK/dm = (E - (1-m)K) / (2m(1-m)) for m in (0, 1).
-
-    The closed form is 0/0 at m = 0 (limit pi/8) and
-    singular at m = 1; both endpoints raise.  For m below ~1e-6 the numerator
-    cancellation costs a few digits (relative error ~1e-10).
-    """
-    m = float(m)
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"dK_dm needs m in (0, 1), got {m!r}")
-    if m > M_MAX:
-        raise DomainError(f"dK_dm not supported above m = {M_MAX}")
-    K, E = comp_K(m), comp_E(m)
-    return (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
-
-
-def dE_dm(m: float) -> float:
-    """dE/dm = (E - K) / (2m) for m in (0, 1); limit -pi/8 at m = 0."""
-    m = float(m)
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"dE_dm needs m in (0, 1), got {m!r}")
-    if m > M_MAX:
-        raise DomainError(f"dE_dm not supported above m = {M_MAX}")
-    return (comp_E(m) - comp_K(m)) / (2.0 * m)

@@ -17,7 +17,7 @@ forward sweeps on the 1 + dim right-hand sides, a dim x dim Schur
 complement from them, and one backward sweep.  In the plane the band is
 tridiagonal, and one pass over its rows factors it and sweeps the three
 right-hand sides together (_tri_kkt); in space the factorization records
-its row operations, which each sweep replays (_band_factor, _band_kkt).
+its row operations, which each sweep replays (_band_kkt).
 In space B's Hessian also adds, per turning vertex, terms along its
 binormal; without them the step converges only linearly.  When the Newton
 step does not descend, the positive definite (2/h) Laplacian
@@ -254,11 +254,30 @@ def energy_gradient(c: DiscreteCurve) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the chain in edge-tangent coordinates
 
-def _band_factor(band: np.ndarray):
-    """LDL^T without pivoting of symmetric banded S (band[q, i] = S[i, i + q],
-    q = 0..p) on Python floats, faster than per-row NumPy at chain sizes.
-    Returns the row operations (j, i, l), row j -= l * row i, in elimination
-    order, and the reciprocal pivots; None at a zero pivot."""
+def _schur(W: list, inv: list, resid: np.ndarray):
+    """D^-1 (W_g + W_A mu) as a list, mu from the Schur system
+    W_A D^-1 W_A^T mu = resid - W_A D^-1 W_g of the forward sweeps W =
+    [W_g, *W_A] and reciprocal pivots inv; None when it is singular."""
+    W, inv = np.array(W), np.array(inv)
+    Wg, WA = W[0], W[1:]
+    DWA = WA * inv
+    try:
+        mu = np.linalg.solve(DWA @ WA.T, resid - DWA @ Wg)
+    except np.linalg.LinAlgError:
+        return None
+    return (inv * (Wg + mu @ WA)).tolist()
+
+
+def _band_kkt(band: np.ndarray, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
+    """The step dy of the KKT system S dy + Ef mu = -r, Ef^T dy = -resid,
+    for symmetric banded S (band[q, i] = S[i, i + q], q = 0..p), by the
+    range-space method (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+    16.2).  S = L D L^T without pivoting, on Python floats (faster than
+    per-row NumPy at chain sizes), records its row operations (j, i, l),
+    row j -= l * row i; the forward sweeps replay them to give W = L^-1 [r,
+    Ef], the Schur complement Ef^T S^-1 Ef is W_A^T D^-1 W_A, and a single
+    backward sweep gives dy = -L^-T D^-1 (W_g + W_A mu).  D may hold pivots
+    of both signs.  None at a zero pivot or a singular Schur matrix."""
     p1, n = band.shape
     # p unit rows of padding spare the loops their bounds checks
     U = [row + [float(q == 0)] * (p1 - 1) for q, row in enumerate(band.tolist())]
@@ -275,38 +294,10 @@ def _band_factor(band: np.ndarray):
                 push((j, i, lq))
                 for Um, Uqm in pairs:
                     Um[j] -= lq * Uqm[i]
-        return ops, [1.0 / d for d in piv]
+        inv = [1.0 / d for d in piv]
     except ZeroDivisionError:
         return None
-
-
-def _schur(W: list, inv: list, resid: np.ndarray):
-    """D^-1 (W_g + W_A mu) as a list, mu from the Schur system
-    W_A D^-1 W_A^T mu = resid - W_A D^-1 W_g of the forward sweeps W =
-    [W_g, *W_A] and reciprocal pivots inv; None when it is singular."""
-    W, inv = np.array(W), np.array(inv)
-    Wg, WA = W[0], W[1:]
-    DWA = WA * inv
-    try:
-        mu = np.linalg.solve(DWA @ WA.T, resid - DWA @ Wg)
-    except np.linalg.LinAlgError:
-        return None
-    return (inv * (Wg + mu @ WA)).tolist()
-
-
-def _band_kkt(factor, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
-    """The step dy of the KKT system S dy + Ef mu = -r, Ef^T dy = -resid,
-    from S = L D L^T (_band_factor) by the range-space method (Nocedal and
-    Wright, Numerical Optimization, 2nd ed., 16.2): forward sweeps give
-    W = L^-1 [r, Ef], the Schur complement Ef^T S^-1 Ef is W_A^T D^-1 W_A,
-    and a single backward sweep gives dy = -L^-T D^-1 (W_g + W_A mu).  D may
-    hold pivots of both signs.  None at a zero pivot (factor None) or a
-    singular Schur matrix."""
-    if factor is None:
-        return None
-    ops, inv = factor
-    n = len(r)
-    pad = [0.0] * (len(inv) - n)
+    pad = [0.0] * (p1 - 1)
     W = []
     for y in [r.tolist(), *Ef.T.tolist()]:
         y += pad
@@ -322,13 +313,13 @@ def _band_kkt(factor, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
 
 
 def _tri_kkt(band: np.ndarray, r: np.ndarray, Ef: np.ndarray, resid: np.ndarray):
-    """_band_kkt(_band_factor(band), r, Ef, resid) for a tridiagonal band
-    (2, n) and two constraint columns Ef (n, 2), the floats included, in
-    one pass over the rows: each row's pivot and multiplier l are applied
-    at once to the three right-hand sides [r, Ef], and the multipliers are
-    kept for the backward sweep z_i -= l_i z_{i+1}."""
+    """_band_kkt(band, r, Ef, resid) for a tridiagonal band (2, n) and two
+    constraint columns Ef (n, 2), the floats included, in one pass over the
+    rows: each row's pivot and multiplier l are applied at once to the three
+    right-hand sides [r, Ef], and the multipliers are kept for the backward
+    sweep z_i -= l_i z_{i+1}."""
     dg, off = band.tolist()
-    dg.append(1.0)  # _band_factor's row of padding: pivot 1, right-hand sides 0
+    dg.append(1.0)  # _band_kkt's row of padding: pivot 1, right-hand sides 0
     g, ea, eb = (y + [0.0] for y in [r.tolist(), *Ef.T.tolist()])
     d, wg, wa, wb = dg[0], g[0], ea[0], eb[0]
     Wg, Wa, Wb, inv, ls = [wg], [wa], [wb], [], []
@@ -499,8 +490,8 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     The KKT system is solved from the LDL^T factorization of H by 1 + dim
     forward sweeps, a dim x dim Schur complement and one backward sweep: in
     the plane H is tridiagonal and _tri_kkt factors it and sweeps in one
-    pass over the rows; in space (half-bandwidth 3) _band_factor records
-    the elimination and _band_kkt replays it on each right-hand side.
+    pass over the rows; in space (half-bandwidth 3) _band_kkt records the
+    elimination and replays it on each right-hand side.
     """
     n, dm, dim = E.shape
     nf = b - a
@@ -543,7 +534,7 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
                 band[be - al, al::dm] = D[:, al, be]
             band[dm + be - al, al::dm][: nf - 1] = O[:, al, be]
     Ef = E[a:b].reshape(nf * dm, dim)  # columns of A^T
-    dy = _band_kkt(_band_factor((2.0 / h) * band), r.ravel(), Ef, resid)
+    dy = _band_kkt((2.0 / h) * band, r.ravel(), Ef, resid)
     return None if dy is None or not np.all(np.isfinite(dy)) else dy.reshape(nf, dm)
 
 
@@ -665,6 +656,13 @@ def _multiplier(T: np.ndarray, nu: np.ndarray, h: float) -> float:
     return float(np.mean(0.5 * (k2[:-1] + k2[1:]) + (T[1:-1] @ nu) / h))
 
 
+def _log_row(it: int, B: float, grad_norm: float, residual: float, n: int) -> dict:
+    """The log row of an iterate; its step fields stay at these values
+    until a step from it is tried."""
+    return {"iteration": it, "B": B, "grad_norm": grad_norm, "max_constraint_residual": residual,
+            "N": n, "t": None, "direction": None, "backtracks": 0, "closure_steps": 0}
+
+
 def _descend(T, P0, P1, h, a, tol, max_iters):
     """Descent from the tangents T of a chain of n edges.  The free
     tangents are a..b-1 (a = 1 when the end tangents are clamped); closure
@@ -685,9 +683,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
         # relative to r, all that is left of g near a critical point
         E, nu, r, grad_norm = _reduced_gradient(T, h, a, b)
         el = _row_norms(np.diff(_vertices(T, P0, P1, h), axis=0))
-        log.append({"iteration": it, "B": B, "grad_norm": grad_norm,
-                    "max_constraint_residual": float(np.max(np.abs(el - h))) / h, "N": n,
-                    "t": None, "direction": None, "backtracks": 0, "closure_steps": 0})
+        log.append(_log_row(it, B, grad_norm, float(np.max(np.abs(el - h))) / h, n))
         if grad_norm < tol or it == max_iters:
             end = "converged" if grad_norm < tol else "budget"
             return T, B, _multiplier(T, nu, h), grad_norm, it, end, log
@@ -790,10 +786,6 @@ def minimize_clamped(p: ClampedProblem, opts: MinimizeOptions = MinimizeOptions(
         # the straight segment is the only curve in the constraint set
         t = np.linspace(0.0, 1.0, p.N + 1)[:, None]
         X = (1.0 - t) * p.P0 + t * p.P1
-        log = [
-            {"iteration": 0, "B": 0.0, "grad_norm": 0.0, "max_constraint_residual": 0.0, "N": p.N,
-             "t": None, "direction": None, "backtracks": 0, "closure_steps": 0}
-        ]
-        return _package(X, (0.0, math.nan, 0.0, 0, "converged", log))
+        return _package(X, (0.0, math.nan, 0.0, 0, "converged", [_log_row(0, 0.0, 0.0, 0.0, p.N)]))
     return _solve(p, opts, clamp=(p.V0, p.V1))
 

@@ -1,11 +1,11 @@
 """The minimizer's banded solve as the library first wrote it, for tests.
 
-`elastica.minimize` keeps this routine's LDL^T elimination in
-`_band_factor`, and `_band_kkt` solves the Newton step's KKT system from it
-with forward sweeps, a Schur complement and a single backward sweep,
-instead of solving every right-hand side in full as here.  In the plane
-the band is tridiagonal, and `_tri_kkt` takes the operations of
-`_band_factor` and `_band_kkt` in one pass over the rows, float for float.
+`elastica.minimize._band_kkt` keeps this routine's LDL^T elimination and
+solves the Newton step's KKT system from it with forward sweeps, a Schur
+complement and a single backward sweep, instead of solving every
+right-hand side in full as here.  In the plane the band is tridiagonal,
+and `_tri_kkt` takes the operations of `_band_kkt` in one pass over the
+rows, float for float.
 The tests use this routine, with the Schur complement formed in NumPy, as
 the oracle for both solves, in the plane and in space: the same solution
 to rounding, the same solver steps.

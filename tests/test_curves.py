@@ -76,6 +76,14 @@ class TestFigureEightModulus:
         assert 2 * comp_E(0.5) - comp_K(0.5) > 0
         assert 2 * comp_E(0.95) - comp_K(0.95) < 0
 
+    def test_least_float_past_the_root(self):
+        # the bisection runs until its bracket closes: m* is the least float
+        # at which 2E - K <= 0, so one float lower 2E - K is still positive
+        m = figure_eight_modulus()
+        assert 2 * comp_E(m) - comp_K(m) <= 0
+        below = float(np.nextafter(m, 0.0))
+        assert 2 * comp_E(below) - comp_K(below) > 0
+
     def test_cached(self):
         assert figure_eight_modulus() is figure_eight_modulus()
 

@@ -7,7 +7,6 @@ cross-check, and mpmath at 40 digits for the array amplitude/epsilon.
 Frozen constants in this file were produced by those oracles.
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -24,7 +23,6 @@ from elastica import elliptic as el
 from elastica.curves import PlanarElastica, eval_planar, figure_eight_modulus, reconstruct_spatial
 from elastica.profiles import CurvatureProfile, profile_period
 
-from carlson_reference import reference_rd, reference_rf
 from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
 
 # frozen oracle values (quadrature / AGM, see module docstring)
@@ -291,45 +289,18 @@ class TestEpsilonFunction:
             el.jacobi_epsilon(x, m) + twoE, abs=1e-13
         )
 
+    @pytest.mark.parametrize("m", [1e-8, 0.5, figure_eight_modulus(), el.M_MAX])
+    def test_is_the_orbitlike_path(self, m):
+        # epsilon = x - m * integral_0^x sn^2: jacobi_epsilon takes R_J at
+        # p = 1, _sn2_pi (the orbitlike family's route) at p = cn^2 + sn^2
+        xs = np.linspace(-30.0, 30.0, 241)
+        want = xs - m * el._sn2_pi(xs, 1.0, m)
+        assert np.max(np.abs(el.jacobi_epsilon(xs, m) - want)) <= 1e-13
+
 
 class TestCarlsonReference:
-    """_rf_rd runs one duplication for R_F and R_D; each value must equal its
-    own loop in carlson_reference bit for bit, on arrays and on scalars."""
-
-    @staticmethod
-    def assert_same(x, y, z):
-        rf, rd = el._rf_rd(x, y, z)
-        want = np.asarray(reference_rf(x, y, z)).tobytes()
-        assert np.asarray(rf).tobytes() == want
-        assert np.asarray(rd).tobytes() == np.asarray(reference_rd(x, y, z)).tobytes()
-
-    @pytest.mark.parametrize("m", [1e-8, 0.3, 0.8261147659849704, 0.99, el.M_MAX])
-    def test_principal_branch(self, m):
-        # the arguments of E(phi, m) in jacobi_epsilon: (cos^2, 1 - m sin^2, 1), with cos^2 = 0
-        # and, at m = M_MAX, q = 1 - M_MAX at the ends of the branch
-        phi = np.linspace(-math.pi / 2, math.pi / 2, 257)
-        s, c = np.sin(phi), np.cos(phi)
-        s[[0, -1]], c[[0, -1]] = (-1.0, 1.0), 0.0
-        q = 1.0 - m * s * s
-        self.assert_same(c * c, q, 1.0)
-        for k in (0, 1, 128):
-            self.assert_same(float(c[k] * c[k]), float(q[k]), 1.0)
-
-    def test_q_at_its_floor(self):
-        self.assert_same(0.0, 1.0 - el.M_MAX, 1.0)
-        self.assert_same(np.array([0.0, 1e-3, 0.5]), np.full(3, 1.0 - el.M_MAX), 1.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_wide_scales(self, seed):
-        # arguments down to subnormals, one of x, y zero in places; z > 0
-        rng = np.random.default_rng(seed)
-        x, y = 10.0 ** rng.uniform(-323.0, 2.0, (2, 64))
-        x[::9], y[4::9] = 0.0, 0.0
-        z = 10.0 ** rng.uniform(-2.0, 2.0, 64)
-        self.assert_same(x, y, z)
-        self.assert_same(x[x < 1e-300], y[x < 1e-300], 1.0)
-        for k in range(0, 64, 7):
-            self.assert_same(float(x[k]), float(y[k]), float(z[k]))
+    """The loop control of the duplication in _rj: a scalar runs the steps of
+    a one-element array, and a NaN stops at the step cap."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_scalar_path_is_the_one_element_array_path(self, seed):
@@ -341,8 +312,6 @@ class TestCarlsonReference:
         z, p = 10.0 ** rng.uniform(-2.0, 2.0, (2, 24))
         for args in zip(x.tolist(), y.tolist(), z.tolist(), p.tolist()):
             one = [np.array([a]) for a in args]
-            got, want = el._rf_rd(*args[:3]), el._rf_rd(*one[:3])
-            assert [np.float64(g).tobytes() for g in got] == [w.tobytes() for w in want]
             assert np.float64(el._rj(*args)).tobytes() == el._rj(*one).tobytes()
 
     @pytest.mark.parametrize("d", [0.0, -0.0, 1e-300, -2.5e-3, 3.0, -math.inf])
@@ -358,7 +327,7 @@ class TestCarlsonReference:
         assert math.isnan(el._max_dev(math.nan, math.nan, math.nan))
 
     def test_nan_stops_at_the_step_cap(self):
-        # a NaN never meets a duplication test: the loops stop after
+        # a NaN never meets the duplication test: the loop stops after
         # _MAX_DUPLICATIONS steps with NaN there and the other elements
         # converged.  Run in a child process, so that a loop without the cap
         # fails by the timeout instead of hanging the suite
@@ -367,13 +336,6 @@ class TestCarlsonReference:
             "import numpy as np\n"
             "from elastica import elliptic as el\n"
             "nan, a = math.nan, np.array\n"
-            "rf, rd = el._rf_rd(a([nan]), a([1.0]), 1.0)\n"
-            "assert np.isnan(rf).all() and np.isnan(rd).all()\n"
-            "assert all(math.isnan(v) for v in el._rf_rd(nan, 1.0, 1.0))\n"
-            "rf, rd = el._rf_rd(a([nan, 0.5]), a([1.0, 0.3]), 1.0)\n"
-            "want = el._rf_rd(0.5, 0.3, 1.0)\n"
-            "assert math.isnan(rf[0]) and math.isnan(rd[0])\n"
-            "assert np.allclose([rf[1], rd[1]], want, rtol=1e-15, atol=0.0)\n"
             "rj = el._rj(a([nan, 0.5]), 1.0, 1.0, 1.0)\n"
             "assert math.isnan(rj[0]) and np.isclose(rj[1], el._rj(0.5, 1.0, 1.0, 1.0), rtol=1e-15)\n"
             "assert math.isnan(el._rj(0.5, 1.0, nan, 1.0))\n"
@@ -453,11 +415,11 @@ class TestArrayOracle:
 
 
 class TestCarlsonDomain:
-    """R_F, R_D and R_J at the ends of their callers' domain against mpmath at
-    40 digits, with every warning an error: (x, y, 1) with x = cn^2 down to 0
-    and subnormal and y = dn^2 down to 1 - M_MAX, and for R_J p = x + nc (1 - x),
-    nc = 2^k with k from -60 to 120 in steps of 5.  TestCallerDomain holds
-    the callers to this domain."""
+    """R_J at the ends of its callers' domain against mpmath at 40 digits,
+    with every warning an error: (x, y, 1, p) with x = cn^2 down to 0 and
+    subnormal, y = dn^2 down to 1 - M_MAX and p = x + nc (1 - x), nc = 2^k
+    with k from -60 to 120 in steps of 5.  TestCallerDomain holds the
+    callers to this domain."""
 
     X = (0.0, 5e-324, 1e-300, 1e-20, 0.3, 1.0)
     Y = (1.0 - el.M_MAX, 1e-4, 0.5, 1.0)
@@ -469,20 +431,10 @@ class TestCarlsonDomain:
         want = float(want)
         return math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
 
-    def test_rf_rd_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        x, y = np.array(list(itertools.product(self.X, self.Y))).T
-        with mpmath.workdps(40), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rf, rd = el._rf_rd(x, y, 1.0)  # an array, as jacobi_epsilon calls it
-            for k, a in enumerate(zip(x.tolist(), y.tolist(), [1.0] * len(x))):
-                want_f, want_d = mpmath.elliprf(*a), mpmath.elliprd(*a)
-                assert self.close(rf[k], want_f) and self.close(rd[k], want_d), a
-                got_f, got_d = el._rf_rd(*a)
-                assert self.close(got_f, want_f) and self.close(got_d, want_d), a
-
     @pytest.mark.parametrize("x", X)
     def test_rj_against_mpmath(self, x):
+        """nc = 2^0 gives p = z = 1, where R_J is R_D(x, y, 1), the
+        argument of jacobi_epsilon; the other nc are those of _sn2_pi."""
         mpmath = pytest.importorskip("mpmath")
         p = x + self.NC * (1.0 - x)
         with mpmath.workdps(40), warnings.catch_warnings():
@@ -496,9 +448,9 @@ class TestCarlsonDomain:
 
 
 class TestCallerDomain:
-    """Every argument that jacobi_epsilon and _sn2_pi pass to _rf_rd and _rj
-    lies in the domain TestCarlsonDomain covers, at the ends of the
-    parameters: a caller that leaves it fails here."""
+    """Every argument that jacobi_epsilon and _sn2_pi pass to _rj lies in the
+    domain TestCarlsonDomain covers, at the ends of the parameters: a caller
+    that leaves it fails here."""
 
     M_VALUES = (5e-324, 1e-8, 0.5, el.M_MAX)
     # (m, w, A): near-planar, near-circular, tiny and huge A, a torus-knot
@@ -508,31 +460,28 @@ class TestCallerDomain:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"_rf_rd": [], "_rj": []}
-        for name, log in seen.items():
-            def spy(*args, f=getattr(el, name), log=log):
-                log.append([np.asarray(a, dtype=float) for a in np.broadcast_arrays(*args)])
-                return f(*args)
-            monkeypatch.setattr(el, name, spy)
+        seen = []
+        def spy(*args, f=el._rj):
+            seen.append([np.asarray(a, dtype=float) for a in np.broadcast_arrays(*args)])
+            return f(*args)
+        monkeypatch.setattr(el, "_rj", spy)
         return seen
 
     @staticmethod
     def check(seen):
         assert seen
         lo, hi = TestCarlsonDomain.P_RANGE
-        for x, y, z, *rest in seen:
+        for x, y, z, p in seen:
             assert (np.maximum(np.maximum(x, y), z) == 1.0).all()
             assert (y >= 1.0 - el.M_MAX).all()
-            for p in rest:
-                assert (x <= p).all() and (lo <= p).all() and (p <= hi).all()
+            assert (x <= p).all() and (lo <= p).all() and (p <= hi).all()
 
     def test_jacobi_epsilon_and_orbitlike(self, calls):
         xs = np.linspace(-30.0, 30.0, 241)
         for m in self.M_VALUES:
             el.jacobi_epsilon(xs, m)
             eval_planar(PlanarElastica("orbitlike", m), xs)
-        self.check(calls["_rf_rd"])
-        self.check(calls["_rj"])
+        self.check(calls)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_reconstruct_spatial(self, calls, profile):
@@ -540,7 +489,7 @@ class TestCallerDomain:
         period = profile_period(p)
         c = reconstruct_spatial(p, np.eye(3), (-period, 2.0 * period), period / 256)
         assert np.isfinite(c.vertices).all()
-        self.check(calls["_rj"])
+        self.check(calls)
 
 
 class TestThirdKind:
@@ -600,37 +549,6 @@ class TestThirdKind:
                 # at n = 0 the rest is the integral of sn^2
                 sn2 = x / 2 - mpmath.sin(2 * x) / 4 if m == 0.0 else (x - mpmath.ellipe(phi, mm)) / mm
                 assert self.close(r0, sn2), (x, m)
-
-
-class TestParameterDerivatives:
-    def test_frozen_value(self):
-        assert el.dE_dm(0.5) == pytest.approx((E_HALF - K_HALF) / 1.0, abs=1e-13)
-        assert el.dE_dm(0.5) == pytest.approx(-0.5034307962536964, abs=1e-13)
-
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
-    def test_signs(self, m):
-        assert el.dK_dm(m) > 0
-        assert el.dE_dm(m) < 0
-
-    def test_finite_difference(self):
-        h = 1e-6
-        for m in (0.4, 0.7):
-            fd_K = (el.comp_K(m + h) - el.comp_K(m - h)) / (2 * h)
-            fd_E = (el.comp_E(m + h) - el.comp_E(m - h)) / (2 * h)
-            assert el.dK_dm(m) == pytest.approx(fd_K, rel=1e-6)
-            assert el.dE_dm(m) == pytest.approx(fd_E, rel=1e-6)
-
-    def test_limits_documented(self):
-        # closed forms approach the documented limits pi/8 and -pi/8
-        assert el.dK_dm(1e-7) == pytest.approx(math.pi / 8, rel=1e-6)
-        assert el.dE_dm(1e-7) == pytest.approx(-math.pi / 8, rel=1e-6)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(DomainError):
-                el.dK_dm(bad)
-            with pytest.raises(DomainError):
-                el.dE_dm(bad)
 
 
 def landen_chain(m: float) -> list[tuple[float, float]]:
@@ -704,9 +622,6 @@ FLOAT_CONTRACTS = {
     },
     ("comp_K", "m"): (el.comp_K, {0.0: is_(math.pi / 2)}),
     ("comp_E", "m"): (el.comp_E, {0.0: is_(math.pi / 2)}),
-    # the closed forms are 0/0 at m = 0: documented to raise
-    ("dK_dm", "m"): (el.dK_dm, {}),
-    ("dE_dm", "m"): (el.dE_dm, {}),
 }
 
 

@@ -26,7 +26,6 @@ from elastica.minimize import (
 from elastica.minimize import (
     _CLOSURE_TOL,
     _TOL_PER_EDGE,
-    _band_factor,
     _band_kkt,
     _close,
     _closure_floor,
@@ -864,9 +863,9 @@ def parent_kkt(band, r, Ef, resid):
 
 
 class TestBandSolver:
-    """_band_kkt on _band_factor against a dense solve of the KKT system
-    and against the formula it replaced (parent_kkt); the planar kernel
-    _tri_kkt against _band_kkt, float for float."""
+    """_band_kkt against a dense solve of the KKT system and against the
+    formula it replaced (parent_kkt); the planar kernel _tri_kkt against
+    _band_kkt, float for float.  All three take (band, r, Ef, resid)."""
 
     @pytest.mark.parametrize("p, k, seed", [(p, k, 10 * p + k) for p in (1, 2, 3) for k in (1, 2, 3, 4)])
     def test_matches_reference_and_dense(self, p, k, seed):
@@ -877,7 +876,7 @@ class TestBandSolver:
                 continue
             band = random_band(rng, n, p)
             r, Ef, resid = rng.standard_normal(n), rng.standard_normal((n, k)), rng.standard_normal(k)
-            dy = _band_kkt(_band_factor(band), r, Ef, resid)
+            dy = _band_kkt(band, r, Ef, resid)
             assert dy.shape == (n,)
             K = np.block([[dense(band), Ef], [Ef.T, np.zeros((k, k))]])
             want = np.linalg.solve(K, -np.concatenate([r, resid]))[:n]
@@ -892,16 +891,15 @@ class TestBandSolver:
     def test_zero_pivot_gives_nan(self, band):
         # the full solve gave NaN at a zero pivot; the KKT solve gives None
         band = np.array(band)
-        assert _band_factor(band) is None
         assert np.all(np.isnan(reference_band_solve(band, np.ones((3, 2)))))
-        assert _band_kkt(_band_factor(band), np.ones(3), np.ones((3, 2)), np.ones(2)) is None
+        assert _band_kkt(band, np.ones(3), np.ones((3, 2)), np.ones(2)) is None
         assert _tri_kkt(band, np.ones(3), np.ones((3, 2)), np.ones(2)) is None  # tridiagonal too
 
     def test_singular_schur_gives_none(self):
         rng = default_rng(5)
         band = random_band(rng, 20, 2)
         Ef = np.repeat(rng.standard_normal((20, 1)), 2, axis=1)  # two equal constraint columns
-        assert _band_kkt(_band_factor(band), rng.standard_normal(20), Ef, np.ones(2)) is None
+        assert _band_kkt(band, rng.standard_normal(20), Ef, np.ones(2)) is None
 
     @pytest.mark.parametrize("n", [2, 7, 200])
     def test_planar_kernel_is_the_band_solve(self, n):
@@ -911,7 +909,7 @@ class TestBandSolver:
         for _ in range(5):
             band = random_band(rng, n, 1)
             r, Ef, resid = rng.standard_normal(n), rng.standard_normal((n, 2)), rng.standard_normal(2)
-            want = _band_kkt(_band_factor(band), r, Ef, resid)
+            want = _band_kkt(band, r, Ef, resid)
             assert want is not None
             assert same_floats(_tri_kkt(band, r, Ef, resid), want)
 
@@ -920,7 +918,7 @@ class TestBandSolver:
         band = random_band(rng, 20, 1)
         Ef = np.repeat(rng.standard_normal((20, 1)), 2, axis=1)  # two equal constraint columns
         r = rng.standard_normal(20)
-        assert _band_kkt(_band_factor(band), r, Ef, np.ones(2)) is None
+        assert _band_kkt(band, r, Ef, np.ones(2)) is None
         assert _tri_kkt(band, r, Ef, np.ones(2)) is None
 
     def test_cross_is_numpys(self):
@@ -941,9 +939,7 @@ class TestBandSolver:
         solve = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
         opts = MinimizeOptions(seed=1)
         got = solve(problem, opts)
-        # the reference solves from the band itself: it is its own "factor";
-        # the plane's one-pass kernel takes the band too
-        monkeypatch.setattr(minimize, "_band_factor", lambda band: band)
+        # the reference takes the band, as both kernels do
         monkeypatch.setattr(minimize, "_band_kkt", parent_kkt)
         monkeypatch.setattr(minimize, "_tri_kkt", parent_kkt)
         want = solve(problem, opts)

@@ -5,20 +5,22 @@ The fourth-order equation
     2 g'''' + 6 <g'', g'''> g' + 3 |g''|^2 g'' - lam g'' = 0
 
 is integrated as the first-order system in (gamma, d1, d2, d3) with
-classical fixed-step 4th-order stepping.  The full step is the one kept,
-so halving h cuts the closed-form deviation by about 16x.  gamma feeds no
-rate, so the kept steps advance (d1, d2, d3) alone, one at a time, in a
-straight-line kernel on named Python floats: _step3 in R^3, and _step2 on
-the x/y floats of a planar state (2-D, or 3-D with every z entry +0.0,
-whose z entries the R^3 kernel would keep at +0.0 bit for bit).  After
-each block of _BLOCK steps the position increments are computed from the
-kept frames in NumPy, in the kernel's operation order, and added in
+classical fixed-step 4th-order stepping: the d3-rate is s d2 - t d1 with
+s = lam/2 - 1.5 |d2|^2 and t = 3 <d2, d3>, and a step is
+x + h/6 (k1 + 2 (k2 + k3) + k4).  The full step is the one kept, so
+halving h cuts the closed-form deviation by about 16x.  gamma feeds no
+rate, so the kept steps advance (d1, d2, d3) alone, one call per block of
+_BLOCK steps, in a straight-line kernel on named Python floats: _run3 in
+R^3, and _run2 on the x/y floats of a planar state (2-D, or 3-D with
+every z entry +0.0, whose z entries the R^3 kernel would keep at +0.0 bit
+for bit).  After each block the position increments are computed from
+the kept frames in NumPy, in the kernel's operation order, and added in
 sequence by a cumulative sum, so gamma is the float loop's, bit for bit.
 Each step's embedded error estimate |y_h - y_{h/2}| / 15 depends only on
 the kept state the step starts at, so its two half steps run afterwards
-in NumPy, on the coordinate rows that carry data.  The two right-hand
-sides (float and array) sum each dot product in one order, so one step of
-either gives the same floats, and they check each other: if they
+in NumPy, on the coordinate rows that carry data.  The float and array
+steps take one formula and sum each dot product in one order, so one step
+of either gives the same floats, and they check each other: if they
 disagreed, the estimate would fail.  No quantity is projected or
 re-normalized during integration: the unit-speed and determinant
 conservation checks stay honest monitors of the integrator, not
@@ -110,12 +112,11 @@ class Trajectory:
     """States h apart in arclength, starting at the initial condition.
 
     data[i] stacks (gamma, d1, d2, d3) of state i; `state(i)` materializes
-    it as an ElasticaState on demand, checked for shape and
-    finiteness only: along the trajectory |d1| = 1 and <d1, d2> = 0 hold
-    to the integrator's accuracy, not to the 1e-9 asked of an initial
-    condition.  err_max is the worst half-step error
-    estimate of any step and err_max_s the arclength where that step
-    starts (both NaN when not computed).
+    it as an ElasticaState on demand, checked for shape and finiteness
+    only: along the trajectory |d1| = 1 and <d1, d2> = 0 hold to the
+    integrator's accuracy, not to the 1e-9 asked of an initial condition.
+    err_max is the worst half-step error estimate of any step and err_max_s
+    the arclength where that step starts (both NaN when not computed).
     """
 
     h: float
@@ -140,135 +141,129 @@ class Trajectory:
         return ElasticaState._along(*self.data[i])
 
 
-def _step3(y, h: float, lam: float) -> tuple[float, ...]:
-    """One classical 4th-order step of the flat frame y = (d1, d2, d3) in
-    R^3, written out on named Python floats: the kept step, advanced one at
-    a time.  The rates are d1' = d2, d2' = d3 and
-    d3' = (lam d2 - p d1 - q d2) / 2 with p = 6 <d2, d3>, q = 3 |d2|^2;
+def _run3(y, n: int, h: float, lam: float) -> list[tuple[float, ...]]:
+    """n classical 4th-order steps of the flat frame y = (d1, d2, d3) in
+    R^3, written out on named Python floats: the kept steps, one row of 9
+    floats per step.  The rates are d1' = d2, d2' = d3 and
+    d3' = s d2 - t d1 with s = lam/2 - 1.5 |d2|^2, t = 3 <d2, d3>;
     a2..a4, b2..b4, c2..c4 are d1, d2, d3 at stages 2-4 and e1..e4 the
-    d3-rates.  gamma feeds no rate; its increments are _gamma_increments.
-    Each <d2, d3> is summed from 0.0, left to right, as sum() does, so it
-    is never -0.0 and the floats match a generic per-component loop, signed
-    zeros included."""
+    d3-rates, weighted as x + h/6 (k1 + 2 (k2 + k3) + k4).  gamma feeds no
+    rate; its increments are _gamma_increments.  Each <d2, d3> is summed
+    from 0.0, left to right, as sum() does, so it is never -0.0 and the
+    floats match the array step, signed zeros included."""
     ax, ay, az, bx, by, bz, cx, cy, cz = y
-    hh = 0.5 * h
-    p = 6.0 * (0.0 + bx * cx + by * cy + bz * cz)
-    q = 3.0 * (bx * bx + by * by + bz * bz)
-    e1x = 0.5 * (lam * bx - p * ax - q * bx)
-    e1y = 0.5 * (lam * by - p * ay - q * by)
-    e1z = 0.5 * (lam * bz - p * az - q * bz)
-    a2x, a2y, a2z = ax + hh * bx, ay + hh * by, az + hh * bz
-    b2x, b2y, b2z = bx + hh * cx, by + hh * cy, bz + hh * cz
-    c2x, c2y, c2z = cx + hh * e1x, cy + hh * e1y, cz + hh * e1z
-    p = 6.0 * (0.0 + b2x * c2x + b2y * c2y + b2z * c2z)
-    q = 3.0 * (b2x * b2x + b2y * b2y + b2z * b2z)
-    e2x = 0.5 * (lam * b2x - p * a2x - q * b2x)
-    e2y = 0.5 * (lam * b2y - p * a2y - q * b2y)
-    e2z = 0.5 * (lam * b2z - p * a2z - q * b2z)
-    a3x, a3y, a3z = ax + hh * b2x, ay + hh * b2y, az + hh * b2z
-    b3x, b3y, b3z = bx + hh * c2x, by + hh * c2y, bz + hh * c2z
-    c3x, c3y, c3z = cx + hh * e2x, cy + hh * e2y, cz + hh * e2z
-    p = 6.0 * (0.0 + b3x * c3x + b3y * c3y + b3z * c3z)
-    q = 3.0 * (b3x * b3x + b3y * b3y + b3z * b3z)
-    e3x = 0.5 * (lam * b3x - p * a3x - q * b3x)
-    e3y = 0.5 * (lam * b3y - p * a3y - q * b3y)
-    e3z = 0.5 * (lam * b3z - p * a3z - q * b3z)
-    a4x, a4y, a4z = ax + h * b3x, ay + h * b3y, az + h * b3z
-    b4x, b4y, b4z = bx + h * c3x, by + h * c3y, bz + h * c3z
-    c4x, c4y, c4z = cx + h * e3x, cy + h * e3y, cz + h * e3z
-    p = 6.0 * (0.0 + b4x * c4x + b4y * c4y + b4z * c4z)
-    q = 3.0 * (b4x * b4x + b4y * b4y + b4z * b4z)
-    h6 = h / 6.0
-    return (
-        ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
-        ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
-        az + h6 * (bz + 2.0 * b2z + 2.0 * b3z + b4z),
-        bx + h6 * (cx + 2.0 * c2x + 2.0 * c3x + c4x),
-        by + h6 * (cy + 2.0 * c2y + 2.0 * c3y + c4y),
-        bz + h6 * (cz + 2.0 * c2z + 2.0 * c3z + c4z),
-        cx + h6 * (e1x + 2.0 * e2x + 2.0 * e3x + 0.5 * (lam * b4x - p * a4x - q * b4x)),
-        cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
-        cz + h6 * (e1z + 2.0 * e2z + 2.0 * e3z + 0.5 * (lam * b4z - p * a4z - q * b4z)),
-    )
+    hh, h6, lh = 0.5 * h, h / 6.0, 0.5 * lam
+    rows = []
+    append = rows.append
+    for _ in range(n):
+        s = lh - 1.5 * (bx * bx + by * by + bz * bz)
+        t = 3.0 * (0.0 + bx * cx + by * cy + bz * cz)
+        e1x, e1y, e1z = s * bx - t * ax, s * by - t * ay, s * bz - t * az
+        b2x, b2y, b2z = bx + hh * cx, by + hh * cy, bz + hh * cz
+        c2x, c2y, c2z = cx + hh * e1x, cy + hh * e1y, cz + hh * e1z
+        s = lh - 1.5 * (b2x * b2x + b2y * b2y + b2z * b2z)
+        t = 3.0 * (0.0 + b2x * c2x + b2y * c2y + b2z * c2z)
+        e2x = s * b2x - t * (ax + hh * bx)
+        e2y = s * b2y - t * (ay + hh * by)
+        e2z = s * b2z - t * (az + hh * bz)
+        b3x, b3y, b3z = bx + hh * c2x, by + hh * c2y, bz + hh * c2z
+        c3x, c3y, c3z = cx + hh * e2x, cy + hh * e2y, cz + hh * e2z
+        s = lh - 1.5 * (b3x * b3x + b3y * b3y + b3z * b3z)
+        t = 3.0 * (0.0 + b3x * c3x + b3y * c3y + b3z * c3z)
+        e3x = s * b3x - t * (ax + hh * b2x)
+        e3y = s * b3y - t * (ay + hh * b2y)
+        e3z = s * b3z - t * (az + hh * b2z)
+        b4x, b4y, b4z = bx + h * c3x, by + h * c3y, bz + h * c3z
+        c4x, c4y, c4z = cx + h * e3x, cy + h * e3y, cz + h * e3z
+        s = lh - 1.5 * (b4x * b4x + b4y * b4y + b4z * b4z)
+        t = 3.0 * (0.0 + b4x * c4x + b4y * c4y + b4z * c4z)
+        append(row := (
+            ax + h6 * (bx + 2.0 * (b2x + b3x) + b4x),
+            ay + h6 * (by + 2.0 * (b2y + b3y) + b4y),
+            az + h6 * (bz + 2.0 * (b2z + b3z) + b4z),
+            bx + h6 * (cx + 2.0 * (c2x + c3x) + c4x),
+            by + h6 * (cy + 2.0 * (c2y + c3y) + c4y),
+            bz + h6 * (cz + 2.0 * (c2z + c3z) + c4z),
+            cx + h6 * (e1x + 2.0 * (e2x + e3x) + (s * b4x - t * (ax + h * b3x))),
+            cy + h6 * (e1y + 2.0 * (e2y + e3y) + (s * b4y - t * (ay + h * b3y))),
+            cz + h6 * (e1z + 2.0 * (e2z + e3z) + (s * b4z - t * (az + h * b3z))),
+        ))
+        ax, ay, az, bx, by, bz, cx, cy, cz = row
+    return rows
 
 
-def _step2(y, h: float, lam: float) -> tuple[float, ...]:
-    """_step3 on the x/y floats of (d1, d2, d3), for states whose z entries
+def _run2(y, n: int, h: float, lam: float) -> list[tuple[float, ...]]:
+    """_run3 on the x/y floats of (d1, d2, d3), for states whose z entries
     are all +0.0.  There every z-rate is +-0.0 and +0.0 + +-0.0 = +0.0, so
     the z entries stay +0.0 and add +0.0 to each dot product, which leaves
-    it unchanged: these are _step3's x/y floats, bit for bit.  (Once p or q
-    overflows, _step3's z entries turn NaN, but its x/y floats are then
+    it unchanged: these are _run3's x/y floats, bit for bit.  (Once s or t
+    overflows, _run3's z entries turn NaN, but its x/y floats are then
     non-finite too, and the run stops at that step either way.)"""
     ax, ay, bx, by, cx, cy = y
-    hh = 0.5 * h
-    p = 6.0 * (0.0 + bx * cx + by * cy)
-    q = 3.0 * (bx * bx + by * by)
-    e1x = 0.5 * (lam * bx - p * ax - q * bx)
-    e1y = 0.5 * (lam * by - p * ay - q * by)
-    a2x, a2y = ax + hh * bx, ay + hh * by
-    b2x, b2y = bx + hh * cx, by + hh * cy
-    c2x, c2y = cx + hh * e1x, cy + hh * e1y
-    p = 6.0 * (0.0 + b2x * c2x + b2y * c2y)
-    q = 3.0 * (b2x * b2x + b2y * b2y)
-    e2x = 0.5 * (lam * b2x - p * a2x - q * b2x)
-    e2y = 0.5 * (lam * b2y - p * a2y - q * b2y)
-    a3x, a3y = ax + hh * b2x, ay + hh * b2y
-    b3x, b3y = bx + hh * c2x, by + hh * c2y
-    c3x, c3y = cx + hh * e2x, cy + hh * e2y
-    p = 6.0 * (0.0 + b3x * c3x + b3y * c3y)
-    q = 3.0 * (b3x * b3x + b3y * b3y)
-    e3x = 0.5 * (lam * b3x - p * a3x - q * b3x)
-    e3y = 0.5 * (lam * b3y - p * a3y - q * b3y)
-    a4x, a4y = ax + h * b3x, ay + h * b3y
-    b4x, b4y = bx + h * c3x, by + h * c3y
-    c4x, c4y = cx + h * e3x, cy + h * e3y
-    p = 6.0 * (0.0 + b4x * c4x + b4y * c4y)
-    q = 3.0 * (b4x * b4x + b4y * b4y)
-    h6 = h / 6.0
-    return (
-        ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
-        ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
-        bx + h6 * (cx + 2.0 * c2x + 2.0 * c3x + c4x),
-        by + h6 * (cy + 2.0 * c2y + 2.0 * c3y + c4y),
-        cx + h6 * (e1x + 2.0 * e2x + 2.0 * e3x + 0.5 * (lam * b4x - p * a4x - q * b4x)),
-        cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
-    )
+    hh, h6, lh = 0.5 * h, h / 6.0, 0.5 * lam
+    rows = []
+    append = rows.append
+    for _ in range(n):
+        s, t = lh - 1.5 * (bx * bx + by * by), 3.0 * (0.0 + bx * cx + by * cy)
+        e1x, e1y = s * bx - t * ax, s * by - t * ay
+        b2x, b2y = bx + hh * cx, by + hh * cy
+        c2x, c2y = cx + hh * e1x, cy + hh * e1y
+        s, t = lh - 1.5 * (b2x * b2x + b2y * b2y), 3.0 * (0.0 + b2x * c2x + b2y * c2y)
+        e2x, e2y = s * b2x - t * (ax + hh * bx), s * b2y - t * (ay + hh * by)
+        b3x, b3y = bx + hh * c2x, by + hh * c2y
+        c3x, c3y = cx + hh * e2x, cy + hh * e2y
+        s, t = lh - 1.5 * (b3x * b3x + b3y * b3y), 3.0 * (0.0 + b3x * c3x + b3y * c3y)
+        e3x, e3y = s * b3x - t * (ax + hh * b2x), s * b3y - t * (ay + hh * b2y)
+        b4x, b4y = bx + h * c3x, by + h * c3y
+        c4x, c4y = cx + h * e3x, cy + h * e3y
+        s, t = lh - 1.5 * (b4x * b4x + b4y * b4y), 3.0 * (0.0 + b4x * c4x + b4y * c4y)
+        append(row := (
+            ax + h6 * (bx + 2.0 * (b2x + b3x) + b4x),
+            ay + h6 * (by + 2.0 * (b2y + b3y) + b4y),
+            bx + h6 * (cx + 2.0 * (c2x + c3x) + c4x),
+            by + h6 * (cy + 2.0 * (c2y + c3y) + c4y),
+            cx + h6 * (e1x + 2.0 * (e2x + e3x) + (s * b4x - t * (ax + h * b3x))),
+            cy + h6 * (e1y + 2.0 * (e2y + e3y) + (s * b4y - t * (ay + h * b3y))),
+        ))
+        ax, ay, bx, by, cx, cy = row
+    return rows
+
+
+def _d3_rate(a, b, c, lh: float):
+    """s d2 - t d1 for coordinate rows (d1, d2, d3) = (a, b, c), with
+    s = lam/2 - 1.5 |d2|^2 and t = 3 <d2, d3> summed from 0 by sum(), in
+    _run3's order; lh is lam/2."""
+    return (lh - 1.5 * sum(b * b)) * b - 3.0 * sum(b * c) * a
 
 
 def _gamma_increments(d: np.ndarray, h: float, lam: float) -> np.ndarray:
-    """h/6 (a + 2 a2 + 2 a3 + a4) per step: the position increment of the
+    """h/6 (a + 2 (a2 + a3) + a4) per step: the position increment of the
     kept step from each (d1, d2, d3) = (a, b, c), stacked as coordinate
-    rows (3, k, block), in _step3's operation order.  This is the gamma
-    row of _rk4_batch's increment, from the one d3-rate it needs (taking
-    it from the full 4-field increment cut ode_shoot's throughput by about
-    2% on a shared 2-core host)."""
+    rows (3, k, block), in _run3's operation order: the gamma row of
+    _rk4_batch's step, from the one d3-rate it needs."""
     a, b, c = d
     hh = 0.5 * h
-    e = 0.5 * (lam * b - 6.0 * sum(b * c) * a - 3.0 * sum(b * b) * b)
-    return (h / 6.0) * (a + 2.0 * (a + hh * b) + 2.0 * (a + hh * (b + hh * c))
-                        + (a + h * (b + hh * (c + hh * e))))
-
-
-def _rates_batch(y: np.ndarray, lam: float) -> np.ndarray:
-    """The system's right-hand side for states stacked as coordinate rows,
-    y[f, i] the i-th coordinate of field f (gamma, d1, d2, d3) of every
-    state: shape (4, dim, block).  Each dot product is summed from 0,
-    coordinate by coordinate, in _step3's order."""
-    d1, d2, d3 = y[1], y[2], y[3]
-    out = np.empty_like(y)
-    out[:3] = y[1:]
-    p = 6.0 * sum(d2 * d3)
-    q = 3.0 * sum(d2 * d2)
-    out[3] = 0.5 * (lam * d2 - p * d1 - q * d2)
-    return out
+    c2 = c + hh * _d3_rate(a, b, c, 0.5 * lam)
+    return (h / 6.0) * (a + 2.0 * ((a + hh * b) + (a + hh * (b + hh * c)))
+                        + (a + h * (b + hh * c2)))
 
 
 def _rk4_batch(y: np.ndarray, h: float, lam: float) -> np.ndarray:
-    k1 = _rates_batch(y, lam)
-    k2 = _rates_batch(y + (0.5 * h) * k1, lam)
-    k3 = _rates_batch(y + (0.5 * h) * k2, lam)
-    k4 = _rates_batch(y + h * k3, lam)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One step of every state stacked as coordinate rows, y[f, i] the i-th
+    coordinate of field f (gamma, d1, d2, d3): shape (4, dim, block).  The
+    stages are _run3's, in its operation order, so one step of either
+    gives the same floats."""
+    g, a, b, c = y
+    hh, h6, lh = 0.5 * h, h / 6.0, 0.5 * lam
+    e1 = _d3_rate(a, b, c, lh)
+    a2, b2, c2 = a + hh * b, b + hh * c, c + hh * e1
+    e2 = _d3_rate(a2, b2, c2, lh)
+    a3, b3, c3 = a + hh * b2, b + hh * c2, c + hh * e2
+    e3 = _d3_rate(a3, b3, c3, lh)
+    a4, b4, c4 = a + h * b3, b + h * c3, c + h * e3
+    e4 = _d3_rate(a4, b4, c4, lh)
+    return np.stack((g + h6 * (a + 2.0 * (a2 + a3) + a4), a + h6 * (b + 2.0 * (b2 + b3) + b4),
+                     b + h6 * (c + 2.0 * (c2 + c3) + c4), c + h6 * (e1 + 2.0 * (e2 + e3) + e4)))
 
 
 def _half_step_error(y0: np.ndarray, y1: np.ndarray, h: float, lam: float) -> np.ndarray:
@@ -296,9 +291,9 @@ def integrate_elastica(
     """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h),
     at most MAX_STEPS).
 
-    The frames advance in the float kernel _step2 when the state is planar
-    (2-D, or 3-D with every z entry +0.0) and _step3 otherwise; data keeps
-    the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
+    The frames advance in the float kernel _run2 when the state is planar
+    (2-D, or 3-D with every z entry +0.0) and _run3 otherwise, one call
+    per block of _BLOCK steps; data keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
     Raises StepSizeError at the first step whose half-step error estimate
     exceeds 1e-6 or is not finite; the positions and the estimates come
     after each block of _BLOCK steps, so at most one block is wasted.  The
@@ -315,13 +310,14 @@ def integrate_elastica(
     data[0] = s0.as_array()
     z = data[0, :, 2:]
     k = 2 if not (z.any() or np.signbit(z).any()) else 3
-    step = _step2 if k == 2 else _step3
+    run = _run2 if k == 2 else _run3
     data[1:, :, k:] = 0.0  # the z columns of a planar 3-D state stay +0.0
     y = data[0, 1:, :k].ravel().tolist()
     err_max, err_max_s = 0.0, 0.0
     for c0 in range(0, n, _BLOCK):
         c1 = min(n, c0 + _BLOCK)
-        rows = [y := step(y, h, lam) for _ in range(c0, c1)]
+        rows = run(y, c1 - c0, h, lam)
+        y = rows[-1]
         block = np.fromiter(chain.from_iterable(rows), float, 3 * k * (c1 - c0))
         data[c0 + 1 : c1 + 1, 1:, :k] = block.reshape(-1, 3, k)
         coords = np.ascontiguousarray(np.moveaxis(data[c0 : c1 + 1, :, :k], 0, -1))

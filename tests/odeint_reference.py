@@ -1,10 +1,15 @@
-"""The ODE integrator's kept-step loop as the library first wrote it, for tests.
+"""The ODE integrator's kept-step loop in its plainest form, for tests.
 
 `elastica.odeint.integrate_elastica` steps planar states (2-D, or 3-D with
-every z entry +0.0) in a two-coordinate kernel and sums the positions
-after each block of steps.  This is the loop it replaced: every state goes
-through one 12-float kernel in R^3 (a 2-D state padded with z = 0), which
-also advances the position.  The tests require `data`, `err_max`,
+every z entry +0.0) in a two-coordinate block kernel and sums the
+positions after each block of steps.  This is the loop it replaced: every
+state goes through one 12-float kernel in R^3 (a 2-D state padded with
+z = 0), one step per call, which also advances the position.  The kernel
+rounds as the library does: the d3-rate is s d2 - t d1 with
+s = lam/2 - 1.5 |d2|^2 and t = 3 <d2, d3>, and the weights are
+x + h/6 (k1 + 2 (k2 + k3) + k4).  That it is still the classical RK4 is
+checked apart from it, against a generic RK4 to 1e-12 relative
+(test_matches_reference).  The tests require `data`, `err_max`,
 `err_max_s` and every StepSizeError message to match it bit for bit.  The
 error estimate is the library's own: its array step is checked against
 this kernel separately (test_batch_step_is_the_float_step).
@@ -24,54 +29,48 @@ def _step3(y, h: float, lam: float) -> tuple[float, ...]:
     """One classical 4th-order step of the flat state y = (gamma, d1, d2, d3)
     in R^3, written out on named Python floats: the kept step, advanced one
     at a time.  The rates are gamma' = d1, d1' = d2, d2' = d3 and
-    d3' = (lam d2 - p d1 - q d2) / 2 with p = 6 <d2, d3>, q = 3 |d2|^2;
+    d3' = s d2 - t d1 with s = lam/2 - 1.5 |d2|^2, t = 3 <d2, d3>;
     a2..a4, b2..b4, c2..c4 are d1, d2, d3 at stages 2-4 and e1..e4 the
-    d3-rates.  gamma feeds no rate, so its stage values are never formed.
-    Each <d2, d3> is summed from 0.0, left to right, as sum() does, so it
-    is never -0.0 and the floats match a generic per-component loop, signed
-    zeros included."""
+    d3-rates, weighted as x + h/6 (k1 + 2 (k2 + k3) + k4).  gamma feeds no
+    rate, so its stage values are never formed.  Each <d2, d3> is summed
+    from 0.0, left to right, as sum() does, so it is never -0.0 and the
+    floats match a generic per-component loop, signed zeros included."""
     gx, gy, gz, ax, ay, az, bx, by, bz, cx, cy, cz = y
-    hh = 0.5 * h
-    p = 6.0 * (0.0 + bx * cx + by * cy + bz * cz)
-    q = 3.0 * (bx * bx + by * by + bz * bz)
-    e1x = 0.5 * (lam * bx - p * ax - q * bx)
-    e1y = 0.5 * (lam * by - p * ay - q * by)
-    e1z = 0.5 * (lam * bz - p * az - q * bz)
+    hh, h6, lh = 0.5 * h, h / 6.0, 0.5 * lam
+    s = lh - 1.5 * (bx * bx + by * by + bz * bz)
+    t = 3.0 * (0.0 + bx * cx + by * cy + bz * cz)
+    e1x, e1y, e1z = s * bx - t * ax, s * by - t * ay, s * bz - t * az
     a2x, a2y, a2z = ax + hh * bx, ay + hh * by, az + hh * bz
     b2x, b2y, b2z = bx + hh * cx, by + hh * cy, bz + hh * cz
     c2x, c2y, c2z = cx + hh * e1x, cy + hh * e1y, cz + hh * e1z
-    p = 6.0 * (0.0 + b2x * c2x + b2y * c2y + b2z * c2z)
-    q = 3.0 * (b2x * b2x + b2y * b2y + b2z * b2z)
-    e2x = 0.5 * (lam * b2x - p * a2x - q * b2x)
-    e2y = 0.5 * (lam * b2y - p * a2y - q * b2y)
-    e2z = 0.5 * (lam * b2z - p * a2z - q * b2z)
+    s = lh - 1.5 * (b2x * b2x + b2y * b2y + b2z * b2z)
+    t = 3.0 * (0.0 + b2x * c2x + b2y * c2y + b2z * c2z)
+    e2x, e2y, e2z = s * b2x - t * a2x, s * b2y - t * a2y, s * b2z - t * a2z
     a3x, a3y, a3z = ax + hh * b2x, ay + hh * b2y, az + hh * b2z
     b3x, b3y, b3z = bx + hh * c2x, by + hh * c2y, bz + hh * c2z
     c3x, c3y, c3z = cx + hh * e2x, cy + hh * e2y, cz + hh * e2z
-    p = 6.0 * (0.0 + b3x * c3x + b3y * c3y + b3z * c3z)
-    q = 3.0 * (b3x * b3x + b3y * b3y + b3z * b3z)
-    e3x = 0.5 * (lam * b3x - p * a3x - q * b3x)
-    e3y = 0.5 * (lam * b3y - p * a3y - q * b3y)
-    e3z = 0.5 * (lam * b3z - p * a3z - q * b3z)
+    s = lh - 1.5 * (b3x * b3x + b3y * b3y + b3z * b3z)
+    t = 3.0 * (0.0 + b3x * c3x + b3y * c3y + b3z * c3z)
+    e3x, e3y, e3z = s * b3x - t * a3x, s * b3y - t * a3y, s * b3z - t * a3z
     a4x, a4y, a4z = ax + h * b3x, ay + h * b3y, az + h * b3z
     b4x, b4y, b4z = bx + h * c3x, by + h * c3y, bz + h * c3z
     c4x, c4y, c4z = cx + h * e3x, cy + h * e3y, cz + h * e3z
-    p = 6.0 * (0.0 + b4x * c4x + b4y * c4y + b4z * c4z)
-    q = 3.0 * (b4x * b4x + b4y * b4y + b4z * b4z)
-    h6 = h / 6.0
+    s = lh - 1.5 * (b4x * b4x + b4y * b4y + b4z * b4z)
+    t = 3.0 * (0.0 + b4x * c4x + b4y * c4y + b4z * c4z)
+    e4x, e4y, e4z = s * b4x - t * a4x, s * b4y - t * a4y, s * b4z - t * a4z
     return (
-        gx + h6 * (ax + 2.0 * a2x + 2.0 * a3x + a4x),
-        gy + h6 * (ay + 2.0 * a2y + 2.0 * a3y + a4y),
-        gz + h6 * (az + 2.0 * a2z + 2.0 * a3z + a4z),
-        ax + h6 * (bx + 2.0 * b2x + 2.0 * b3x + b4x),
-        ay + h6 * (by + 2.0 * b2y + 2.0 * b3y + b4y),
-        az + h6 * (bz + 2.0 * b2z + 2.0 * b3z + b4z),
-        bx + h6 * (cx + 2.0 * c2x + 2.0 * c3x + c4x),
-        by + h6 * (cy + 2.0 * c2y + 2.0 * c3y + c4y),
-        bz + h6 * (cz + 2.0 * c2z + 2.0 * c3z + c4z),
-        cx + h6 * (e1x + 2.0 * e2x + 2.0 * e3x + 0.5 * (lam * b4x - p * a4x - q * b4x)),
-        cy + h6 * (e1y + 2.0 * e2y + 2.0 * e3y + 0.5 * (lam * b4y - p * a4y - q * b4y)),
-        cz + h6 * (e1z + 2.0 * e2z + 2.0 * e3z + 0.5 * (lam * b4z - p * a4z - q * b4z)),
+        gx + h6 * (ax + 2.0 * (a2x + a3x) + a4x),
+        gy + h6 * (ay + 2.0 * (a2y + a3y) + a4y),
+        gz + h6 * (az + 2.0 * (a2z + a3z) + a4z),
+        ax + h6 * (bx + 2.0 * (b2x + b3x) + b4x),
+        ay + h6 * (by + 2.0 * (b2y + b3y) + b4y),
+        az + h6 * (bz + 2.0 * (b2z + b3z) + b4z),
+        bx + h6 * (cx + 2.0 * (c2x + c3x) + c4x),
+        by + h6 * (cy + 2.0 * (c2y + c3y) + c4y),
+        bz + h6 * (cz + 2.0 * (c2z + c3z) + c4z),
+        cx + h6 * (e1x + 2.0 * (e2x + e3x) + e4x),
+        cy + h6 * (e1y + 2.0 * (e2y + e3y) + e4y),
+        cz + h6 * (e1z + 2.0 * (e2z + e3z) + e4z),
     )
 
 

@@ -363,7 +363,7 @@ class TestReferenceLoop:
     def test_batch_step_is_the_float_step(self, case):
         # the error estimate's array step and the kept float steps are one
         # formula: equal bit for bit on one state, in 3-D and in 2-D at
-        # z = 0, for d1, d2, d3 (_step3, and _step2 on planar states) and
+        # z = 0, for d1, d2, d3 (_run3, and _run2 on planar states) and
         # for the position (_gamma_increments), and the array step is the
         # 12-float kernel that advanced the position in the loop
         s0, lam, _, h = REFERENCE_CASES[case]
@@ -371,10 +371,10 @@ class TestReferenceLoop:
         want = odeint._rk4_batch(y[:, :, None], h, lam)[:, :, 0]
         y3 = np.zeros((4, 3))
         y3[:, : s0.dim] = y
-        got3 = np.array(odeint._step3(y3[1:].ravel().tolist(), h, lam)).reshape(3, 3)
+        got3 = np.array(odeint._run3(y3[1:].ravel().tolist(), 1, h, lam)[0]).reshape(3, 3)
         assert got3[:, : s0.dim].tobytes() == want[1:].tobytes()
         if s0.dim == 2 or not y[:, 2].any():
-            got2 = np.array(odeint._step2(y[1:, :2].ravel().tolist(), h, lam)).reshape(3, 2)
+            got2 = np.array(odeint._run2(y[1:, :2].ravel().tolist(), 1, h, lam)[0]).reshape(3, 2)
             assert got2.tobytes() == want[1:, :2].tobytes()
         inc = odeint._gamma_increments(y[1:, :, None], h, lam)[:, 0]
         assert (y[0] + inc).tobytes() == want[0].tobytes()
@@ -420,6 +420,15 @@ class TestReferenceLoop:
             for lam in (1.3, -1.3):
                 assert_same_run(ElasticaState(np.zeros(dim), np.eye(dim)[0], d2, d3), lam, 0.3, 0.1)
 
+    def test_signed_zero_lines_in_space_match_float_loop(self):
+        # the same with signed zeros in the z entries too: a -0.0 there
+        # sends the line to the R^3 kernel, whose dot products start from 0.0
+        for signs in itertools.product([0.0, -0.0], repeat=6):
+            d2, d3 = np.reshape(signs, (2, 3))
+            if np.signbit(signs[2::3]).any():
+                for lam in (1.3, -1.3):
+                    assert_same_run(ElasticaState(np.zeros(3), np.eye(3)[0], d2, d3), lam, 0.3, 0.1)
+
     def test_default_fields(self):
         tr = Trajectory(h=0.1, lam=1.0, data=np.zeros((2, 4, 2)))
         assert math.isnan(tr.err_max) and math.isnan(tr.err_max_s)
@@ -448,6 +457,57 @@ class TestReferenceLoop:
             with pytest.raises(StepSizeError, match="non-finite") as exc:
                 integrate_elastica(circle_state(), 1e160, 1.0, 0.1)
         assert "at s = 0; reduce h" in str(exc.value)
+
+
+class TestBlockKernels:
+    """The planar kernel against the 3-D kernel, apart from the reference
+    loop, and the block structure of integrate_elastica."""
+
+    N = odeint._BLOCK + 3
+
+    def assert_planar_is_3d(self, y2, h, lam):
+        # _run2's rows are _run3's x/y floats at z = +0.0, and _run3 keeps
+        # every z entry +0.0, never -0.0
+        y3 = [v for x, y in zip(y2[0::2], y2[1::2]) for v in (x, y, 0.0)]
+        rows2 = np.array(odeint._run2(y2, self.N, h, lam)).reshape(self.N, 3, 2)
+        rows3 = np.array(odeint._run3(y3, self.N, h, lam)).reshape(self.N, 3, 3)
+        assert np.isfinite(rows3).all()
+        assert rows2.tobytes() == rows3[:, :, :2].tobytes()
+        z = rows3[:, :, 2]
+        assert not z.any() and not np.signbit(z).any()
+
+    def test_random_planar_states(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            t = rng.uniform(0.0, 7.0)
+            d1 = np.array([math.cos(t), math.sin(t)])
+            d2, d3 = rng.normal(scale=0.5, size=(2, 2))
+            d2 -= np.dot(d1, d2) * d1
+            y2 = np.concatenate([d1, d2, d3]).tolist()
+            self.assert_planar_is_3d(y2, float(rng.uniform(1e-3, 5e-3)), float(rng.normal()))
+
+    @pytest.mark.parametrize("lam", [1.3, -1.3])
+    def test_signed_zero_lines(self, lam):
+        # d2 and d3 zeros of every sign, as in test_signed_zero_lines_match_float_loop
+        for signs in itertools.product([0.0, -0.0], repeat=4):
+            self.assert_planar_is_3d([1.0, 0.0, *signs], 0.01, lam)
+
+    @pytest.mark.parametrize("n", [1, odeint._BLOCK, odeint._BLOCK + 1, 2 * odeint._BLOCK + 5])
+    @pytest.mark.parametrize("s0", [circle_state(), circle_state(3), spatial_state(
+        CurvatureProfile(m=0.0, w=0.5, A=1.0))], ids=["2d", "3d_zero_z", "spatial"])
+    def test_one_kernel_call_per_block(self, s0, n, monkeypatch):
+        # a kernel call per block of steps, never one per step
+        calls = []
+        for name in ("_run2", "_run3"):
+            kernel = getattr(odeint, name)
+            monkeypatch.setattr(odeint, name, lambda y, k, h, lam, name=name, kernel=kernel: (
+                calls.append((name, k)) or kernel(y, k, h, lam)))
+        tr = integrate_elastica(s0, 1.0, n * 0.01, 0.01)
+        assert tr.n_states == n + 1
+        blocks = -(-n // odeint._BLOCK)
+        planar = s0.dim == 2 or not s0.as_array()[:, 2].any()
+        assert [name for name, _ in calls] == ["_run2" if planar else "_run3"] * blocks
+        assert sum(k for _, k in calls) == n
 
 
 # a unit circle traversed for s in [0, 1]: u = |d2|^2 = 1 and u' = 0 to

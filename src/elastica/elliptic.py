@@ -9,10 +9,10 @@ modulus k).  Definitions:
     am(x, m) = inverse of F(., m),  sn = sin(am),  cn = cos(am),
     dn = sqrt(1 - m sn^2),  epsilon(x, m) = E(am(x, m), m)
 
-Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`)
-serves K, E and sn/cn/dn: K and E come from its limit and its gap sum, and
-sn/cn/dn from a descending Landen transformation through its legs with a
-trigonometric base case.  The amplitude is am = atan2(sn, cn) on the branch
+Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`),
+run once per call, serves K, E and sn/cn/dn: K and E come from its limit
+and its gap sum, and sn/cn/dn from a descending Landen transformation
+through its legs with a trigonometric base case.  The amplitude is am = atan2(sn, cn) on the branch
 nearest pi x / (2K).  One Carlson duplication (`_rj`, for R_J) serves the
 rest, on the branch |x0| <= K of x = x0 + 2K n.  The Jacobi epsilon
 function is Carlson's E(am, m) = F - (m/3) sn^3 R_D with F(am x0, m) = x0
@@ -222,37 +222,39 @@ def sncndn(x, m: float):
     if m != 1.0:  # m = 1 has hyperbolic closed forms below
         _require_m_for_K(m)
     u = _require_finite(x)
+    return _shape_like(u, *_sncndn(u, m))
+
+
+def _sncndn(u, m: float, legs=None):
+    """(sn, cn, dn) at the array u for a checked m; legs are _agm(m)'s, when
+    the caller has them already (formed here otherwise)."""
     if m == 1.0:
         sech = 1.0 / _cosh(u)
-        s, c, d = np.tanh(u), sech, sech.copy()
-    elif m == 0.0:
-        s, c, d = np.sin(u), np.cos(u), np.ones_like(u)
-    else:
-        # descend from the first leg whose gap is within _CA (DLMF 22.20(ii));
-        # the AGM's eps stop comes at most one leg later
-        legs = _agm(m)[2]
-        top = next(i for i, (a, b) in enumerate(legs) if abs(a - b) <= _CA * a)
-        cmid = 0.5 * (legs[top][0] + legs[top][1])
-        v = cmid * u
-        s, c = np.sin(v), np.cos(v)
-        d = np.ones_like(v)
-        # below |x| = 1e-8 the series sn = x - (1+m) x^3/6, cn, dn = 1 - O(x^2)
-        # round to (x, 1, 1), while cot(v) overflows the descent below 1e-154
-        tiny = np.abs(u) < 1e-8
-        a = c / np.where(tiny, 1.0, s)
-        cc = cmid * a
-        for ai, bi in reversed(legs[: top + 1]):
-            a = a * cc
-            cc = cc * d
-            d = (bi + a) / (ai + a)
-            a = cc / ai
-        amp = 1.0 / np.sqrt(cc * cc + 1.0)
-        s_out = np.where(s >= 0.0, amp, -amp)
-        c_out = cc * s_out
-        s = np.where(tiny, u, s_out)
-        c = np.where(tiny, 1.0, c_out)
-        d = np.where(tiny, 1.0, d)
-    return _shape_like(u, s, c, d)
+        return np.tanh(u), sech, sech.copy()
+    if m == 0.0:
+        return np.sin(u), np.cos(u), np.ones_like(u)
+    # descend from the first leg whose gap is within _CA (DLMF 22.20(ii));
+    # the AGM's eps stop comes at most one leg later
+    legs = _agm(m)[2] if legs is None else legs
+    top = next(i for i, (a, b) in enumerate(legs) if abs(a - b) <= _CA * a)
+    cmid = 0.5 * (legs[top][0] + legs[top][1])
+    v = cmid * u
+    s, c = np.sin(v), np.cos(v)
+    d = np.ones_like(v)
+    # below |x| = 1e-8 the series sn = x - (1+m) x^3/6, cn, dn = 1 - O(x^2)
+    # round to (x, 1, 1), while cot(v) overflows the descent below 1e-154
+    tiny = np.abs(u) < 1e-8
+    a = c / np.where(tiny, 1.0, s)
+    cc = cmid * a
+    for ai, bi in reversed(legs[: top + 1]):
+        a = a * cc
+        cc = cc * d
+        d = (bi + a) / (ai + a)
+        a = cc / ai
+    amp = 1.0 / np.sqrt(cc * cc + 1.0)
+    s_out = np.where(s >= 0.0, amp, -amp)
+    c_out = cc * s_out
+    return np.where(tiny, u, s_out), np.where(tiny, 1.0, c_out), np.where(tiny, 1.0, d)
 
 
 def am(x, m: float):
@@ -261,21 +263,23 @@ def am(x, m: float):
     m = _require_m_for_K(m)
     if m == 0.0:
         return _shape_like(u, u.copy())
-    s, c, _ = sncndn(u, m)
+    K, _, legs = _agm(m)
+    s, c, _ = _sncndn(u, m, legs)
     phi = np.arctan2(s, c)
     # am(x) and pi x / (2K) agree at every multiple of K and both increase
     # in between, so they differ by less than pi/2: that fixes the branch
-    n = np.round((0.5 * math.pi / comp_K(m) * u - phi) / (2.0 * math.pi))
+    n = np.round((0.5 * math.pi / K * u - phi) / (2.0 * math.pi))
     return _shape_like(u, phi + 2.0 * math.pi * n)
 
 
 def _reduce_2K(x, m: float):
-    """(x0, n, K) with x = x0 + 2K n and |x0| <= K: am(x0) lies in
-    [-pi/2, pi/2], the Carlson forms' principal branch."""
+    """(x0, n, K, E/K, legs) with x = x0 + 2K n and |x0| <= K: am(x0) lies
+    in [-pi/2, pi/2], the Carlson forms' principal branch.  The last three
+    are the one _agm(m) of the call."""
     u = _require_finite(x)
-    K = comp_K(m)
+    K, f, legs = _agm(_require_m_for_K(m))
     n = np.floor(u / (2.0 * K) + 0.5)
-    return u - 2.0 * K * n, n, K
+    return u - 2.0 * K * n, n, K, f, legs
 
 
 def jacobi_epsilon(x, m: float):
@@ -283,10 +287,10 @@ def jacobi_epsilon(x, m: float):
     on the principal branch x0 - (m/3) sn^3 R_D(cn^2, dn^2, 1), since
     E(phi, m) = sn R_F - (m/3) sn^3 R_D and sn R_F = F(am x0, m) = x0, with
     R_D(cn^2, dn^2, 1) = R_J(cn^2, dn^2, 1, 1)."""
-    x0, n, _ = _reduce_2K(x, m)
-    s, c, d = sncndn(x0, m)
+    x0, n, K, f, legs = _reduce_2K(x, m)
+    s, c, d = _sncndn(x0, m, legs)
     e = x0 - (m / 3.0) * s * s * s * _rj(c * c, d * d, 1.0, 1.0)
-    return _shape_like(x, e + 2.0 * comp_E(m) * n)
+    return _shape_like(x, e + 2.0 * (K * f) * n)
 
 
 def _sn2_pi(x, nc, m: float):
@@ -297,8 +301,8 @@ def _sn2_pi(x, nc, m: float):
     at x0, plus k times twice that at x0 = K.  x has any shape (the broadcast
     rule); nc is a scalar, or for a 1-D x a column (r, 1), one row each.
     """
-    x0, k, K = _reduce_2K(x, m)
-    s, c, d = sncndn(np.append(x0, K), m)  # the last point, K, gives the complete value
+    x0, k, K, _, legs = _reduce_2K(x, m)
+    s, c, d = _sncndn(np.append(x0, K), m, legs)  # the last point, K, gives the complete value
     cc = c * c
     r = s * s * s / 3.0 * _rj(cc, d * d, 1.0, cc + nc * s * s)
     whole = 2.0 * r[..., -1].reshape(np.shape(nc))  # per period 2K, one per nc row

@@ -602,6 +602,22 @@ class TestOneAGM:
         for got, want in zip(el.sncndn(u, m), reference_sncndn(u, m)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("call", [
+        lambda x, m: el.jacobi_epsilon(x, m), lambda x, m: el.am(x, m),
+        lambda x, m: el._sn2_pi(x, 1.0, m), lambda x, m: el._sn2_pi(np.atleast_1d(x), np.array([[0.3], [2.0]]), m),
+        lambda x, m: el.sncndn(x, m),
+    ], ids=["jacobi_epsilon", "am", "sn2_pi", "sn2_pi_rows", "sncndn"])
+    @pytest.mark.parametrize("m", [1e-9, 0.5, 0.8261, el.M_MAX])
+    def test_one_agm_per_call(self, call, m, monkeypatch):
+        # K, E/K and the descent's legs all come from one AGM of the call
+        x = np.linspace(-30.0, 30.0, 256)
+        agm, calls = el._agm, []
+        monkeypatch.setattr(el, "_agm", lambda m: calls.append(m) or agm(m))
+        for u in (x, 1.7):
+            calls.clear()
+            call(u, m)
+            assert calls == [m]
+
 
 M, X = 0.7, 0.6
 # every float parameter of elliptic.__all__

@@ -12,12 +12,13 @@ modulus k).  Definitions:
 Algorithms: one arithmetic-geometric mean of 1 and sqrt(1 - m) (`_agm`),
 run once per call, serves K, E and sn/cn/dn: K and E come from its limit
 and its gap sum, and sn/cn/dn from a descending Landen transformation
-through its legs with a trigonometric base case.  The amplitude is am = atan2(sn, cn) on the branch
-nearest pi x / (2K).  One Carlson duplication (`_rj`, for R_J) serves the
-rest, on the branch |x0| <= K of x = x0 + 2K n.  The Jacobi epsilon
-function is Carlson's E(am, m) = F - (m/3) sn^3 R_D with F(am x0, m) = x0
-exactly and R_D(x, y, z) = R_J(x, y, z, z) (DLMF 19.16.5), and each period
-adds 2E.  The integral of the third kind in the Jacobi argument (`_sn2_pi`)
+through its legs with a trigonometric base case.  The amplitude is
+am = atan2(sn, cn) on the branch nearest pi x / (2K).  One Carlson
+duplication (`_rj`, for R_J) serves the rest, on the branch |x0| <= K of
+x = x0 + 2K n.  The Jacobi epsilon function is Carlson's
+E(am, m) = F - (m/3) sn^3 R_D with F(am x0, m) = x0 exactly and
+R_D(x, y, z) = R_J(x, y, z, z) (DLMF 19.16.5), and each period adds 2E.
+The integral of the third kind in the Jacobi argument (`_sn2_pi`)
 is sn^3/3 R_J, plus its complete value per period 2K.  All are
 quadratically convergent and well-conditioned as m -> 1.
 

@@ -293,11 +293,12 @@ def integrate_elastica(
 
     The frames advance in the float kernel _run2 when the state is planar
     (2-D, or 3-D with every z entry +0.0) and _run3 otherwise, one call
-    per block of _BLOCK steps; data keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
-    Raises StepSizeError at the first step whose half-step error estimate
-    exceeds 1e-6 or is not finite; the positions and the estimates come
-    after each block of _BLOCK steps, so at most one block is wasted.  The
-    trajectory carries the worst estimate and where it occurred.
+    per block of _BLOCK steps; data keeps the state's dimension.
+    Recommended h <= 1e-3 / sqrt(1 + |lam|).  Raises StepSizeError at the
+    first step whose half-step error estimate exceeds 1e-6 or is not
+    finite; the positions and the estimates come after each block, so at
+    most one block is wasted.  The trajectory carries the worst estimate
+    and where it occurred.
     """
     if not (np.isfinite(lam) and np.isfinite(s_end) and s_end > 0.0):
         raise DomainError("need finite lam and s_end > 0")

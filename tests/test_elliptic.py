@@ -604,7 +604,8 @@ class TestOneAGM:
 
     @pytest.mark.parametrize("call", [
         lambda x, m: el.jacobi_epsilon(x, m), lambda x, m: el.am(x, m),
-        lambda x, m: el._sn2_pi(x, 1.0, m), lambda x, m: el._sn2_pi(np.atleast_1d(x), np.array([[0.3], [2.0]]), m),
+        lambda x, m: el._sn2_pi(x, 1.0, m),
+        lambda x, m: el._sn2_pi(np.atleast_1d(x), np.array([[0.3], [2.0]]), m),
         lambda x, m: el.sncndn(x, m),
     ], ids=["jacobi_epsilon", "am", "sn2_pi", "sn2_pi_rows", "sncndn"])
     @pytest.mark.parametrize("m", [1e-9, 0.5, 0.8261, el.M_MAX])

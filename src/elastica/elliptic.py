@@ -222,40 +222,43 @@ def sncndn(x, m: float):
     m = float(m)
     if m != 1.0:  # m = 1 has hyperbolic closed forms below
         _require_m_for_K(m)
-    u = _require_finite(x)
-    return _shape_like(u, *_sncndn(u, m))
+    return _sncndn(_require_finite(x), m)
 
 
 def _sncndn(u, m: float, legs=None):
-    """(sn, cn, dn) at the array u for a checked m; legs are _agm(m)'s, when
-    the caller has them already (formed here otherwise)."""
+    """sncndn at the array u for a checked m, descending through the legs of
+    _agm(m): the caller's, when it has them, or formed here."""
     if m == 1.0:
         sech = 1.0 / _cosh(u)
-        return np.tanh(u), sech, sech.copy()
-    if m == 0.0:
-        return np.sin(u), np.cos(u), np.ones_like(u)
-    # descend from the first leg whose gap is within _CA (DLMF 22.20(ii));
-    # the AGM's eps stop comes at most one leg later
-    legs = _agm(m)[2] if legs is None else legs
-    top = next(i for i, (a, b) in enumerate(legs) if abs(a - b) <= _CA * a)
-    cmid = 0.5 * (legs[top][0] + legs[top][1])
-    v = cmid * u
-    s, c = np.sin(v), np.cos(v)
-    d = np.ones_like(v)
-    # below |x| = 1e-8 the series sn = x - (1+m) x^3/6, cn, dn = 1 - O(x^2)
-    # round to (x, 1, 1), while cot(v) overflows the descent below 1e-154
-    tiny = np.abs(u) < 1e-8
-    a = c / np.where(tiny, 1.0, s)
-    cc = cmid * a
-    for ai, bi in reversed(legs[: top + 1]):
-        a = a * cc
-        cc = cc * d
-        d = (bi + a) / (ai + a)
-        a = cc / ai
-    amp = 1.0 / np.sqrt(cc * cc + 1.0)
-    s_out = np.where(s >= 0.0, amp, -amp)
-    c_out = cc * s_out
-    return np.where(tiny, u, s_out), np.where(tiny, 1.0, c_out), np.where(tiny, 1.0, d)
+        s, c, d = np.tanh(u), sech, sech.copy()
+    elif m == 0.0:
+        s, c, d = np.sin(u), np.cos(u), np.ones_like(u)
+    else:
+        # descend from the first leg whose gap is within _CA (DLMF 22.20(ii));
+        # the AGM's eps stop comes at most one leg later
+        legs = _agm(m)[2] if legs is None else legs
+        top = next(i for i, (a, b) in enumerate(legs) if abs(a - b) <= _CA * a)
+        cmid = 0.5 * (legs[top][0] + legs[top][1])
+        v = cmid * u
+        s, c = np.sin(v), np.cos(v)
+        d = np.ones_like(v)
+        # below |x| = 1e-8 the series sn = x - (1+m) x^3/6, cn, dn = 1 - O(x^2)
+        # round to (x, 1, 1), while cot(v) overflows the descent below 1e-154
+        tiny = np.abs(u) < 1e-8
+        a = c / np.where(tiny, 1.0, s)
+        cc = cmid * a
+        for ai, bi in reversed(legs[: top + 1]):
+            a = a * cc
+            cc = cc * d
+            d = (bi + a) / (ai + a)
+            a = cc / ai
+        amp = 1.0 / np.sqrt(cc * cc + 1.0)
+        s_out = np.where(s >= 0.0, amp, -amp)
+        c_out = cc * s_out
+        s = np.where(tiny, u, s_out)
+        c = np.where(tiny, 1.0, c_out)
+        d = np.where(tiny, 1.0, d)
+    return _shape_like(u, s, c, d)
 
 
 def am(x, m: float):

@@ -208,18 +208,23 @@ def length(c: DiscreteCurve) -> float:
     return float(c.edge_lengths.sum())
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for each pair of rows of 3-D a and b, written out on coordinate
+    rows: the floats of np.cross(a, b) without its axis moves."""
+    (ax, ay, az), (bx, by, bz) = a.T, b.T
+    return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+
+
 def _turn(a: np.ndarray, b: np.ndarray):
     """(theta, a . b, |a x b|) for each pair of rows of a and b: the angle
     between them, its cosine times |a||b| and its sine times |a||b|.  In
-    3-D the cross product and its norm are written out on coordinate rows,
-    the same floats as np.linalg.norm(np.cross(a, b), axis=1)."""
+    3-D the sine is _row_norms(_cross(a, b)), the same floats as
+    np.linalg.norm(np.cross(a, b), axis=1)."""
     d = np.einsum("ij,ij->i", a, b)
     if a.shape[1] == 2:
         n = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
     else:
-        (ax, ay, az), (bx, by, bz) = a.T, b.T
-        cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-        n = np.sqrt(cx * cx + cy * cy + cz * cz)
+        n = _row_norms(_cross(a, b))
     return np.arctan2(n, d), d, n
 
 

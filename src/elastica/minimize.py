@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _require_count
-from .discrete import DiscreteCurve, _pairs, _row_norms, _turn, _turn_ratio, length
+from .discrete import DiscreteCurve, _cross, _pairs, _row_norms, _turn, _turn_ratio, length
 from .errors import MAX_COUNT, DomainError
 
 __all__ = [
@@ -356,14 +356,6 @@ def _rotate(T: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out / _row_norms(out)[:, None]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for each pair of rows of 3-D a and b, written out on coordinate
-    rows as in discrete._turn: the floats of np.cross(a, b) without its
-    axis moves."""
-    (ax, ay, az), (bx, by, bz) = a.T, b.T
-    return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-
-
 def _frames(T: np.ndarray) -> np.ndarray:
     """(n, dim-1, dim) orthonormal normals of the edge tangents.
 
@@ -435,14 +427,16 @@ def _closure_floor(n: int) -> float:
     return 8.0 * math.sqrt(n) * np.finfo(float).eps
 
 
-def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | None = None):
+def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray):
     """Rotate the free tangents a..b-1 until sum(T) = target (closure);
     returns the tangents, their exactly rounded residual (_residual) and
     the number of Gauss-Newton steps taken.
 
     Gauss-Newton with steps of least weighted norm: tangent i moves by
     w_i P_i lam, P_i = I - T_i T_i^T, with the dim x dim normal matrix
-    sum w_i P_i (w = 1 when None).  The residual counts as closed at the
+    sum w_i P_i, for the weights w of the free tangents.  The descent's
+    weights are all 1, which leaves every float of the unweighted step: a
+    sum or product of 1.0 is exact.  The residual counts as closed at the
     rounding floor of the n-term sum (_closure_floor): a chain already
     there takes no step.  Between that floor and _CLOSURE_TOL one more
     step is taken, because B moves with the closure residual times the
@@ -451,11 +445,8 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | No
     """
     T = T.copy()
     floor = _closure_floor(len(T))
-    if w is None:
-        wI = (b - a) * np.eye(T.shape[1])
-    else:
-        w = w[:, None]
-        wI = float(np.sum(w)) * np.eye(T.shape[1])
+    w = w[:, None]
+    wI = float(w.sum()) * np.eye(T.shape[1])
     closed = False
     for steps in range(30):
         rl = _residual(T, target)
@@ -466,11 +457,11 @@ def _close(T: np.ndarray, target: np.ndarray, a: int, b: int, w: np.ndarray | No
         closed = err <= _CLOSURE_TOL
         Tf = T[a:b]
         try:
-            lam = np.linalg.solve(wI - (Tf if w is None else w * Tf).T @ Tf, -r)
+            lam = np.linalg.solve(wI - (w * Tf).T @ Tf, -r)
         except np.linalg.LinAlgError:
             return None, None, steps
         move = lam - (Tf @ lam)[:, None] * Tf
-        T[a:b] = _rotate(Tf, move if w is None else w * move)
+        T[a:b] = _rotate(Tf, w * move)
     return None, None, 30
 
 
@@ -487,31 +478,27 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
     |da - db|^2 / h, exactly so in the plane, and in space by a further
     ((theta / sin theta - 1)(k . (da - db))^2 - (theta / sin theta)
     (1 - cos theta)((k . da)^2 + (k . db)^2)) / h along its binormal k.
-    The KKT system is solved from the LDL^T factorization of H by 1 + dim
-    forward sweeps, a dim x dim Schur complement and one backward sweep: in
-    the plane H is tridiagonal and _tri_kkt factors it and sweeps in one
-    pass over the rows; in space (half-bandwidth 3) _band_kkt records the
-    elimination and replays it on each right-hand side.
+    One assembly serves the plane and space: the diagonal blocks D and the
+    off-diagonal blocks O of every edge, the binormal terms when dim = 3,
+    and the upper band of the interleaved ordering.  The KKT system is
+    solved from the LDL^T factorization of H by 1 + dim forward sweeps, a
+    dim x dim Schur complement and one backward sweep: in the plane H is
+    tridiagonal and _tri_kkt factors it and sweeps in one pass over the
+    rows; in space (half-bandwidth 3) _band_kkt records the elimination and
+    replays it on each right-hand side.
     """
     n, dm, dim = E.shape
     nf = b - a
     deg = np.full(nf, 2.0)
     if a == 0:
         deg[[0, -1]] = 1.0  # the end edges touch one turning vertex
-    diag = deg + _RIDGE  # in units of 2/h
-    if dm == 1:
-        if nu is not None:
-            diag += (0.5 * h) * (T[a:b] @ nu)
-        band = np.zeros((2, nf))
-        band[0] = diag
-        band[1, :-1] = -1.0
-        dy = _tri_kkt((2.0 / h) * band, r.ravel(), E[a:b, 0], resid)
-        return None if dy is None or not np.all(np.isfinite(dy)) else dy[:, None]
     eye = np.eye(dm)
-    D = diag[:, None, None] * eye
-    O = np.broadcast_to(-eye, (nf - 1, dm, dm)).copy()
+    D = (deg + _RIDGE)[:, None, None] * eye  # in units of 2/h
+    O = np.empty((nf - 1, dm, dm))
+    O[:] = -eye
     if nu is not None:
         D += ((0.5 * h) * (T[a:b] @ nu))[:, None, None] * eye
+    if nu is not None and dm == 2:
         theta, c, sn = _turn(T[:-1], T[1:])
         ratio = _turn_ratio(theta, sn)
         k = _cross(T[:-1], T[1:]) / np.maximum(sn, 1e-300)[:, None]
@@ -534,7 +521,7 @@ def _direction(T, E, r, resid, h, a, b, nu=None):
                 band[be - al, al::dm] = D[:, al, be]
             band[dm + be - al, al::dm][: nf - 1] = O[:, al, be]
     Ef = E[a:b].reshape(nf * dm, dim)  # columns of A^T
-    dy = _band_kkt((2.0 / h) * band, r.ravel(), Ef, resid)
+    dy = (_tri_kkt if dm == 1 else _band_kkt)((2.0 / h) * band, r.ravel(), Ef, resid)
     return None if dy is None or not np.all(np.isfinite(dy)) else dy.reshape(nf, dm)
 
 
@@ -577,13 +564,11 @@ def _arc_initial(P0, P1, L0, N, dim, bulge=None):
         return P0 + X
     # bulge angle from sin(phi)/phi = d/L0
     lo, hi = 1e-9, math.pi - 1e-9
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if math.sin(mid) / mid > d / L0:
-            lo = mid
+    while lo < (phi := 0.5 * (lo + hi)) < hi:  # until the bracket closes
+        if math.sin(phi) / phi > d / L0:
+            lo = phi
         else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
+            hi = phi
     R = L0 / (2.0 * phi)
     t = np.linspace(-phi, phi, N + 1)
     chord = (P1 - P0) / d
@@ -673,7 +658,8 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
     n = len(T)
     b = n - a
     target = (P1 - P0) / h
-    T, resid, _ = _close(T, target, a, b)
+    w = np.ones(b - a)  # closure moves every free tangent alike
+    T, resid, _ = _close(T, target, a, b, w)
     if T is None:
         raise DomainError("could not close the initial curve on the endpoints")
     B = _energy(T, h)
@@ -706,7 +692,7 @@ def _descend(T, P0, P1, h, a, tol, max_iters):
                 trials += 1
                 Tt = T.copy()
                 Tt[a:b] = _rotate(Tf, t * D)
-                Tt, rt, k = _close(Tt, target, a, b)
+                Tt, rt, k = _close(Tt, target, a, b, w)
                 steps += k
                 if Tt is not None:
                     Bt = _energy(Tt, h)

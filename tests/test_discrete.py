@@ -918,6 +918,12 @@ class TestCoordinateRowKernels:
             assert n.tobytes() == want.tobytes()
             assert theta.tobytes() == np.arctan2(want, np.einsum("ij,ij->i", a, b)).tobytes()
 
+    def test_cross_is_numpys(self):
+        rng = default_rng(9)
+        a, b = (rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, (500, 3))
+                for _ in range(2))
+        assert discrete._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
     def test_turn_ratio_at_tiny_sines(self):
         # theta / n where n > 1e-300, else 1: the values of the masked
         # division, with no division by zero (or overflow, 0.5 / 5e-324)

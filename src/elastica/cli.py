@@ -30,6 +30,7 @@ import numpy as np
 from .curves import (
     FAMILY_TAGS,
     PlanarElastica,
+    _require_count,
     build_leafed,
     classify_closed,
     eval_k,
@@ -151,10 +152,7 @@ def cmd_constants(args) -> int:
 def cmd_sample(args) -> int:
     from .discrete import _csv
 
-    if args.N < 1:
-        raise DomainError("--N needs at least 1")
-    if args.N > MAX_COUNT:
-        raise DomainError(f"--N exceeds the cap of {MAX_COUNT}")
+    _require_count(args.N, 1, "--N", MAX_COUNT)
     if not (math.isfinite(args.periods) and args.periods > 0.0):
         raise DomainError("--periods needs a finite value > 0")
     e = PlanarElastica(args.family, m=args.m)  # validates family/m pairing
@@ -218,16 +216,12 @@ def _parse_problem(path: str):
     return problem, opts
 
 
-def _run_minimize(problem, opts):
+def _run_minimize_seeded(payload):
     from .minimize import ClampedProblem, minimize_clamped, minimize_pinned
 
-    solver = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
-    return solver(problem, opts)
-
-
-def _run_minimize_seeded(payload):
     problem, opts, seed = payload
-    return seed, _run_minimize(problem, dataclasses.replace(opts, seed=seed))
+    solver = minimize_clamped if isinstance(problem, ClampedProblem) else minimize_pinned
+    return seed, solver(problem, dataclasses.replace(opts, seed=seed))
 
 
 def _usable_cores() -> int:
@@ -238,41 +232,40 @@ def _usable_cores() -> int:
 
 
 def cmd_minimize(args) -> int:
+    """Solve the problem file once per seed: the file's seed alone, or seeds
+    0..K-1 with --sweep K.  A pool of min(--jobs, seeds, usable cores)
+    workers opens only when that is at least 2; else the seeds run in this
+    process.  The run kept has the least B-bar, converged runs first; runs
+    within B-bar's rounding bound of it reach the same minimum and tie, and
+    the lowest seed wins."""
     from .discrete import curve_to_csv
     from .minimize import _rounding_bound
 
     problem, opts = _parse_problem(args.problem)
-    if args.jobs < 1:
-        raise DomainError("--jobs needs at least 1")
+    _require_count(args.jobs, 1, "--jobs")
     _echo(args, problem_kind=type(problem).__name__, seed=opts.seed)
+    seeds = [opts.seed]
     if args.sweep is not None:
-        if args.sweep < 1:
-            raise DomainError("--sweep needs at least 1 seed")
-        if args.sweep > MAX_COUNT:
-            raise DomainError(f"--sweep exceeds the cap of {MAX_COUNT}")
-        payloads = [(problem, opts, seed) for seed in range(args.sweep)]
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        _require_count(args.sweep, 1, "--sweep", MAX_COUNT)
+        seeds = range(args.sweep)
+    payloads = [(problem, opts, seed) for seed in seeds]
+    workers = min(args.jobs, len(payloads), _usable_cores())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # workers beyond the seed count or the usable cores would sit idle
-            with ProcessPoolExecutor(max_workers=min(args.jobs, args.sweep, _usable_cores())) as pool:
-                runs = dict(pool.map(_run_minimize_seeded, payloads))
-        else:
-            runs = dict(map(_run_minimize_seeded, payloads))
-        for seed in sorted(runs):
-            r = runs[seed]
-            _note(args, f"seed {seed}", {
-                "Bbar": r.Bbar, "converged": r.converged, "iterations": r.iterations,
-            })
-        # seeds that reach the same minimum tie at rounding level: of the runs
-        # within the rounding bound of the best B-bar, the lowest seed wins
-        best = min(runs.values(), key=lambda r: (not r.converged, r.Bbar))
-        tie = _rounding_bound(best.Bbar, problem.N)
-        seed = min(s for s, r in runs.items()
-                   if r.converged == best.converged and r.Bbar - best.Bbar <= tie)
-        result = runs[seed]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = dict(pool.map(_run_minimize_seeded, payloads))
     else:
-        seed, result = opts.seed, _run_minimize(problem, opts)
+        runs = dict(map(_run_minimize_seeded, payloads))
+    if args.sweep is not None:
+        for seed, r in sorted(runs.items()):
+            _note(args, f"seed {seed}", {"Bbar": r.Bbar, "converged": r.converged,
+                                         "iterations": r.iterations})
+    best = min(runs.values(), key=lambda r: (not r.converged, r.Bbar))
+    tie = _rounding_bound(best.Bbar, problem.N)
+    seed = min(s for s, r in runs.items()
+               if r.converged == best.converged and r.Bbar - best.Bbar <= tie)
+    result = runs[seed]
     _note(args, "result", {
         "seed": seed, "B": result.B, "Bbar": result.Bbar, "grad_norm": result.grad_norm,
         "iterations": result.iterations, "converged": result.converged,

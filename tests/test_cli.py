@@ -562,6 +562,18 @@ class TestMinimize:
         assert code == 0
         assert sizes == [3]
 
+    @pytest.mark.parametrize("sweep, jobs, cores", [("1", "4", 8), ("8", "8", 1)],
+                             ids=["one_seed", "one_core"])
+    def test_sweep_runs_in_process_without_a_second_worker(self, run, tmp_path, monkeypatch,
+                                                            sweep, jobs, cores):
+        # a pool of one worker runs nothing in parallel: no pool opens
+        sizes = self.serial_pool(monkeypatch, cores=cores)
+        problem = self.leaf_problem(tmp_path, n=64)
+        code, _, _ = run("minimize", str(problem), "--sweep", sweep, "--jobs", jobs,
+                         "--quiet", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert sizes == []
+
     def test_custom_log_path(self, run, tmp_path):
         problem = self.leaf_problem(tmp_path, n=64)
         log = tmp_path / "trace.jsonl"

@@ -30,7 +30,6 @@ import numpy as np
 from .curves import (
     FAMILY_TAGS,
     PlanarElastica,
-    _require_count,
     build_leafed,
     classify_closed,
     eval_k,
@@ -41,7 +40,10 @@ from .curves import (
     varpi_star,
 )
 from .elliptic import comp_E, comp_K
-from .errors import MAX_COUNT, DomainError, InfeasibleError, StepSizeError
+from .errors import (
+    MAX_COUNT, DomainError, InfeasibleError, StepSizeError, _require_count, _require_finite,
+    _require_positive,
+)
 
 __all__ = ["main", "run"]
 
@@ -153,19 +155,15 @@ def cmd_sample(args) -> int:
     from .discrete import _csv
 
     _require_count(args.N, 1, "--N", MAX_COUNT)
-    if not (math.isfinite(args.periods) and args.periods > 0.0):
-        raise DomainError("--periods needs a finite value > 0")
+    _require_positive(args.periods, "--periods")
     e = PlanarElastica(args.family, m=args.m)  # validates family/m pairing
     if args.range is not None:
-        s0, s1 = args.range
-        if not (math.isfinite(s0) and math.isfinite(s1)):
-            raise DomainError("--range needs finite A and B")
+        s0, s1 = _require_finite(args.range, "--range").tolist()
         if not s1 > s0:
             raise DomainError("--range needs A < B")
     elif math.isfinite(e.period):
         s0, s1 = 0.0, args.periods * e.period
-        if not math.isfinite(s1):
-            raise DomainError("--periods times the period must be finite")
+        _require_finite(s1, "--periods times the period")
     else:
         s0, s1 = -8.0, 8.0  # aperiodic families: window around the loop
     _echo(args, s_range=[s0, s1])

@@ -41,7 +41,10 @@ import numpy as np
 from .elliptic import (
     _cosh, _shape_like, _sn2_pi, am, cn, comp_E, comp_K, dn, jacobi_epsilon, sn, sncndn,
 )
-from .errors import MAX_COUNT, DomainError, InfeasibleError
+from .errors import (
+    MAX_COUNT, DomainError, InfeasibleError, _frozen, _require_count, _require_finite,
+    _require_positive, _step_count,
+)
 
 if TYPE_CHECKING:  # imported where used: loading curves loads neither module
     from .discrete import DiscreteCurve
@@ -120,10 +123,9 @@ class Similarity:
     reflect: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.rotation) and np.all(np.isfinite(self.translation))):
-            raise DomainError("similarity parameters must be finite")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError("similarity scale must be positive")
+        _require_finite(self.rotation, "similarity rotation")
+        _require_finite(self.translation, "similarity translation")
+        _require_positive(self.scale, "similarity scale")
 
     def apply(self, x, y):
         if self.reflect:
@@ -163,8 +165,7 @@ class PlanarElastica:
                 raise DomainError(f"{self.family} needs m in (0,1)")
         elif self.m is not None:
             raise DomainError(f"{self.family} takes no modulus")
-        if not np.isfinite(self.s0):
-            raise DomainError("phase must be finite")
+        _require_finite(self.s0, "phase s0")
 
     @property
     def period(self) -> float:
@@ -232,10 +233,8 @@ def _canon_k_prime(tag: str, m, s):
 def _canon_arg(e: PlanarElastica, s) -> np.ndarray:
     """Canonical parameter u = s/scale + s0 of arclength s; it must be finite."""
     with np.errstate(over="ignore"):
-        u = np.asarray(s, dtype=float) / e.similarity.scale + e.s0
-    if not np.isfinite(u).all():
-        raise DomainError("arclength s and s/scale + s0 must be finite")
-    return u
+        return _require_finite(np.asarray(s, dtype=float) / e.similarity.scale + e.s0,
+                               "arclength s and s/scale + s0")
 
 
 def eval_planar(e: PlanarElastica, s):
@@ -307,13 +306,6 @@ def canonical_leaf() -> Leaf:
     return Leaf(m=m, K=comp_K(m))
 
 
-def _require_count(n, least: int, name: str, most: float = math.inf) -> None:
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise DomainError(f"need an integer {name} >= {least}")
-    if n > most:
-        raise DomainError(f"{name} = {n} exceeds the cap of {most}")
-
-
 # ---------------------------------------------------------------------------
 # tangent chains on the sphere and leafed elasticae
 
@@ -365,9 +357,7 @@ class LeafedElastica:
 
     def __post_init__(self):
         for name in ("rotations", "chain"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
 
 def _leaf_end_tangents(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,8 +445,7 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     """
     from .discrete import curvature_data, length
 
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("need a finite tol > 0")
+    _require_positive(tol, "tol")
     if not curve.closed:
         raise DomainError("classification applies to closed curves")
     if curve.dim != 2:
@@ -464,10 +453,7 @@ def classify_closed(curve: DiscreteCurve, tol: float = 1e-3) -> ClassifyResult:
     kappa, lbar, s = curvature_data(curve, signed=True)
     L = length(curve)
     w = lbar / L
-    kmax = float(np.max(np.abs(kappa)))
-    if kmax == 0.0:
-        return ClassifyResult("not_elastica", 0, float("inf"))
-
+    kmax = float(np.max(np.abs(kappa)))  # > 0: a closed polygon turns through 2 pi at least
     kbar = float(np.sum(w * kappa))
     rms_circle = math.sqrt(float(np.sum(w * (kappa - kbar) ** 2)))
     fold_f = abs(kbar) * L / (2.0 * math.pi)
@@ -534,16 +520,13 @@ def reconstruct_spatial(
     differences of the vertices are as exact as the increments.
     """
     from .discrete import DiscreteCurve
-    from .odeint import _step_count  # local import: most callers never integrate
 
     F = np.array(frame0, dtype=float)
     if F.shape != (3, 3) or not np.allclose(F @ F.T, np.eye(3), atol=1e-12):
         raise DomainError("frame0 must be an orthonormal (T, N, B) triple")
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError("need a finite h > 0")
+    _require_positive(h, "h")
     s_min, s_max = map(float, s_range)
-    if not (s_max > s_min and math.isfinite(s_max - s_min)):
-        raise DomainError("need a finite s_range with s_max > s_min")
+    _require_positive(s_max - s_min, "s_range's s_max - s_min")
     n = _step_count(s_max - s_min, h)
     h = (s_max - s_min) / n
     s = s_min + h * np.arange(n + 1)

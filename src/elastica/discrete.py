@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import varpi_star
-from .errors import DomainError
+from .errors import DomainError, _frozen, _require_finite
 
 __all__ = [
     "DiscreteCurve",
@@ -84,15 +84,13 @@ class DiscreteCurve:
             raise DomainError(f"vertices must be (n, 2) or (n, 3), got {v.shape}")
         if len(v) < 3:
             raise DomainError("a discrete curve needs at least 3 vertices")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("vertices must be finite")
+        _require_finite(v, "vertices")
         with np.errstate(over="ignore"):  # finite vertices can still overflow an edge
             e = np.diff(v, axis=0)
             if self.closed:
                 e = np.vstack([e, v[0] - v[-1]])
             ell = _row_norms(e)
-            if not math.isfinite(ell.sum()):
-                raise DomainError("edge lengths must be finite")
+            _require_finite(ell.sum(), "the sum of the edge lengths")
         if np.any(ell == 0.0):
             raise DomainError("consecutive vertices must be distinct")
         for name, arr in (("vertices", v), ("edges", e), ("edge_lengths", ell)):
@@ -147,11 +145,6 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     if len(x) == 3:
         s += x[2] * x[2]
     return np.sqrt(s)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

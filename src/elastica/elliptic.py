@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 
 __all__ = [
     "M_MAX",
@@ -68,13 +68,6 @@ _EPS = float(np.finfo(float).eps)
 
 # AGM chain truncation for sn/cn/dn; resulting error ~ _CA^2
 _CA = 1.0e-8
-
-
-def _require_finite(x) -> np.ndarray:
-    u = np.asarray(x, dtype=float)
-    if not np.isfinite(u).all():
-        raise DomainError(f"argument must be finite, got {x!r}")
-    return u
 
 
 def _cosh(u):
@@ -222,7 +215,7 @@ def sncndn(x, m: float):
     m = float(m)
     if m != 1.0:  # m = 1 has hyperbolic closed forms below
         _require_m_for_K(m)
-    return _sncndn(_require_finite(x), m)
+    return _sncndn(_require_finite(x, "x"), m)
 
 
 def _sncndn(u, m: float, legs=None):
@@ -263,7 +256,7 @@ def _sncndn(u, m: float, legs=None):
 
 def am(x, m: float):
     """Jacobi amplitude: the inverse of F(., m), so F(am(x, m), m) = x."""
-    u = _require_finite(x)
+    u = _require_finite(x, "x")
     m = _require_m_for_K(m)
     if m == 0.0:
         return _shape_like(u, u.copy())
@@ -280,7 +273,7 @@ def _reduce_2K(x, m: float):
     """(x0, n, K, E/K, legs) with x = x0 + 2K n and |x0| <= K: am(x0) lies
     in [-pi/2, pi/2], the Carlson forms' principal branch.  The last three
     are the one _agm(m) of the call."""
-    u = _require_finite(x)
+    u = _require_finite(x, "x")
     K, f, legs = _agm(_require_m_for_K(m))
     n = np.floor(u / (2.0 * K) + 0.5)
     return u - 2.0 * K * n, n, K, f, legs

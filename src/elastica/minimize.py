@@ -69,9 +69,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _require_count
 from .discrete import DiscreteCurve, _cross, _pairs, _row_norms, _turn, _turn_ratio, length
-from .errors import MAX_COUNT, DomainError
+from .errors import MAX_COUNT, DomainError, _require_count, _require_positive, _require_vectors
 
 __all__ = [
     "PinnedProblem",
@@ -105,21 +104,14 @@ def _rounding_bound(B: float, n_terms: int) -> float:
     return n_terms * np.finfo(float).eps * abs(B)
 
 
-def _check_endpoints(P0, P1, L0, N):
-    P0 = np.array(P0, dtype=float)
-    P1 = np.array(P1, dtype=float)
-    if P0.shape not in ((2,), (3,)) or P1.shape != P0.shape:
-        raise DomainError("P0, P1 must be 2- or 3-vectors of equal dimension")
-    if not (np.all(np.isfinite(P0)) and np.all(np.isfinite(P1))):
-        raise DomainError("endpoints must be finite")
-    if not (np.isfinite(L0) and L0 > 0):
-        raise DomainError("need L0 > 0")
-    _require_count(N, 8, "N", MAX_COUNT)
-    if not (L0 / N >= _SCALE[0] and max(L0, *np.abs(P0), *np.abs(P1)) <= _SCALE[1]):
+def _check_problem(p, *vectors: str) -> None:
+    """Store p's endpoints P0, P1 and named vectors read-only, as finite 2- or
+    3-vectors of one dimension, and check its L0 and N."""
+    _require_vectors(p, "P0", "P1", *vectors)
+    _require_positive(p.L0, "L0")
+    _require_count(p.N, 8, "N", MAX_COUNT)
+    if not (p.L0 / p.N >= _SCALE[0] and max(p.L0, *np.abs(p.P0), *np.abs(p.P1)) <= _SCALE[1]):
         raise DomainError("problem scale outside the floats: L0/N < 2^-240 or L0, |P| > 2^510")
-    P0.setflags(write=False)
-    P1.setflags(write=False)
-    return P0, P1
 
 
 @dataclass(frozen=True)
@@ -130,11 +122,9 @@ class PinnedProblem:
     N: int
 
     def __post_init__(self):
-        P0, P1 = _check_endpoints(self.P0, self.P1, self.L0, self.N)
-        if np.linalg.norm(P1 - P0) >= self.L0:
+        _check_problem(self)
+        if np.linalg.norm(self.P1 - self.P0) >= self.L0:
             raise DomainError("need |P0 - P1| < L0")
-        object.__setattr__(self, "P0", P0)
-        object.__setattr__(self, "P1", P1)
 
     @property
     def dim(self) -> int:
@@ -151,15 +141,10 @@ class ClampedProblem:
     V1: np.ndarray
 
     def __post_init__(self):
-        P0, P1 = _check_endpoints(self.P0, self.P1, self.L0, self.N)
-        object.__setattr__(self, "P0", P0)
-        object.__setattr__(self, "P1", P1)
-        V0 = np.array(self.V0, dtype=float)
-        V1 = np.array(self.V1, dtype=float)
-        if V0.shape != P0.shape or V1.shape != P0.shape:
-            raise DomainError("V0, V1 must match the endpoint dimension")
+        _check_problem(self, "V0", "V1")
+        P0, P1, V0, V1 = self.P0, self.P1, self.V0, self.V1
         for V in (V0, V1):
-            if not abs(np.linalg.norm(V) - 1.0) <= 1e-9:  # NaN fails too
+            if not abs(np.linalg.norm(V) - 1.0) <= 1e-9:
                 raise DomainError("clamped tangents must be finite unit vectors")
         d = float(np.linalg.norm(P1 - P0))
         if d > self.L0 * (1.0 + 1e-12):
@@ -175,10 +160,6 @@ class ClampedProblem:
             inner = np.linalg.norm((P1 - h * V1) - (P0 + h * V0))
             if inner >= (self.N - 2) * h:
                 raise DomainError("clamped data leaves no slack for the inner chain")
-        V0.setflags(write=False)
-        V1.setflags(write=False)
-        object.__setattr__(self, "V0", V0)
-        object.__setattr__(self, "V1", V1)
 
     @property
     def is_taut(self) -> bool:
@@ -196,8 +177,8 @@ class MinimizeOptions:
     seed: int | None = None  # smooth random perturbation (_PERTURB_AMP) of the initial arc
 
     def __post_init__(self):
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError("tol must be None or a finite value > 0")
+        if self.tol is not None:
+            _require_positive(self.tol, "tol")
         _require_count(self.max_iters, 1, "max_iters")
         if self.seed is not None:
             _require_count(self.seed, 0, "seed")
@@ -611,7 +592,8 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
                 k /= s
                 phi = math.atan2(s, float(F[0] @ V)) * share
                 c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
-                F[:] = c * F + sn * np.cross(k, F) + (1.0 - c) * (F @ k)[:, None] * k
+                kF = _cross(np.broadcast_to(k, F.shape), F)
+                F[:] = c * F + sn * kF + (1.0 - c) * (F @ k)[:, None] * k
         closed = _close(T3[:, :dim], target, 1, n - 1, w)[0]
         if closed is None:
             break

@@ -35,7 +35,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MAX_COUNT as MAX_STEPS, DomainError, StepSizeError
+from .errors import (
+    DomainError, StepSizeError, _require_finite, _require_positive, _require_vectors, _step_count,
+)
 
 __all__ = [
     "ElasticaState",
@@ -67,26 +69,11 @@ class ElasticaState:
     d3: np.ndarray
 
     def __post_init__(self):
-        self._freeze()
+        _require_vectors(self, *_FIELDS)
         if abs(np.linalg.norm(self.d1) - 1.0) > 1e-9:
             raise DomainError("initial speed |d1| must be 1 (to 1e-9)")
         if abs(np.dot(self.d1, self.d2)) > 1e-9:
             raise DomainError("initial <d1, d2> must vanish (to 1e-9)")
-
-    def _freeze(self) -> None:
-        """Check that the four vectors are finite and of one dimension, 2 or
-        3, and store them as read-only float arrays."""
-        arrs = []
-        for name in _FIELDS:
-            a = np.array(getattr(self, name), dtype=float)
-            if a.shape not in ((2,), (3,)) or not np.all(np.isfinite(a)):
-                raise DomainError(f"{name} must be a finite 2- or 3-vector")
-            arrs.append(a)
-        if len({a.shape for a in arrs}) != 1:
-            raise DomainError("state vectors must share one dimension")
-        for name, a in zip(_FIELDS, arrs):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @classmethod
     def _along(cls, g, d1, d2, d3) -> ElasticaState:
@@ -96,7 +83,7 @@ class ElasticaState:
         st = cls.__new__(cls)
         for name, a in zip(_FIELDS, (g, d1, d2, d3)):
             object.__setattr__(st, name, a)
-        st._freeze()
+        _require_vectors(st, *_FIELDS)
         return st
 
     @property
@@ -275,21 +262,11 @@ def _half_step_error(y0: np.ndarray, y1: np.ndarray, h: float, lam: float) -> np
         return np.max(np.abs(y1 - y_half), axis=(0, 1)) / 15.0
 
 
-def _step_count(span: float, h: float) -> int:
-    """round(span / h), at least 1, for a span and step already checked
-    positive; DomainError when span / h is not at most MAX_STEPS, before
-    anything is allocated."""
-    steps = span / h
-    if not steps <= MAX_STEPS:
-        raise DomainError(f"span / h = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
-    return max(1, int(round(steps)))
-
-
 def integrate_elastica(
     s0: ElasticaState, lam: float, s_end: float, h: float
 ) -> Trajectory:
     """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h),
-    at most MAX_STEPS).
+    at most errors.MAX_COUNT).
 
     The frames advance in the float kernel _run2 when the state is planar
     (2-D, or 3-D with every z entry +0.0) and _run3 otherwise, one call
@@ -300,8 +277,8 @@ def integrate_elastica(
     most one block is wasted.  The trajectory carries the worst estimate
     and where it occurred.
     """
-    if not (np.isfinite(lam) and np.isfinite(s_end) and s_end > 0.0):
-        raise DomainError("need finite lam and s_end > 0")
+    _require_finite(lam, "lam")
+    _require_positive(s_end, "s_end")
     if not 0.0 < h <= s_end:
         raise DomainError("need 0 < h <= s_end")
     n = _step_count(s_end, h)
@@ -381,8 +358,8 @@ def energy_law_residual(t: Trajectory, a: float, c_sq: float) -> np.ndarray:
     """Residual of (u')^2 + u^3 - 2 lam u^2 - 4 a u + 4 c^2 with u = |d2|^2
     and u' = 2 <d2, d3>; identically zero along exact solutions.  a and
     c_sq must be finite."""
-    if not (math.isfinite(a) and math.isfinite(c_sq)):
-        raise DomainError("need finite a and c_sq")
+    _require_finite(a, "a")
+    _require_finite(c_sq, "c_sq")
     d2 = t.data[:, 2, :]
     d3 = t.data[:, 3, :]
     u = np.einsum("ij,ij->i", d2, d2)

@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic as el
-from .elliptic import _require_finite, _shape_like
-from .errors import DomainError
+from .elliptic import _shape_like
+from .errors import DomainError, _require_finite
 
 __all__ = [
     "CurvatureProfile",
@@ -65,8 +65,7 @@ class CurvatureProfile:
             a6 = np.float64(self.A) ** 6  # every profile constant scales with a power of A
         if not (self.A > 0.0 and 0.0 < a6 < math.inf):
             raise DomainError("need A > 0 with A**6 a finite, nonzero float")
-        if not math.isfinite(self.s0):
-            raise DomainError("phase s0 must be finite")
+        _require_finite(self.s0, "phase s0")
 
 
 def profile_lambda(p: CurvatureProfile) -> float:
@@ -111,21 +110,15 @@ def profile_period(p: CurvatureProfile) -> float:
 
 def kappa_sq(p: CurvatureProfile, s):
     """Squared curvature A^2 (1 - (m/w) sn^2(A s/(2 sqrt(w)) + s0, m))."""
-    z = p.A / (2.0 * math.sqrt(p.w)) * _require_finite(s) + p.s0
-    if p.m == 0.0:
-        out = np.full_like(z, p.A**2)
-    else:
-        sn_z = el.sn(z, p.m)
-        out = p.A**2 * (1.0 - (p.m / p.w) * sn_z**2)
-    return _shape_like(s, out)
+    z = p.A / (2.0 * math.sqrt(p.w)) * _require_finite(s, "s") + p.s0
+    return _shape_like(s, p.A**2 * (1.0 - (p.m / p.w) * el.sn(z, p.m) ** 2))
 
 
 def residual_planar(k: Callable, lam: float, s):
     """2 k_ss + k^3 - lambda k with k_ss by second-order central differences
     of step 1e-4 (_FD_STEP)."""
-    if not math.isfinite(lam):
-        raise DomainError("need a finite lambda")
-    _require_finite(s)
+    _require_finite(lam, "lambda")
+    _require_finite(s, "s")
     h = _FD_STEP
     ks = k(s)
     k_ss = (k(s + h) - 2.0 * ks + k(s - h)) / (h * h)
@@ -134,8 +127,7 @@ def residual_planar(k: Callable, lam: float, s):
 
 def residual_spatial(k: Callable, lam: float, c: float, s):
     """2 k_ss + k^3 - lambda k - 2 c^2 / k^3 (k bounded away from zero)."""
-    if not math.isfinite(c):
-        raise DomainError("need a finite c")
+    _require_finite(c, "c")
     return residual_planar(k, lam, s) - 2.0 * c * c / k(s) ** 3
 
 

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from elastica.curves import _require_count, canonical_leaf, eval_planar
+from elastica.curves import canonical_leaf, eval_planar
 from elastica.discrete import DiscreteCurve, curve_to_csv, normalized_energy
 from elastica.elliptic import comp_E, comp_K
-from elastica.errors import MAX_COUNT, DomainError
+from elastica.errors import MAX_COUNT, DomainError, _require_count
 
 __all__ = ["check_closure", "build_leaf", "FenchelReport", "fenchel_floor_check", "save_curve_csv"]
 

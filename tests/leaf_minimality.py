@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from elastica.curves import _require_count, varpi_star
+from elastica.curves import varpi_star
+from elastica.errors import _require_count
 from elastica.minimize import MinimizeOptions, MinimizeResult, PinnedProblem, minimize_pinned
 
 

@@ -20,9 +20,9 @@ from itertools import chain
 
 import numpy as np
 
-from elastica.errors import DomainError, StepSizeError
-from elastica.odeint import (_BLOCK, _LOCAL_ERR_MAX, ElasticaState, Trajectory, _half_step_error,
+from elastica.errors import (DomainError, StepSizeError, _require_finite, _require_positive,
                              _step_count)
+from elastica.odeint import _BLOCK, _LOCAL_ERR_MAX, ElasticaState, Trajectory, _half_step_error
 
 
 def _step3(y, h: float, lam: float) -> tuple[float, ...]:
@@ -78,7 +78,7 @@ def integrate_elastica(
     s0: ElasticaState, lam: float, s_end: float, h: float
 ) -> Trajectory:
     """Integrate from s=0 to s_end with fixed step ~h (n = round(s_end/h),
-    at most MAX_STEPS).
+    at most errors.MAX_COUNT).
 
     The steps run in the float kernel _step3, planar states at z = 0; data
     keeps the state's dimension.  Recommended h <= 1e-3 / sqrt(1 + |lam|).
@@ -87,8 +87,8 @@ def integrate_elastica(
     _BLOCK steps, so at most one block is wasted.  The trajectory carries the worst estimate and
     where it occurred.
     """
-    if not (np.isfinite(lam) and np.isfinite(s_end) and s_end > 0.0):
-        raise DomainError("need finite lam and s_end > 0")
+    _require_finite(lam, "lam")
+    _require_positive(s_end, "s_end")
     if not 0.0 < h <= s_end:
         raise DomainError("need 0 < h <= s_end")
     n = _step_count(s_end, h)

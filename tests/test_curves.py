@@ -282,6 +282,26 @@ class TestDerivativeConsistency:
         _, _, d2b, _ = planar_state(e, 0.37 + h)
         assert np.allclose((d2b - d2a) / (2 * h), d3, atol=1e-6)
 
+    def test_planar_state_of_a_circle(self):
+        # radius 2, turned by 0.3 and reflected: k = -1/2 and k' = 0, so
+        # d3 = -k^2 d1 and the state starts the circle ODE
+        e = PlanarElastica("circular", similarity=Similarity(0.3, (1.0, -1.0), 2.0, True), s0=0.2)
+        s = 0.9
+        g, d1, d2, d3 = planar_state(e, s)
+        th = eval_theta(e, s)
+        assert np.array_equal(g, eval_planar(e, s))
+        assert np.array_equal(d1, [math.cos(th), math.sin(th)])
+        assert np.array_equal(d2, -0.5 * np.array([-math.sin(th), math.cos(th)]))
+        assert np.array_equal(d3, -0.25 * d1)
+        assert np.allclose(np.linalg.norm(g - (1.0, -1.0)), 2.0, rtol=1e-15)
+
+    def test_planar_state_of_a_line(self):
+        e = PlanarElastica("linear", similarity=Similarity(rotation=0.5, scale=3.0))
+        g, d1, d2, d3 = planar_state(e, 2.0)
+        assert np.allclose(g, 2.0 * np.array([math.cos(0.5), math.sin(0.5)]), rtol=0, atol=1e-15)
+        assert np.array_equal(d1, [math.cos(0.5), math.sin(0.5)])
+        assert not np.any(d2) and not np.any(d3)
+
 
 class TestQuasiPeriodicity:
     def test_wavelike(self):

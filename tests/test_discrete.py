@@ -566,6 +566,12 @@ class TestCsv:
         c = curve_from_csv(text)
         assert not c.closed
 
+    def test_comments_other_than_the_marker_are_skipped(self):
+        text = "# written by hand\n# closed=true\ns,x,y\n#\n0,0,0\n# closed-ish\n1,1,0\n2,1,1\n"
+        c = curve_from_csv(text)
+        assert c.closed and c.n_vertices == 3
+        assert np.array_equal(c.vertices, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+
     def test_extra_columns_ignored(self):
         text = "# closed=false\ns,x,y,k\n0,0,0,1\n1,1,0,2\n2,1,1,3\n"
         c = curve_from_csv(text)

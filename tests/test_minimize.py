@@ -228,6 +228,14 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             PinnedProblem(np.array([np.nan, 0.0]), 0.5 * EX, 1.0, 16)
 
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+    def test_clamped_rejects_tangent_of_another_dimension(self, dims):
+        P1 = np.zeros(2)
+        P1[0] = 0.5
+        V0, V1 = (np.eye(d)[1] for d in dims)
+        with pytest.raises(DomainError, match="V[01] must have the dimension of P0"):
+            ClampedProblem(np.zeros(2), P1, 1.0, 16, V0, V1)
+
     def test_clamped_rejects_non_unit_tangent(self):
         with pytest.raises(DomainError):
             ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, 2.0 * EX, EX)

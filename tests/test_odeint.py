@@ -10,7 +10,7 @@ import pytest
 from elastica import odeint
 from elastica.curves import PlanarElastica, planar_state
 from elastica.elliptic import cn, comp_K
-from elastica.errors import DomainError, StepSizeError
+from elastica.errors import MAX_COUNT, DomainError, StepSizeError
 from elastica.odeint import (
     ElasticaState,
     Trajectory,
@@ -185,7 +185,7 @@ class TestIntegrate:
     def test_step_count_above_the_cap(self, s_end, h):
         # the table would not fit in memory: a DomainError before any
         # allocation, not NumPy's "maximum allowed size exceeded"
-        assert s_end / h > odeint.MAX_STEPS
+        assert s_end / h > MAX_COUNT
         for st in (circle_state(), wavelike_state(0.7, dim=3)):
             with pytest.raises(DomainError, match="cap"):
                 integrate_elastica(st, 1.0, s_end, h)

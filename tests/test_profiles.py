@@ -102,11 +102,27 @@ class TestLambdaAndC:
             assert c_sq == pytest.approx(pr.profile_c(p) ** 2, rel=1e-12, abs=1e-14)
 
 
+class TestPeriod:
+    def test_soliton_has_no_period(self):
+        assert pr.profile_period(pr.CurvatureProfile(1.0, 1.0, 2.0)) == math.inf
+
+    @pytest.mark.parametrize("w, A", [(1.0, 1.0), (0.7, 1.3), (0.25, 3.0)])
+    def test_constant_profile_takes_the_sine_period(self, w, A):
+        # m = 0: kappa_sq is constant; the period is sn's 2 pi at rate A / (2 sqrt(w))
+        p = pr.CurvatureProfile(0.0, w, A)
+        assert pr.profile_period(p) == 2.0 * math.pi / (A / (2.0 * math.sqrt(w)))
+
+
 class TestKappaSq:
     def test_constant_when_m_zero(self):
-        p = pr.CurvatureProfile(0.0, 0.7, 1.3)
+        # the general formula A^2 (1 - 0 sn^2) is A^2 bit for bit, as arrays and as floats
         s = np.linspace(-5, 5, 11)
-        assert np.allclose(pr.kappa_sq(p, s), 1.3**2, atol=0, rtol=0)
+        for w, A in [(0.7, 1.3), (1.0, 1e-50), (1e-150, 1e50), (1.0, 1.0)]:
+            p = pr.CurvatureProfile(0.0, w, A, s0=0.25)
+            assert np.array_equal(pr.kappa_sq(p, s), np.full(11, A**2))
+            for x in (0.0, -0.0, 3.5):
+                out = pr.kappa_sq(p, x)
+                assert type(out) is float and out == A**2
 
     def test_wavelike_reduction(self):
         m, A = 0.6, 1.4
@@ -289,6 +305,14 @@ class TestResiduals:
         A = p.A
         res = A**3 - lam * A - 2 * c * c / A**3
         assert res == pytest.approx(0.0, abs=1e-12)
+
+    def test_first_integral_soliton(self):
+        # m = w = 1, the borderline profile A^2 sech^2: no period, so the
+        # difference step is 1e-5 of 4 sqrt(w) / A
+        p = pr.CurvatureProfile(1.0, 1.0, 2.0)
+        s = np.linspace(-6.0, 6.0, 41)
+        res = pr.residual_first_integral(p, s)
+        assert np.max(np.abs(res)) < 1e-8 * p.A**6
 
     def test_first_integral_random_profiles(self):
         rng = np.random.default_rng(6)

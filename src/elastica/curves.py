@@ -43,7 +43,7 @@ from .elliptic import (
 )
 from .errors import (
     MAX_COUNT, DomainError, InfeasibleError, _frozen, _require_count, _require_finite,
-    _require_positive, _step_count,
+    _require_positive, _require_real, _step_count,
 )
 
 if TYPE_CHECKING:  # imported where used: loading curves loads neither module
@@ -123,7 +123,7 @@ class Similarity:
     reflect: bool = False
 
     def __post_init__(self):
-        _require_finite(self.rotation, "similarity rotation")
+        _require_real(self.rotation, "similarity rotation")
         _require_finite(self.translation, "similarity translation")
         _require_positive(self.scale, "similarity scale")
 
@@ -165,7 +165,7 @@ class PlanarElastica:
                 raise DomainError(f"{self.family} needs m in (0,1)")
         elif self.m is not None:
             raise DomainError(f"{self.family} takes no modulus")
-        _require_finite(self.s0, "phase s0")
+        _require_real(self.s0, "phase s0")
 
     @property
     def period(self) -> float:

@@ -255,24 +255,17 @@ def _sncndn(u, m: float, legs=None):
 
 
 def am(x, m: float):
-    """Jacobi amplitude: the inverse of F(., m), so F(am(x, m), m) = x."""
-    u = _require_finite(x, "x")
-    m = _require_m_for_K(m)
-    if m == 0.0:
-        return _shape_like(u, u.copy())
-    K, _, legs = _agm(m)
-    s, c, _ = _sncndn(u, m, legs)
-    phi = np.arctan2(s, c)
-    # am(x) and pi x / (2K) agree at every multiple of K and both increase
-    # in between, so they differ by less than pi/2: that fixes the branch
-    n = np.round((0.5 * math.pi / K * u - phi) / (2.0 * math.pi))
-    return _shape_like(u, phi + 2.0 * math.pi * n)
+    """Jacobi amplitude: the inverse of F(., m), so F(am(x, m), m) = x.
+    On the principal branch atan2(sn, cn) at x0, plus pi n (_reduce_2K)."""
+    x0, n, _, _, legs = _reduce_2K(x, m)
+    s, c, _ = _sncndn(x0, m, legs)
+    return _shape_like(x, np.arctan2(s, c) + math.pi * n)
 
 
 def _reduce_2K(x, m: float):
     """(x0, n, K, E/K, legs) with x = x0 + 2K n and |x0| <= K: am(x0) lies
-    in [-pi/2, pi/2], the Carlson forms' principal branch.  The last three
-    are the one _agm(m) of the call."""
+    in [-pi/2, pi/2], the principal branch of am and of the Carlson forms
+    of epsilon and Pi.  The last three are the one _agm(m) of the call."""
     u = _require_finite(x, "x")
     K, f, legs = _agm(_require_m_for_K(m))
     n = np.floor(u / (2.0 * K) + 0.5)

@@ -6,9 +6,9 @@ ValueError/RuntimeError.
 
 The input rules are written here once, each raising DomainError that names
 the parameter: counts within MAX_COUNT (`_require_count`, `_step_count`),
-finite values (`_require_finite`), finite values > 0 (`_require_positive`),
-and finite 2- or 3-vectors of one dimension (`_require_vectors`), stored
-read-only (`_frozen`).
+finite values (`_require_finite`), finite real numbers (`_require_real`),
+finite values > 0 (`_require_positive`), and finite 2- or 3-vectors of one
+dimension (`_require_vectors`), stored read-only (`_frozen`).
 """
 
 import math
@@ -61,6 +61,11 @@ def _require_finite(x, name: str) -> np.ndarray:
     if not np.isfinite(u).all():
         raise DomainError(f"{name} must be finite" + (f", got {x}" if u.ndim == 0 else ""))
     return u
+
+
+def _require_real(x: float, name: str) -> None:
+    if not math.isfinite(x):  # TypeError for None, a string or a sequence
+        raise DomainError(f"{name} must be finite, got {x}")
 
 
 def _require_positive(x: float, name: str) -> None:

@@ -569,36 +569,30 @@ def _unkinked(T: np.ndarray, target: np.ndarray, m: int) -> np.ndarray:
     the m free tangents next to it, then closed (_close) in a metric that
     keeps the spread: the j-th free tangent from the nearer clamped end,
     j = 0, 1, ..., moves with weight min(1, j/(m + 1)), so the one next to
-    a clamped edge stays put.  The j-th free tangent from the end at V0
-    turns about T[1] x V0 (Rodrigues' formula) through (m - j)/(m + 1) of
-    the kink angle, j = 0..m-1, leaving m + 1 equal kinks; likewise at V1.
-    A plane chain is padded to 3-D and stays flat.  The pass repeats, at
-    most 8 times, while a clamped joint turns more than the sharpest free
-    one."""
-    n, dim = T.shape
-    share = (m - np.arange(m)) / (m + 1)
+    a clamped edge stays put.  The kink, a turn through the angle phi, is
+    the log map of the clamped tangent V at the first free tangent F_0, in
+    F_0's frame coordinates (_frames); the j-th free tangent, j = 0..m-1,
+    turns by (m - j)/(m + 1/2) of it along its own frame (_rotate).  The
+    clamped joint keeps phi/(2m + 1), half the share 2 phi/(2m + 1) of
+    each spread joint, so one pass leaves no clamped joint turning more
+    than the sharpest free one: in the plane, on an arc that turns alpha
+    per joint, the spread joints turn 2 phi/(2m + 1) +- alpha and the
+    others alpha, and one of these is at least phi/(2m + 1) for any alpha.
+    When the weighted closure fails, T is returned as it came."""
+    n = len(T)
+    E = _frames(T)
+    share = (m - np.arange(m)) / (m + 0.5)
     j = np.arange(n - 2)
     w = np.minimum(1.0, np.minimum(j, j[::-1]) / (m + 1))
-    for _ in range(8):
-        theta = _turn(T[:-1], T[1:])[0]
-        if max(theta[0], theta[-1]) <= np.max(theta[1:-1]):
-            break
-        T3 = np.zeros((n, 3))
-        T3[:, :dim] = T
-        for F, V in ((T3[1 : m + 1], T3[0]), (T3[-2 : -m - 2 : -1], T3[-1])):
-            k = np.cross(F[0], V)
-            s = float(np.linalg.norm(k))
-            if s > 0.0:  # no kink, or a reversal with no axis: left as it is
-                k /= s
-                phi = math.atan2(s, float(F[0] @ V)) * share
-                c, sn = np.cos(phi)[:, None], np.sin(phi)[:, None]
-                kF = _cross(np.broadcast_to(k, F.shape), F)
-                F[:] = c * F + sn * kF + (1.0 - c) * (F @ k)[:, None] * k
-        closed = _close(T3[:, :dim], target, 1, n - 1, w)[0]
-        if closed is None:
-            break
-        T = closed
-    return T
+    S = T.copy()
+    for V, free in ((T[0], np.arange(1, m + 1)), (T[-1], np.arange(n - 2, n - m - 2, -1))):
+        y = E[free[0]] @ V  # V's part normal to F_0, in F_0's frame coordinates
+        s = float(np.linalg.norm(y))
+        if s > 0.0:  # no kink, or a reversal with no axis: left as it is
+            kink = math.atan2(s, float(T[free[0]] @ V)) / s * y
+            S[free] = _rotate(T[free], np.einsum("j,a,jad->jd", share, kink, E[free]))
+    closed = _close(S, target, 1, n - 1, w)[0]
+    return T if closed is None else closed
 
 
 def _reduced_gradient(T: np.ndarray, h: float, a: int, b: int):

@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
-    DomainError, StepSizeError, _require_finite, _require_positive, _require_vectors, _step_count,
+    DomainError, StepSizeError, _require_positive, _require_real, _require_vectors, _step_count,
 )
 
 __all__ = [
@@ -277,7 +277,7 @@ def integrate_elastica(
     most one block is wasted.  The trajectory carries the worst estimate
     and where it occurred.
     """
-    _require_finite(lam, "lam")
+    _require_real(lam, "lam")
     _require_positive(s_end, "s_end")
     if not 0.0 < h <= s_end:
         raise DomainError("need 0 < h <= s_end")
@@ -358,8 +358,8 @@ def energy_law_residual(t: Trajectory, a: float, c_sq: float) -> np.ndarray:
     """Residual of (u')^2 + u^3 - 2 lam u^2 - 4 a u + 4 c^2 with u = |d2|^2
     and u' = 2 <d2, d3>; identically zero along exact solutions.  a and
     c_sq must be finite."""
-    _require_finite(a, "a")
-    _require_finite(c_sq, "c_sq")
+    _require_real(a, "a")
+    _require_real(c_sq, "c_sq")
     d2 = t.data[:, 2, :]
     d3 = t.data[:, 3, :]
     u = np.einsum("ij,ij->i", d2, d2)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import elliptic as el
 from .elliptic import _shape_like
-from .errors import DomainError, _require_finite
+from .errors import DomainError, _require_finite, _require_real
 
 __all__ = [
     "CurvatureProfile",
@@ -65,7 +65,7 @@ class CurvatureProfile:
             a6 = np.float64(self.A) ** 6  # every profile constant scales with a power of A
         if not (self.A > 0.0 and 0.0 < a6 < math.inf):
             raise DomainError("need A > 0 with A**6 a finite, nonzero float")
-        _require_finite(self.s0, "phase s0")
+        _require_real(self.s0, "phase s0")
 
 
 def profile_lambda(p: CurvatureProfile) -> float:
@@ -117,7 +117,7 @@ def kappa_sq(p: CurvatureProfile, s):
 def residual_planar(k: Callable, lam: float, s):
     """2 k_ss + k^3 - lambda k with k_ss by second-order central differences
     of step 1e-4 (_FD_STEP)."""
-    _require_finite(lam, "lambda")
+    _require_real(lam, "lambda")
     _require_finite(s, "s")
     h = _FD_STEP
     ks = k(s)
@@ -127,7 +127,7 @@ def residual_planar(k: Callable, lam: float, s):
 
 def residual_spatial(k: Callable, lam: float, c: float, s):
     """2 k_ss + k^3 - lambda k - 2 c^2 / k^3 (k bounded away from zero)."""
-    _require_finite(c, "c")
+    _require_real(c, "c")
     return residual_planar(k, lam, s) - 2.0 * c * c / k(s) ** 3
 
 

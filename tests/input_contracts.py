@@ -42,6 +42,20 @@ def check_contract(table: dict, key: tuple, value: float) -> None:
         check(call(value), call)
 
 
+def check_scalar(table: dict, key: tuple, site=None) -> None:
+    """The scalar parameter key takes every real type as the float it
+    equals, and its check refuses what is not a real number with
+    math.isfinite's TypeError, even a value that would convert to one.
+    site(v) sets the parameter to v, by default table's call."""
+    call = table[key][0]
+    site = site or call
+    for value in (None, "1.0", [1.0]):
+        with pytest.raises(TypeError, match="must be real number"):
+            site(value)
+    for value in (1, True, np.int64(1), np.float32(1.0), np.float64(1.0), np.array(1.0)):
+        np.testing.assert_array_equal(call(value), call(1.0))
+
+
 def contract_cases(table: dict):
     """Parametrize a test(key, value) over every entry and every BAD_FLOATS value."""
     def wrap(test):

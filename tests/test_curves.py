@@ -45,7 +45,7 @@ from elastica.profiles import CurvatureProfile, kappa_sq, profile_c, profile_per
 import curve_helpers
 from arclength_resample import resample_arclength
 from curve_helpers import build_leaf, check_closure
-from input_contracts import check_contract, contract_cases, float_parameters, is_, mirrored
+from input_contracts import check_contract, check_scalar, contract_cases, float_parameters, is_, mirrored
 
 # oracle values (bisection + Newton on 2E-K; entire downstream chain hangs
 # off these, so they are frozen here as well as recomputed)
@@ -852,3 +852,8 @@ class TestInputContracts:
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):
         check_contract(FLOAT_CONTRACTS, key, value)
+
+    def test_scalar_parameters(self):
+        # apply's math.cos would refuse a string too: the check is in the constructor
+        check_scalar(FLOAT_CONTRACTS, ("Similarity", "rotation"), lambda v: Similarity(rotation=v))
+        check_scalar(FLOAT_CONTRACTS, ("PlanarElastica", "s0"))

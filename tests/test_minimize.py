@@ -339,6 +339,41 @@ def stalling_arch() -> ClampedProblem:
     return ClampedProblem(np.zeros(2), 0.2622612116383645 * EX, 1.0, 200, V0, V1)
 
 
+def random_clamped(k: int) -> tuple[ClampedProblem, int | None]:
+    """The k-th seeded random clamped problem and its perturbation seed (k
+    for every other pair, else None): 2-D for even k, 3-D for odd k, and of
+    three kinds in turn.  Generic ends on a chord of up to 0.9 L0; a loop
+    (P0 = P1) leaving against the initial circle, a kink near pi; and a
+    nearly taut chord, 0.97-0.999 L0, with ends tilted off it.  Generic and
+    taut chains have N >= 64: at N = 16 the spread of a large kink can
+    leave closure out of reach (test_unclosable_spread_keeps_the_arc)."""
+    rng = default_rng(k)
+    dim, kind = 2 + k % 2, k // 2 % 3
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    while True:
+        N = int(rng.choice((16, 64, 200) if kind == 1 else (64, 100, 200)))
+        chord = unit(rng.normal(size=dim))
+        if kind == 0:
+            P1, V0, V1 = rng.uniform(0.0, 0.9) * chord, unit(rng.normal(size=dim)), unit(rng.normal(size=dim))
+        elif kind == 1:  # the circle leaves P0 along the first axis
+            P1, V0 = np.zeros(dim), unit(-np.eye(dim)[0] + 0.1 * rng.normal(size=dim))
+            V1 = -V0
+        else:
+            P1 = rng.uniform(0.97, 0.999) * chord
+            V0, V1 = (unit(chord + 0.1 * rng.normal(size=dim)) for _ in range(2))
+        try:
+            return ClampedProblem(np.zeros(dim), P1, 1.0, N, V0, V1), (k if k % 4 >= 2 else None)
+        except DomainError:  # no slack for the inner chain: draw again
+            continue
+
+
+RANDOM_STARTS = [random_clamped(k) for k in range(48)]
+RANDOM_IDS = [f"random{k}" for k in range(48)]
+
+
 class TestPinnedLeaf:
     def test_converges(self, leaf_result):
         assert leaf_result.converged
@@ -670,7 +705,8 @@ class TestClampedStart:
         (ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, EX, EX), 3),
         (ClampedProblem(np.zeros(3), [0.3, 0.1, -0.2], 1.0, 100, [0.0, 0.6, 0.8], [0.6, -0.8, 0.0]),
          None),
-    ], ids=["teardrop", "stalling_arch", "stalling_arch_unseeded", "buckled_N16", "spatial"])
+        *RANDOM_STARTS,
+    ], ids=["teardrop", "stalling_arch", "stalling_arch_unseeded", "buckled_N16", "spatial", *RANDOM_IDS])
     def test_start_has_no_kink(self, problem, seed):
         # a tolerance no gradient reaches stops the solve at its start
         start = minimize_clamped(problem, MinimizeOptions(tol=1e300, seed=seed))
@@ -679,8 +715,8 @@ class TestClampedStart:
         assert max(theta[0], theta[-1]) <= np.max(theta[1:-1])
 
     def test_rotated_and_reflected_spatial_problem(self):
-        # the start is built from cross products and rotations about their
-        # axes: a rotated or a mirrored problem takes the same path
+        # the start is built from log maps and parallel transport along the
+        # chain: a rotated or a mirrored problem takes the same path
         P1, V0, V1 = np.array([0.3, 0.1, -0.2]), np.array([0.0, 0.6, 0.8]), np.array([0.6, -0.8, 0.0])
         Q = np.linalg.qr(default_rng(5).normal(size=(3, 3)))[0]
         Q *= np.sign(np.linalg.det(Q))
@@ -785,15 +821,30 @@ class TestClosure:
     @pytest.mark.parametrize("problem, seed", [
         (stalling_arch(), 1989225659),
         (ClampedProblem(np.zeros(2), 0.5 * EX, 1.0, 16, EX, EX), 3),
-    ], ids=["stalling_arch", "buckled_N16"])
+        (ClampedProblem(np.zeros(2), np.zeros(2), 1.0, 200, EY, -EY), None),
+        *RANDOM_STARTS,
+    ], ids=["stalling_arch", "buckled_N16", "teardrop", *RANDOM_IDS])
     def test_clamped_start_takes_one_pass(self, problem, seed, monkeypatch):
-        # the weighted closure leaves the spread kinks in place, so the
-        # first pass of _unkinked already passes its check (its closures are
-        # the weighted ones: the descent's weights are all 1)
+        # _unkinked spreads each kink once and closes once, in the weighted
+        # metric (the descent's weights are all 1)
         passes = count_calls(monkeypatch, "_close", lambda *args: np.any(args[4] != 1.0))
         start = minimize_clamped(problem, MinimizeOptions(tol=1e300, seed=seed))
         assert start.iterations == 0
         assert len(passes) == 1
+
+    def test_unclosable_spread_keeps_the_arc(self, monkeypatch):
+        # both ends turn back on a short chain: the spread tangents point
+        # back too, and the weighted rest is too short to close, so the
+        # start keeps the closed arc's kinks and the descent removes them
+        V = np.array([-1.0, 0.0])
+        p = ClampedProblem(np.zeros(2), 0.6 * EX, 1.0, 16, V, V)
+        closures = count_calls(monkeypatch, "_close")
+        start = minimize_clamped(p, MinimizeOptions(tol=1e300))
+        assert [np.any(args[4] != 1.0) for args in closures] == [True, False]
+        assert minimize._close(*closures[0])[0] is None
+        theta = start.curve.turning_angles
+        assert min(theta[0], theta[-1]) > 2.0 > np.max(theta[1:-1])
+        assert minimize_clamped(p).converged
 
 
 def seeded_problem(k: int, N: int, clamped: bool, dim: int, d: float):

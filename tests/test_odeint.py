@@ -23,7 +23,7 @@ from elastica.odeint import (
 from elastica.profiles import CurvatureProfile, first_integral_coeffs, profile_c, profile_period
 
 import odeint_reference
-from input_contracts import check_contract, contract_cases, float_parameters, is_
+from input_contracts import check_contract, check_scalar, contract_cases, float_parameters, is_
 
 
 def circle_state(dim=2):
@@ -534,3 +534,8 @@ class TestInputContracts:
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):
         check_contract(FLOAT_CONTRACTS, key, value)
+
+    @pytest.mark.parametrize("key", [("integrate_elastica", "lam"), ("energy_law_residual", "a"),
+                                     ("energy_law_residual", "c_sq")], ids=".".join)
+    def test_scalar_parameter(self, key):
+        check_scalar(FLOAT_CONTRACTS, key)

@@ -16,7 +16,9 @@ from elastica import profiles as pr
 from elastica.curves import PlanarElastica, Similarity, eval_k
 
 import cubic_ode
-from input_contracts import check_contract, contract_cases, finite, float_parameters, is_, mirrored, small
+from input_contracts import (
+    check_contract, check_scalar, contract_cases, finite, float_parameters, is_, mirrored, small,
+)
 
 
 def fd4(f, x, h):
@@ -411,3 +413,8 @@ class TestInputContracts:
     @contract_cases(FLOAT_CONTRACTS)
     def test_float_parameter(self, key, value):
         check_contract(FLOAT_CONTRACTS, key, value)
+
+    @pytest.mark.parametrize("key", [("CurvatureProfile", "s0"), ("residual_planar", "lam"),
+                                     ("residual_spatial", "lam"), ("residual_spatial", "c")], ids=".".join)
+    def test_scalar_parameter(self, key):
+        check_scalar(FLOAT_CONTRACTS, key)
